@@ -27,6 +27,7 @@ from .visitation import (
     Trajectory,
     VisitOrder,
     edge_segment,
+    opposite_edge,
     visit_three_ordered,
     visit_two_set,
 )
@@ -184,19 +185,14 @@ def r1_incenter_closed(t: Triangle) -> float:
     """R1 at the incenter: distance to the reflection of the largest-angle
     vertex across its opposite edge."""
     v = largest_angle_vertex(t)
-    opposite = _opposite_edge(v)
-    mirrored = reflect(t.vertex(v), edge_segment(t, opposite).line())
+    mirrored = reflect(t.vertex(v), edge_segment(t, opposite_edge(v)).line())
     return incenter(t).dist(mirrored)
-
-
-def _opposite_edge(v: VertexId) -> EdgeId:
-    return {VertexId.A: EdgeId.D, VertexId.B: EdgeId.R, VertexId.C: EdgeId.L}[v]
 
 
 def mid_altitude_point(t: Triangle) -> Point2:
     """Midpoint of the altitude dropped from the largest angle (shortest altitude)."""
     v = t.vertex(largest_angle_vertex(t))
-    line = edge_segment(t, _opposite_edge(largest_angle_vertex(t))).line()
+    line = edge_segment(t, opposite_edge(largest_angle_vertex(t))).line()
     foot = Point2(v.x - line.signed_dist(v) * line.a, v.y - line.signed_dist(v) * line.b)
     return Point2((v.x + foot.x) / 2, (v.y + foot.y) / 2)
 
@@ -208,7 +204,7 @@ def r1_mid_altitude_closed(t: Triangle) -> float:
     ang_a = t.angle(va)
     others = [t.angle(v) for v in _VERTEX_PRIORITY if v is not va]
     ang_b, ang_c = others
-    base = edge_segment(t, _opposite_edge(va)).length
+    base = edge_segment(t, opposite_edge(va)).length
     return base * 0.5 * (2.0 - math.cos(2.0 * ang_a)) * math.sin(ang_b) * math.sin(ang_c) / math.sin(ang_b + ang_c)
 
 
@@ -217,7 +213,7 @@ def r2_vertex_heuristic(t: Triangle, p: Point2) -> float:
     vertex, the other drops onto the opposite edge.  Never below R2."""
     p = t.require_inside(p)
     v = largest_angle_vertex(t)
-    drop = _drop_trajectory(t, p, _opposite_edge(v))
+    drop = _drop_trajectory(t, p, opposite_edge(v))
     return max(p.dist(t.vertex(v)), drop.cost)
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-AREA_EPS = 1e-12
+AREA_EPS = 1e-12             # relative to the longest side squared
 ANGLE_SLACK = 1e-12          # right angles from float inputs must pass the gate
 ANGLE_SUM_TOL = 1e-9
 SEGMENT_EPS = 1e-12
@@ -190,10 +190,6 @@ class Similarity:
         if not self.scale > 0:
             raise GeometryError("similarity scale must be positive")
 
-    @classmethod
-    def identity(cls) -> "Similarity":
-        return cls(0.0, 1.0, Point2(0.0, 0.0))
-
     def apply(self, p: Point2) -> Point2:
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         return Point2(
@@ -234,7 +230,8 @@ class Triangle:
         if not (a.is_finite() and b.is_finite() and c.is_finite()):
             raise GeometryError("non-finite vertex coordinates")
         area2 = (b - a).cross(c - a)
-        if abs(area2) / 2 <= AREA_EPS:
+        longest2 = max((b - a).dot(b - a), (c - b).dot(c - b), (a - c).dot(a - c))
+        if abs(area2) / 2 <= AREA_EPS * longest2:
             raise DegenerateTriangleError(f"triangle area {abs(area2)/2:g} below threshold")
         if area2 < 0:
             b, c = c, b

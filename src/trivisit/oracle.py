@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -186,10 +185,6 @@ def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
 
 def oracle_r1(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     return min(oracle_ordered3(t, p, order, cfg) for order in VisitOrder)
-
-
-def all_orders() -> tuple[VisitOrder, ...]:
-    return tuple(VisitOrder("".join(p)) for p in permutations("LRD"))
 
 
 def certify_instance(

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, barycentric_grid
+from ._kernels import TriangleKernel
 from .fleet_costs import largest_angle_vertex
 from .geom_core import (
     GeometryError,
@@ -31,7 +31,7 @@ from .geom_core import (
     foot_of_bisector,
     incenter,
 )
-from .visitation import BOUNDARY_TOL, EdgeId, VisitOrder, _unfold3, bouncing_subcone, edge_segment
+from .visitation import BOUNDARY_TOL, EdgeId, VisitOrder, _unfold3, bouncing_subcone, edge_segment, opposite_edge
 
 TIE_TOL = BOUNDARY_TOL      # separator membership slack on standard-form costs
 _PIECE_EPS = 1e-9           # pieces shorter than this are dropped
@@ -277,7 +277,7 @@ def r2_separator(t: Triangle) -> SeparatorChain:
             pieces.extend(_corner_segments(enter, seps[v], leave, label))
             continue
         vx = t.vertex(v)
-        opp_line = edge_segment(t, _opposite_edge_of(v)).line()
+        opp_line = edge_segment(t, opposite_edge(v)).line()
         par = Parabola(vx, opp_line)
         rays = _subcone_extreme_rays(t, v, cone.half_angle)
         xs = []
@@ -324,10 +324,6 @@ def _along(a: Point2, b: Point2, p: Point2, slack: float = 1e-6) -> float | None
     if -slack <= s <= 1.0 + slack and abs(d.cross(p - a)) <= 1e-6 * math.sqrt(denom):
         return s
     return None
-
-
-def _opposite_edge_of(v: VertexId) -> EdgeId:
-    return {VertexId.A: EdgeId.D, VertexId.B: EdgeId.R, VertexId.C: EdgeId.L}[v]
 
 
 def _subcone_extreme_rays(t: Triangle, v: VertexId, half: float) -> tuple[Point2, Point2]:

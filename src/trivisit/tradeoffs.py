@@ -5,25 +5,27 @@ a barycentric grid plus derivative-free pattern refinement, always seeding
 the incenter and the three altitude midpoints (the extremal points for the
 three ratio pairs).  ``sweep_triangles`` repeats that over an angle grid and
 tracks the running infimum and supremum; infima are limits over degenerating
-shapes, so they are reported as approached, never attained.
+shapes, so they are reported as approached, never attained.  Both run the
+same lockstep search (``_maximize``) over a stacked kernel: ``max_ratio`` on
+a batch of one triangle, ``sweep_triangles`` on chunks of cells.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ._kernels import TriangleKernel, barycentric_grid, points_array, project_into
 from .fleet_costs import fleet_costs
-from .geom_core import Point2, Triangle, incenter, triangle_from_angles
-from .visitation import EdgeId, edge_segment
+from .geom_core import Point2, Triangle, VertexId, incenter, triangle_from_angles
+from .visitation import edge_segment, opposite_edge
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _VERTEX_EPS = 1e-7  # candidates this close to a vertex are discarded
+_CHUNK = 32         # sweep cells per lockstep batch; bounds peak memory
 
 
 def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
@@ -59,17 +61,13 @@ class RatioReport:
 
 def _altitude_midpoints(t: Triangle) -> list[Point2]:
     out = []
-    for v, opp in ((t.a, EdgeId.D), (t.b, EdgeId.R), (t.c, EdgeId.L)):
-        line = edge_segment(t, opp).line()
+    for vid in VertexId:
+        v = t.vertex(vid)
+        line = edge_segment(t, opposite_edge(vid)).line()
         d = line.signed_dist(v)
         foot = Point2(v.x - d * line.a, v.y - d * line.b)
         out.append(Point2((v.x + foot.x) / 2, (v.y + foot.y) / 2))
     return out
-
-
-def _near_vertex(t: Triangle, p: Point2) -> bool:
-    slack = _VERTEX_EPS * t.base_length
-    return any(p.dist(v) < slack for v in t.vertices)
 
 
 def max_ratio(
@@ -88,72 +86,82 @@ def max_ratio(
     """
     _check_pair(n, m)
     std, _ = t.standard()
-    k = TriangleKernel(std)
-
-    def values(pts: np.ndarray) -> np.ndarray:
-        return k.cost(pts, n) / k.cost(pts, m)
-
-    seeds = [incenter(std)] + _altitude_midpoints(std)
-    seed_pts = points_array([tuple(p) for p in seeds])
-    seed_vals = values(seed_pts)
-
-    gpts = barycentric_grid(std, grid, include_vertices=False)
-    gvals = values(gpts)
-    gi = int(np.argmax(gvals))
-
-    best_seed_i = int(np.argmax(seed_vals))
-    if float(seed_vals[best_seed_i]) >= float(gvals[gi]):
-        start, start_val = seeds[best_seed_i], float(seed_vals[best_seed_i])
-    else:
-        start, start_val = Point2(*gpts[gi]), float(gvals[gi])
-
-    argmax, best, steps = _pattern_search(std, k, n, m, start, start_val, grid, refine_tol)
-
-    # Prefer a seeded witness when it ties the maximum: argmax sets can be
-    # whole segments, and the canonical extremal points lie on them.
-    if float(seed_vals[best_seed_i]) >= best - 1e-9:
-        argmax = seeds[best_seed_i]
-
-    at = points_array([tuple(argmax)])
-    rn = float(k.cost(at, n)[0])
-    rm = float(k.cost(at, m)[0])
+    [(argmax, rn, rm, steps)] = _maximize([std], n, m, grid, refine_tol)
     report = RatioReport((n, m), rn / rm, argmax, rn, rm, grid, steps)
     if with_witnesses:
         report = report.with_witnesses(fleet_costs(std, argmax))
     return report
 
 
-def _pattern_search(
-    std: Triangle,
-    k: TriangleKernel,
+# Compass directions of the pattern search, in the order candidates are ranked.
+_DIRS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+
+
+def _maximize(
+    stds: Sequence[Triangle],
     n: int,
     m: int,
-    start: Point2,
-    start_val: float,
     grid: int,
-    tol: float,
-) -> tuple[Point2, float, int]:
-    """Compass pattern search clipped to the triangle; deterministic."""
-    step = max(std.base_length / max(grid - 1, 1), 1e-6)
-    best_p, best_v = start, start_val
-    steps = 0
-    dirs = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
-    while step > tol:
-        cand = []
-        for dx, dy in dirs:
-            q = project_into(std, Point2(best_p.x + dx * step, best_p.y + dy * step))
-            if not _near_vertex(std, q):
-                cand.append(q)
-        if cand:
-            pts = points_array([tuple(q) for q in cand])
-            vals = k.cost(pts, n) / k.cost(pts, m)
-            j = int(np.argmax(vals))
-            steps += 1
-            if float(vals[j]) > best_v:
-                best_p, best_v = cand[j], float(vals[j])
-                continue
-        step /= 2.0
-    return best_p, best_v, steps
+    refine_tol: float,
+) -> list[tuple[Point2, float, float, int]]:
+    """(argmax, R_n, R_m, refinement steps) for each standard-form triangle.
+
+    Every triangle runs the same deterministic search, all in lockstep on
+    one stacked kernel: start from the best seed or grid point (the seed on
+    a tie), then run a compass pattern search clipped to the triangle, with
+    a step size per triangle.  A candidate replaces the best point only when
+    strictly better; otherwise the step halves, until it is at most
+    ``refine_tol``.  Row i of every array belongs to ``stds[i]``, so each
+    triangle's result does not depend on the others in the batch.
+    """
+    k = TriangleKernel(stds)
+    rows = np.arange(len(stds))
+
+    def values(pts: np.ndarray) -> np.ndarray:
+        return k.cost(pts, n) / k.cost(pts, m)
+
+    seeds = np.array([[incenter(s), *_altitude_midpoints(s)] for s in stds], dtype=float)
+    seed_vals = values(seeds)
+    si = np.argmax(seed_vals, axis=1)
+    seed_best = seed_vals[rows, si]
+
+    gpts = barycentric_grid(stds, grid, include_vertices=False)
+    gvals = values(gpts)
+    gi = np.argmax(gvals, axis=1)
+    grid_best = gvals[rows, gi]
+    from_seed = seed_best >= grid_best
+    best_p = np.where(from_seed[:, None], seeds[rows, si], gpts[rows, gi])
+    best_v = np.where(from_seed, seed_best, grid_best)
+
+    step = np.array([max(s.base_length / max(grid - 1, 1), 1e-6) for s in stds])
+    steps = np.zeros(len(stds), dtype=int)
+    slack = _VERTEX_EPS * k.scale
+    active = step > refine_tol
+    while active.any():
+        cand = project_into(k, best_p[:, None, :] + _DIRS * step[:, None, None])
+        near = np.zeros(cand.shape[:2], dtype=bool)
+        for vx, vy in k.vertices:
+            near |= np.hypot(cand[..., 0] - vx, cand[..., 1] - vy) < slack
+        keep = active[:, None] & ~near
+        vals = np.where(keep, values(cand), -np.inf)
+        j = np.argmax(vals, axis=1)
+        top = vals[rows, j]
+        steps += keep.any(axis=1)
+        better = top > best_v
+        best_p = np.where(better[:, None], cand[rows, j], best_p)
+        best_v = np.where(better, top, best_v)
+        step = np.where(active & ~better, step / 2.0, step)
+        active = step > refine_tol
+
+    # Prefer a seeded witness when it ties the maximum: argmax sets can be
+    # whole segments, and the canonical extremal points lie on them.
+    at = np.where((seed_best >= best_v - 1e-9)[:, None], seeds[rows, si], best_p)
+    rn = k.cost(at[:, None, :], n)[:, 0]
+    rm = k.cost(at[:, None, :], m)[:, 0]
+    return [
+        (Point2(float(p[0]), float(p[1])), float(a), float(b), int(c))
+        for p, a, b, c in zip(at, rn, rm, steps)
+    ]
 
 
 def describe_shape(angles_deg: tuple[float, float, float], tol: float = 0.51) -> str:
@@ -263,17 +271,6 @@ def _sweep_cells(step_deg: float, eps_apex_deg: float) -> list[tuple[float, floa
     return cells
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TRIVISIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
 def sweep_triangles(
     n: int,
     m: int,
@@ -284,27 +281,21 @@ def sweep_triangles(
 ) -> SweepResult:
     """Per-triangle max_ratio over the (angle B, angle C) grid.
 
-    Cells are independent; evaluation may run on a thread pool capped by
-    TRIVISIT_THREADS, and the reduction is by fixed cell order, so results
-    do not depend on scheduling.  The default per-cell budget is light on
-    purpose: the extremal values come from the seeded witnesses inside
-    max_ratio, and coarser grids are subsets of finer ones, so running
-    inf/sup values stay monotone in the step size regardless of refinement
-    quality.
+    Cells are independent.  They run on one thread in fixed-size chunks, in
+    cell order, each chunk as one lockstep batch (``_maximize``); every cell
+    follows the same arithmetic as ``max_ratio`` on its own, so results do
+    not depend on the chunk size.  The chunk size bounds the memory of a
+    batch.  The default per-cell budget is light on purpose: the extremal
+    values come from the seeded witnesses, and coarser grids are subsets of
+    finer ones, so running inf/sup values stay monotone in the step size
+    regardless of refinement quality.
     """
     _check_pair(n, m)
     cells = _sweep_cells(step_deg, eps_apex_deg)
-
-    def evaluate(cell: tuple[float, float]) -> SweepRow:
-        b, c = cell
-        t = triangle_from_angles(math.radians(b), math.radians(c))
-        rep = max_ratio(t, n, m, grid=grid, refine_tol=refine_tol)
-        return SweepRow(b, c, rep.ratio, rep.argmax, rep.rn, rep.rm)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(evaluate, cells))
-    else:
-        rows = tuple(evaluate(cell) for cell in cells)
-    return SweepResult((n, m), step_deg, eps_apex_deg, rows)
+    rows = []
+    for lo in range(0, len(cells), _CHUNK):
+        chunk = cells[lo:lo + _CHUNK]
+        stds = [triangle_from_angles(math.radians(b), math.radians(c)).standard()[0] for b, c in chunk]
+        for (b, c), (argmax, rn, rm, _steps) in zip(chunk, _maximize(stds, n, m, grid, refine_tol)):
+            rows.append(SweepRow(b, c, rn / rm, argmax, rn, rm))
+    return SweepResult((n, m), step_deg, eps_apex_deg, tuple(rows))

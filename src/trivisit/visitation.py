@@ -58,6 +58,7 @@ _EDGE_ENDPOINTS = {
     EdgeId.R: (VertexId.C, VertexId.A),
 }
 _OPPOSITE_VERTEX = {EdgeId.L: VertexId.C, EdgeId.D: VertexId.A, EdgeId.R: VertexId.B}
+_OPPOSITE_EDGE = {vertex: edge for edge, vertex in _OPPOSITE_VERTEX.items()}
 
 
 def edge_segment(t: Triangle, e: EdgeId) -> Segment:
@@ -65,8 +66,8 @@ def edge_segment(t: Triangle, e: EdgeId) -> Segment:
     return Segment(t.vertex(va), t.vertex(vb))
 
 
-def edges_at_vertex(v: VertexId) -> tuple[EdgeId, EdgeId]:
-    return tuple(e for e in EdgeId if v in e.endpoints)  # type: ignore[return-value]
+def opposite_edge(v: VertexId) -> EdgeId:
+    return _OPPOSITE_EDGE[v]
 
 
 def shared_vertex(e1: EdgeId, e2: EdgeId) -> VertexId:

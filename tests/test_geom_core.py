@@ -27,6 +27,7 @@ from trivisit.geom_core import (
     vertex_from_angles,
     VertexId,
 )
+from trivisit.fleet_costs import fleet_costs
 
 from conftest import random_triangle
 
@@ -105,6 +106,21 @@ class TestTriangle:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
             Triangle((0, 0), (1, 1), (2, 2))
+
+    @pytest.mark.parametrize("apex", [(0.5, math.sqrt(3) / 2), (0.5, 0.5)], ids=["equilateral", "right-isosceles"])
+    @pytest.mark.parametrize("side", [1e-7, 1e-9])
+    def test_tiny_perfect_triangle_accepted(self, apex, side):
+        # The degeneracy gate is relative to the triangle's size, so a
+        # perfect shape passes at any scale and its costs scale with it.
+        verts = (apex, (0.0, 0.0), (1.0, 0.0))
+        unit = Triangle(*verts)
+        tiny = Triangle(*((side * x, side * y) for x, y in verts))
+        p = incenter(unit)
+        want = fleet_costs(unit, p)
+        got = fleet_costs(tiny, Point2(side * p.x, side * p.y))
+        for key in ("r1", "r2", "r3"):
+            ref = side * getattr(want, key).cost
+            assert abs(getattr(got, key).cost - ref) <= 1e-9 * ref
 
     def test_orientation_normalized(self):
         t = Triangle((0.5, 0.8), (1, 0), (0, 0))  # clockwise input

@@ -55,16 +55,45 @@ class TestGrid:
             assert min(np.hypot(pts[:, 0] - v.x, pts[:, 1] - v.y)) > 1e-6
 
 
+class TestStacked:
+    def test_matches_single_kernels(self, rng):
+        tris = [random_triangle(rng) for _ in range(5)]
+        k = TriangleKernel(tris)
+        pts = barycentric_grid(tris, 9)
+        assert pts.shape == (5, 45, 2)
+        for robots in (1, 2, 3):
+            stacked = k.cost(pts, robots)
+            assert stacked.shape == (5, 45)
+            for i, t in enumerate(tris):
+                np.testing.assert_array_equal(stacked[i], TriangleKernel(t).cost(pts[i], robots))
+
+    def test_grid_rows_match_single_grids(self, rng):
+        tris = [random_triangle(rng) for _ in range(3)]
+        pts = barycentric_grid(tris, 7, include_vertices=False)
+        for i, t in enumerate(tris):
+            np.testing.assert_array_equal(pts[i], barycentric_grid(t, 7, include_vertices=False))
+
+
 class TestProjectInto:
     def test_interior_unchanged(self):
         t = triangle_from_angles(math.pi / 3, math.pi / 3)
-        p = Point2(0.5, 0.2)
-        assert project_into(t, p) == p
+        pts = points_array([(0.5, 0.2)])
+        np.testing.assert_array_equal(project_into(TriangleKernel(t), pts), pts)
 
     def test_exterior_clamped(self):
         t = triangle_from_angles(math.pi / 3, math.pi / 3)
-        q = project_into(t, Point2(2.0, -1.0))
-        assert t.contains(q, tol=1e-9)
+        (q,) = project_into(TriangleKernel(t), points_array([(2.0, -1.0)]))
+        assert t.contains(Point2(*q), tol=1e-9)
+
+    def test_stacked_clamps_each_row_into_its_triangle(self, rng):
+        tris = [random_triangle(rng) for _ in range(4)]
+        pts = rng.uniform(-1.0, 2.0, size=(4, 50, 2))
+        out = project_into(TriangleKernel(tris), pts)
+        for t, row_in, row_out in zip(tris, pts, out):
+            for p, q in zip(row_in, row_out):
+                assert t.contains(Point2(*q), tol=1e-9)
+                if t.contains(Point2(*p), tol=0.0):
+                    assert tuple(q) == tuple(p)
 
     def test_points_array_shapes(self):
         assert points_array([(0.0, 1.0)]).shape == (1, 2)

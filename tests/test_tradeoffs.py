@@ -1,8 +1,10 @@
+import json
 import math
-import os
+from pathlib import Path
 
 import pytest
 
+from trivisit import tradeoffs
 from trivisit.geom_core import Point2, Similarity, Triangle, incenter, triangle_from_angles
 from trivisit.tradeoffs import (
     describe_shape,
@@ -119,17 +121,44 @@ class TestSweep:
             assert 0.5 < a <= 90.0
         assert any(r.b_deg == 60.0 and r.c_deg == 60.0 for r in sw.rows)
 
-    def test_deterministic_across_thread_counts(self):
-        old = os.environ.get("TRIVISIT_THREADS")
-        try:
-            os.environ["TRIVISIT_THREADS"] = "1"
-            serial = sweep_triangles(2, 3, step_deg=20.0)
-            os.environ["TRIVISIT_THREADS"] = "4"
-            threaded = sweep_triangles(2, 3, step_deg=20.0)
-        finally:
-            if old is None:
-                os.environ.pop("TRIVISIT_THREADS", None)
-            else:
-                os.environ["TRIVISIT_THREADS"] = old
-        assert [r.ratio for r in serial.rows] == [r.ratio for r in threaded.rows]
-        assert [tuple(r.argmax) for r in serial.rows] == [tuple(r.argmax) for r in threaded.rows]
+    def test_independent_of_chunk_size(self, monkeypatch):
+        def rows():
+            return [
+                (r.b_deg, r.c_deg, r.ratio, r.rn, r.rm, tuple(r.argmax))
+                for r in sweep_triangles(1, 2, step_deg=10.0).rows
+            ]
+
+        default = rows()
+        for chunk in (1, 7):
+            monkeypatch.setattr(tradeoffs, "_CHUNK", chunk)
+            assert rows() == default
+
+    def test_max_ratio_reproduces_sweep_row(self):
+        row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (50.0, 70.0))
+        t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
+        rep = max_ratio(t, 2, 3, grid=24, refine_tol=1e-6)
+        assert (rep.ratio, rep.rn, rep.rm, rep.argmax) == (row.ratio, row.rn, row.rm, row.argmax)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_10deg.json").read_text())
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN["pairs"]))
+def test_sweep_matches_golden(pair):
+    """10-degree sweep rows recorded from the per-cell scalar search that
+    preceded the lockstep one."""
+    n, m = (int(v) for v in pair.split(","))
+    golden = GOLDEN["pairs"][pair]
+    sw = sweep_triangles(n, m, step_deg=GOLDEN["step_deg"])
+    assert [(r.b_deg, r.c_deg) for r in sw.rows] == [(g[0], g[1]) for g in golden["rows"]]
+    for row, (b, c, ratio, rn, rm, gx, gy) in zip(sw.rows, golden["rows"]):
+        assert abs(row.ratio - ratio) <= 1e-12, (b, c)
+        assert abs(row.rn - rn) <= 1e-12 and abs(row.rm - rm) <= 1e-12, (b, c)
+        # On a plateau the argmax may move along it, but the ratio at the
+        # golden argmax must still be the row's maximum.
+        std, _ = triangle_from_angles(math.radians(b), math.radians(c)).standard()
+        moved = math.hypot(row.argmax.x - gx, row.argmax.y - gy) > 1e-9
+        assert not moved or abs(ratio_at(std, Point2(gx, gy), n, m) - row.ratio) <= 1e-12, (b, c)
+    summary = sw.summary()
+    for side in ("sup", "inf"):
+        assert {key: summary[side][key] for key in ("b_deg", "c_deg", "shape")} == golden[side]
