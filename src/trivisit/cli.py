@@ -179,7 +179,7 @@ def cmd_regions(args) -> int:
         "mode": args.mode,
         "grid": args.grid,
         "cells": len(rmap.cells),
-        "tie_cells": len(rmap.tie_cells),
+        "tie_cells": int(rmap.cells.tie.sum()),
         "svg": str(svg_path),
         "csv": str(csv_path),
     }))
@@ -248,7 +248,6 @@ def build_parser() -> _Parser:
     add_triangle(p)
     p.add_argument("--point", required=True, help="x,y of the starting point")
     p.add_argument("--oracle", action="store_true", help="add brute-force costs and deltas")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("regions", help="raster region map as SVG + CSV")
@@ -256,7 +255,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("r1", "r2", "r3"), default="r1")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--out", help="output SVG path (CSV written alongside)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("ratio", help="maximize R_n/R_m over starting points")
@@ -264,7 +262,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("sweep", help="max ratio over an angle grid of triangles")
@@ -273,7 +270,6 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=1.0, help="angle grid step in degrees")
     p.add_argument("--eps-apex", type=float, default=0.5, help="smallest admitted angle, degrees")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")

@@ -10,14 +10,13 @@ separate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel
+from ._kernels import TriangleKernel, barycentric_grid
 from .fleet_costs import largest_angle_vertex
 from .geom_core import (
     GeometryError,
@@ -539,12 +538,49 @@ class RegionCell:
         return "+".join(self.labels)
 
 
+class RasterCells(Sequence[RegionCell]):
+    """The cells of a raster map, held as arrays and built into
+    ``RegionCell`` values only when read.
+
+    ``i`` and ``j`` are the lattice indices (i-major, j ascending), ``xy`` the
+    (N, 2) points, ``codes`` one integer label code per point and ``table``
+    the label tuple of every code.
+    """
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, xy: np.ndarray, codes: np.ndarray,
+                 table: tuple[tuple[str, ...], ...]):
+        self.i, self.j, self.xy, self.codes, self.table = i, j, xy, codes, table
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[m] for m in range(*k.indices(len(self))))
+        k = range(len(self))[k]
+        x, y = self.xy[k].tolist()
+        return RegionCell(int(self.i[k]), int(self.j[k]), Point2(x, y), self.table[self.codes[k]])
+
+    def __iter__(self):
+        table = self.table
+        for i, j, (x, y), code in zip(self.i.tolist(), self.j.tolist(), self.xy.tolist(), self.codes.tolist()):
+            yield RegionCell(i, j, Point2(x, y), table[code])
+
+    @property
+    def tie(self) -> np.ndarray:
+        """Per-cell mask: labelled by more than one strategy."""
+        return np.array([len(labels) > 1 for labels in self.table])[self.codes]
+
+
 @dataclass(frozen=True)
 class RegionMap:
+    """A labelled raster.  ``raster_region_map`` fills ``cells`` with a
+    ``RasterCells`` view; CSV and SVG emission read its arrays."""
+
     triangle: Triangle
     n: int
     mode: str
-    cells: tuple[RegionCell, ...]
+    cells: Sequence[RegionCell]
 
     @property
     def tie_cells(self) -> tuple[RegionCell, ...]:
@@ -557,17 +593,45 @@ class RegionMap:
         return max(t.a.dist(t.b), t.b.dist(t.c), t.c.dist(t.a)) / (self.n - 1)
 
     def to_csv(self, path) -> None:
+        """Rows ``i,j,x,y,label`` with 17-digit coordinates and CRLF line
+        ends, formatted in one pass over the arrays."""
+        c = self.cells
+        labels = np.array(["+".join(lab) for lab in c.table], dtype=object)
+        rows = np.empty((len(c), 5), dtype=object)
+        rows[:, 0] = c.i
+        rows[:, 1] = c.j
+        rows[:, 2:4] = c.xy
+        rows[:, 4] = labels[c.codes]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "x", "y", "label"])
-            for c in self.cells:
-                writer.writerow([c.i, c.j, _fmt(c.point.x), _fmt(c.point.y), c.label])
+            fh.write("i,j,x,y,label\r\n")
+            fh.write(("%d,%d,%.17g,%.17g,%s\r\n" * len(c)) % tuple(rows.ravel().tolist()))
 
     def to_svg(self, path, chains: Sequence[SeparatorChain] = ()) -> None:
         write_region_svg(path, self, chains)
 
 
 _MODES = ("r1", "r2", "r3")
+
+
+def _label_table(names: tuple[str, ...], suffixes: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """Label tuple of every code.  Digit k of a code, in base
+    ``len(suffixes)``, is 0 when ``names[k]`` is not optimal and otherwise
+    picks the suffix of its label."""
+    base = len(suffixes)
+    return tuple(
+        tuple(name + suffixes[code // base**k % base] for k, name in enumerate(names) if code // base**k % base)
+        for code in range(base ** len(names))
+    )
+
+
+# r1 and r3 codes are bitmasks over the orders or edges; an r2 digit says
+# whether the lone edge's partition is determined by one robot, two, or both.
+_EDGE_NAMES = tuple(e.value for e in EdgeId)
+_LABEL_TABLES = {
+    "r1": _label_table(tuple(o.value for o in VisitOrder), ("", "")),
+    "r2": _label_table(_EDGE_NAMES, ("", "/one", "/two", "/both")),
+    "r3": _label_table(_EDGE_NAMES, ("", "")),
+}
 
 
 def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
@@ -583,66 +647,19 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     kernel = TriangleKernel(t)
     tol = kernel.tol
 
-    a = np.asarray(t.a, float)
-    b = np.asarray(t.b, float)
-    c = np.asarray(t.c, float)
-    idx = [(i, j) for i in range(n) for j in range(n - i)]
-    ii = np.array([i for i, _ in idx], float)
-    jj = np.array([j for _, j in idx], float)
-    wa, wb = ii / (n - 1), jj / (n - 1)
-    pts = wa[:, None] * a + wb[:, None] * b + (1.0 - wa - wb)[:, None] * c
+    pts = barycentric_grid(t, n)
+    # the grid's lattice indices, in its i-major, j-ascending order
+    i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
-    if mode == "r3":
-        costs = kernel.r3_all(pts)
-        names = [e.value for e in EdgeId]
-        labels = _argmax_labels(costs, names, tol)
-    elif mode == "r1":
-        costs = kernel.r1_all(pts)
-        names = [o.value for o in VisitOrder]
-        labels = _argmax_labels(-costs, names, tol)
-    else:
+    if mode == "r2":
         singles, pairs, totals = kernel.r2_partitions(pts)
-        labels = _r2_labels(singles, pairs, totals, tol)
-
-    cells = tuple(
-        RegionCell(int(i), int(j), Point2(float(p[0]), float(p[1])), lab)
-        for (i, j), p, lab in zip(idx, pts, labels)
-    )
-    return RegionMap(t, n, mode, cells)
-
-
-def _argmax_labels(scores: np.ndarray, names: list[str], tol: float) -> list[tuple[str, ...]]:
-    best = scores.max(axis=0)
-    keep = scores >= best[None, :] - tol
-    return [
-        tuple(names[k] for k in range(len(names)) if keep[k, col])
-        for col in range(scores.shape[1])
-    ]
-
-
-def _r2_labels(
-    singles: np.ndarray, pairs: np.ndarray, totals: np.ndarray, tol: float
-) -> list[tuple[str, ...]]:
-    names = [e.value for e in EdgeId]
-    best = totals.min(axis=0)
-    out: list[tuple[str, ...]] = []
-    for col in range(totals.shape[1]):
-        labels = []
-        for k, name in enumerate(names):
-            if totals[k, col] > best[col] + tol:
-                continue
-            gap = singles[k, col] - pairs[k, col]
-            if abs(gap) <= tol:
-                side = "both"
-            else:
-                side = "one" if gap > 0 else "two"
-            labels.append(f"{name}/{side}")
-        out.append(tuple(labels))
-    return out
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+        gap = singles - pairs
+        side = np.where(np.abs(gap) <= tol, 3, np.where(gap > 0, 1, 2))
+        codes = (4 ** np.arange(3)) @ np.where(totals > totals.min(axis=0) + tol, 0, side)
+    else:
+        scores = -kernel.r1_all(pts) if mode == "r1" else kernel.r3_all(pts)
+        codes = (2 ** np.arange(len(scores))) @ (scores >= scores.max(axis=0) - tol)
+    return RegionMap(t, n, mode, RasterCells(i, j, pts, codes, _LABEL_TABLES[mode]))
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +697,7 @@ def _color_for(label: str, palette: dict[str, str]) -> str:
 def write_region_svg(path, region_map: RegionMap, chains: Sequence[SeparatorChain] = ()) -> None:
     """Raster strips colored by label plus stroked separator chains."""
     t = region_map.triangle
+    cells = region_map.cells
     xs = [v.x for v in t.vertices]
     ys = [v.y for v in t.vertices]
     span = max(max(xs) - min(xs), max(ys) - min(ys))
@@ -687,11 +705,11 @@ def write_region_svg(path, region_map: RegionMap, chains: Sequence[SeparatorChai
     x0, y0 = min(xs) - pad, min(ys) - pad
     scale = 1000.0 / (span + 2 * pad)
 
-    def sx(p: Point2) -> float:
-        return (p.x - x0) * scale
+    def sx(x):
+        return (x - x0) * scale
 
-    def sy(p: Point2) -> float:
-        return 1000.0 - (p.y - y0) * scale
+    def sy(y):
+        return 1000.0 - (y - y0) * scale
 
     palette = dict(_LABEL_COLORS)
     stroke_w = max(1.0, region_map.pitch * scale * 1.05)
@@ -701,32 +719,29 @@ def write_region_svg(path, region_map: RegionMap, chains: Sequence[SeparatorChai
         '<rect width="1000" height="1000" fill="#ffffff"/>',
     ]
     # Merge equal-label runs along each lattice row into one stroked strip.
-    by_row: dict[int, list[RegionCell]] = {}
-    for cell in region_map.cells:
-        by_row.setdefault(cell.i, []).append(cell)
-    for i in sorted(by_row):
-        row = sorted(by_row[i], key=lambda c: c.j)
-        start = 0
-        while start < len(row):
-            stop = start
-            while stop + 1 < len(row) and row[stop + 1].label == row[start].label:
-                stop += 1
-            cells = row[start : stop + 1]
-            color = _TIE_COLOR if cells[0].tie else _color_for(cells[0].labels[0], palette)
-            p, q = cells[0].point, cells[-1].point
-            parts.append(
-                f'<line x1="{sx(p):.2f}" y1="{sy(p):.2f}" x2="{sx(q):.2f}" y2="{sy(q):.2f}" '
-                f'stroke="{color}" stroke-width="{stroke_w:.2f}" stroke-linecap="round"/>'
-            )
-            start = stop + 1
+    # Distinct codes have distinct labels, so a run ends where the code or
+    # the row changes.
+    cut = np.flatnonzero((np.diff(cells.codes) != 0) | (np.diff(cells.i) != 0)) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut, [len(cells)])) - 1
+    head, tail = cells.xy[first], cells.xy[last]
+    runs = zip(cells.codes[first].tolist(), sx(head[:, 0]).tolist(), sy(head[:, 1]).tolist(),
+               sx(tail[:, 0]).tolist(), sy(tail[:, 1]).tolist())
+    for code, x1, y1, x2, y2 in runs:
+        labels = cells.table[code]
+        color = _TIE_COLOR if len(labels) > 1 else _color_for(labels[0], palette)
+        parts.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{color}" stroke-width="{stroke_w:.2f}" stroke-linecap="round"/>'
+        )
     # Triangle outline.
-    outline = " ".join(f"{sx(v):.2f},{sy(v):.2f}" for v in t.vertices)
+    outline = " ".join(f"{sx(v.x):.2f},{sy(v.y):.2f}" for v in t.vertices)
     parts.append(f'<polygon points="{outline}" fill="none" stroke="#222222" stroke-width="2"/>')
     # Separator chains.
     for chain in chains:
         for piece in chain.pieces:
             pts = [piece.point_at(s / 32.0) for s in range(33)]
-            d = "M " + " L ".join(f"{sx(p):.2f} {sy(p):.2f}" for p in pts)
+            d = "M " + " L ".join(f"{sx(p.x):.2f} {sy(p.y):.2f}" for p in pts)
             parts.append(f'<path d="{d}" fill="none" stroke="#111111" stroke-width="3"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import TriangleKernel, points_array
+from ._kernels import TriangleKernel
 from .fleet_costs import mid_altitude_point, r1, r2, r3
 from .fleet_costs import h1 as h1_fn
 from .geom_core import Point2, Triangle, closest_point_on_segment, incenter, triangle_from_angles
@@ -156,40 +156,36 @@ def _universal_samples(count: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _universal_kernel(count: int) -> TriangleKernel:
+    """One stacked kernel over the triangles of ``_universal_samples``."""
+    return TriangleKernel([t for t, _ in _universal_samples(count)])
+
+
 def _crit_8(quick: bool) -> CriterionResult:
     c = _Check()
     samples = _universal_samples(1000 if quick else 10000)
-    worst = {"r13": 0.0, "r23": 0.0, "r12": 0.0, "chain": 0.0}
-    for t, p in samples:
-        k = TriangleKernel(t)
-        pts = points_array([tuple(p)])
-        v1, v2, v3 = float(k.r1(pts)[0]), float(k.r2(pts)[0]), float(k.r3(pts)[0])
-        worst["r13"] = max(worst["r13"], v1 / v3)
-        worst["r23"] = max(worst["r23"], v2 / v3)
-        worst["r12"] = max(worst["r12"], v1 / v2)
-        worst["chain"] = max(worst["chain"], v3 - v2, v2 - v1)
-    c.at_most("max R1/R3", worst["r13"], 4.0 + 1e-9)
-    c.at_most("max R2/R3", worst["r23"], 2.0 + 1e-9)
-    c.at_most("max R1/R2", worst["r12"], 3.0 + 1e-9)
-    c.at_most("chain violation", worst["chain"], 1e-12)
+    k = _universal_kernel(len(samples))
+    pts = np.array([[tuple(p)] for _, p in samples])
+    v1, v2, v3 = k.r1(pts)[:, 0], k.r2(pts)[:, 0], k.r3(pts)[:, 0]
+    c.at_most("max R1/R3", float((v1 / v3).max()), 4.0 + 1e-9)
+    c.at_most("max R2/R3", float((v2 / v3).max()), 2.0 + 1e-9)
+    c.at_most("max R1/R2", float((v1 / v2).max()), 3.0 + 1e-9)
+    c.at_most("chain violation", max(0.0, float((v3 - v2).max()), float((v2 - v1).max())), 1e-12)
     return c.result(8, f"universal ratio bounds on {len(samples)} random pairs")
 
 
 def _crit_9(quick: bool) -> CriterionResult:
     c = _Check()
     samples = _universal_samples(1000 if quick else 10000)
-    floors = {"r13": math.inf, "r23": math.inf, "r12": math.inf}
-    for t, p in samples:
-        k = TriangleKernel(t)
-        i = incenter(t)
-        w = mid_altitude_point(t)
-        pts = points_array([tuple(i), tuple(w)])
-        v1 = k.r1(pts)
-        v2 = k.r2(pts)
-        v3 = k.r3(pts)
-        floors["r13"] = min(floors["r13"], float(v1[0] / v3[0]))
-        floors["r23"] = min(floors["r23"], float(v2[0] / v3[0]))
-        floors["r12"] = min(floors["r12"], float(v1[1] / v2[1]))
+    k = _universal_kernel(len(samples))
+    pts = np.array([[tuple(incenter(t)), tuple(mid_altitude_point(t))] for t, _ in samples])
+    v1, v2, v3 = k.r1(pts), k.r2(pts), k.r3(pts)
+    floors = {
+        "r13": float((v1[:, 0] / v3[:, 0]).min()),
+        "r23": float((v2[:, 0] / v3[:, 0]).min()),
+        "r12": float((v1[:, 1] / v2[:, 1]).min()),
+    }
     c.ok("R1(I)/R3(I) >= sqrt(10)", floors["r13"] >= SQRT10 - 1e-9, f"min={floors['r13']!r}")
     c.ok("R2(I)/R3(I) >= sqrt(2)", floors["r23"] >= SQRT2 - 1e-9, f"min={floors['r23']!r}")
     c.ok("R1(T)/R2(T) >= 5/2", floors["r12"] >= 2.5 - 1e-9, f"min={floors['r12']!r}")

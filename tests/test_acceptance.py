@@ -19,3 +19,17 @@ def test_criterion(cid):
     flag = "PASS" if result.passed else "FAIL"
     print(f"[{flag}] criterion {cid}: {_DESCRIPTIONS[cid]} -- {result.detail}")
     assert result.passed, f"criterion {cid} ({_DESCRIPTIONS[cid]}): {result.detail}"
+
+
+# Details of the quick runs of criteria 8 and 9, recorded when each sample
+# still had its own one-point kernel; the stacked kernel must reproduce them.
+_QUICK_DETAILS = {
+    8: "max R1/R3=3.71761; max R2/R3=1.84269; max R1/R2=2.9617; chain violation=0",
+    9: "r13min=3.171245, r23min=1.414272, r12min=2.518729; R1(I)/R3(I) >= sqrt(10); "
+       "R2(I)/R3(I) >= sqrt(2); R1(T)/R2(T) >= 5/2",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_QUICK_DETAILS))
+def test_batched_criterion_details(cid):
+    assert verify.run_criterion(cid, quick=True).detail == _QUICK_DETAILS[cid]

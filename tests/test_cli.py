@@ -4,6 +4,8 @@ import math
 import pytest
 
 from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, json_dumps, main
+from trivisit.geom_core import triangle_from_angles
+from trivisit.regions import raster_region_map
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +85,20 @@ class TestEval:
         assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--angles", "60,60", "--point", "0.5,0.2"],
+    ["regions", "--angles", "60,60", "--grid", "16"],
+    ["ratio", "--angles", "60,60", "--n", "1", "--m", "3"],
+    ["sweep", "--n", "2", "--m", "3"],
+])
+def test_json_flag_only_on_verify(capsys, argv):
+    # JSON is the only output of these commands, so they take no --json flag.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 class TestRegionsCmd:
     def test_writes_svg_and_csv(self, capsys, tmp_path):
         out = tmp_path / "eq.svg"
@@ -95,6 +111,18 @@ class TestRegionsCmd:
         assert out.exists()
         assert (tmp_path / "eq.csv").exists()
         assert doc["cells"] == 48 * 49 // 2
+
+    @pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
+    def test_counts_match_region_map(self, capsys, tmp_path, mode):
+        code, stdout, _ = run_cli(
+            capsys, "regions", "--angles", "50,70", "--mode", mode,
+            "--grid", "40", "--out", str(tmp_path / "m.svg"),
+        )
+        assert code == 0
+        rm = raster_region_map(triangle_from_angles(math.radians(50), math.radians(70)), 40, mode)
+        doc = json.loads(stdout)
+        assert doc["cells"] == len(rm.cells)
+        assert doc["tie_cells"] == len(rm.tie_cells)
 
     def test_non_obtuse_boundary_valid(self, capsys, tmp_path):
         out = tmp_path / "b.svg"

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,41 @@ class TestRasterMap:
         assert svg.startswith("<?xml")
         assert "<svg" in svg and "</svg>" in svg
         assert "<polygon" in svg  # triangle outline
+
+    @pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
+    def test_lazy_cells_agree(self, mode):
+        rm = raster_region_map(THIN, 40, mode)
+        cells = rm.cells
+        every = list(cells)
+        assert len(cells) == len(every) == 40 * 41 // 2
+        for k in (0, len(cells) // 2, len(cells) - 1):
+            assert cells[k] == every[k]
+        assert cells[-1] == every[-1]
+        assert [(c.i, c.j) for c in every] == [(i, j) for i in range(40) for j in range(40 - i)]
+        assert rm.tie_cells == tuple(c for c in every if len(c.labels) > 1)
+        with pytest.raises(IndexError):
+            cells[len(cells)]
+
+    def test_replace_cells_with_tuple(self):
+        rm = raster_region_map(EQ, 24, "r2")
+        cells = tuple(rm.cells)[::-1]
+        swapped = dataclasses.replace(rm, cells=cells)
+        assert swapped.cells is cells
+        assert swapped.tie_cells == tuple(c for c in cells if c.tie)
+
+
+RASTER_GOLDEN = json.loads((Path(__file__).parent / "data" / "raster_golden.json").read_text())["maps"]
+
+
+@pytest.mark.parametrize(
+    "golden", RASTER_GOLDEN, ids=[f"{g['shape']}-{g['mode']}-{g['n']}" for g in RASTER_GOLDEN]
+)
+def test_raster_matches_golden(golden, tmp_path):
+    b, c = golden["angles_deg"]
+    rm = raster_region_map(triangle_from_angles(math.radians(b), math.radians(c)), golden["n"], golden["mode"])
+    rm.to_csv(tmp_path / "m.csv")
+    rm.to_svg(tmp_path / "m.svg")
+    assert len(rm.cells) == golden["cells"]
+    assert len(rm.tie_cells) == golden["tie_cells"]
+    assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == golden["csv_sha256"]
+    assert hashlib.sha256((tmp_path / "m.svg").read_bytes()).hexdigest() == golden["svg_sha256"]
