@@ -22,6 +22,7 @@ from .fleet_costs import (
 from .geom_core import (
     Cone,
     DegenerateTriangleError,
+    EdgeId,
     GeometryError,
     Line,
     ObtuseTriangleError,
@@ -32,7 +33,9 @@ from .geom_core import (
     Similarity,
     Triangle,
     VertexId,
+    VisitOrder,
     dist_point_segment,
+    edge_segment,
     foot_of_bisector,
     incenter,
     project,
@@ -63,13 +66,10 @@ from .regions import (
 )
 from .tradeoffs import RatioReport, SweepResult, max_ratio, ratio_at, sweep_triangles
 from .visitation import (
-    EdgeId,
     IndicatorHalfspaces,
     StrategyKind,
     Trajectory,
-    VisitOrder,
     bouncing_subcone,
-    edge_segment,
     indicator_halfspaces,
     visit_three_ordered,
     visit_two_ordered,

@@ -1,9 +1,12 @@
 """Makespans R1, R2, R3 for fleets of one to three unit-speed robots.
 
 R3 is the largest point-to-edge distance, R2 the best split of one edge vs.
-the other two, R1 the best of the six ordered three-edge visits.  Closed
-forms for the incenter and the mid-altitude starting points are provided
-separately; they must agree with the general evaluators.
+the other two, R1 the best of the six ordered three-edge visits.  The kernel
+of the standard-form triangle picks the farthest edges, kept partitions and
+optimal orders at the point; only their witnesses are built, and each cost
+is that of its cheapest witness.  Closed forms for the incenter and the
+mid-altitude starting points are provided separately; they must agree with
+the general evaluators.
 """
 
 from __future__ import annotations
@@ -11,26 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom_core import (
-    Line,
+    EdgeId,
     Point2,
     Triangle,
     VertexId,
-    closest_point_on_segment,
+    VisitOrder,
+    altitude_midpoint,
+    edge_segment,
     incenter,
+    nearest_on_segment,
+    opposite_edge,
     reflect,
 )
-from .visitation import (
-    BOUNDARY_TOL,
-    EdgeId,
-    StrategyKind,
-    Trajectory,
-    VisitOrder,
-    edge_segment,
-    opposite_edge,
-    visit_three_ordered,
-    visit_two_set,
-)
+from .visitation import StandardPoint, StrategyKind, Trajectory
 
 CHAIN_TOL = 1e-12  # slack for the R3 <= R2 <= R1 chain, standard scale
 
@@ -107,64 +106,62 @@ class FleetCostReport:
 
 
 def _drop_trajectory(t: Triangle, p: Point2, e: EdgeId) -> Trajectory:
-    target = closest_point_on_segment(p, edge_segment(t, e))
-    wps = (p,) if p.dist(target) <= 1e-15 else (p, target)
+    (ax, ay), (bx, by) = (t.vertex(v) for v in e.endpoints)
+    qx, qy, dist = nearest_on_segment(p.x, p.y, ax, ay, bx, by)
     return Trajectory(
-        waypoints=wps,
-        cost=p.dist(target),
+        waypoints=(p,) if dist <= 1e-15 else (p, Point2(qx, qy)),
+        cost=dist,
         kind=StrategyKind.PERPENDICULAR_DROP,
         edge_sequence=(e,),
     )
 
 
+def _r3(sp: StandardPoint, dists: np.ndarray) -> R3Result:
+    edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(dists)[:, 0]) if far)
+    return R3Result(max(_drop_trajectory(sp.t, sp.p, e).cost for e in edges), edges)
+
+
+_SIDES = (None, "single", "pair", "tie")
+
+
+def _r2(sp: StandardPoint, partitions: tuple[np.ndarray, np.ndarray, np.ndarray]) -> R2Result:
+    witnesses = []
+    for lone, side in zip(EdgeId, sp.kernel.r2_sides(*partitions)[:, 0]):
+        if side:
+            pair = sp.two_set(*(e for e in EdgeId if e is not lone))
+            witnesses.append(R2Witness(lone, _drop_trajectory(sp.t, sp.p, lone), pair, _SIDES[side]))
+    witnesses.sort(key=lambda w: (w.cost, w.single_edge.value))
+    return R2Result(witnesses[0].cost, tuple(witnesses))
+
+
+def _r1(sp: StandardPoint, costs: np.ndarray) -> R1Result:
+    orders = tuple(o for o, ok in zip(VisitOrder, sp.kernel.optimal_orders(costs)[:, 0]) if ok)
+    best = min((sp.three_ordered(o) for o in orders), key=lambda tr: tr.cost)
+    return R1Result(best.cost, orders, best)
+
+
 def r3(t: Triangle, p: Point2) -> R3Result:
     """Largest of the three point-to-edge distances, with every argmax edge."""
-    p = t.require_inside(p)
-    scale = t.base_length
-    dists = {e: p.dist(closest_point_on_segment(p, edge_segment(t, e))) for e in EdgeId}
-    worst = max(dists.values())
-    edges = tuple(e for e in EdgeId if worst - dists[e] <= BOUNDARY_TOL * scale)
-    return R3Result(worst, edges)
+    sp = StandardPoint(t, p)
+    return _r3(sp, sp.kernel.r3_all(sp.pts))
 
 
 def r2(t: Triangle, p: Point2) -> R2Result:
     """Best partition of the edges into a singleton and a pair."""
-    p = t.require_inside(p)
-    scale = t.base_length
-    witnesses = []
-    for single in EdgeId:
-        pair = tuple(e for e in EdgeId if e is not single)
-        lone = _drop_trajectory(t, p, single)
-        duo = visit_two_set(t, p, pair)  # type: ignore[arg-type]
-        gap = lone.cost - duo.cost
-        if abs(gap) <= BOUNDARY_TOL * scale:
-            det = "tie"
-        else:
-            det = "single" if gap > 0 else "pair"
-        witnesses.append(R2Witness(single, lone, duo, det))
-    best = min(w.cost for w in witnesses)
-    keep = tuple(
-        sorted(
-            (w for w in witnesses if w.cost - best <= BOUNDARY_TOL * scale),
-            key=lambda w: (w.cost, w.single_edge.value),
-        )
-    )
-    return R2Result(best, keep)
+    sp = StandardPoint(t, p)
+    return _r2(sp, sp.kernel.r2_partitions(sp.pts))
 
 
 def r1(t: Triangle, p: Point2) -> R1Result:
     """Cheapest of the six ordered visits; ties collected."""
-    p = t.require_inside(p)
-    scale = t.base_length
-    trajs = {order: visit_three_ordered(t, p, order) for order in VisitOrder}
-    best_order = min(VisitOrder, key=lambda o: trajs[o].cost)
-    best = trajs[best_order].cost
-    orders = tuple(o for o in VisitOrder if trajs[o].cost - best <= BOUNDARY_TOL * scale)
-    return R1Result(best, orders, trajs[best_order])
+    sp = StandardPoint(t, p)
+    return _r1(sp, sp.kernel.r1_all(sp.pts))
 
 
 def fleet_costs(t: Triangle, p: Point2) -> FleetCostReport:
-    return FleetCostReport(t, p, r3(t, p), r2(t, p), r1(t, p))
+    sp = StandardPoint(t, p)
+    partitions = sp.kernel.r2_partitions(sp.pts)
+    return FleetCostReport(t, p, _r3(sp, partitions[0]), _r2(sp, partitions), _r1(sp, sp.kernel.r1_all(sp.pts)))
 
 
 def largest_angle_vertex(t: Triangle) -> VertexId:
@@ -185,16 +182,13 @@ def r1_incenter_closed(t: Triangle) -> float:
     """R1 at the incenter: distance to the reflection of the largest-angle
     vertex across its opposite edge."""
     v = largest_angle_vertex(t)
-    mirrored = reflect(t.vertex(v), edge_segment(t, opposite_edge(v)).line())
+    mirrored = reflect(t.vertex(v), t.edge_line(opposite_edge(v)))
     return incenter(t).dist(mirrored)
 
 
 def mid_altitude_point(t: Triangle) -> Point2:
     """Midpoint of the altitude dropped from the largest angle (shortest altitude)."""
-    v = t.vertex(largest_angle_vertex(t))
-    line = edge_segment(t, opposite_edge(largest_angle_vertex(t))).line()
-    foot = Point2(v.x - line.signed_dist(v) * line.a, v.y - line.signed_dist(v) * line.b)
-    return Point2((v.x + foot.x) / 2, (v.y + foot.y) / 2)
+    return altitude_midpoint(t, largest_angle_vertex(t))
 
 
 def r1_mid_altitude_closed(t: Triangle) -> float:

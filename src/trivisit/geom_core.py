@@ -1,9 +1,10 @@
 """Planar primitives for triangle edge visitation.
 
 Plain double-precision geometry: points, normalized implicit lines, segments,
-orientation-preserving similarities, non-obtuse triangles, cones and
-parabolas.  Triangles are validated on construction and normalized to
-counter-clockwise vertex order; everything downstream relies on both.
+orientation-preserving similarities, non-obtuse triangles with their named
+edges and edge visit orders, cones and parabolas.  Triangles are validated on
+construction and normalized to counter-clockwise vertex order; everything
+downstream relies on both.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ class Similarity:
         )
 
 
+_VERTEX_ATTR = {VertexId.A: "a", VertexId.B: "b", VertexId.C: "c"}
+
+
 class Triangle:
     """Non-obtuse triangle; vertex order normalized to counter-clockwise."""
 
@@ -257,7 +261,7 @@ class Triangle:
         return (self.a, self.b, self.c)
 
     def vertex(self, v: VertexId) -> Point2:
-        return {VertexId.A: self.a, VertexId.B: self.b, VertexId.C: self.c}[v]
+        return getattr(self, _VERTEX_ATTR[v])
 
     def angle(self, v: VertexId) -> float:
         return {VertexId.A: self.angle_a, VertexId.B: self.angle_b, VertexId.C: self.angle_c}[v]
@@ -302,6 +306,81 @@ class Triangle:
     def standard(self) -> tuple["Triangle", Similarity]:
         """Standard analytic form: B=(0,0), C=(1,0), A=(p,q) with q>0."""
         return self._standard
+
+    @cached_property
+    def _edge_lines(self) -> dict["EdgeId", Line]:
+        return {e: edge_segment(self, e).line() for e in EdgeId}
+
+    def edge_line(self, e: "EdgeId") -> Line:
+        return self._edge_lines[e]
+
+
+class EdgeId(str, Enum):
+    """Triangle edges: L is AB, D is BC, R is CA."""
+
+    L = "L"
+    D = "D"
+    R = "R"
+
+    @property
+    def endpoints(self) -> tuple[VertexId, VertexId]:
+        return _EDGE_ENDPOINTS[self]
+
+    @property
+    def opposite_vertex(self) -> VertexId:
+        return _OPPOSITE_VERTEX[self]
+
+
+_EDGE_ENDPOINTS = {
+    EdgeId.L: (VertexId.A, VertexId.B),
+    EdgeId.D: (VertexId.B, VertexId.C),
+    EdgeId.R: (VertexId.C, VertexId.A),
+}
+_OPPOSITE_VERTEX = {EdgeId.L: VertexId.C, EdgeId.D: VertexId.A, EdgeId.R: VertexId.B}
+_OPPOSITE_EDGE = {vertex: edge for edge, vertex in _OPPOSITE_VERTEX.items()}
+
+
+def edge_segment(t: Triangle, e: EdgeId) -> Segment:
+    va, vb = e.endpoints
+    return Segment(t.vertex(va), t.vertex(vb))
+
+
+def opposite_edge(v: VertexId) -> EdgeId:
+    return _OPPOSITE_EDGE[v]
+
+
+def shared_vertex(e1: EdgeId, e2: EdgeId) -> VertexId:
+    if e1 is e2:
+        raise ValueError(f"edges {e1} and {e2} do not share exactly one vertex")
+    return _SHARED_VERTEX[e1, e2]
+
+
+_SHARED_VERTEX = {
+    (e1, e2): (set(e1.endpoints) & set(e2.endpoints)).pop() for e1 in EdgeId for e2 in EdgeId if e1 is not e2
+}
+
+
+class VisitOrder(str, Enum):
+    LRD = "LRD"
+    LDR = "LDR"
+    RLD = "RLD"
+    RDL = "RDL"
+    DLR = "DLR"
+    DRL = "DRL"
+
+    @property
+    def edges(self) -> tuple[EdgeId, EdgeId, EdgeId]:
+        return _ORDER_EDGES[self]
+
+
+_ORDER_EDGES = {order: tuple(EdgeId(ch) for ch in order.value) for order in VisitOrder}
+
+
+def altitude_midpoint(t: Triangle, v: VertexId) -> Point2:
+    """Midpoint of the altitude dropped from ``v`` onto its opposite edge."""
+    apex = t.vertex(v)
+    foot = project(apex, t.edge_line(opposite_edge(v)))
+    return Point2((apex.x + foot.x) / 2, (apex.y + foot.y) / 2)
 
 
 def _corner_angle(v: Point2, p: Point2, q: Point2) -> float:
@@ -359,39 +438,36 @@ def project(p: Point2, line: Line) -> Point2:
     return Point2(p.x - d * line.a, p.y - d * line.b)
 
 
+def nearest_on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
+    """(x, y, distance) of the point of segment (ax, ay)-(bx, by) nearest to
+    (px, py).  Plain floats: no ``Segment`` and so no minimum length."""
+    dx, dy = bx - ax, by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = ax + t * dx, ay + t * dy
+    return qx, qy, math.hypot(px - qx, py - qy)
+
+
 def dist_point_segment(p: Point2, seg: Segment) -> float:
-    d = seg.p1 - seg.p0
-    t = (p - seg.p0).dot(d) / d.dot(d)
-    t = min(1.0, max(0.0, t))
-    return p.dist(seg.point_at(t))
+    return nearest_on_segment(p.x, p.y, *seg.p0, *seg.p1)[2]
 
 
 def closest_point_on_segment(p: Point2, seg: Segment) -> Point2:
-    d = seg.p1 - seg.p0
-    t = (p - seg.p0).dot(d) / d.dot(d)
-    return seg.point_at(min(1.0, max(0.0, t)))
+    return Point2(*nearest_on_segment(p.x, p.y, *seg.p0, *seg.p1)[:2])
 
 
 def foot_of_bisector(t: Triangle, vertex: VertexId) -> Point2:
     """Intersection of the internal bisector at ``vertex`` with the opposite edge."""
     v = t.vertex(vertex)
-    u1, u2 = _opposite_edge_endpoints(t, vertex)
+    u1, u2 = (t.vertex(u) for u in opposite_edge(vertex).endpoints)
     w1, w2 = v.dist(u1), v.dist(u2)
     return u1 + (w1 / (w1 + w2)) * (u2 - u1)
-
-
-def _opposite_edge_endpoints(t: Triangle, vertex: VertexId) -> tuple[Point2, Point2]:
-    if vertex is VertexId.A:
-        return t.b, t.c
-    if vertex is VertexId.B:
-        return t.c, t.a
-    return t.a, t.b
 
 
 def bisector_direction(t: Triangle, vertex: VertexId) -> Point2:
     """Unit direction of the internal angle bisector at ``vertex``."""
     v = t.vertex(vertex)
-    u1, u2 = _opposite_edge_endpoints(t, vertex)
+    u1, u2 = (t.vertex(u) for u in opposite_edge(vertex).endpoints)
     return ((u1 - v).unit() + (u2 - v).unit()).unit()
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import Point2, Segment, Triangle
-from .visitation import EdgeId, VisitOrder, edge_segment
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, dist_point_segment, edge_segment, nearest_on_segment
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,13 +39,6 @@ class OracleMismatchError(AssertionError):
     """Raised when a closed form and its oracle disagree beyond tolerance."""
 
 
-def _seg_dist(px: float, py: float, seg: Segment) -> float:
-    dx, dy = seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y
-    t = ((px - seg.p0.x) * dx + (py - seg.p0.y) * dy) / (dx * dx + dy * dy)
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(px - (seg.p0.x + t * dx), py - (seg.p0.y + t * dy))
-
-
 def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
@@ -68,6 +60,7 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def ordered3_objective(t: Triangle, p: Point2, order: VisitOrder):
     """f(t1, t2): bounce on the first two edges, then reach the third."""
     e1, e2, e3 = (edge_segment(t, e) for e in order.edges)
+    (ax, ay), (bx, by) = e3.p0, e3.p1
 
     def f(t1: float, t2: float) -> float:
         x1x = e1.p0.x + t1 * (e1.p1.x - e1.p0.x)
@@ -77,7 +70,7 @@ def ordered3_objective(t: Triangle, p: Point2, order: VisitOrder):
         return (
             math.hypot(p.x - x1x, p.y - x1y)
             + math.hypot(x1x - x2x, x1y - x2y)
-            + _seg_dist(x2x, x2y, e3)
+            + nearest_on_segment(x2x, x2y, ax, ay, bx, by)[2]
         )
 
     return f
@@ -140,12 +133,12 @@ def oracle_two_ordered(
     """One-parameter convex minimization for an ordered two-edge visit."""
     std, sim = t.standard()
     ps = std.require_inside(sim.apply(p))
-    e1 = edge_segment(std, first)
-    e2 = edge_segment(std, second)
+    e1, e2 = edge_segment(std, first), edge_segment(std, second)
+    (ax, ay), (bx, by) = e2.p0, e2.p1
 
     def g(t1: float) -> float:
         x = e1.point_at(t1)
-        return math.hypot(ps.x - x.x, ps.y - x.y) + _seg_dist(x.x, x.y, e2)
+        return math.hypot(ps.x - x.x, ps.y - x.y) + nearest_on_segment(x.x, x.y, ax, ay, bx, by)[2]
 
     # Convex in t1, so one golden-section pass over the full interval is
     # global; the grid values only guard the endpoints.
@@ -167,7 +160,7 @@ def oracle_two_set(
 def oracle_r3(t: Triangle, p: Point2) -> float:
     std, sim = t.standard()
     ps = std.require_inside(sim.apply(p))
-    worst = max(_seg_dist(ps.x, ps.y, edge_segment(std, e)) for e in EdgeId)
+    worst = max(dist_point_segment(ps, edge_segment(std, e)) for e in EdgeId)
     return worst / sim.scale
 
 
@@ -177,7 +170,7 @@ def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
     best = math.inf
     for single in EdgeId:
         pair = tuple(e for e in EdgeId if e is not single)
-        lone = _seg_dist(ps.x, ps.y, edge_segment(std, single))
+        lone = dist_point_segment(ps, edge_segment(std, single))
         duo = oracle_two_set(std, ps, pair, cfg)  # type: ignore[arg-type]
         best = min(best, max(lone, duo))
     return best / sim.scale

@@ -1,11 +1,11 @@
 """Separator curves and raster maps of optimal-strategy regions.
 
 Region labels come from numeric cost comparison, never from a symbolic
-arrangement: a cell is labeled by every strategy within the tie tolerance of
-its best cost.  The constructed separator chains (bisector segments, the
-two-robot mixed hexagon, the left/right-first equal-cost locus) are
-cross-checks: sampled points on them must tie the two strategies they
-separate.
+arrangement: a cell is labeled by every strategy that the triangle's kernel
+keeps within the tie tolerance of its best cost.  The constructed separator
+chains (bisector segments, the two-robot mixed hexagon, the
+left/right-first equal-cost locus) are cross-checks: sampled points on them
+must tie the two strategies they separate.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, barycentric_grid
+from ._kernels import TriangleKernel, _unfold3, barycentric_grid
 from .fleet_costs import largest_angle_vertex
 from .geom_core import (
+    EdgeId,
     GeometryError,
     Line,
     Parabola,
@@ -26,13 +27,15 @@ from .geom_core import (
     Segment,
     Triangle,
     VertexId,
+    VisitOrder,
     bisector_direction,
+    edge_segment,
     foot_of_bisector,
     incenter,
+    opposite_edge,
 )
-from .visitation import BOUNDARY_TOL, EdgeId, VisitOrder, _unfold3, bouncing_subcone, edge_segment, opposite_edge
+from .visitation import bouncing_subcone
 
-TIE_TOL = BOUNDARY_TOL      # separator membership slack on standard-form costs
 _PIECE_EPS = 1e-9           # pieces shorter than this are dropped
 
 
@@ -172,10 +175,7 @@ _CCW_NEXT = {VertexId.A: VertexId.B, VertexId.B: VertexId.C, VertexId.C: VertexI
 
 
 def _edge_with(v1: VertexId, v2: VertexId) -> EdgeId:
-    for e in EdgeId:
-        if set(e.endpoints) == {v1, v2}:
-            return e
-    raise AssertionError("no edge for vertex pair")
+    return opposite_edge(({*VertexId} - {v1, v2}).pop())
 
 
 def _extreme_ray_toward(t: Triangle, foot: Point2, edge: EdgeId, toward: Point2) -> tuple[Point2, Point2]:
@@ -276,7 +276,7 @@ def r2_separator(t: Triangle) -> SeparatorChain:
             pieces.extend(_corner_segments(enter, seps[v], leave, label))
             continue
         vx = t.vertex(v)
-        opp_line = edge_segment(t, opposite_edge(v)).line()
+        opp_line = t.edge_line(opposite_edge(v))
         par = Parabola(vx, opp_line)
         rays = _subcone_extreme_rays(t, v, cone.half_angle)
         xs = []
@@ -645,20 +645,16 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     kernel = TriangleKernel(t)
-    tol = kernel.tol
-
     pts = barycentric_grid(t, n)
     # the grid's lattice indices, in its i-major, j-ascending order
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
-    if mode == "r2":
-        singles, pairs, totals = kernel.r2_partitions(pts)
-        gap = singles - pairs
-        side = np.where(np.abs(gap) <= tol, 3, np.where(gap > 0, 1, 2))
-        codes = (4 ** np.arange(3)) @ np.where(totals > totals.min(axis=0) + tol, 0, side)
+    if mode == "r1":
+        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts))
+    elif mode == "r2":
+        codes = (4 ** np.arange(3)) @ kernel.r2_sides(*kernel.r2_partitions(pts))
     else:
-        scores = -kernel.r1_all(pts) if mode == "r1" else kernel.r3_all(pts)
-        codes = (2 ** np.arange(len(scores))) @ (scores >= scores.max(axis=0) - tol)
+        codes = (2 ** np.arange(3)) @ kernel.farthest_edges(kernel.r3_all(pts))
     return RegionMap(t, n, mode, RasterCells(i, j, pts, codes, _LABEL_TABLES[mode]))
 
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from ._kernels import TriangleKernel, barycentric_grid, points_array, project_into
 from .fleet_costs import fleet_costs
-from .geom_core import Point2, Triangle, VertexId, incenter, triangle_from_angles
-from .visitation import edge_segment, opposite_edge
+from .geom_core import Point2, Triangle, VertexId, altitude_midpoint, incenter, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _VERTEX_EPS = 1e-7  # candidates this close to a vertex are discarded
@@ -57,17 +56,6 @@ class RatioReport:
             self.pair, self.ratio, self.argmax, self.rn, self.rm,
             self.grid, self.refinement_steps, report,
         )
-
-
-def _altitude_midpoints(t: Triangle) -> list[Point2]:
-    out = []
-    for vid in VertexId:
-        v = t.vertex(vid)
-        line = edge_segment(t, opposite_edge(vid)).line()
-        d = line.signed_dist(v)
-        foot = Point2(v.x - d * line.a, v.y - d * line.b)
-        out.append(Point2((v.x + foot.x) / 2, (v.y + foot.y) / 2))
-    return out
 
 
 def max_ratio(
@@ -120,7 +108,7 @@ def _maximize(
     def values(pts: np.ndarray) -> np.ndarray:
         return k.cost(pts, n) / k.cost(pts, m)
 
-    seeds = np.array([[incenter(s), *_altitude_midpoints(s)] for s in stds], dtype=float)
+    seeds = np.array([[incenter(s), *(altitude_midpoint(s, v) for v in VertexId)] for s in stds], dtype=float)
     seed_vals = values(seeds)
     si = np.argmax(seed_vals, axis=1)
     seed_best = seed_vals[rows, si]

@@ -17,11 +17,11 @@ import numpy as np
 from ._kernels import TriangleKernel
 from .fleet_costs import mid_altitude_point, r1, r2, r3
 from .fleet_costs import h1 as h1_fn
-from .geom_core import Point2, Triangle, closest_point_on_segment, incenter, triangle_from_angles
+from .geom_core import Point2, Triangle, closest_point_on_segment, edge_segment, incenter, triangle_from_angles
 from .oracle import OracleConfig, oracle_ordered3, oracle_r2, oracle_r3
 from .regions import r1_lrd_rld_locus, r2_separator, r3_regions
 from .tradeoffs import describe_shape, max_ratio, sweep_triangles
-from .visitation import EdgeId, VisitOrder, edge_segment, visit_three_ordered, visit_two_set
+from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_set
 
 SQRT10 = math.sqrt(10.0)
 SQRT2 = math.sqrt(2.0)

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, json_dumps, main
-from trivisit.geom_core import triangle_from_angles
+from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, eval_report, json_dumps, main
+from trivisit.geom_core import Point2, Triangle, triangle_from_angles
 from trivisit.regions import raster_region_map
 
 
@@ -203,3 +205,19 @@ class TestVerifyCmd:
 
         res = verify.run_criterion(4, quick=True)
         assert res.passed, res.detail
+
+
+EVAL_GOLDEN = json.loads((Path(__file__).parent / "data" / "eval_golden.json").read_text())["instances"]
+
+
+def test_eval_matches_golden():
+    """Every recorded ``eval`` report is reproduced byte for byte: ties,
+    vertices, edge points, and scales from 1e-3 to 1e3 under rotations."""
+    changed = [
+        g["what"]
+        for g in EVAL_GOLDEN
+        if hashlib.sha256(json_dumps(eval_report(Triangle(*g["vertices"]), Point2(*g["point"]))).encode()).hexdigest()
+        != g["sha256"]
+    ]
+    assert len(EVAL_GOLDEN) == 200
+    assert changed == []

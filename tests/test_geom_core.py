@@ -108,7 +108,7 @@ class TestTriangle:
             Triangle((0, 0), (1, 1), (2, 2))
 
     @pytest.mark.parametrize("apex", [(0.5, math.sqrt(3) / 2), (0.5, 0.5)], ids=["equilateral", "right-isosceles"])
-    @pytest.mark.parametrize("side", [1e-7, 1e-9])
+    @pytest.mark.parametrize("side", [1e-7, 1e-9, 1e-12, 1e-13])
     def test_tiny_perfect_triangle_accepted(self, apex, side):
         # The degeneracy gate is relative to the triangle's size, so a
         # perfect shape passes at any scale and its costs scale with it.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trivisit.fleet_costs import r3
+from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import (
     Point2,
     closest_point_on_segment,
@@ -14,6 +14,7 @@ from trivisit.geom_core import (
     incenter,
     triangle_from_angles,
     VertexId,
+    edge_segment,
 )
 from trivisit.regions import (
     ParabolaArcPiece,
@@ -27,7 +28,6 @@ from trivisit.regions import (
 from trivisit.visitation import (
     EdgeId,
     VisitOrder,
-    edge_segment,
     visit_three_ordered,
     visit_two_set,
 )
@@ -319,3 +319,26 @@ def test_raster_matches_golden(golden, tmp_path):
     assert len(rm.tie_cells) == golden["tie_cells"]
     assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == golden["csv_sha256"]
     assert hashlib.sha256((tmp_path / "m.svg").read_bytes()).hexdigest() == golden["svg_sha256"]
+
+
+_SIDE_SUFFIX = {"single": "/one", "pair": "/two", "tie": "/both"}
+
+
+def scalar_labels(t, p, mode):
+    if mode == "r1":
+        return {o.value for o in r1(t, p).orders}
+    if mode == "r2":
+        return {w.single_edge.value + _SIDE_SUFFIX[w.determined_by] for w in r2(t, p).witnesses}
+    return {e.value for e in r3(t, p).edges}
+
+
+@pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
+@pytest.mark.parametrize("angles", [(60, 60), (45, 45), (85, 85), (50, 70)], ids=["EQ", "RI", "THIN", "SC"])
+def test_raster_labels_match_scalar(angles, mode):
+    # Every cell of a raster carries exactly the orders, partitions or edges
+    # that the scalar evaluator reports at its point; the symmetric shapes'
+    # maps have tie cells on their axes.
+    t = triangle_from_angles(*(math.radians(a) for a in angles))
+    rmap = raster_region_map(t, 24, mode)
+    for cell in rmap.cells:
+        assert set(cell.labels) == scalar_labels(t, cell.point, mode), (cell.i, cell.j)

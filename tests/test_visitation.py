@@ -13,6 +13,7 @@ from trivisit.geom_core import (
     polyline_length,
     triangle_from_angles,
     VertexId,
+    edge_segment,
 )
 from trivisit.oracle import OracleConfig, oracle_ordered3, oracle_two_ordered
 from trivisit.visitation import (
@@ -20,7 +21,6 @@ from trivisit.visitation import (
     StrategyKind,
     VisitOrder,
     bouncing_subcone,
-    edge_segment,
     indicator_halfspaces,
     visit_three_ordered,
     visit_two_ordered,
