@@ -138,12 +138,7 @@ def _constants(t: Triangle, unfolds: Sequence[_Unfold3]) -> dict[str, list]:
         [uf.corner_img.x, uf.corner_img.y, uf.u.x, uf.u.y, uf.apex.x, uf.apex.y, uf.sigma_z, uf.apex.dist(uf.alt_foot)]
         for uf in unfolds
     ]
-    # Barycentric frame: vertex rows A, B, C and the inverse of [B-A, C-A].
-    a, b, c = t.vertices
-    m00, m01, m10, m11 = b.x - a.x, c.x - a.x, b.y - a.y, c.y - a.y
-    det = m00 * m11 - m01 * m10
-    frame = [[a.x, a.y], [b.x, b.y], [c.x, c.y], [m11 / det, -m01 / det], [-m10 / det, m00 / det]]
-    return {"segs": segs, "pairs": pairs, "unfolds": unfold_rows, "frame": frame, "scale": [t.base_length]}
+    return {"segs": segs, "pairs": pairs, "unfolds": unfold_rows, "scale": [t.base_length]}
 
 
 class TriangleKernel:
@@ -175,14 +170,8 @@ class TriangleKernel:
         self._segs = table("segs")
         self._pairs = table("pairs")
         self._unfolds = table("unfolds")
-        self._frame = table("frame")
         self.scale = table("scale")[0]
         self.tol = BOUNDARY_TOL * self.scale
-
-    @property
-    def vertices(self):
-        """Rows A, B, C: (x, y) floats, or (3, 2, T, 1) columns when stacked."""
-        return self._frame[:3]
 
     # -- primitives ----------------------------------------------------
 
@@ -351,23 +340,3 @@ def points_array(points) -> np.ndarray:
         arr = arr[None, :]
     return arr
 
-
-def project_into(k: TriangleKernel, pts: np.ndarray) -> np.ndarray:
-    """Clamp points into the closed triangle(s) of ``k`` by barycentric
-    truncation; points already inside are returned unchanged.
-
-    Takes and returns the kernel's point shape: (N, 2), or (T, N, 2) for a
-    stacked kernel.
-    """
-    (ax, ay), b, c, (i00, i01), (i10, i11) = k._frame
-    px, py = pts[..., 0] - ax, pts[..., 1] - ay
-    lam1 = i00 * px + i01 * py
-    lam2 = i10 * px + i11 * py
-    w = np.stack([1.0 - lam1 - lam2, lam1, lam2])
-    inside = (w >= 0.0).all(axis=0)
-    if inside.all():
-        return pts
-    np.clip(w, 0.0, None, out=w)
-    w /= w.sum(axis=0)
-    out = np.stack([w[0] * ax + w[1] * b[0] + w[2] * c[0], w[0] * ay + w[1] * b[1] + w[2] * c[1]], axis=-1)
-    return np.where(inside[..., None], pts, out)

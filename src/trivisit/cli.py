@@ -197,7 +197,6 @@ def cmd_ratio(args) -> int:
         "rn": rep.rn,
         "rm": rep.rm,
         "grid": rep.grid,
-        "refinement_steps": rep.refinement_steps,
     }))
     return 0
 

@@ -69,10 +69,6 @@ class R2Result:
     witnesses: tuple[R2Witness, ...]   # every optimal partition within tolerance
 
     @property
-    def best(self) -> R2Witness:
-        return self.witnesses[0]
-
-    @property
     def tie(self) -> bool:
         return len(self.witnesses) > 1
 

@@ -129,10 +129,6 @@ class Line:
         return cls(n.x, n.y, -(n.x * p.x + n.y * p.y))
 
     @property
-    def normal(self) -> Point2:
-        return Point2(self.a, self.b)
-
-    @property
     def direction(self) -> Point2:
         return Point2(-self.b, self.a)
 
@@ -164,10 +160,6 @@ class Segment:
     @property
     def direction(self) -> Point2:
         return (self.p1 - self.p0).unit()
-
-    @property
-    def midpoint(self) -> Point2:
-        return Point2((self.p0.x + self.p1.x) / 2, (self.p0.y + self.p1.y) / 2)
 
     def point_at(self, t: float) -> Point2:
         return Point2(
@@ -265,10 +257,6 @@ class Triangle:
 
     def angle(self, v: VertexId) -> float:
         return {VertexId.A: self.angle_a, VertexId.B: self.angle_b, VertexId.C: self.angle_c}[v]
-
-    @property
-    def area(self) -> float:
-        return (self.b - self.a).cross(self.c - self.a) / 2
 
     @property
     def base_length(self) -> float:

@@ -1,30 +1,29 @@
 """Worst-case fleet-size ratio maximization and triangle-space sweeps.
 
-For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points with
-a barycentric grid plus derivative-free pattern refinement, always seeding
-the incenter and the three altitude midpoints (the extremal points for the
-three ratio pairs).  ``sweep_triangles`` repeats that over an angle grid and
-tracks the running infimum and supremum; infima are limits over degenerating
-shapes, so they are reported as approached, never attained.  Both run the
-same lockstep search (``_maximize``) over a stacked kernel: ``max_ratio`` on
-a batch of one triangle, ``sweep_triangles`` on chunks of cells.
+For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points as the
+best of a barycentric grid and the seeds: the incenter and the three altitude
+midpoints, where the paper places the maximizers of the three ratio pairs.
+``sweep_triangles`` repeats that over an angle grid and tracks the running
+infimum and supremum; infima are limits over degenerating shapes, so they
+are reported as approached, never attained.  Both evaluate ``_maximize`` on
+a stacked kernel: ``max_ratio`` on a batch of one triangle,
+``sweep_triangles`` on chunks of cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, barycentric_grid, points_array, project_into
+from ._kernels import TriangleKernel, barycentric_grid, points_array
 from .fleet_costs import fleet_costs
 from .geom_core import Point2, Triangle, VertexId, altitude_midpoint, incenter, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
-_VERTEX_EPS = 1e-7  # candidates this close to a vertex are discarded
-_CHUNK = 32         # sweep cells per lockstep batch; bounds peak memory
+_CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
 
 
 def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
@@ -48,14 +47,7 @@ class RatioReport:
     rn: float
     rm: float
     grid: int
-    refinement_steps: int
     witnesses: object = field(default=None, repr=False, compare=False)
-
-    def with_witnesses(self, report) -> "RatioReport":
-        return RatioReport(
-            self.pair, self.ratio, self.argmax, self.rn, self.rm,
-            self.grid, self.refinement_steps, report,
-        )
 
 
 def max_ratio(
@@ -63,92 +55,47 @@ def max_ratio(
     n: int,
     m: int,
     grid: int = 256,
-    refine_tol: float = 1e-10,
     with_witnesses: bool = False,
 ) -> RatioReport:
     """Maximize R_n/R_m over the closed triangle (vertices excluded).
 
-    The returned ratio is at least every sampled value; the argmax prefers a
-    seeded witness whenever one ties the maximum within 1e-9, so non-unique
-    maxima land on the canonical extremal points.
+    The returned ratio is the largest over the seeds and the grid-point
+    samples; the argmax is a seed whenever one is within 1e-9 of the best
+    grid point, so non-unique maxima land on the canonical extremal points.
     """
     _check_pair(n, m)
     std, _ = t.standard()
-    [(argmax, rn, rm, steps)] = _maximize([std], n, m, grid, refine_tol)
-    report = RatioReport((n, m), rn / rm, argmax, rn, rm, grid, steps)
+    [(argmax, rn, rm)] = _maximize([std], n, m, grid)
+    report = RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
     if with_witnesses:
-        report = report.with_witnesses(fleet_costs(std, argmax))
+        report = replace(report, witnesses=fleet_costs(std, argmax))
     return report
 
 
-# Compass directions of the pattern search, in the order candidates are ranked.
-_DIRS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple[Point2, float, float]]:
+    """(argmax, R_n, R_m) for each standard-form triangle.
 
-
-def _maximize(
-    stds: Sequence[Triangle],
-    n: int,
-    m: int,
-    grid: int,
-    refine_tol: float,
-) -> list[tuple[Point2, float, float, int]]:
-    """(argmax, R_n, R_m, refinement steps) for each standard-form triangle.
-
-    Every triangle runs the same deterministic search, all in lockstep on
-    one stacked kernel: start from the best seed or grid point (the seed on
-    a tie), then run a compass pattern search clipped to the triangle, with
-    a step size per triangle.  A candidate replaces the best point only when
-    strictly better; otherwise the step halves, until it is at most
-    ``refine_tol``.  Row i of every array belongs to ``stds[i]``, so each
-    triangle's result does not depend on the others in the batch.
+    One stacked kernel evaluates every triangle's seeds and interior
+    ``grid``-per-side lattice; the best seed wins unless a grid point beats
+    it by more than 1e-9.  Row i of every array belongs to ``stds[i]``, so
+    each triangle's result does not depend on the others in the batch.
     """
-    k = TriangleKernel(stds)
-    rows = np.arange(len(stds))
-
-    def values(pts: np.ndarray) -> np.ndarray:
-        return k.cost(pts, n) / k.cost(pts, m)
-
     seeds = np.array([[incenter(s), *(altitude_midpoint(s, v) for v in VertexId)] for s in stds], dtype=float)
-    seed_vals = values(seeds)
-    si = np.argmax(seed_vals, axis=1)
-    seed_best = seed_vals[rows, si]
-
-    gpts = barycentric_grid(stds, grid, include_vertices=False)
-    gvals = values(gpts)
-    gi = np.argmax(gvals, axis=1)
-    grid_best = gvals[rows, gi]
-    from_seed = seed_best >= grid_best
-    best_p = np.where(from_seed[:, None], seeds[rows, si], gpts[rows, gi])
-    best_v = np.where(from_seed, seed_best, grid_best)
-
-    step = np.array([max(s.base_length / max(grid - 1, 1), 1e-6) for s in stds])
-    steps = np.zeros(len(stds), dtype=int)
-    slack = _VERTEX_EPS * k.scale
-    active = step > refine_tol
-    while active.any():
-        cand = project_into(k, best_p[:, None, :] + _DIRS * step[:, None, None])
-        near = np.zeros(cand.shape[:2], dtype=bool)
-        for vx, vy in k.vertices:
-            near |= np.hypot(cand[..., 0] - vx, cand[..., 1] - vy) < slack
-        keep = active[:, None] & ~near
-        vals = np.where(keep, values(cand), -np.inf)
-        j = np.argmax(vals, axis=1)
-        top = vals[rows, j]
-        steps += keep.any(axis=1)
-        better = top > best_v
-        best_p = np.where(better[:, None], cand[rows, j], best_p)
-        best_v = np.where(better, top, best_v)
-        step = np.where(active & ~better, step / 2.0, step)
-        active = step > refine_tol
-
+    pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
+    k = TriangleKernel(stds)
+    rn, rm = k.cost(pts, n), k.cost(pts, m)
+    vals = rn / rm
+    rows = np.arange(len(stds))
+    ns = seeds.shape[1]
+    si = np.argmax(vals[:, :ns], axis=1)
+    gi = ns + np.argmax(vals[:, ns:], axis=1)
     # Prefer a seeded witness when it ties the maximum: argmax sets can be
-    # whole segments, and the canonical extremal points lie on them.
-    at = np.where((seed_best >= best_v - 1e-9)[:, None], seeds[rows, si], best_p)
-    rn = k.cost(at[:, None, :], n)[:, 0]
-    rm = k.cost(at[:, None, :], m)[:, 0]
+    # whole segments, and the canonical extremal points lie on them.  The
+    # slack also absorbs grid points that win only by rounding.
+    at = np.where(vals[rows, si] >= vals[rows, gi] - 1e-9, si, gi)
     return [
-        (Point2(float(p[0]), float(p[1])), float(a), float(b), int(c))
-        for p, a, b, c in zip(at, rn, rm, steps)
+        (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
+        for i, j in zip(rows, at)
     ]
 
 
@@ -265,18 +212,17 @@ def sweep_triangles(
     step_deg: float = 1.0,
     eps_apex_deg: float = 0.5,
     grid: int = 24,
-    refine_tol: float = 1e-6,
 ) -> SweepResult:
     """Per-triangle max_ratio over the (angle B, angle C) grid.
 
     Cells are independent.  They run on one thread in fixed-size chunks, in
-    cell order, each chunk as one lockstep batch (``_maximize``); every cell
+    cell order, each chunk on one stacked kernel (``_maximize``); every cell
     follows the same arithmetic as ``max_ratio`` on its own, so results do
     not depend on the chunk size.  The chunk size bounds the memory of a
-    batch.  The default per-cell budget is light on purpose: the extremal
-    values come from the seeded witnesses, and coarser grids are subsets of
-    finer ones, so running inf/sup values stay monotone in the step size
-    regardless of refinement quality.
+    batch.  The default per-cell grid is coarse on purpose: the extremal
+    values come from the seeded witnesses, which every cell evaluates, and
+    coarser angle grids are subsets of finer ones, so running inf/sup values
+    stay monotone in the step size.
     """
     _check_pair(n, m)
     cells = _sweep_cells(step_deg, eps_apex_deg)
@@ -284,6 +230,6 @@ def sweep_triangles(
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
         stds = [triangle_from_angles(math.radians(b), math.radians(c)).standard()[0] for b, c in chunk]
-        for (b, c), (argmax, rn, rm, _steps) in zip(chunk, _maximize(stds, n, m, grid, refine_tol)):
+        for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, grid)):
             rows.append(SweepRow(b, c, rn / rm, argmax, rn, rm))
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(rows))

@@ -49,9 +49,6 @@ class Trajectory:
     edge_sequence: tuple[EdgeId, ...] = ()
     tie: bool = False
 
-    def length(self) -> float:
-        return polyline_length(self.waypoints)
-
 
 @dataclass(frozen=True)
 class IndicatorHalfspaces:

@@ -142,6 +142,7 @@ class TestRatioCmd:
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-6)
         assert doc["argmax"][0] == pytest.approx(0.5, abs=1e-4)
         assert doc["argmax"][1] == pytest.approx(0.28867513, abs=1e-4)
+        assert set(doc) == {"schema", "pair", "ratio", "argmax", "rn", "rm", "grid"}
 
     def test_bad_pair_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "ratio", "--angles", "60,60", "--n", "3", "--m", "1")

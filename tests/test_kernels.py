@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trivisit._kernels import TriangleKernel, barycentric_grid, points_array, project_into
+from trivisit._kernels import TriangleKernel, barycentric_grid, points_array
 from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import Point2, triangle_from_angles
 from trivisit.visitation import VisitOrder, visit_three_ordered
@@ -74,27 +74,7 @@ class TestStacked:
             np.testing.assert_array_equal(pts[i], barycentric_grid(t, 7, include_vertices=False))
 
 
-class TestProjectInto:
-    def test_interior_unchanged(self):
-        t = triangle_from_angles(math.pi / 3, math.pi / 3)
-        pts = points_array([(0.5, 0.2)])
-        np.testing.assert_array_equal(project_into(TriangleKernel(t), pts), pts)
-
-    def test_exterior_clamped(self):
-        t = triangle_from_angles(math.pi / 3, math.pi / 3)
-        (q,) = project_into(TriangleKernel(t), points_array([(2.0, -1.0)]))
-        assert t.contains(Point2(*q), tol=1e-9)
-
-    def test_stacked_clamps_each_row_into_its_triangle(self, rng):
-        tris = [random_triangle(rng) for _ in range(4)]
-        pts = rng.uniform(-1.0, 2.0, size=(4, 50, 2))
-        out = project_into(TriangleKernel(tris), pts)
-        for t, row_in, row_out in zip(tris, pts, out):
-            for p, q in zip(row_in, row_out):
-                assert t.contains(Point2(*q), tol=1e-9)
-                if t.contains(Point2(*p), tol=0.0):
-                    assert tuple(q) == tuple(p)
-
+class TestPointsArray:
     def test_points_array_shapes(self):
         assert points_array([(0.0, 1.0)]).shape == (1, 2)
         assert points_array([(0.0, 1.0), (2.0, 3.0)]).shape == (2, 2)

@@ -136,7 +136,7 @@ class TestSweep:
     def test_max_ratio_reproduces_sweep_row(self):
         row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (50.0, 70.0))
         t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
-        rep = max_ratio(t, 2, 3, grid=24, refine_tol=1e-6)
+        rep = max_ratio(t, 2, 3, grid=24)
         assert (rep.ratio, rep.rn, rep.rm, rep.argmax) == (row.ratio, row.rn, row.rm, row.argmax)
 
 
@@ -162,3 +162,23 @@ def test_sweep_matches_golden(pair):
     summary = sw.summary()
     for side in ("sup", "inf"):
         assert {key: summary[side][key] for key in ("b_deg", "c_deg", "shape")} == golden[side]
+
+
+RATIO_GOLDEN = json.loads((Path(__file__).parent / "data" / "ratio_golden.json").read_text())
+
+
+def test_max_ratio_matches_golden():
+    """Every recorded max_ratio result, bit for bit: named shapes down to a
+    0.5 degree apex and seeded random ones, all pairs, grids 256, 128, 48."""
+    for name, b, c, n, m, grid, *expected in RATIO_GOLDEN["cases"]:
+        rep = max_ratio(triangle_from_angles(float.fromhex(b), float.fromhex(c)), n, m, grid=grid)
+        got = [v.hex() for v in (rep.ratio, rep.rn, rep.rm, rep.argmax.x, rep.argmax.y)]
+        assert got == expected, (name, n, m, grid)
+
+
+@pytest.mark.parametrize("pair", sorted(RATIO_GOLDEN["sweeps"]))
+def test_sweep_matches_ratio_golden(pair):
+    n, m = (int(v) for v in pair.split(","))
+    sw = sweep_triangles(n, m, step_deg=RATIO_GOLDEN["step_deg"])
+    got = [[r.b_deg, r.c_deg, *(v.hex() for v in (r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y))] for r in sw.rows]
+    assert got == RATIO_GOLDEN["sweeps"][pair]
