@@ -48,6 +48,7 @@ from .oracle import (
     OracleConfig,
     OracleMismatchError,
     certify_instance,
+    oracle_costs,
     oracle_ordered3,
     oracle_r1,
     oracle_r2,

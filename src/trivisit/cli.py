@@ -14,7 +14,7 @@ import sys
 from . import verify as verify_mod
 from .fleet_costs import fleet_costs
 from .geom_core import GeometryError, Point2, Triangle, triangle_from_angles
-from .oracle import DEFAULT_CONFIG, oracle_ordered3, oracle_r1, oracle_r2, oracle_r3
+from .oracle import oracle_costs
 from .regions import r1_lrd_rld_locus, r2_separator, raster_region_map
 from .tradeoffs import max_ratio, sweep_triangles
 from .visitation import VisitOrder
@@ -138,13 +138,9 @@ def eval_report(t: Triangle, p: Point2, with_oracle: bool = False) -> dict:
         },
     }
     if with_oracle:
-        cfg = DEFAULT_CONFIG
-        oracle = {
-            "r1": oracle_r1(t, p, cfg),
-            "r2": oracle_r2(t, p, cfg),
-            "r3": oracle_r3(t, p),
-            "ordered": {o.value: oracle_ordered3(t, p, o, cfg) for o in VisitOrder},
-        }
+        ref = oracle_costs(t, p)
+        oracle = {key: ref[key] for key in ("r1", "r2", "r3")}
+        oracle["ordered"] = {o.value: ref[o.value] for o in VisitOrder}
         oracle["delta_r1"] = rep.r1.cost - oracle["r1"]
         oracle["delta_r2"] = rep.r2.cost - oracle["r2"]
         oracle["delta_r3"] = rep.r3.cost - oracle["r3"]

@@ -4,7 +4,9 @@ The objectives minimized here are convex (sums of norms plus a point-to-
 segment distance), so a coarse grid seed followed by alternating 1-D
 golden-section refinement converges to the global minimum.  These optimizers
 exist only to verify the closed forms; they are deliberately independent of
-the unfolding constructions.
+the unfolding constructions.  ``oracle_costs`` is the one place an
+instance's oracle costs are put together: each of the six ordered
+three-edge minimizations runs once and ``r1`` is their minimum.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import numpy as np
 from .geom_core import EdgeId, Point2, Triangle, VisitOrder, dist_point_segment, edge_segment, nearest_on_segment
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SEED_SWEEPS = 4            # alternating golden sweeps before the nested one
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     coarse_resolution: int = 64
     tol: float = 1e-10
-    max_iterations: int = 200
 
     def __post_init__(self):
         if self.coarse_resolution < 8:
@@ -112,7 +114,7 @@ def oracle_ordered3(
 
     # A couple of cheap alternating sweeps sharpen the seed.
     t1, t2 = s1, s2
-    for _ in range(min(4, cfg.max_iterations)):
+    for _ in range(_SEED_SWEEPS):
         t1, _ = _golden_min(lambda u: f(u, t2), 0.0, 1.0, cfg.tol)
         t2, val = _golden_min(lambda u: f(t1, u), 0.0, 1.0, cfg.tol)
         if best - val <= cfg.tol:
@@ -180,6 +182,19 @@ def oracle_r1(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
     return min(oracle_ordered3(t, p, order, cfg) for order in VisitOrder)
 
 
+def oracle_costs(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[str, float]:
+    """Oracle cost of every certified key: the six order names in
+    ``VisitOrder`` order, then 'r1' (their minimum), 'r2' and 'r3'."""
+    out = {order.value: oracle_ordered3(t, p, order, cfg) for order in VisitOrder}
+    out["r1"] = min(out.values())
+    out["r2"] = oracle_r2(t, p, cfg)
+    out["r3"] = oracle_r3(t, p)
+    return out
+
+
+_KEYS = frozenset(order.value for order in VisitOrder) | {"r1", "r2", "r3"}
+
+
 def certify_instance(
     t: Triangle,
     p: Point2,
@@ -187,27 +202,24 @@ def certify_instance(
     cfg: OracleConfig = DEFAULT_CONFIG,
     tol: float = 1e-6,
 ) -> dict[str, float]:
-    """Compare closed-form costs against the oracle; any gap is a bug.
+    """Compare closed-form costs against one ``oracle_costs`` pass; any gap
+    is a bug.
 
-    ``closed`` maps keys 'r1', 'r2', 'r3' and order names to costs.  Returns
-    the per-key deltas (closed minus oracle) and raises
-    ``OracleMismatchError`` naming the instance on the first breach.
+    ``closed`` maps keys 'r1', 'r2', 'r3' and order names to costs; an
+    unknown key raises ``ValueError`` before any oracle work.  Returns the
+    per-key deltas (closed minus oracle) in the order of ``closed`` and
+    raises ``OracleMismatchError`` naming the instance on the first breach.
     """
+    if not set(closed) <= _KEYS:
+        raise ValueError(f"no oracle for {sorted(set(closed) - _KEYS)}")
+    ref = oracle_costs(t, p, cfg)
     deltas: dict[str, float] = {}
     for key, value in closed.items():
-        if key == "r1":
-            ref = oracle_r1(t, p, cfg)
-        elif key == "r2":
-            ref = oracle_r2(t, p, cfg)
-        elif key == "r3":
-            ref = oracle_r3(t, p)
-        else:
-            ref = oracle_ordered3(t, p, VisitOrder(key), cfg)
-        delta = value - ref
+        delta = value - ref[key]
         deltas[key] = delta
         if abs(delta) > tol:
             raise OracleMismatchError(
-                f"{key}: closed form {value!r} vs oracle {ref!r} "
+                f"{key}: closed form {value!r} vs oracle {ref[key]!r} "
                 f"(delta {delta:.3e}) for triangle {t!r}, point {tuple(p)}"
             )
     return deltas

@@ -79,29 +79,7 @@ class ParabolaArcPiece:
         return self.parabola.point_at(self.u0 + s * (self.u1 - self.u0))
 
 
-@dataclass(frozen=True)
-class LinePiece:
-    line: Line
-    p0: Point2
-    p1: Point2
-    label: str
-
-    @property
-    def start(self) -> Point2:
-        return self.p0
-
-    @property
-    def end(self) -> Point2:
-        return self.p1
-
-    def point_at(self, s: float) -> Point2:
-        return Point2(
-            self.p0.x + s * (self.p1.x - self.p0.x),
-            self.p0.y + s * (self.p1.y - self.p0.y),
-        )
-
-
-ChainPiece = SegmentPiece | ParabolaArcPiece | LinePiece
+ChainPiece = SegmentPiece | ParabolaArcPiece
 
 
 @dataclass(frozen=True)
@@ -360,8 +338,10 @@ def _inward_gap(t: Triangle, p: Point2) -> float:
 
 def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChain:
     """Equal-cost locus of the two visit orders that keep the apex's
-    opposite edge last: an altitude piece, then possibly a parabola arc and a
-    straight piece once one and then both orders degenerate to corner hits."""
+    opposite edge last: an altitude piece, then possibly a parabola arc once
+    one order degenerates to a corner hit, and a straight tail once both do,
+    which runs on until a case guard flips or the triangle is left (the
+    equilateral locus ends at the base midpoint)."""
     if apex is None:
         apex = largest_angle_vertex(t)
     o1, o2 = _orders_for_apex(apex)
@@ -429,12 +409,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         # Both orders now end on their unfolded corner vertices, so the tail
         # is the perpendicular bisector of the two corner images, clipped to
         # where those degenerate cases keep holding.
-        mid = Point2(
-            (uf_deg.corner_img.x + uf_straight.corner_img.x) / 2,
-            (uf_deg.corner_img.y + uf_straight.corner_img.y) / 2,
-        )
         axis = (uf_straight.corner_img - uf_deg.corner_img).perp().unit()
-        bis = Line.from_point_normal(mid, (uf_straight.corner_img - uf_deg.corner_img).unit())
         d = axis if axis.dot(w_pt - v) > 0 else -axis
         z = _ray_exit(t, w_pt, d)
         if z is not None and w_pt.dist(z) > _PIECE_EPS:
@@ -450,9 +425,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
                                          uf_straight.subopt_coord(seg_at(s)))),
             )
             s_stop, _ = _first_event(0.0, 1.0 / 64.0, line_guards, stop_at=1.0)
-            z_clip = seg_at(s_stop)
-            if w_pt.dist(z_clip) > _PIECE_EPS:
-                pieces.append(LinePiece(bis, w_pt, z_clip, label))
+            _append_segment(pieces, w_pt, seg_at(s_stop), label)
     return SeparatorChain(tuple(pieces), label)
 
 
@@ -464,13 +437,15 @@ def _first_event(
 ) -> tuple[float, str]:
     """First zero crossing of any guard when marching from ``u0`` by ``du``.
 
-    Guards are positive while their case holds; the first one reported at
-    ``u0`` itself short-circuits (the piece is empty there).
+    Guards are positive while their case holds.  One already negative
+    beyond the slack at ``u0`` short-circuits (the piece is empty there); one
+    that is about zero at ``u0`` is the case boundary the march starts on,
+    as the bounce line at a bounce crossing, and does not stop it.
     """
     u_prev = u0
     prev = [g(u0) for _, g in guards]
     for (name, _), val in zip(guards, prev):
-        if val <= abs(du) * 1e-6:
+        if val < -abs(du) * 1e-6:
             return u0, name
     for _ in range(4096):
         u = u_prev + du

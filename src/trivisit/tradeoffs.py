@@ -229,7 +229,7 @@ def sweep_triangles(
     rows = []
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
-        stds = [triangle_from_angles(math.radians(b), math.radians(c)).standard()[0] for b, c in chunk]
+        stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
         for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, grid)):
             rows.append(SweepRow(b, c, rn / rm, argmax, rn, rm))
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(rows))

@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import TriangleKernel
-from .fleet_costs import mid_altitude_point, r1, r2, r3
+from .fleet_costs import fleet_costs, mid_altitude_point, r1, r2, r3
 from .fleet_costs import h1 as h1_fn
 from .geom_core import Point2, Triangle, closest_point_on_segment, edge_segment, incenter, triangle_from_angles
-from .oracle import OracleConfig, oracle_ordered3, oracle_r2, oracle_r3
+from .oracle import OracleConfig, certify_instance, oracle_ordered3
 from .regions import r1_lrd_rld_locus, r2_separator, r3_regions
 from .tradeoffs import describe_shape, max_ratio, sweep_triangles
 from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_set
@@ -136,10 +136,10 @@ def _crit_7(quick: bool) -> CriterionResult:
     return c.result(7, "thin isosceles: max R1/R3 decreasing toward sqrt(10)", max_notes=5)
 
 
-@lru_cache(maxsize=None)
-def _universal_samples(count: int) -> tuple:
-    """Random (triangle, interior point) batch shared by criteria 8 and 9."""
-    rng = np.random.default_rng(20210707)
+def _random_instances(seed: int, count: int) -> tuple:
+    """``count`` random (triangle, interior point) pairs: angles uniform with
+    every angle in (0.5 deg, 90 deg], the point Dirichlet(1, 1, 1)."""
+    rng = np.random.default_rng(seed)
     eps = math.radians(0.5)
     out = []
     while len(out) < count:
@@ -154,6 +154,12 @@ def _universal_samples(count: int) -> tuple:
         p = Point2(float(xy[0]), float(xy[1]))
         out.append((t, p))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _universal_samples(count: int) -> tuple:
+    """Random (triangle, interior point) batch shared by criteria 8 and 9."""
+    return _random_instances(20210707, count)
 
 
 @lru_cache(maxsize=None)
@@ -196,38 +202,15 @@ def _crit_9(quick: bool) -> CriterionResult:
 def _crit_10(quick: bool) -> CriterionResult:
     c = _Check()
     count = 120 if quick else 1000
-    rng = np.random.default_rng(424242)
-    cfg = OracleConfig()
-    eps = math.radians(0.5)
     worst = 0.0
     worst_what = ""
-    made = 0
-    while made < count:
-        b = rng.uniform(eps, math.pi / 2)
-        cc = rng.uniform(eps, math.pi / 2)
-        a = math.pi - b - cc
-        if not (eps < a <= math.pi / 2):
-            continue
-        made += 1
-        t = triangle_from_angles(b, cc)
-        w = rng.dirichlet((1.0, 1.0, 1.0))
-        xy = w[0] * np.asarray(t.a) + w[1] * np.asarray(t.b) + w[2] * np.asarray(t.c)
-        p = Point2(float(xy[0]), float(xy[1]))
-        oracle_by_order = {}
-        for order in VisitOrder:
-            closed = visit_three_ordered(t, p, order).cost
-            ref = oracle_ordered3(t, p, order, cfg)
-            oracle_by_order[order] = ref
-            if abs(closed - ref) > worst:
-                worst, worst_what = abs(closed - ref), f"{order.value}@{tuple(p)}"
-        pairs = (
-            (r1(t, p).cost, min(oracle_by_order.values()), "r1"),
-            (r2(t, p).cost, oracle_r2(t, p, cfg), "r2"),
-            (r3(t, p).cost, oracle_r3(t, p), "r3"),
-        )
-        for closed, ref, name in pairs:
-            if abs(closed - ref) > worst:
-                worst, worst_what = abs(closed - ref), f"{name}@{tuple(p)}"
+    for t, p in _random_instances(424242, count):
+        closed = {order.value: visit_three_ordered(t, p, order).cost for order in VisitOrder}
+        rep = fleet_costs(t, p)
+        closed.update(r1=rep.r1.cost, r2=rep.r2.cost, r3=rep.r3.cost)
+        for key, delta in certify_instance(t, p, closed, tol=math.inf).items():
+            if abs(delta) > worst:
+                worst, worst_what = abs(delta), f"{key}@{tuple(p)}"
     c.at_most(f"max |closed - oracle| ({worst_what})", worst, 1e-6)
     return c.result(10, f"oracle equivalence on {count} random instances")
 

@@ -2,12 +2,15 @@ import math
 
 import pytest
 
-from trivisit.fleet_costs import r1, r2, r3
+from trivisit import oracle
+from trivisit.cli import eval_report
+from trivisit.fleet_costs import fleet_costs, r1, r2, r3
 from trivisit.geom_core import Point2, incenter, triangle_from_angles
 from trivisit.oracle import (
     OracleConfig,
     OracleMismatchError,
     certify_instance,
+    oracle_costs,
     oracle_ordered3,
     oracle_r1,
     oracle_r2,
@@ -109,6 +112,65 @@ class TestCertify:
         with pytest.raises(OracleMismatchError) as err:
             certify_instance(EQ, p, {"r1": 0.5})
         assert "r1" in str(err.value)
+
+
+def _nine_closed_costs(t, p):
+    rep = fleet_costs(t, p)
+    closed = {"r1": rep.r1.cost, "r2": rep.r2.cost, "r3": rep.r3.cost}
+    closed.update({o.value: visit_three_ordered(t, p, o).cost for o in VisitOrder})
+    return closed
+
+
+@pytest.fixture
+def ordered3_calls(monkeypatch):
+    calls = []
+    original = oracle.oracle_ordered3
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "oracle_ordered3", counted)
+    return calls
+
+
+class TestOracleCosts:
+    def test_keys_in_order(self):
+        costs = oracle_costs(EQ, incenter(EQ), FAST)
+        assert list(costs) == [o.value for o in VisitOrder] + ["r1", "r2", "r3"]
+
+    def test_equals_public_functions(self, rng):
+        instances = [(EQ, incenter(EQ))]
+        for _ in range(10):
+            t = random_triangle(rng)
+            instances.append((t, random_interior_point(rng, t)))
+        for t, p in instances:
+            costs = oracle_costs(t, p, FAST)
+            for o in VisitOrder:
+                assert costs[o.value] == oracle_ordered3(t, p, o, FAST)
+            assert costs["r1"] == oracle_r1(t, p, FAST)
+            assert costs["r2"] == oracle_r2(t, p, FAST)
+            assert costs["r3"] == oracle_r3(t, p)
+
+    def test_certify_runs_each_order_once(self, ordered3_calls):
+        p = Point2(0.4, 0.3)
+        t = triangle_from_angles(math.radians(50), math.radians(70))
+        closed = _nine_closed_costs(t, p)
+        ordered3_calls.clear()
+        deltas = certify_instance(t, p, closed, FAST)
+        assert list(deltas) == list(closed)
+        assert sorted(o.value for o in ordered3_calls) == sorted(o.value for o in VisitOrder)
+
+    def test_eval_oracle_runs_each_order_once(self, ordered3_calls):
+        t = triangle_from_angles(math.radians(70), math.radians(55))
+        eval_report(t, Point2(0.5, 0.2), with_oracle=True)
+        assert sorted(o.value for o in ordered3_calls) == sorted(o.value for o in VisitOrder)
+
+    def test_unknown_key_raises_before_oracle_work(self, ordered3_calls):
+        p = incenter(EQ)
+        with pytest.raises(ValueError):
+            certify_instance(EQ, p, {"r1": r1(EQ, p).cost, "r4": 1.0})
+        assert ordered3_calls == []
 
 
 class TestTwoOrderedOracle:

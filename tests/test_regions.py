@@ -169,6 +169,29 @@ class TestR1Locus:
         assert r1_lrd_rld_locus(EQ).label == "LRD=RLD"
         assert r1_lrd_rld_locus(THIN).label in ("DLR=LDR", "LDR=DLR")
 
+    def test_equilateral_reaches_base_midpoint(self):
+        chain = r1_lrd_rld_locus(EQ)
+        assert chain.pieces[-1].end.dist(Point2(0.5, 0.0)) < 1e-12
+        assert chain.max_endpoint_gap() < 1e-9
+
+    def test_arc_then_straight_tail(self):
+        chain = r1_lrd_rld_locus(triangle_from_angles(math.radians(54), math.radians(62)))
+        kinds = [type(p) for p in chain.pieces]
+        assert kinds == [SegmentPiece, ParabolaArcPiece, SegmentPiece]
+        assert abs(chain.pieces[-1].end.y) < 1e-12
+
+    def test_random_loci_inside_and_tie(self, rng):
+        for _ in range(20):
+            t = random_triangle(rng, min_angle=math.radians(0.5))
+            for apex in VertexId:
+                chain = r1_lrd_rld_locus(t, apex)
+                o1, o2 = (VisitOrder(s) for s in chain.label.split("="))
+                for p, _ in chain.sample(30):
+                    assert t.contains(p)
+                    c1 = visit_three_ordered(t, p, o1).cost
+                    c2 = visit_three_ordered(t, p, o2).cost
+                    assert abs(c1 - c2) < 1e-8
+
     def test_costs_tie_along_locus(self, rng):
         for t in (EQ, RI, THIN):
             chain = r1_lrd_rld_locus(t)
