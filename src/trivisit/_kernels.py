@@ -16,6 +16,15 @@ two-edge visit, the cheaper order of an edge pair, and the optimal orders
 triangle at one point and build witnesses only for what it marks admissible
 or optimal.  Costs are in each triangle's own scale, and the slack scales
 with the base edge.
+
+Every constant comes from ``triangle_row``: one flat list of plain floats per
+triangle, computed with ``math`` in the operation order of the ``geom_core``
+objects, so that it equals what ``Line``, ``reflect``, ``project`` and
+``Point2.unit`` give bit for bit.  A kernel cuts its tables from those rows,
+and ``_Unfold3`` views for witnesses are built from a row only for the orders
+asked for.  The tables are not built with NumPy array code: a vectorized
+builder is several times slower on one triangle, which is what ``eval``
+builds per point.
 """
 
 from __future__ import annotations
@@ -28,14 +37,15 @@ from typing import Sequence
 import numpy as np
 
 from .geom_core import (
+    SEGMENT_EPS,
     EdgeId,
+    GeometryError,
     Line,
     Point2,
     Segment,
     Triangle,
+    VertexId,
     VisitOrder,
-    project,
-    reflect,
     shared_vertex,
 )
 
@@ -50,8 +60,45 @@ _py_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 _ORDERS = tuple(VisitOrder)
 _EDGES = tuple(EdgeId)
+_VERTICES = tuple(VertexId)
 _PAIRS = tuple((first, second) for first in _EDGES for second in _EDGES if second is not first)
 _PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
+
+# Layout of a triangle row (``triangle_row``), by offset.  Edges go in EdgeId
+# order, ordered pairs in ``_PAIRS`` order and visit orders in VisitOrder
+# order; a segment row is p0x, p0y, dx, dy, dx*dx + dy*dy.
+_ROW_LINES = 0                                  # a, b, c of each edge's line
+_ROW_LENGTHS = _ROW_LINES + 3 * len(_EDGES)     # each edge's length
+_ROW_SEGS = _ROW_LENGTHS + len(_EDGES)          # each edge's segment row
+_ROW_PAIRS = _ROW_SEGS + 5 * len(_EDGES)        # segment row pivot -> far image of each pair
+_ROW_FARS = _ROW_PAIRS + 5 * len(_PAIRS)        # x, y of each pair's far image
+_ROW_UNFOLDS = _ROW_FARS + 2 * len(_PAIRS)      # corner_img, u, apex, sigma_z, altitude per order
+_ROW_WITNESS = _ROW_UNFOLDS + 8 * len(_ORDERS)  # line2u a, b, c, far_img, alt_foot per order
+ROW_WIDTH = _ROW_WITNESS + 7 * len(_ORDERS)
+# Where each edge's line (a, b, c) and length and each vertex (x, y) sit; an
+# edge's segment row starts at its first endpoint, so L's holds A, D's B and
+# R's C.
+ROW_LINE = {e: _ROW_LINES + 3 * k for k, e in enumerate(_EDGES)}
+ROW_LENGTH = {e: _ROW_LENGTHS + k for k, e in enumerate(_EDGES)}
+ROW_VERTEX = {e.endpoints[0]: _ROW_SEGS + 5 * k for k, e in enumerate(_EDGES)}
+ROW_SCALE = ROW_LENGTH[EdgeId.D]
+
+
+def _other_end(e: EdgeId, v: VertexId) -> VertexId:
+    return e.endpoints[1] if e.endpoints[0] is v else e.endpoints[0]
+
+
+# Vertex and edge indices behind each row section.
+_EDGE_ENDS = tuple(tuple(_VERTICES.index(v) for v in e.endpoints) for e in _EDGES)
+_PAIR_ENDS = tuple(
+    (_EDGES.index(first), _VERTICES.index(shared_vertex(first, second)),
+     _VERTICES.index(_other_end(second, shared_vertex(first, second))))
+    for first, second in _PAIRS
+)
+_ORDER_ENDS = tuple(
+    (_EDGES.index(e1), _EDGES.index(e3), *(_VERTICES.index(shared_vertex(*es)) for es in ((e1, e2), (e1, e3), (e2, e3))))
+    for e1, e2, e3 in (o.edges for o in _ORDERS)
+)
 
 
 class StrategyKind(str, Enum):
@@ -60,6 +107,81 @@ class StrategyKind(str, Enum):
     SUBOPT_VERTEX_ALTITUDE = "subopt-vertex-altitude"
     DIRECT_TO_VERTEX = "direct-to-vertex"
     PERPENDICULAR_DROP = "perpendicular-drop"
+
+
+def _line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float, float]:
+    """(a, b, c, length) as ``Line.from_points`` computes them."""
+    dx, dy = qx - px, qy - py
+    n = math.hypot(dx, dy)
+    if n <= SEGMENT_EPS:
+        raise GeometryError("line through coincident points")
+    a, b = -dy / n, dx / n
+    c = -(a * px + b * py)
+    m = math.hypot(a, b)
+    if abs(m - 1.0) > 1e-12:
+        a, b, c = a / m, b / m, c / m
+    return a, b, c, n
+
+
+def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> list[float]:
+    """Every kernel and witness constant of the triangle with vertices A, B,
+    C, as one flat list of ``ROW_WIDTH`` plain floats in the ``_ROW_*``
+    layout.  Each value follows the operation order of ``Line.from_points``,
+    ``reflect``, ``project`` and ``Point2.unit``, so it equals the one those
+    give bit for bit."""
+    xs, ys = (ax, bx, cx), (ay, by, cy)
+    lines, lengths, segs = [], [], []
+    for i, j in _EDGE_ENDS:
+        px, py, qx, qy = xs[i], ys[i], xs[j], ys[j]
+        a, b, c, n = _line_through(px, py, qx, qy)
+        dx, dy = qx - px, qy - py
+        lines += (a, b, c)
+        lengths.append(n)
+        segs += (px, py, dx, dy, dx * dx + dy * dy)
+    pairs, fars = [], []
+    for k, pivot, far in _PAIR_ENDS:
+        a, b, c = lines[3 * k:3 * k + 3]
+        x, y = xs[far], ys[far]
+        d = a * x + b * y + c
+        fx, fy = x - 2 * d * a, y - 2 * d * b
+        px, py = xs[pivot], ys[pivot]
+        dx, dy = fx - px, fy - py
+        pairs += (px, py, dx, dy, dx * dx + dy * dy)
+        fars += (fx, fy)
+    unfolds, witness = [], []
+    for k1, k3, apex, base, corner in _ORDER_ENDS:
+        apx, apy, bvx, bvy = xs[apex], ys[apex], xs[base], ys[base]
+        # The corner reflected across the first edge's line ...
+        a, b, c = lines[3 * k1:3 * k1 + 3]
+        x, y = xs[corner], ys[corner]
+        d = a * x + b * y + c
+        cix, ciy = x - 2 * d * a, y - 2 * d * b
+        # ... and the base vertex across the once-unfolded second edge, which
+        # runs from the apex to the corner image.
+        a2, b2, c2, _ = _line_through(apx, apy, cix, ciy)
+        d = a2 * bvx + b2 * bvy + c2
+        fix, fiy = bvx - 2 * d * a2, bvy - 2 * d * b2
+        vx, vy = fix - cix, fiy - ciy
+        n = math.hypot(vx, vy)
+        if n <= SEGMENT_EPS:
+            raise GeometryError("cannot normalize a near-zero vector")
+        ux, uy = vx / n, vy / n
+        sigma_z = math.copysign(1.0, ux * (bvx - apx) + uy * (bvy - apy))
+        # Foot of the apex on the third edge's line.
+        a, b, c = lines[3 * k3:3 * k3 + 3]
+        d = a * apx + b * apy + c
+        ftx, fty = apx - d * a, apy - d * b
+        unfolds += (cix, ciy, ux, uy, apx, apy, sigma_z, math.hypot(apx - ftx, apy - fty))
+        witness += (a2, b2, c2, fix, fiy, ftx, fty)
+    return lines + lengths + segs + pairs + fars + unfolds + witness
+
+
+def _row_of(t: Triangle) -> list[float]:
+    return triangle_row(*t.a, *t.b, *t.c)
+
+
+def _point(row, at: int) -> Point2:
+    return Point2(row[at], row[at + 1])
 
 
 @dataclass(frozen=True)
@@ -78,6 +200,19 @@ class _Unfold3:
     sigma_z: float              # orientation of the positive subopt side
     alt_foot: Point2            # foot of the apex on the third edge's line
 
+    @classmethod
+    def from_row(cls, row, order: VisitOrder) -> "_Unfold3":
+        """The view of ``order``'s unfolding in a triangle row."""
+        e1, e2, e3 = order.edges
+        k = _ORDERS.index(order)
+        cix, ciy, ux, uy, apx, apy, sigma_z, _ = row[_ROW_UNFOLDS + 8 * k:_ROW_UNFOLDS + 8 * k + 8]
+        a2, b2, c2, fix, fiy, ftx, fty = row[_ROW_WITNESS + 7 * k:_ROW_WITNESS + 7 * k + 7]
+        return cls(
+            order, Line(*row[ROW_LINE[e1]:ROW_LINE[e1] + 3]), Line(a2, b2, c2), Point2(apx, apy),
+            _point(row, ROW_VERTEX[shared_vertex(e1, e3)]), _point(row, ROW_VERTEX[shared_vertex(e2, e3)]),
+            Point2(cix, ciy), Point2(fix, fiy), Point2(ux, uy), sigma_z, Point2(ftx, fty),
+        )
+
     @property
     def e3u(self) -> Segment:
         return Segment(self.corner_img, self.far_img)
@@ -93,85 +228,58 @@ class _Unfold3:
 
 
 def _unfold3(t: Triangle, order: VisitOrder) -> _Unfold3:
-    e1, e2, e3 = order.edges
-    line1 = t.edge_line(e1)
-    apex = t.vertex(shared_vertex(e1, e2))
-    base_vertex = t.vertex(shared_vertex(e1, e3))
-    corner = t.vertex(shared_vertex(e2, e3))
-    corner_img = reflect(corner, line1)
-    # Once-unfolded second edge runs from the apex (fixed by the first
-    # reflection) to the corner image.
-    line2u = Line.from_points(apex, corner_img)
-    far_img = reflect(base_vertex, line2u)
-    u = (far_img - corner_img).unit()
-    sigma_z = math.copysign(1.0, u.dot(base_vertex - apex))
-    return _Unfold3(
-        order, line1, line2u, apex, base_vertex, corner, corner_img, far_img, u,
-        sigma_z, project(apex, t.edge_line(e3)),
-    )
-
-
-def _segment_row(p0, p1) -> list[float]:
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    return [p0[0], p0[1], dx, dy, dx * dx + dy * dy]
-
-
-def _unfold2(t: Triangle, first: EdgeId, second: EdgeId) -> tuple[Point2, Point2, Point2]:
-    """(pivot, far, far_img) of the visit of ``first`` then ``second``: their
-    shared vertex, the other end of ``second``, and its reflection across
-    ``first``."""
-    pivot_id = shared_vertex(first, second)
-    far = t.vertex((set(second.endpoints) - {pivot_id}).pop())
-    return t.vertex(pivot_id), far, reflect(far, t.edge_line(first))
-
-
-def _constants(t: Triangle, unfolds: Sequence[_Unfold3]) -> dict[str, list]:
-    """Per-triangle constants as plain floats, one list of rows per table."""
-    segs = [_segment_row(*(t.vertex(v) for v in e.endpoints)) for e in _EDGES]
-    # Reflected target segment for each ordered pair (first, second).
-    pairs = []
-    for first, second in _PAIRS:
-        pivot, _, far_img = _unfold2(t, first, second)
-        pairs.append(_segment_row(pivot, far_img))
-    # Ordered three-edge visit constants.
-    unfold_rows = [
-        [uf.corner_img.x, uf.corner_img.y, uf.u.x, uf.u.y, uf.apex.x, uf.apex.y, uf.sigma_z, uf.apex.dist(uf.alt_foot)]
-        for uf in unfolds
-    ]
-    return {"segs": segs, "pairs": pairs, "unfolds": unfold_rows, "scale": [t.base_length]}
+    return _Unfold3.from_row(_row_of(t), order)
 
 
 class TriangleKernel:
-    """Precomputed unfolding constants plus array evaluators.
+    """Triangle rows plus array evaluators.
 
-    Each constant is a float for a single-triangle kernel and a (T, 1)
-    column for a stacked one, so the same code broadcasts over (N,) and
-    (T, N) coordinate arrays.
+    ``rows`` holds one ``triangle_row`` per triangle: a list of one row for
+    a single-triangle kernel, a (T, ROW_WIDTH) array for a stack.  Each table
+    is cut from them, so each constant is a float for a single-triangle
+    kernel and a (T, 1) column for a stacked one, and the same code
+    broadcasts over (N,) and (T, N) coordinate arrays.
     """
 
     def __init__(self, t: Triangle | Sequence[Triangle]):
-        single = isinstance(t, Triangle)
-        per = []
-        for tri in (t,) if single else t:
-            unfolds = tuple(_unfold3(tri, order) for order in _ORDERS)
-            per.append(_constants(tri, unfolds))
-        # Witnesses are built from a one-triangle kernel's unfoldings; a
-        # stack does not keep them.
-        self.unfoldings = dict(zip(_ORDERS, unfolds)) if single else None
-
-        def table(key: str):
+        if isinstance(t, Triangle):
             # One triangle keeps its rows of floats, which unpack far faster
-            # than array rows on few points.  A stack goes (T, rows, cols) ->
-            # (rows, cols, T, 1) so that row[i] unpacks into (T, 1) columns.
-            if single:
-                return per[0][key]
-            return np.moveaxis(np.array([c[key] for c in per], dtype=float), 0, -1)[..., None]
+            # than array rows on few points.
+            row = _row_of(t)
+            self.rows = [row]
 
-        self._segs = table("segs")
-        self._pairs = table("pairs")
-        self._unfolds = table("unfolds")
-        self.scale = table("scale")[0]
+            def table(at: int, count: int, width: int):
+                return [row[i:i + width] for i in range(at, at + count * width, width)]
+
+            self.scale = row[ROW_SCALE]
+        else:
+            # A stack goes (T, count * width) -> (count, width, T, 1) so that
+            # table[i] unpacks into (T, 1) columns.
+            self.rows = rows = np.array([_row_of(s) for s in t], dtype=float)
+
+            def table(at: int, count: int, width: int):
+                return rows[:, at:at + count * width].reshape(-1, count, width).transpose(1, 2, 0)[..., None]
+
+            self.scale = rows[:, ROW_SCALE, None]
+        self._segs = table(_ROW_SEGS, len(_EDGES), 5)
+        self._pairs = table(_ROW_PAIRS, len(_PAIRS), 5)
+        self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
         self.tol = BOUNDARY_TOL * self.scale
+
+    # -- witness constants of a single-triangle kernel -------------------
+
+    def unfolding(self, order: VisitOrder) -> _Unfold3:
+        return _Unfold3.from_row(self.rows[0], order)
+
+    def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[Point2, Point2, Point2]:
+        """(pivot, far, far_img) of the visit of ``first`` then ``second``:
+        their shared vertex, the other end of ``second``, and its reflection
+        across ``first``'s line."""
+        row, pivot = self.rows[0], shared_vertex(first, second)
+        return (
+            _point(row, ROW_VERTEX[pivot]), _point(row, ROW_VERTEX[_other_end(second, pivot)]),
+            _point(row, _ROW_FARS + 2 * _PAIR_INDEX[(first, second)]),
+        )
 
     # -- primitives ----------------------------------------------------
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, _unfold3, barycentric_grid
+from ._kernels import TriangleKernel, _row_of, _Unfold3, barycentric_grid
 from .fleet_costs import largest_angle_vertex
 from .geom_core import (
     EdgeId,
@@ -346,8 +346,8 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         apex = largest_angle_vertex(t)
     o1, o2 = _orders_for_apex(apex)
     label = f"{o1.value}={o2.value}"
-    uf1 = _unfold3(t, o1)
-    uf2 = _unfold3(t, o2)
+    row = _row_of(t)
+    uf1, uf2 = _Unfold3.from_row(row, o1), _Unfold3.from_row(row, o2)
     v = t.vertex(apex)
     foot = uf1.alt_foot  # both orders share the apex and the last edge
     altitude = Segment(v, foot)
@@ -537,8 +537,13 @@ class RasterCells(Sequence[RegionCell]):
         return RegionCell(int(self.i[k]), int(self.j[k]), Point2(x, y), self.table[self.codes[k]])
 
     def __iter__(self):
+        return self._build(slice(None))
+
+    def _build(self, at) -> Iterator[RegionCell]:
+        """The cells at index ``at`` (a slice or an index array), in order."""
         table = self.table
-        for i, j, (x, y), code in zip(self.i.tolist(), self.j.tolist(), self.xy.tolist(), self.codes.tolist()):
+        for i, j, (x, y), code in zip(self.i[at].tolist(), self.j[at].tolist(), self.xy[at].tolist(),
+                                      self.codes[at].tolist()):
             yield RegionCell(i, j, Point2(x, y), table[code])
 
     @property
@@ -559,7 +564,10 @@ class RegionMap:
 
     @property
     def tie_cells(self) -> tuple[RegionCell, ...]:
-        return tuple(c for c in self.cells if c.tie)
+        cells = self.cells
+        if isinstance(cells, RasterCells):
+            return tuple(cells._build(np.flatnonzero(cells.tie)))
+        return tuple(c for c in cells if c.tie)
 
     @property
     def pitch(self) -> float:

@@ -7,7 +7,8 @@ midpoints, where the paper places the maximizers of the three ratio pairs.
 infimum and supremum; infima are limits over degenerating shapes, so they
 are reported as approached, never attained.  Both evaluate ``_maximize`` on
 a stacked kernel: ``max_ratio`` on a batch of one triangle,
-``sweep_triangles`` on chunks of cells.
+``sweep_triangles`` on chunks of cells.  The seeds are read off the kernel's
+triangle rows, with the arithmetic of ``incenter`` and ``altitude_midpoint``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, barycentric_grid, points_array
+from ._kernels import ROW_LENGTH, ROW_LINE, ROW_VERTEX, TriangleKernel, barycentric_grid, points_array
 from .fleet_costs import fleet_costs
-from .geom_core import Point2, Triangle, VertexId, altitude_midpoint, incenter, triangle_from_angles
+from .geom_core import EdgeId, Point2, Triangle, VertexId, opposite_edge, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
@@ -37,6 +38,12 @@ def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
 def _check_pair(n: int, m: int) -> None:
     if (n, m) not in _PAIRS:
         raise ValueError(f"ratio pair must be one of {_PAIRS}, got ({n}, {m})")
+
+
+def _check_grid(grid: int) -> None:
+    # Vertices are excluded, so a 2-per-side lattice has no point to sample.
+    if grid < 3:
+        raise ValueError("grid needs at least 3 points per side")
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,7 @@ def max_ratio(
     grid point, so non-unique maxima land on the canonical extremal points.
     """
     _check_pair(n, m)
+    _check_grid(grid)
     std, _ = t.standard()
     [(argmax, rn, rm)] = _maximize([std], n, m, grid)
     report = RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
@@ -80,9 +88,9 @@ def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple
     it by more than 1e-9.  Row i of every array belongs to ``stds[i]``, so
     each triangle's result does not depend on the others in the batch.
     """
-    seeds = np.array([[incenter(s), *(altitude_midpoint(s, v) for v in VertexId)] for s in stds], dtype=float)
-    pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
     k = TriangleKernel(stds)
+    seeds = _seeds(k.rows)
+    pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
     rn, rm = k.cost(pts, n), k.cost(pts, m)
     vals = rn / rm
     rows = np.arange(len(stds))
@@ -97,6 +105,27 @@ def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple
         (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
         for i, j in zip(rows, at)
     ]
+
+
+def _seeds(rows: np.ndarray) -> np.ndarray:
+    """(T, 4, 2) seeds of a (T, ROW_WIDTH) stack of standard-form triangle
+    rows: the incenter, then the altitude midpoints from A, B and C.
+
+    Only ``+ - * /`` are applied to the rows, which NumPy rounds exactly as
+    Python does, so each seed equals ``incenter`` or ``altitude_midpoint``
+    bit for bit.  The incenter uses the standard form's B = (0, 0) and
+    C = (1, 0), with the rows' lengths of AB and AC.
+    """
+    q = rows[:, ROW_VERTEX[VertexId.A] + 1]
+    ab, ac = rows[:, ROW_LENGTH[EdgeId.L]], rows[:, ROW_LENGTH[EdgeId.R]]
+    seeds = [((ab - ac + 1.0) / 2, q / (1.0 + ac + ab))]
+    for v in VertexId:
+        x, y = rows[:, ROW_VERTEX[v]], rows[:, ROW_VERTEX[v] + 1]
+        at = ROW_LINE[opposite_edge(v)]
+        a, b, c = rows[:, at], rows[:, at + 1], rows[:, at + 2]
+        d = a * x + b * y + c
+        seeds.append(((x + (x - d * a)) / 2, (y + (y - d * b)) / 2))
+    return np.stack([np.stack(xy, axis=-1) for xy in seeds], axis=1)
 
 
 def describe_shape(angles_deg: tuple[float, float, float], tol: float = 0.51) -> str:
@@ -225,7 +254,12 @@ def sweep_triangles(
     stay monotone in the step size.
     """
     _check_pair(n, m)
+    _check_grid(grid)
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"sweep step must be a finite positive number of degrees, got {step_deg!r}")
     cells = _sweep_cells(step_deg, eps_apex_deg)
+    if not cells:
+        raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
     rows = []
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]

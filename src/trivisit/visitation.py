@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import EXACT_TIE, StrategyKind, TriangleKernel, _Unfold3, _unfold2, _unfold3
+from ._kernels import EXACT_TIE, StrategyKind, TriangleKernel, _Unfold3, _unfold3
 from .geom_core import (
     Cone,
     EdgeId,
@@ -163,7 +163,7 @@ class StandardPoint:
         """Every admissible case is built; the cheapest wins, and among
         those within ``EXACT_TIE`` of it the best-ranked kind."""
         _, cases = self.kernel.ordered3_cases(self.pts, order)
-        uf = self.kernel.unfoldings[order]
+        uf = self.kernel.unfolding(order)
         candidates = [_CASES[kind](uf, self.ps) for kind, ok in cases.items() if ok[0]]
         best = min(c.cost for c in candidates)
         near = [c for c in candidates if c.cost <= best + EXACT_TIE]
@@ -173,7 +173,7 @@ class StandardPoint:
         tau, cases = self.kernel.ordered2_clamp(self.pts, first, second)
         kind = next(kind for kind, ok in cases.items() if ok[0])
         ps, line1 = self.ps, self.std.edge_line(first)
-        pivot, far, far_img = _unfold2(self.std, first, second)
+        pivot, far, far_img = self.kernel.pair_unfolding(first, second)
         if kind is StrategyKind.DIRECT_TO_VERTEX:
             wps = _dedupe([ps, pivot])
         elif kind is StrategyKind.DEGENERATE_VERTEX_BOUNCE:

@@ -148,6 +148,12 @@ class TestRatioCmd:
         code, _, _ = run_cli(capsys, "ratio", "--angles", "60,60", "--n", "3", "--m", "1")
         assert code == EXIT_USAGE
 
+    def test_grid_without_interior_points_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "ratio", "--angles", "60,60", "--n", "1", "--m", "3", "--grid", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "trivisit: error: grid needs at least 3 points per side\n"
+
 
 class TestSweepCmd:
     def test_coarse_sweep(self, capsys, tmp_path):
@@ -162,6 +168,17 @@ class TestSweepCmd:
         rows = out.read_text().splitlines()
         assert rows[0] == "B_deg,C_deg,ratio,argmax_x,argmax_y,Rn,Rm"
         assert len(rows) == doc["cells"] + 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--step", "0"), ("--step", "-1"), ("--step", "100"), ("--eps-apex", "95"),
+    ])
+    def test_bad_grid_exits_1_without_csv(self, capsys, tmp_path, flags):
+        out = tmp_path / "sw.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--n", "1", "--m", "3", *flags, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("trivisit: error: sweep ")
+        assert not out.exists()
 
 
 class TestVerifyCmd:

@@ -1,11 +1,25 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trivisit._kernels import TriangleKernel, barycentric_grid, points_array
+import trivisit
+from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, _unfold3, barycentric_grid, points_array
 from trivisit.fleet_costs import r1, r2, r3
-from trivisit.geom_core import Point2, triangle_from_angles
+from trivisit.geom_core import (
+    GeometryError,
+    Line,
+    Point2,
+    Similarity,
+    Triangle,
+    project,
+    reflect,
+    shared_vertex,
+    triangle_from_angles,
+)
 from trivisit.visitation import VisitOrder, visit_three_ordered
 
 from conftest import random_triangle
@@ -78,3 +92,110 @@ class TestPointsArray:
     def test_points_array_shapes(self):
         assert points_array([(0.0, 1.0)]).shape == (1, 2)
         assert points_array([(0.0, 1.0), (2.0, 3.0)]).shape == (2, 2)
+
+
+def _posed(rng, count):
+    """Random triangles under similarities of scale 1e-3 to 1e3."""
+    out = []
+    for _ in range(count):
+        t = random_triangle(rng, min_angle=math.radians(0.5))
+        sim = Similarity(rng.uniform(0.0, 2 * math.pi), 10.0 ** rng.uniform(-3.0, 3.0),
+                         Point2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)))
+        out.append(Triangle(sim.apply(t.a), sim.apply(t.b), sim.apply(t.c)))
+    return out
+
+
+def _hexes(value):
+    """Every float in ``value`` as ``float.hex``, so that comparisons are
+    exact down to the sign of zero."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Line):
+        return _hexes((value.a, value.b, value.c))
+    if dataclasses.is_dataclass(value):
+        return tuple(_hexes(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_hexes(v) for v in value)
+    return value
+
+
+def _edge_line(t, e):
+    return Line.from_points(*(t.vertex(v) for v in e.endpoints))
+
+
+def _reference_unfold3(t, order):
+    """The ordered three-edge unfolding built from geom_core objects."""
+    e1, e2, e3 = order.edges
+    line1 = _edge_line(t, e1)
+    apex, base_vertex, corner = (t.vertex(shared_vertex(*es)) for es in ((e1, e2), (e1, e3), (e2, e3)))
+    corner_img = reflect(corner, line1)
+    line2u = Line.from_points(apex, corner_img)
+    far_img = reflect(base_vertex, line2u)
+    u = (far_img - corner_img).unit()
+    sigma_z = math.copysign(1.0, u.dot(base_vertex - apex))
+    alt_foot = project(apex, _edge_line(t, e3))
+    return (order, line1, line2u, apex, base_vertex, corner, corner_img, far_img, u, sigma_z, alt_foot)
+
+
+def _reference_pair_unfolding(t, first, second):
+    pivot = shared_vertex(first, second)
+    far = t.vertex(next(v for v in second.endpoints if v is not pivot))
+    return t.vertex(pivot), far, reflect(far, _edge_line(t, first))
+
+
+def _segment_row(p0, p1):
+    dx, dy = p1.x - p0.x, p1.y - p0.y
+    return (p0.x, p0.y, dx, dy, dx * dx + dy * dy)
+
+
+class TestTriangleRow:
+    def test_unfoldings_and_tables_match_geom_core(self, rng):
+        for t in _posed(rng, 200):
+            k = TriangleKernel(t)
+            for i, order in enumerate(VisitOrder):
+                ref = _reference_unfold3(t, order)
+                assert _hexes(_unfold3(t, order)) == _hexes(ref)
+                assert _hexes(k.unfolding(order)) == _hexes(ref)
+                _, _, _, apex, _, _, corner_img, _, u, sigma_z, alt_foot = ref
+                row = (*corner_img, *u, *apex, sigma_z, apex.dist(alt_foot))
+                assert _hexes(k._unfolds[i]) == _hexes(row)
+            for i, (first, second) in enumerate(_PAIRS):
+                pivot, far, far_img = _reference_pair_unfolding(t, first, second)
+                assert _hexes(k.pair_unfolding(first, second)) == _hexes((pivot, far, far_img))
+                assert _hexes(k._pairs[i]) == _hexes(_segment_row(pivot, far_img))
+            for i, e in enumerate(_EDGES):
+                assert _hexes(k._segs[i]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
+            assert k.scale.hex() == t.base_length.hex()
+
+    def test_stacked_tables_equal_single_tables(self, rng):
+        tris = _posed(rng, 64)
+        k = TriangleKernel(tris)
+        assert k.rows.shape == (64, len(k.rows[0]))
+        for i, t in enumerate(tris):
+            one = TriangleKernel(t)
+            for name in ("_segs", "_pairs", "_unfolds"):
+                stacked = getattr(k, name)[..., i, 0]
+                assert _hexes(stacked.tolist()) == _hexes(getattr(one, name)), name
+            assert k.scale[i, 0].item().hex() == one.scale.hex()
+            assert k.tol[i, 0].item().hex() == one.tol.hex()
+
+    def test_edges_at_segment_eps_raise(self):
+        # Sides this short pass the relative area gate but no line fits them.
+        t = Triangle((0.5e-12, 0.5e-12), (0.0, 0.0), (1e-12, 0.0))
+        for arg in (t, [t]):
+            with pytest.raises(GeometryError):
+                TriangleKernel(arg)
+
+
+@pytest.mark.parametrize("module", ["_kernels.py", "oracle.py"])
+def test_imports_only_geom_core_from_the_package(module):
+    """The kernel and the brute-force oracle stay independent of the
+    evaluators built on them: within the package they import geom_core only."""
+    tree = ast.parse((Path(trivisit.__file__).parent / module).read_text())
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("trivisit")):
+            inside.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            inside.update(a.name for a in node.names if a.name.startswith("trivisit"))
+    assert inside <= {".geom_core", "trivisit.geom_core"}, inside

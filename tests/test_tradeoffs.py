@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 from trivisit import tradeoffs
-from trivisit.geom_core import Point2, Similarity, Triangle, incenter, triangle_from_angles
+from trivisit._kernels import TriangleKernel
+from trivisit.geom_core import (
+    Point2,
+    Similarity,
+    Triangle,
+    VertexId,
+    altitude_midpoint,
+    incenter,
+    triangle_from_angles,
+)
 from trivisit.tradeoffs import (
     describe_shape,
     max_ratio,
@@ -86,6 +95,26 @@ class TestMaxRatio:
         assert rep.witnesses.r2.cost == pytest.approx(rep.rn, abs=1e-9)
 
 
+    def test_grid_without_interior_points_rejected(self):
+        with pytest.raises(ValueError, match="grid needs at least 3 points per side"):
+            max_ratio(EQ, 1, 3, grid=2)
+        rep = max_ratio(EQ, 1, 3, grid=3)
+        assert rep.ratio == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("step", [5.0, 1.0])
+def test_seeds_equal_incenter_and_altitude_midpoints(step):
+    """The seeds read off the kernel rows are the geom_core points, bit for
+    bit, on every cell of the grid."""
+    cells = tradeoffs._sweep_cells(step, 0.5)
+    for lo in range(0, len(cells), 256):
+        stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells[lo:lo + 256]]
+        seeds = tradeoffs._seeds(TriangleKernel(stds).rows)
+        for s, got in zip(stds, seeds.tolist()):
+            want = [incenter(s), *(altitude_midpoint(s, v) for v in VertexId)]
+            assert [[v.hex() for v in xy] for xy in got] == [[v.hex() for v in xy] for xy in want]
+
+
 class TestDescribeShape:
     def test_shapes(self):
         assert describe_shape((60, 60, 60)) == "equilateral"
@@ -132,6 +161,18 @@ class TestSweep:
         for chunk in (1, 7):
             monkeypatch.setattr(tradeoffs, "_CHUNK", chunk)
             assert rows() == default
+
+    @pytest.mark.parametrize("step, eps_apex", [
+        (0.0, 0.5), (-1.0, 0.5), (100.0, 0.5), (1.0, 95.0), (math.inf, 0.5), (math.nan, 0.5),
+    ])
+    def test_empty_or_bad_grid_rejected(self, step, eps_apex):
+        with pytest.raises(ValueError):
+            sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
+
+    def test_grid_without_interior_points_rejected(self):
+        with pytest.raises(ValueError, match="grid needs at least 3 points per side"):
+            sweep_triangles(1, 3, step_deg=30.0, grid=2)
+        assert len(sweep_triangles(1, 3, step_deg=30.0, grid=3).rows) > 0
 
     def test_max_ratio_reproduces_sweep_row(self):
         row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (50.0, 70.0))
