@@ -7,6 +7,14 @@ exist only to verify the closed forms; they are deliberately independent of
 the unfolding constructions.  ``oracle_costs`` is the one place an
 instance's oracle costs are put together: each of the six ordered
 three-edge minimizations runs once and ``r1`` is their minimum.
+
+The cost is Python overhead per objective call, not floating-point work, so
+the objectives read one flat tuple of plain floats per ordered visit
+(``_ordered3_row``) and the three-leg sum is written once, in
+``_fix_first``, which pays the first leg once per inner golden section.
+There is one golden-section routine.  The scalar path is not a NumPy batch
+of one: on a single instance that measured about six times slower, since
+every array operation costs more than the few floats it replaces.
 """
 
 from __future__ import annotations
@@ -16,10 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import EdgeId, Point2, Triangle, VisitOrder, dist_point_segment, edge_segment, nearest_on_segment
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, dist_point_segment, edge_segment
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SEED_SWEEPS = 4            # alternating golden sweeps before the nested one
+# Smallest interval a golden section on [0, 1] is asked to reach.  Floats in
+# [0.5, 1) are 2**-53 (1.1e-16) apart, so the interval cannot always narrow
+# further: at tol=1e-16 the loop never ends for minimizers at or above 0.7,
+# at 2.3e-16 it ends after 75-76 steps, and at 1e-15 (about 9 ulps at 1.0)
+# after 72 on every minimizer tried.
+_MIN_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -28,10 +42,12 @@ class OracleConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not isinstance(self.coarse_resolution, int) or isinstance(self.coarse_resolution, bool):
+            raise ValueError(f"coarse resolution must be an int, not {self.coarse_resolution!r}")
         if self.coarse_resolution < 8:
             raise ValueError("coarse resolution must be at least 8")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not _MIN_TOL <= self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and at least {_MIN_TOL:g}, not {self.tol!r}")
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -59,23 +75,44 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def ordered3_objective(t: Triangle, p: Point2, order: VisitOrder):
-    """f(t1, t2): bounce on the first two edges, then reach the third."""
-    e1, e2, e3 = (edge_segment(t, e) for e in order.edges)
-    (ax, ay), (bx, by) = e3.p0, e3.p1
+def _ordered3_row(t: Triangle, p: Point2, order: VisitOrder) -> tuple[float, ...]:
+    """(px, py, then start x, y and direction x, y of each edge in visit
+    order, then the third edge's squared length): every float the
+    three-leg objective reads."""
+    row = [p.x, p.y]
+    for e in order.edges:
+        seg = edge_segment(t, e)
+        row += (seg.p0.x, seg.p0.y, seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y)
+    return (*row, row[-2] * row[-2] + row[-1] * row[-1])
 
-    def f(t1: float, t2: float) -> float:
-        x1x = e1.p0.x + t1 * (e1.p1.x - e1.p0.x)
-        x1y = e1.p0.y + t1 * (e1.p1.y - e1.p0.y)
-        x2x = e2.p0.x + t2 * (e2.p1.x - e2.p0.x)
-        x2y = e2.p0.y + t2 * (e2.p1.y - e2.p0.y)
+
+def _fix_first(row: tuple[float, ...], t1: float):
+    """h(t2) = f(t1, t2) for a fixed first bounce: the first leg is paid
+    once, and the nearest point of the third edge is clamped inline in the
+    same operations as ``nearest_on_segment``, so values match it bit for bit."""
+    px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row
+    x1x = a1x + t1 * d1x
+    x1y = a1y + t1 * d1y
+    leg1 = math.hypot(px - x1x, py - x1y)
+
+    def h(t2: float) -> float:
+        x2x = a2x + t2 * d2x
+        x2y = a2y + t2 * d2y
+        s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
+        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
         return (
-            math.hypot(p.x - x1x, p.y - x1y)
+            leg1
             + math.hypot(x1x - x2x, x1y - x2y)
-            + nearest_on_segment(x2x, x2y, ax, ay, bx, by)[2]
+            + math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y))
         )
 
-    return f
+    return h
+
+
+def ordered3_objective(t: Triangle, p: Point2, order: VisitOrder):
+    """f(t1, t2): bounce on the first two edges, then reach the third."""
+    row = _ordered3_row(t, p, order)
+    return lambda t1, t2: _fix_first(row, t1)(t2)
 
 
 def _grid_seed3(t: Triangle, p: Point2, order: VisitOrder, res: int) -> tuple[float, float]:
@@ -108,22 +145,22 @@ def oracle_ordered3(
     """
     std, sim = t.standard()
     ps = std.require_inside(sim.apply(p))
-    f = ordered3_objective(std, ps, order)
+    row = _ordered3_row(std, ps, order)
     s1, s2 = _grid_seed3(std, ps, order, cfg.coarse_resolution)
-    best = f(s1, s2)
+    best = _fix_first(row, s1)(s2)
 
     # A couple of cheap alternating sweeps sharpen the seed.
     t1, t2 = s1, s2
     for _ in range(_SEED_SWEEPS):
-        t1, _ = _golden_min(lambda u: f(u, t2), 0.0, 1.0, cfg.tol)
-        t2, val = _golden_min(lambda u: f(t1, u), 0.0, 1.0, cfg.tol)
+        t1, _ = _golden_min(lambda u: _fix_first(row, u)(t2), 0.0, 1.0, cfg.tol)
+        t2, val = _golden_min(_fix_first(row, t1), 0.0, 1.0, cfg.tol)
         if best - val <= cfg.tol:
             best = min(best, val)
             break
         best = val
 
     def g(u1: float) -> float:
-        return _golden_min(lambda u: f(u1, u), 0.0, 1.0, cfg.tol)[1]
+        return _golden_min(_fix_first(row, u1), 0.0, 1.0, cfg.tol)[1]
 
     _, nested = _golden_min(g, 0.0, 1.0, cfg.tol)
     return min(best, nested) / sim.scale
@@ -135,12 +172,18 @@ def oracle_two_ordered(
     """One-parameter convex minimization for an ordered two-edge visit."""
     std, sim = t.standard()
     ps = std.require_inside(sim.apply(p))
+    px, py = ps
     e1, e2 = edge_segment(std, first), edge_segment(std, second)
-    (ax, ay), (bx, by) = e2.p0, e2.p1
+    a1x, a1y, d1x, d1y = e1.p0.x, e1.p0.y, e1.p1.x - e1.p0.x, e1.p1.y - e1.p0.y
+    a2x, a2y, d2x, d2y = e2.p0.x, e2.p0.y, e2.p1.x - e2.p0.x, e2.p1.y - e2.p0.y
+    n2 = d2x * d2x + d2y * d2y
 
     def g(t1: float) -> float:
-        x = e1.point_at(t1)
-        return math.hypot(ps.x - x.x, ps.y - x.y) + nearest_on_segment(x.x, x.y, ax, ay, bx, by)[2]
+        xx = a1x + t1 * d1x
+        xy = a1y + t1 * d1y
+        s = ((xx - a2x) * d2x + (xy - a2y) * d2y) / n2
+        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+        return math.hypot(px - xx, py - xy) + math.hypot(xx - (a2x + s * d2x), xy - (a2y + s * d2y))
 
     # Convex in t1, so one golden-section pass over the full interval is
     # global; the grid values only guard the endpoints.
@@ -217,7 +260,7 @@ def certify_instance(
     for key, value in closed.items():
         delta = value - ref[key]
         deltas[key] = delta
-        if abs(delta) > tol:
+        if not abs(delta) <= tol:  # a NaN on either side is a breach too
             raise OracleMismatchError(
                 f"{key}: closed form {value!r} vs oracle {ref[key]!r} "
                 f"(delta {delta:.3e}) for triangle {t!r}, point {tuple(p)}"

@@ -1,12 +1,16 @@
+import json
 import math
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from trivisit import oracle
+from trivisit import oracle, verify
 from trivisit.cli import eval_report
 from trivisit.fleet_costs import fleet_costs, r1, r2, r3
-from trivisit.geom_core import Point2, incenter, triangle_from_angles
+from trivisit.geom_core import Point2, Triangle, incenter, triangle_from_angles
 from trivisit.oracle import (
+    DEFAULT_CONFIG,
     OracleConfig,
     OracleMismatchError,
     certify_instance,
@@ -35,6 +39,20 @@ class TestConfig:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             OracleConfig(tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1e-10, math.nan, math.inf, 1e-16, 1e-20])
+    def test_rejects_unusable_tol(self, tol):
+        # Constructor only: a golden section below the floor never returns.
+        with pytest.raises(ValueError):
+            OracleConfig(tol=tol)
+
+    def test_accepts_tol_floor(self):
+        assert OracleConfig(tol=1e-15).tol == 1e-15
+
+    @pytest.mark.parametrize("res", [64.0, True, "64", None])
+    def test_rejects_non_int_grid(self, res):
+        with pytest.raises(ValueError):
+            OracleConfig(coarse_resolution=res)
 
 
 class TestOrdered3:
@@ -113,6 +131,23 @@ class TestCertify:
             certify_instance(EQ, p, {"r1": 0.5})
         assert "r1" in str(err.value)
 
+    def test_nan_cost_is_a_gap(self):
+        p = incenter(EQ)
+        with pytest.raises(OracleMismatchError) as err:
+            certify_instance(EQ, p, {"r3": r3(EQ, p).cost, "r1": math.nan}, FAST)
+        assert "r1" in str(err.value) and "nan" in str(err.value)
+
+    def test_nan_cost_fails_criterion_10(self, monkeypatch):
+        # One instance, its r2 oracle cost NaN: the NaN must stay the worst
+        # gap past r3 and name the key and the point.
+        t, p = triangle_from_angles(math.radians(50), math.radians(70)), Point2(0.4, 0.3)
+        real = verify.oracle_costs
+        monkeypatch.setattr(verify, "_random_instances", lambda seed, count: ((t, p),))
+        monkeypatch.setattr(verify, "oracle_costs", lambda t, p: {**real(t, p, FAST), "r2": math.nan})
+        res = verify.run_criterion(10, quick=True)
+        assert not res.passed
+        assert f"(r2@{tuple(p)})=nan exceeds" in res.detail
+
 
 def _nine_closed_costs(t, p):
     rep = fleet_costs(t, p)
@@ -180,3 +215,20 @@ class TestTwoOrderedOracle:
             p = random_interior_point(rng, t)
             closed = visit_two_ordered(t, p, EdgeId.D, EdgeId.R).cost
             assert abs(oracle_two_ordered(t, p, EdgeId.D, EdgeId.R, FAST) - closed) < 1e-6
+
+
+ORACLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "oracle_golden.json").read_text())["instances"]
+
+
+@pytest.mark.parametrize("golden", ORACLE_GOLDEN, ids=[g["what"] for g in ORACLE_GOLDEN])
+def test_oracle_matches_golden(golden):
+    # Bit for bit: any change to the oracle's arithmetic shows here.
+    t = Triangle(*golden["vertices"])
+    p = Point2(*golden["point"])
+    for label, cfg in (("default", DEFAULT_CONFIG), ("fast", FAST)):
+        want = dict(golden[label])
+        pairs = want.pop("two_ordered", None)
+        assert {k: v.hex() for k, v in oracle_costs(t, p, cfg).items()} == want
+        if pairs is not None:
+            got = {e1.value + e2.value: oracle_two_ordered(t, p, e1, e2, cfg).hex() for e1, e2 in permutations(EdgeId, 2)}
+            assert got == pairs
