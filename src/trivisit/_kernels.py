@@ -231,6 +231,51 @@ def _unfold3(t: Triangle, order: VisitOrder) -> _Unfold3:
     return _Unfold3.from_row(_row_of(t), order)
 
 
+def _ordered3_cases(pts: np.ndarray, table, tol) -> tuple[np.ndarray, dict]:
+    """(cost, cases) of the ordered three-edge visits whose unfolding
+    constants (corner_img, u, apex, sigma_z, altitude) are ``table``:
+    ``cases`` maps each unfolding case to the mask where it is admissible,
+    within ``tol`` of its side of the subopt and bounce lines, and the cost
+    is the minimum over the admissible cases.  Each field of ``table``
+    broadcasts against the point coordinates: a float or a (T, 1) column for
+    one order, a (6, 1) or (6, T, 1) array for all six."""
+    cx, cy, ux, uy, ax, ay, sigma_z, alt = table
+    x, y = pts[..., 0], pts[..., 1]
+    rx, ry = x - cx, y - cy
+    qx, qy = x - ax, y - ay
+    s_b = rx * ux + ry * uy
+    s_z = sigma_z * (qx * ux + qy * uy)
+    past_subopt = s_z >= -tol
+    cases = {
+        StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
+        StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
+        StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
+    }
+    # One case cost at a time, so that few full-size arrays are alive.
+    cost = np.where(cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE], np.hypot(qx, qy) + alt, np.inf)
+    cost = np.minimum(cost, np.where(cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE], np.hypot(rx, ry), np.inf))
+    cost = np.minimum(cost, np.where(cases[StrategyKind.BOUNCING], np.abs(rx * -uy + ry * ux), np.inf))
+    return cost, cases
+
+
+# The orders (first, second) and (second, first) of the pair of edges left by
+# each lone edge, as indices into ``_PAIRS``, in EdgeId order of the lone edge.
+_LONE_PAIRS = tuple(
+    (_PAIR_INDEX[(first, second)], _PAIR_INDEX[(second, first)])
+    for first, second in ([e for e in _EDGES if e is not lone] for lone in _EDGES)
+)
+
+
+def partitions(singles: np.ndarray, ordered2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(singles, pairs, costs) of the three R2 partitions, each (3, ...)
+    indexed by the lone edge, from the (3, ...) edge distances ``singles``
+    and ``ordered2(k)``, the cost of the ordered pair ``_PAIRS[k]``: a pair
+    costs the cheaper of its two orders, a partition the larger of its two
+    robots' costs."""
+    pairs = np.array([np.minimum(ordered2(i), ordered2(j)) for i, j in _LONE_PAIRS])
+    return singles, pairs, np.maximum(singles, pairs)
+
+
 class TriangleKernel:
     """Triangle rows plus array evaluators.
 
@@ -251,6 +296,16 @@ class TriangleKernel:
             def table(at: int, count: int, width: int):
                 return [row[i:i + width] for i in range(at, at + count * width, width)]
 
+            flat = np.array(row, dtype=float)
+
+            def family(at: int, count: int, width: int):
+                return flat[at:at + count * width].reshape(count, width).T[..., None]
+
+            # Each family's table as one (width, count, 1) array, so that a
+            # field unpacks into a (count, 1) column, one row per member.
+            self._seg_family = family(_ROW_SEGS, len(_EDGES), 5)
+            self._pair_family = family(_ROW_PAIRS, len(_PAIRS), 5)
+            self._unfold_family = family(_ROW_UNFOLDS, len(_ORDERS), 8)
             self.scale = row[ROW_SCALE]
         else:
             # A stack goes (T, count * width) -> (count, width, T, 1) so that
@@ -270,6 +325,9 @@ class TriangleKernel:
 
     def unfolding(self, order: VisitOrder) -> _Unfold3:
         return _Unfold3.from_row(self.rows[0], order)
+
+    def edge_line(self, e: EdgeId) -> Line:
+        return Line(*self.rows[0][ROW_LINE[e]:ROW_LINE[e] + 3])
 
     def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[Point2, Point2, Point2]:
         """(pivot, far, far_img) of the visit of ``first`` then ``second``:
@@ -320,14 +378,12 @@ class TriangleKernel:
             StrategyKind.BOUNCING: ~(to_vertex | to_far),
         }
 
-    def pair(self, pts: np.ndarray, e1: EdgeId, e2: EdgeId) -> np.ndarray:
-        return np.minimum(self.ordered2(pts, e1, e2), self.ordered2(pts, e2, e1))
-
-    def pair_order(self, pts: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[np.ndarray, np.ndarray]:
+    def pair_order(self, pts: np.ndarray, ordered2: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[np.ndarray, np.ndarray]:
         """(e1_first, tie): whether the cheaper visit of the pair touches
         ``e1`` first, and whether both orders are within tol, in which case
-        the nearer edge goes first (``e1`` when equally near)."""
-        c12, c21 = self.ordered2(pts, e1, e2), self.ordered2(pts, e2, e1)
+        the nearer edge goes first (``e1`` when equally near).  ``ordered2``
+        holds the costs at ``pts`` of the ordered pairs (``ordered2_family``)."""
+        c12, c21 = ordered2[_PAIR_INDEX[(e1, e2)]], ordered2[_PAIR_INDEX[(e2, e1)]]
         tie = np.abs(c12 - c21) <= self.tol
         e1_first = c12 < c21
         if tie.any():
@@ -336,30 +392,35 @@ class TriangleKernel:
         return e1_first, tie
 
     def ordered3_cases(self, pts: np.ndarray, order: VisitOrder) -> tuple[np.ndarray, dict]:
-        """(cost, cases): ``cases`` maps each unfolding case to the mask where
-        it is admissible, within tol of its side of the subopt and bounce
-        lines, and the cost is the minimum over the admissible cases."""
-        cx, cy, ux, uy, ax, ay, sigma_z, alt = self._unfolds[_ORDERS.index(order)]
-        x, y = pts[..., 0], pts[..., 1]
-        rx, ry = x - cx, y - cy
-        qx, qy = x - ax, y - ay
-        s_b = rx * ux + ry * uy
-        s_z = sigma_z * (qx * ux + qy * uy)
-        tol = self.tol
-        past_subopt = s_z >= -tol
-        cases = {
-            StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
-            StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
-            StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
-        }
-        # One case cost at a time, so that few full-size arrays are alive.
-        cost = np.where(cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE], np.hypot(qx, qy) + alt, np.inf)
-        cost = np.minimum(cost, np.where(cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE], np.hypot(rx, ry), np.inf))
-        cost = np.minimum(cost, np.where(cases[StrategyKind.BOUNCING], np.abs(rx * -uy + ry * ux), np.inf))
-        return cost, cases
+        """(cost, cases) of ``order`` (see ``_ordered3_cases``)."""
+        return _ordered3_cases(pts, self._unfolds[_ORDERS.index(order)], self.tol)
 
     def ordered3(self, pts: np.ndarray, order: VisitOrder) -> np.ndarray:
         return self.ordered3_cases(pts, order)[0]
+
+    # -- one broadcast per cost family, on a single-triangle kernel --------
+    #
+    # Each family method evaluates every member of a family in one
+    # broadcast, over a leading axis: (3, N) edge distances in EdgeId order,
+    # (6, N) ordered pair costs in ``_PAIRS`` order, and (6, N) ordered
+    # three-edge costs and case masks in VisitOrder order.  At one point
+    # (``eval``) each ufunc call costs about 1 us whatever its size, so one
+    # broadcast per family is several times faster than a loop over its
+    # members.  On many points (rasters, sweeps, ratio maxima) the fleet-cost
+    # methods below loop over the members instead, through the same
+    # arithmetic: a broadcast there makes every temporary up to six times
+    # larger.  A prototype that broadcast the array methods too raised the
+    # peak RSS of the ``raster`` benchmark from about 87 to 118-120 MB and
+    # cut ``sweep`` throughput by about 19% (2-core host).
+
+    def edge_family(self, pts: np.ndarray) -> np.ndarray:
+        return self._seg_dist(pts, self._seg_family)
+
+    def ordered2_family(self, pts: np.ndarray) -> np.ndarray:
+        return self._seg_dist(pts, self._pair_family)
+
+    def ordered3_family(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
+        return _ordered3_cases(pts, self._unfold_family, self.tol)
 
     # -- fleet costs ----------------------------------------------------
 
@@ -377,14 +438,7 @@ class TriangleKernel:
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(singles, pairs, costs), each (3, ...), indexed by the lone edge."""
-        singles, pairs = [], []
-        for lone in _EDGES:
-            rest = [e for e in _EDGES if e is not lone]
-            singles.append(self.edge_dist(pts, lone))
-            pairs.append(self.pair(pts, rest[0], rest[1]))
-        s = np.array(singles)
-        d = np.array(pairs)
-        return s, d, np.maximum(s, d)
+        return partitions(self.r3_all(pts), lambda k: self._seg_dist(pts, self._pairs[k]))
 
     def r2_sides(self, singles: np.ndarray, pairs: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """(3, ...) code per lone edge, from ``r2_partitions``: 0 unless its

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import partitions
 from .geom_core import (
     EdgeId,
     Point2,
@@ -136,28 +137,31 @@ def _r1(sp: StandardPoint, costs: np.ndarray) -> R1Result:
     return R1Result(best.cost, orders, best)
 
 
+def _partitions(sp: StandardPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return partitions(sp.edge_dists, sp.ordered_pairs.__getitem__)
+
+
 def r3(t: Triangle, p: Point2) -> R3Result:
     """Largest of the three point-to-edge distances, with every argmax edge."""
     sp = StandardPoint(t, p)
-    return _r3(sp, sp.kernel.r3_all(sp.pts))
+    return _r3(sp, sp.edge_dists)
 
 
 def r2(t: Triangle, p: Point2) -> R2Result:
     """Best partition of the edges into a singleton and a pair."""
     sp = StandardPoint(t, p)
-    return _r2(sp, sp.kernel.r2_partitions(sp.pts))
+    return _r2(sp, _partitions(sp))
 
 
 def r1(t: Triangle, p: Point2) -> R1Result:
     """Cheapest of the six ordered visits; ties collected."""
     sp = StandardPoint(t, p)
-    return _r1(sp, sp.kernel.r1_all(sp.pts))
+    return _r1(sp, sp.orders[0])
 
 
 def fleet_costs(t: Triangle, p: Point2) -> FleetCostReport:
     sp = StandardPoint(t, p)
-    partitions = sp.kernel.r2_partitions(sp.pts)
-    return FleetCostReport(t, p, _r3(sp, partitions[0]), _r2(sp, partitions), _r1(sp, sp.kernel.r1_all(sp.pts)))
+    return FleetCostReport(t, p, _r3(sp, sp.edge_dists), _r2(sp, _partitions(sp)), _r1(sp, sp.orders[0]))
 
 
 def largest_angle_vertex(t: Triangle) -> VertexId:

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._kernels import EXACT_TIE, StrategyKind, TriangleKernel, _Unfold3, _unfold3
+from ._kernels import _ORDERS, EXACT_TIE, StrategyKind, TriangleKernel, _Unfold3, _unfold3
 from .geom_core import (
     Cone,
     EdgeId,
@@ -147,9 +148,12 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_CASES)}
 
 class StandardPoint:
     """A start point in the standard form of its triangle, checked to lie
-    inside, with the kernel of that standard form.  Each visit method asks
-    the kernel for the cases or order at the point, builds their witnesses
-    in standard form and returns the chosen one in the triangle's pose."""
+    inside, with the kernel of that standard form.  Each cost family is
+    evaluated at the point at most once, in one broadcast, when first read:
+    ``edge_dists`` (3, 1), ``ordered_pairs`` (6, 1) and ``orders``, the (6, 1)
+    costs and case masks of the ordered three-edge visits.  Each visit
+    method reads the cases or order there, builds their witnesses in
+    standard form and returns the chosen one in the triangle's pose."""
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
@@ -159,12 +163,24 @@ class StandardPoint:
         self.kernel = TriangleKernel(std)
         self._sim_inv = sim.inverse()
 
+    @cached_property
+    def edge_dists(self) -> np.ndarray:
+        return self.kernel.edge_family(self.pts)
+
+    @cached_property
+    def ordered_pairs(self) -> np.ndarray:
+        return self.kernel.ordered2_family(self.pts)
+
+    @cached_property
+    def orders(self) -> tuple[np.ndarray, dict]:
+        return self.kernel.ordered3_family(self.pts)
+
     def three_ordered(self, order: VisitOrder) -> Trajectory:
         """Every admissible case is built; the cheapest wins, and among
         those within ``EXACT_TIE`` of it the best-ranked kind."""
-        _, cases = self.kernel.ordered3_cases(self.pts, order)
+        k = _ORDERS.index(order)
         uf = self.kernel.unfolding(order)
-        candidates = [_CASES[kind](uf, self.ps) for kind, ok in cases.items() if ok[0]]
+        candidates = [_CASES[kind](uf, self.ps) for kind, ok in self.orders[1].items() if ok[k, 0]]
         best = min(c.cost for c in candidates)
         near = [c for c in candidates if c.cost <= best + EXACT_TIE]
         return self._map_back(min(near, key=lambda tr: _KIND_RANK[tr.kind]))
@@ -172,7 +188,7 @@ class StandardPoint:
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
         tau, cases = self.kernel.ordered2_clamp(self.pts, first, second)
         kind = next(kind for kind, ok in cases.items() if ok[0])
-        ps, line1 = self.ps, self.std.edge_line(first)
+        ps, line1 = self.ps, self.kernel.edge_line(first)
         pivot, far, far_img = self.kernel.pair_unfolding(first, second)
         if kind is StrategyKind.DIRECT_TO_VERTEX:
             wps = _dedupe([ps, pivot])
@@ -184,7 +200,7 @@ class StandardPoint:
         return self._map_back(Trajectory(wps, polyline_length(wps), kind, None, (first, second), tie))
 
     def two_set(self, e1: EdgeId, e2: EdgeId) -> Trajectory:
-        e1_first, tie = self.kernel.pair_order(self.pts, e1, e2)
+        e1_first, tie = self.kernel.pair_order(self.pts, self.ordered_pairs, e1, e2)
         return self.two_ordered(*((e1, e2) if e1_first[0] else (e2, e1)), tie=bool(tie[0]))
 
     def _map_back(self, traj: Trajectory) -> Trajectory:

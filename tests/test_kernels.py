@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 
 import trivisit
+from trivisit import _kernels
 from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, _unfold3, barycentric_grid, points_array
-from trivisit.fleet_costs import r1, r2, r3
+from trivisit.fleet_costs import _partitions, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
+    EdgeId,
     GeometryError,
     Line,
     Point2,
     Similarity,
     Triangle,
+    VertexId,
+    altitude_midpoint,
+    incenter,
     project,
     reflect,
     shared_vertex,
     triangle_from_angles,
 )
-from trivisit.visitation import VisitOrder, visit_three_ordered
+from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
 from conftest import random_triangle
 
@@ -199,3 +204,112 @@ def test_imports_only_geom_core_from_the_package(module):
         elif isinstance(node, ast.Import):
             inside.update(a.name for a in node.names if a.name.startswith("trivisit"))
     assert inside <= {".geom_core", "trivisit.geom_core"}, inside
+
+
+def _pinned_instances(rng, count):
+    """Posed triangles (every tenth with a 0.5 deg apex) with a vertex, an
+    edge point, the incenter, an altitude midpoint or an interior point."""
+    apex = triangle_from_angles(math.radians(89.75), math.radians(89.75))
+    out = []
+    for i, t in enumerate(_posed(rng, count)):
+        if i % 10 == 0:
+            sim = Similarity(rng.uniform(0.0, 2 * math.pi), 10.0 ** rng.uniform(-3.0, 3.0), Point2(1.0, -2.0))
+            t = Triangle(*(sim.apply(v) for v in apex.vertices))
+        v = t.vertices
+        k = i % 5
+        if k == 0:
+            p = v[i % 3]
+        elif k == 1:
+            a, b = v[i % 3], v[(i + 1) % 3]
+            p = a + rng.uniform() * (b - a)
+        elif k == 2:
+            p = incenter(t)
+        elif k == 3:
+            p = altitude_midpoint(t, tuple(VertexId)[i % 3])
+        else:
+            w = rng.dirichlet((1.0, 1.0, 1.0))
+            p = Point2(*(w[0] * np.asarray(v[0]) + w[1] * np.asarray(v[1]) + w[2] * np.asarray(v[2])))
+        out.append((t, Point2(float(p.x), float(p.y))))
+    return out
+
+
+def _array_hexes(a):
+    return tuple(float(x).hex() for x in np.ravel(a))
+
+
+class TestFamilies:
+    def test_one_point_families_match_array_methods(self, rng):
+        """The one-broadcast families at a point equal the per-member array
+        methods of the same kernel bit for bit."""
+        for t, p in _pinned_instances(rng, 500):
+            sp = StandardPoint(t, p)
+            k, pts = sp.kernel, sp.pts
+            costs, cases = sp.orders
+            assert costs.shape == (6, 1)
+            for i, order in enumerate(VisitOrder):
+                cost, want = k.ordered3_cases(pts, order)
+                assert _array_hexes(costs[i]) == _array_hexes(cost), order
+                assert {kind: bool(m[i, 0]) for kind, m in cases.items()} == {kind: bool(m[0]) for kind, m in want.items()}
+            assert sp.ordered_pairs.shape == (6, 1)
+            for i, pair in enumerate(_PAIRS):
+                assert _array_hexes(sp.ordered_pairs[i]) == _array_hexes(k.ordered2(pts, *pair)), pair
+            assert _array_hexes(sp.edge_dists) == _array_hexes(k.r3_all(pts))
+            ones = _partitions(sp)
+            for got, want in zip(ones, k.r2_partitions(pts)):
+                assert _array_hexes(got) == _array_hexes(want)
+
+    def test_edge_line_is_the_triangle_edge_line(self, rng):
+        for t in _posed(rng, 20):
+            k = TriangleKernel(t)
+            for e in _EDGES:
+                assert _hexes(k.edge_line(e)) == _hexes(t.edge_line(e))
+
+
+@pytest.fixture
+def body_calls(monkeypatch):
+    """Counts of the calls of the ordered three-edge body and of the
+    segment distance, which every edge and ordered-pair cost goes through."""
+    calls = {"ordered3": 0, "seg_dist": 0}
+    ordered3, seg_dist = _kernels._ordered3_cases, TriangleKernel._seg_dist
+
+    def counted_ordered3(pts, table, tol):
+        calls["ordered3"] += 1
+        return ordered3(pts, table, tol)
+
+    def counted_seg_dist(cls, pts, key):
+        calls["seg_dist"] += 1
+        return seg_dist(pts, key)
+
+    monkeypatch.setattr(_kernels, "_ordered3_cases", counted_ordered3)
+    monkeypatch.setattr(TriangleKernel, "_seg_dist", classmethod(counted_seg_dist))
+    return calls
+
+
+# (triangle, point, optimal orders): the equilateral incenter has six
+# optimal orders, three kept partitions and three farthest edges, the right
+# isosceles mid-altitude point four optimal orders; no witness may cost a
+# family evaluation of its own.
+_TIED = [
+    (triangle_from_angles(math.pi / 3, math.pi / 3), Point2(0.5, math.sqrt(3) / 6), 6),
+    (triangle_from_angles(math.pi / 4, math.pi / 4), Point2(0.5, 0.25), 4),
+    (triangle_from_angles(math.radians(70), math.radians(55)), Point2(0.4, 0.2), 1),
+]
+_TIED_IDS = ("equilateral-incenter", "right-isosceles-mid-altitude", "scalene")
+
+
+class TestOneEvaluationPerFamily:
+    @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
+    def test_fleet_costs(self, body_calls, t, p, optimal):
+        assert len(fleet_costs(t, p).r1.orders) == optimal
+        assert body_calls == {"ordered3": 1, "seg_dist": 2}
+
+    @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
+    def test_visit_two_set(self, body_calls, t, p, optimal):
+        for edges in ((EdgeId.L, EdgeId.D), (EdgeId.R, EdgeId.L)):
+            visit_two_set(t, p, edges)
+        assert body_calls == {"ordered3": 0, "seg_dist": 2}
+
+    @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
+    def test_visit_three_ordered(self, body_calls, t, p, optimal):
+        visit_three_ordered(t, p, VisitOrder.DLR)
+        assert body_calls == {"ordered3": 1, "seg_dist": 0}
