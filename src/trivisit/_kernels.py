@@ -17,6 +17,15 @@ triangle at one point and build witnesses only for what it marks admissible
 or optimal.  Costs are in each triangle's own scale, and the slack scales
 with the base edge.
 
+Each cost family has one table and one evaluator: ``r3_all`` for the three
+edge drops, ``ordered2_all`` for the six ordered edge pairs and ``r1_all``
+for the six ordered three-edge unfoldings.  ``r3_all`` and ``r1_all``, which
+serve both one point and rasters and sweeps, choose from the number of points
+between one broadcast over the family's members (up to ``_BROADCAST_POINTS``)
+and a loop over them, which give the same bits.  ``ordered2_all`` serves one
+point and always broadcasts; many points reach the pairs through
+``r2_partitions``.
+
 Every constant comes from ``triangle_row``: one flat list of plain floats per
 triangle, computed with ``math`` in the operation order of the ``geom_core``
 objects, so that it equals what ``Line``, ``reflect``, ``project`` and
@@ -53,6 +62,9 @@ from .geom_core import (
 BOUNDARY_TOL = 1e-9
 # Cost ties tighter than this are treated as exact when choosing a kind.
 EXACT_TIE = 1e-12
+# ``r1_all`` and ``r3_all`` broadcast over their members up to this many
+# points and loop over them above it (see ``TriangleKernel._broadcasts``).
+_BROADCAST_POINTS = 4096
 
 # The nearer edge on a pair tie is decided by distances that differ only in
 # rounding, so they come from math.hypot, like every scalar distance here.
@@ -237,8 +249,8 @@ def _ordered3_cases(pts: np.ndarray, table, tol) -> tuple[np.ndarray, dict]:
     ``cases`` maps each unfolding case to the mask where it is admissible,
     within ``tol`` of its side of the subopt and bounce lines, and the cost
     is the minimum over the admissible cases.  Each field of ``table``
-    broadcasts against the point coordinates: a float or a (T, 1) column for
-    one order, a (6, 1) or (6, T, 1) array for all six."""
+    broadcasts against the point coordinates: a (1,) or (T, 1) array for one
+    order, a (6, 1) or (6, T, 1) array for all six."""
     cx, cy, ux, uy, ax, ay, sigma_z, alt = table
     x, y = pts[..., 0], pts[..., 1]
     rx, ry = x - cx, y - cy
@@ -277,45 +289,33 @@ def partitions(singles: np.ndarray, ordered2) -> tuple[np.ndarray, np.ndarray, n
 
 
 class TriangleKernel:
-    """Triangle rows plus array evaluators.
+    """Triangle rows plus one array evaluator per cost family.
 
-    ``rows`` holds one ``triangle_row`` per triangle: a list of one row for
-    a single-triangle kernel, a (T, ROW_WIDTH) array for a stack.  Each table
-    is cut from them, so each constant is a float for a single-triangle
-    kernel and a (T, 1) column for a stacked one, and the same code
-    broadcasts over (N,) and (T, N) coordinate arrays.
+    ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
+    plain floats for a single-triangle kernel, for the witness views, and a
+    (T, ROW_WIDTH) array for a stack.  Each family's table is one (width,
+    count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
+    fields of member k and ``table`` into those of every member: (1,) or
+    (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
+    which broadcast against (N,) and (T, N) coordinate arrays.
     """
 
     def __init__(self, t: Triangle | Sequence[Triangle]):
         if isinstance(t, Triangle):
-            # One triangle keeps its rows of floats, which unpack far faster
-            # than array rows on few points.
             row = _row_of(t)
             self.rows = [row]
-
-            def table(at: int, count: int, width: int):
-                return [row[i:i + width] for i in range(at, at + count * width, width)]
-
-            flat = np.array(row, dtype=float)
-
-            def family(at: int, count: int, width: int):
-                return flat[at:at + count * width].reshape(count, width).T[..., None]
-
-            # Each family's table as one (width, count, 1) array, so that a
-            # field unpacks into a (count, 1) column, one row per member.
-            self._seg_family = family(_ROW_SEGS, len(_EDGES), 5)
-            self._pair_family = family(_ROW_PAIRS, len(_PAIRS), 5)
-            self._unfold_family = family(_ROW_UNFOLDS, len(_ORDERS), 8)
+            flat = np.array(row)
             self.scale = row[ROW_SCALE]
         else:
-            # A stack goes (T, count * width) -> (count, width, T, 1) so that
-            # table[i] unpacks into (T, 1) columns.
-            self.rows = rows = np.array([_row_of(s) for s in t], dtype=float)
+            self.rows = flat = np.array([_row_of(s) for s in t], dtype=float)
+            self.scale = flat[:, ROW_SCALE, None]
 
-            def table(at: int, count: int, width: int):
-                return rows[:, at:at + count * width].reshape(-1, count, width).transpose(1, 2, 0)[..., None]
+        # .T rather than np.moveaxis, which costs about 6 us more per table,
+        # and ``eval`` builds a kernel per point.
+        def table(at: int, count: int, width: int) -> np.ndarray:
+            r = flat[..., at:at + count * width]
+            return r.reshape(r.shape[:-1] + (count, width)).T[..., None]
 
-            self.scale = rows[:, ROW_SCALE, None]
         self._segs = table(_ROW_SEGS, len(_EDGES), 5)
         self._pairs = table(_ROW_PAIRS, len(_PAIRS), 5)
         self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
@@ -357,11 +357,16 @@ class TriangleKernel:
     def _seg_dist(cls, pts: np.ndarray, key) -> np.ndarray:
         return np.hypot(*cls._seg_offset(pts, key))
 
-    def edge_dist(self, pts: np.ndarray, e: EdgeId) -> np.ndarray:
-        return self._seg_dist(pts, self._segs[_EDGES.index(e)])
-
-    def ordered2(self, pts: np.ndarray, first: EdgeId, second: EdgeId) -> np.ndarray:
-        return self._seg_dist(pts, self._pairs[_PAIR_INDEX[(first, second)]])
+    @staticmethod
+    def _broadcasts(pts: np.ndarray) -> bool:
+        """Whether ``r1_all`` and ``r3_all`` broadcast over their member
+        axis at ``pts`` rather than loop over the members (same bits either
+        way).  Each ufunc call costs about 1 us whatever its size, so at one
+        point the broadcast is several times faster (44 against 208 us for
+        the six orders); the two are level near ``_BROADCAST_POINTS`` (1.31
+        against 1.35 ms), and on a 512 raster the loop is faster (51 against
+        61 ms) with temporaries six times smaller (one 2-core Xeon host)."""
+        return pts.size <= 2 * _BROADCAST_POINTS
 
     def ordered2_clamp(self, pts: np.ndarray, first: EdgeId, second: EdgeId) -> tuple[np.ndarray, dict]:
         """(tau, cases) of the visit of ``first`` then ``second``: the point's
@@ -369,7 +374,7 @@ class TriangleKernel:
         shared vertex, 1 at the far vertex's image), and the mask of each
         kind: a run to the vertex or a bounce ending on the far vertex within
         ``EXACT_TIE`` of either end, a bounce between."""
-        tau = self._seg_param(pts, self._pairs[_PAIR_INDEX[(first, second)]])
+        tau = self._seg_param(pts, self._pairs[:, _PAIR_INDEX[(first, second)]])
         to_vertex = tau <= EXACT_TIE
         to_far = ~to_vertex & (tau >= 1.0 - EXACT_TIE)
         return tau, {
@@ -382,54 +387,47 @@ class TriangleKernel:
         """(e1_first, tie): whether the cheaper visit of the pair touches
         ``e1`` first, and whether both orders are within tol, in which case
         the nearer edge goes first (``e1`` when equally near).  ``ordered2``
-        holds the costs at ``pts`` of the ordered pairs (``ordered2_family``)."""
+        holds the costs at ``pts`` of the ordered pairs (``ordered2_all``)."""
         c12, c21 = ordered2[_PAIR_INDEX[(e1, e2)]], ordered2[_PAIR_INDEX[(e2, e1)]]
         tie = np.abs(c12 - c21) <= self.tol
         e1_first = c12 < c21
         if tie.any():
-            d1, d2 = (_py_hypot(*self._seg_offset(pts, self._segs[_EDGES.index(e)])).astype(float) for e in (e1, e2))
+            d1, d2 = (_py_hypot(*self._seg_offset(pts, self._segs[:, _EDGES.index(e)])).astype(float) for e in (e1, e2))
             e1_first = np.where(tie, d1 <= d2, e1_first)
         return e1_first, tie
 
-    def ordered3_cases(self, pts: np.ndarray, order: VisitOrder) -> tuple[np.ndarray, dict]:
-        """(cost, cases) of ``order`` (see ``_ordered3_cases``)."""
-        return _ordered3_cases(pts, self._unfolds[_ORDERS.index(order)], self.tol)
-
-    def ordered3(self, pts: np.ndarray, order: VisitOrder) -> np.ndarray:
-        return self.ordered3_cases(pts, order)[0]
-
-    # -- one broadcast per cost family, on a single-triangle kernel --------
-    #
-    # Each family method evaluates every member of a family in one
-    # broadcast, over a leading axis: (3, N) edge distances in EdgeId order,
-    # (6, N) ordered pair costs in ``_PAIRS`` order, and (6, N) ordered
-    # three-edge costs and case masks in VisitOrder order.  At one point
-    # (``eval``) each ufunc call costs about 1 us whatever its size, so one
-    # broadcast per family is several times faster than a loop over its
-    # members.  On many points (rasters, sweeps, ratio maxima) the fleet-cost
-    # methods below loop over the members instead, through the same
-    # arithmetic: a broadcast there makes every temporary up to six times
-    # larger.  A prototype that broadcast the array methods too raised the
-    # peak RSS of the ``raster`` benchmark from about 87 to 118-120 MB and
-    # cut ``sweep`` throughput by about 19% (2-core host).
-
-    def edge_family(self, pts: np.ndarray) -> np.ndarray:
-        return self._seg_dist(pts, self._seg_family)
-
-    def ordered2_family(self, pts: np.ndarray) -> np.ndarray:
-        return self._seg_dist(pts, self._pair_family)
-
-    def ordered3_family(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
-        return _ordered3_cases(pts, self._unfold_family, self.tol)
-
-    # -- fleet costs ----------------------------------------------------
-
-    def r3(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum.reduce([self.edge_dist(pts, e) for e in _EDGES])
+    # -- one evaluator per cost family -----------------------------------
 
     def r3_all(self, pts: np.ndarray) -> np.ndarray:
-        """(3, ...) distances in EdgeId declaration order."""
-        return np.array([self.edge_dist(pts, e) for e in _EDGES])
+        """(3, ...) point-to-edge distances in EdgeId declaration order."""
+        if self._broadcasts(pts):
+            return self._seg_dist(pts, self._segs)
+        return np.array([self._seg_dist(pts, self._segs[:, k]) for k in range(len(_EDGES))])
+
+    def ordered2_all(self, pts: np.ndarray) -> np.ndarray:
+        """(6, ...) ordered two-edge visit costs in ``_PAIRS`` order, in one
+        broadcast: it serves one point (``visitation.StandardPoint``), and
+        many points go through ``r2_partitions``, which evaluates the pairs
+        one at a time."""
+        return self._seg_dist(pts, self._pairs)
+
+    def r1_all(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
+        """(costs, cases): the (6, ...) ordered three-edge visit costs in
+        VisitOrder declaration order, and the (6, ...) mask of each
+        unfolding case (see ``_ordered3_cases``)."""
+        if self._broadcasts(pts):
+            return _ordered3_cases(pts, self._unfolds, self.tol)
+        # Written in place: stacking lists of the six orders' results made
+        # the peak RSS of a 512 r1 raster 5 MB higher (58 against 53 MB).
+        shape = (len(_ORDERS),) + pts.shape[:-1]
+        costs, cases = np.empty(shape), {}
+        for k in range(len(_ORDERS)):
+            costs[k], member = _ordered3_cases(pts, self._unfolds[:, k], self.tol)
+            for kind, mask in member.items():
+                if kind not in cases:
+                    cases[kind] = np.empty(shape, dtype=bool)
+                cases[kind][k] = mask
+        return costs, cases
 
     def farthest_edges(self, dists: np.ndarray) -> np.ndarray:
         """(3, ...) mask of the edges within tol of the largest of ``dists``
@@ -437,8 +435,11 @@ class TriangleKernel:
         return dists >= dists.max(axis=0) - self.tol
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(singles, pairs, costs), each (3, ...), indexed by the lone edge."""
-        return partitions(self.r3_all(pts), lambda k: self._seg_dist(pts, self._pairs[k]))
+        """(singles, pairs, costs), each (3, ...), indexed by the lone edge.
+        Each pair's two orders are reduced as soon as they are evaluated,
+        with no (6, ...) array of pair costs: on a 2 deg (2,3) sweep that is
+        about 10% faster than ``ordered2_all``."""
+        return partitions(self.r3_all(pts), lambda k: self._seg_dist(pts, self._pairs[:, k]))
 
     def r2_sides(self, singles: np.ndarray, pairs: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """(3, ...) code per lone edge, from ``r2_partitions``: 0 unless its
@@ -448,28 +449,19 @@ class TriangleKernel:
         side = np.where(np.abs(gap) <= self.tol, 3, np.where(gap > 0, 1, 2))
         return np.where(costs > costs.min(axis=0) + self.tol, 0, side)
 
-    def r2(self, pts: np.ndarray) -> np.ndarray:
-        return self.r2_partitions(pts)[2].min(axis=0)
-
-    def r1_all(self, pts: np.ndarray) -> np.ndarray:
-        """(6, ...) ordered-visit costs in VisitOrder declaration order."""
-        return np.array([self.ordered3(pts, o) for o in _ORDERS])
-
     def optimal_orders(self, costs: np.ndarray) -> np.ndarray:
         """(6, ...) mask of the orders within tol of the cheapest of
         ``costs`` (from ``r1_all``)."""
         return costs <= costs.min(axis=0) + self.tol
 
-    def r1(self, pts: np.ndarray) -> np.ndarray:
-        return self.r1_all(pts).min(axis=0)
-
     def cost(self, pts: np.ndarray, robots: int) -> np.ndarray:
+        """R1, R2 or R3 at ``pts`` for a fleet of ``robots``."""
         if robots == 1:
-            return self.r1(pts)
+            return self.r1_all(pts)[0].min(axis=0)
         if robots == 2:
-            return self.r2(pts)
+            return self.r2_partitions(pts)[2].min(axis=0)
         if robots == 3:
-            return self.r3(pts)
+            return self.r3_all(pts).max(axis=0)
         raise ValueError(f"fleet size must be 1, 2 or 3, got {robots!r}")
 
 

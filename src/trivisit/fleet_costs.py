@@ -32,7 +32,14 @@ from .geom_core import (
 )
 from .visitation import StandardPoint, StrategyKind, Trajectory
 
-CHAIN_TOL = 1e-12  # slack for the R3 <= R2 <= R1 chain, standard scale
+# Slack for the R3 <= R2 <= R1 chain, in ulps of M, the largest coordinate
+# magnitude among the vertices and the point: witnesses start at the point
+# mapped to standard form and back, one ulp of M from where the drops start.
+# Over 230,000 posed instances (scale 1e-9..1e9, up to 1e4 base lengths from
+# the origin) the largest gap was 8 ulps of M, and over 100,000 more with a
+# 1e-3 or 1e-6 deg angle it was 6, so 64 leaves a margin of 8x.  Relative to
+# the base the gaps reached 2.8e-8 on those thin triangles.
+CHAIN_ULPS = 64
 
 _ANGLE_TIE = 1e-12
 _VERTEX_PRIORITY = (VertexId.A, VertexId.B, VertexId.C)
@@ -94,8 +101,7 @@ class FleetCostReport:
     r1: R1Result
 
     def __post_init__(self):
-        scale = self.triangle.base_length
-        slack = CHAIN_TOL * max(1.0, scale)
+        slack = CHAIN_ULPS * math.ulp(max(abs(x) for q in (*self.triangle.vertices, self.point) for x in q))
         if not (self.r3.cost <= self.r2.cost + slack and self.r2.cost <= self.r1.cost + slack):
             raise AssertionError(
                 f"cost chain violated: R3={self.r3.cost!r} R2={self.r2.cost!r} R1={self.r1.cost!r}"

@@ -633,7 +633,7 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
     if mode == "r1":
-        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts))
+        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts)[0])
     elif mode == "r2":
         codes = (4 ** np.arange(3)) @ kernel.r2_sides(*kernel.r2_partitions(pts))
     else:

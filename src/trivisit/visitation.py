@@ -149,9 +149,9 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_CASES)}
 class StandardPoint:
     """A start point in the standard form of its triangle, checked to lie
     inside, with the kernel of that standard form.  Each cost family is
-    evaluated at the point at most once, in one broadcast, when first read:
-    ``edge_dists`` (3, 1), ``ordered_pairs`` (6, 1) and ``orders``, the (6, 1)
-    costs and case masks of the ordered three-edge visits.  Each visit
+    evaluated at the point at most once, by its kernel evaluator, when first
+    read: ``edge_dists`` (3, 1), ``ordered_pairs`` (6, 1) and ``orders``, the
+    (6, 1) costs and case masks of the ordered three-edge visits.  Each visit
     method reads the cases or order there, builds their witnesses in
     standard form and returns the chosen one in the triangle's pose."""
 
@@ -165,15 +165,15 @@ class StandardPoint:
 
     @cached_property
     def edge_dists(self) -> np.ndarray:
-        return self.kernel.edge_family(self.pts)
+        return self.kernel.r3_all(self.pts)
 
     @cached_property
     def ordered_pairs(self) -> np.ndarray:
-        return self.kernel.ordered2_family(self.pts)
+        return self.kernel.ordered2_all(self.pts)
 
     @cached_property
     def orders(self) -> tuple[np.ndarray, dict]:
-        return self.kernel.ordered3_family(self.pts)
+        return self.kernel.r1_all(self.pts)
 
     def three_ordered(self, order: VisitOrder) -> Trajectory:
         """Every admissible case is built; the cheapest wins, and among

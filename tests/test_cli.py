@@ -44,6 +44,16 @@ class TestEval:
         assert doc["r1"]["cost"] == pytest.approx(0.75, abs=1e-9)
         assert doc["r2"]["cost"] == pytest.approx(0.25, abs=1e-9)
 
+    def test_far_from_origin_vertex_exits_0(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval",
+            "--vertices", "74034.58959750044,-4431.205093016029,74026.05820673211,-4438.941268104179,"
+                          "74034.20284624322,-4442.786978033005",
+            "--point", "74026.05820673211,-4438.941268104179",
+        )
+        assert code == 0
+        assert json.loads(out)["schema"] == "trivisit/1"
+
     def test_point_outside_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--angles", "60,60", "--point", "2,2")
         assert code == EXIT_GEOMETRY

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -24,6 +25,8 @@ from conftest import random_interior_point, random_triangle
 
 EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
 RI = triangle_from_angles(math.pi / 4, math.pi / 4)
+FAR = Triangle((74034.58959750044, -4431.205093016029), (74026.05820673211, -4438.941268104179),
+               (74034.20284624322, -4442.786978033005))
 
 
 class TestR3:
@@ -102,6 +105,33 @@ class TestChain:
             rep = fleet_costs(t, p)
             assert rep.r3.cost <= rep.r2.cost + 1e-12
             assert rep.r2.cost <= rep.r1.cost + 1e-12
+
+    def test_far_from_origin_keeps_the_chain(self):
+        # R3 and R2 tie at a vertex; about 7e4 from the origin they come out
+        # one ulp of the coordinates apart, 1.5e-11 at a base of 11.5.
+        rep = fleet_costs(FAR, FAR.b)
+        assert abs(rep.r3.cost - rep.r2.cost) <= 2 * math.ulp(FAR.a.x)
+
+    @pytest.mark.parametrize("deg", [1e-3, 1e-6])
+    def test_thin_triangles_keep_the_chain(self, deg):
+        # Near a thin apex the three costs tie to within an ulp of the
+        # coordinates, which is more than 1e-12 of the short base.
+        thin = math.radians(deg)
+        apex = triangle_from_angles(math.pi / 2 - 0.4 * thin, math.pi / 2 - 0.6 * thin)
+        sliver = triangle_from_angles(thin, math.pi / 2 - 0.5 * thin)
+        for std, poses in ((apex, ((1.0, 0.0), (1e3, 0.0), (10.0, 1e2), (1e6, 1e3))), (sliver, ((1.0, 0.0), (1e3, 0.0)))):
+            for scale, off in poses:
+                sim = Similarity(0.7, scale, Point2(off * scale, -0.5 * off * scale))
+                t = Triangle(*(sim.apply(v) for v in std.vertices))
+                v = t.vertices
+                for p in (*v, v[0] + 0.3 * (v[1] - v[0]), incenter(t)):
+                    fleet_costs(t, p)
+
+    def test_tiny_triangle_chain_slack_is_not_absolute(self):
+        t = Triangle(*(Similarity(0.3, 1e-6, Point2(0.0, 0.0)).apply(v) for v in RI.vertices))
+        rep = fleet_costs(t, incenter(t))
+        with pytest.raises(AssertionError, match="cost chain violated"):
+            dataclasses.replace(rep, r2=dataclasses.replace(rep.r2, cost=rep.r1.cost * (1 + 1e-9)))
 
 
 class TestClosedForms:

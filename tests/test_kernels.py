@@ -36,7 +36,7 @@ class TestAgainstScalar:
             t = random_triangle(rng)
             k = TriangleKernel(t)
             pts = barycentric_grid(t, 10)
-            v1, v2, v3 = k.r1(pts), k.r2(pts), k.r3(pts)
+            v1, v2, v3 = (k.cost(pts, n) for n in (1, 2, 3))
             for i, xy in enumerate(pts):
                 p = Point2(float(xy[0]), float(xy[1]))
                 assert abs(v1[i] - r1(t, p).cost) < 1e-9
@@ -48,8 +48,7 @@ class TestAgainstScalar:
             t = random_triangle(rng)
             k = TriangleKernel(t)
             pts = barycentric_grid(t, 8)
-            for order in VisitOrder:
-                vals = k.ordered3(pts, order)
+            for order, vals in zip(VisitOrder, k.r1_all(pts)[0]):
                 for i, xy in enumerate(pts):
                     p = Point2(float(xy[0]), float(xy[1]))
                     assert abs(vals[i] - visit_three_ordered(t, p, order).cost) < 1e-9
@@ -163,13 +162,13 @@ class TestTriangleRow:
                 assert _hexes(k.unfolding(order)) == _hexes(ref)
                 _, _, _, apex, _, _, corner_img, _, u, sigma_z, alt_foot = ref
                 row = (*corner_img, *u, *apex, sigma_z, apex.dist(alt_foot))
-                assert _hexes(k._unfolds[i]) == _hexes(row)
+                assert _array_hexes(k._unfolds[:, i]) == _hexes(row)
             for i, (first, second) in enumerate(_PAIRS):
                 pivot, far, far_img = _reference_pair_unfolding(t, first, second)
                 assert _hexes(k.pair_unfolding(first, second)) == _hexes((pivot, far, far_img))
-                assert _hexes(k._pairs[i]) == _hexes(_segment_row(pivot, far_img))
+                assert _array_hexes(k._pairs[:, i]) == _hexes(_segment_row(pivot, far_img))
             for i, e in enumerate(_EDGES):
-                assert _hexes(k._segs[i]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
+                assert _array_hexes(k._segs[:, i]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
             assert k.scale.hex() == t.base_length.hex()
 
     def test_stacked_tables_equal_single_tables(self, rng):
@@ -180,7 +179,8 @@ class TestTriangleRow:
             one = TriangleKernel(t)
             for name in ("_segs", "_pairs", "_unfolds"):
                 stacked = getattr(k, name)[..., i, 0]
-                assert _hexes(stacked.tolist()) == _hexes(getattr(one, name)), name
+                assert stacked.shape == getattr(one, name).shape[:-1], name
+                assert _array_hexes(stacked) == _array_hexes(getattr(one, name)), name
             assert k.scale[i, 0].item().hex() == one.scale.hex()
             assert k.tol[i, 0].item().hex() == one.tol.hex()
 
@@ -237,26 +237,38 @@ def _array_hexes(a):
     return tuple(float(x).hex() for x in np.ravel(a))
 
 
+def _family_hexes(k, pts, repeats=1):
+    """``float.hex`` of every family evaluator's results at ``pts``, with the
+    case masks and the R2 partitions, at the first of every ``repeats``
+    points along the last point axis."""
+    def first(a):
+        return tuple(float(x).hex() for x in np.ravel(a)[::repeats])
+    costs, cases = k.r1_all(pts)
+    return (
+        first(costs), {kind: first(m) for kind, m in cases.items()},
+        first(k.ordered2_all(pts)), first(k.r3_all(pts)), tuple(first(a) for a in k.r2_partitions(pts)),
+    )
+
+
 class TestFamilies:
-    def test_one_point_families_match_array_methods(self, rng):
-        """The one-broadcast families at a point equal the per-member array
-        methods of the same kernel bit for bit."""
-        for t, p in _pinned_instances(rng, 500):
+    def test_broadcast_matches_loop(self, rng):
+        """Each family evaluator gives the same bits at one point, where it
+        broadcasts over its members, as at that point repeated past
+        ``_BROADCAST_POINTS``, where it loops over them, on single and
+        stacked kernels."""
+        repeats = _kernels._BROADCAST_POINTS + 1
+        instances = _pinned_instances(rng, 500)
+        for t, p in instances:
             sp = StandardPoint(t, p)
             k, pts = sp.kernel, sp.pts
-            costs, cases = sp.orders
-            assert costs.shape == (6, 1)
-            for i, order in enumerate(VisitOrder):
-                cost, want = k.ordered3_cases(pts, order)
-                assert _array_hexes(costs[i]) == _array_hexes(cost), order
-                assert {kind: bool(m[i, 0]) for kind, m in cases.items()} == {kind: bool(m[0]) for kind, m in want.items()}
-            assert sp.ordered_pairs.shape == (6, 1)
-            for i, pair in enumerate(_PAIRS):
-                assert _array_hexes(sp.ordered_pairs[i]) == _array_hexes(k.ordered2(pts, *pair)), pair
-            assert _array_hexes(sp.edge_dists) == _array_hexes(k.r3_all(pts))
-            ones = _partitions(sp)
-            for got, want in zip(ones, k.r2_partitions(pts)):
-                assert _array_hexes(got) == _array_hexes(want)
+            one = _family_hexes(k, pts)
+            assert tuple(map(_array_hexes, _partitions(sp))) == one[4]
+            assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
+        for at in range(0, len(instances), 25):
+            sps = [StandardPoint(t, p) for t, p in instances[at:at + 25]]
+            k = TriangleKernel([sp.std for sp in sps])
+            pts = np.array([sp.pts for sp in sps])
+            assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
 
     def test_edge_line_is_the_triangle_edge_line(self, rng):
         for t in _posed(rng, 20):

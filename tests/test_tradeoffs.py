@@ -86,7 +86,7 @@ class TestMaxRatio:
             std, _ = t.standard()
             k = TriangleKernel(std)
             pts = barycentric_grid(std, 48, include_vertices=False)
-            vals = k.r1(pts) / k.r2(pts)
+            vals = k.cost(pts, 1) / k.cost(pts, 2)
             assert rep.ratio >= float(vals.max()) - 1e-9
 
     def test_witnesses_attached_on_request(self):
