@@ -67,11 +67,9 @@ from .regions import (
 )
 from .tradeoffs import RatioReport, SweepResult, max_ratio, ratio_at, sweep_triangles
 from .visitation import (
-    IndicatorHalfspaces,
     StrategyKind,
     Trajectory,
     bouncing_subcone,
-    indicator_halfspaces,
     visit_three_ordered,
     visit_two_ordered,
     visit_two_set,

@@ -29,9 +29,13 @@ point and always broadcasts; many points reach the pairs through
 Every constant comes from ``triangle_row``: one flat list of plain floats per
 triangle, computed with ``math`` in the operation order of the ``geom_core``
 objects, so that it equals what ``Line``, ``reflect``, ``project`` and
-``Point2.unit`` give bit for bit.  A kernel cuts its tables from those rows,
-and ``_Unfold3`` views for witnesses are built from a row only for the orders
-asked for.  The tables are not built with NumPy array code: a vectorized
+``Point2.unit`` give bit for bit.  A kernel cuts its tables from those rows.
+A single-triangle kernel also hands the witnesses of one point their
+constants as plain floats read from its row (``order_witness``,
+``pair_unfolding``, ``edge_line``), and decides the clamp of an ordered
+two-edge visit and the order of a pair there on plain floats too
+(``ordered2_clamp``, ``pair_order``), with the operations of the array
+code.  The tables are not built with NumPy array code: a vectorized
 builder is several times slower on one triangle, which is what ``eval``
 builds per point.
 """
@@ -55,6 +59,7 @@ from .geom_core import (
     Triangle,
     VertexId,
     VisitOrder,
+    nearest_on_segment,
     shared_vertex,
 )
 
@@ -65,10 +70,6 @@ EXACT_TIE = 1e-12
 # ``r1_all`` and ``r3_all`` broadcast over their members up to this many
 # points and loop over them above it (see ``TriangleKernel._broadcasts``).
 _BROADCAST_POINTS = 4096
-
-# The nearer edge on a pair tie is decided by distances that differ only in
-# rounding, so they come from math.hypot, like every scalar distance here.
-_py_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 _ORDERS = tuple(VisitOrder)
 _EDGES = tuple(EdgeId)
@@ -239,6 +240,24 @@ class _Unfold3:
         return self.sigma_z * self.u.dot(p - self.apex)
 
 
+# Row offset and width of each field of ``TriangleKernel.order_witness`` and
+# of each point of ``TriangleKernel.pair_unfolding``.
+_ORDER_WITNESS = {
+    order: (
+        (ROW_LINE[e1], 3), (_ROW_WITNESS + 7 * k, 3), (_ROW_UNFOLDS + 8 * k, 2), (_ROW_UNFOLDS + 8 * k + 2, 2),
+        (_ROW_UNFOLDS + 8 * k + 4, 2), (_ROW_WITNESS + 7 * k + 5, 2), (ROW_VERTEX[shared_vertex(e2, e3)], 2),
+    )
+    for k, (order, (e1, e2, e3)) in enumerate((o, o.edges) for o in _ORDERS)
+}
+_PAIR_POINTS = {
+    (first, second): (
+        ROW_VERTEX[shared_vertex(first, second)], ROW_VERTEX[_other_end(second, shared_vertex(first, second))],
+        _ROW_FARS + 2 * j,
+    )
+    for j, (first, second) in enumerate(_PAIRS)
+}
+
+
 def _unfold3(t: Triangle, order: VisitOrder) -> _Unfold3:
     return _Unfold3.from_row(_row_of(t), order)
 
@@ -321,23 +340,58 @@ class TriangleKernel:
         self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
         self.tol = BOUNDARY_TOL * self.scale
 
-    # -- witness constants of a single-triangle kernel -------------------
+    # -- a single-triangle kernel at one point, on plain floats ----------
 
-    def unfolding(self, order: VisitOrder) -> _Unfold3:
-        return _Unfold3.from_row(self.rows[0], order)
+    def order_witness(self, order: VisitOrder) -> tuple[list[float], ...]:
+        """(line1, line2u, corner_img, u, apex, alt_foot, corner) of
+        ``order``'s unfolding, the fields of ``_Unfold3`` that its witnesses
+        read: the lines as [a, b, c] and the points and ``u`` as [x, y]."""
+        row = self.rows[0]
+        return tuple(row[at:at + width] for at, width in _ORDER_WITNESS[order])
 
-    def edge_line(self, e: EdgeId) -> Line:
-        return Line(*self.rows[0][ROW_LINE[e]:ROW_LINE[e] + 3])
+    def edge_line(self, e: EdgeId) -> tuple[float, float, float]:
+        """(a, b, c) of the line of ``e``, as ``Line`` holds them."""
+        at = ROW_LINE[e]
+        return tuple(self.rows[0][at:at + 3])
 
-    def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[Point2, Point2, Point2]:
-        """(pivot, far, far_img) of the visit of ``first`` then ``second``:
-        their shared vertex, the other end of ``second``, and its reflection
-        across ``first``'s line."""
-        row, pivot = self.rows[0], shared_vertex(first, second)
-        return (
-            _point(row, ROW_VERTEX[pivot]), _point(row, ROW_VERTEX[_other_end(second, pivot)]),
-            _point(row, _ROW_FARS + 2 * _PAIR_INDEX[(first, second)]),
+    def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[tuple[float, float], ...]:
+        """(pivot, far, far_img) of the visit of ``first`` then ``second``,
+        each as (x, y): their shared vertex, the other end of ``second``, and
+        its reflection across ``first``'s line."""
+        row = self.rows[0]
+        return tuple((row[at], row[at + 1]) for at in _PAIR_POINTS[first, second])
+
+    def ordered2_clamp(self, x: float, y: float, first: EdgeId, second: EdgeId) -> tuple[float, StrategyKind]:
+        """(tau, kind) of the visit of ``first`` then ``second`` from the
+        point (x, y), in plain floats with the operations of ``_seg_param``:
+        tau is the point's unclamped foot on ``second`` reflected across
+        ``first`` (0 at the shared vertex, 1 at the far vertex's image), and
+        the kind is a run to the vertex or a bounce ending on the far vertex
+        within ``EXACT_TIE`` of either end, a bounce between."""
+        at = _ROW_PAIRS + 5 * _PAIR_INDEX[(first, second)]
+        p0x, p0y, dx, dy, dd = self.rows[0][at:at + 5]
+        tau = ((x - p0x) * dx + (y - p0y) * dy) / dd
+        if tau <= EXACT_TIE:
+            return tau, StrategyKind.DIRECT_TO_VERTEX
+        if tau >= 1.0 - EXACT_TIE:
+            return tau, StrategyKind.DEGENERATE_VERTEX_BOUNCE
+        return tau, StrategyKind.BOUNCING
+
+    def pair_order(self, x: float, y: float, ordered2: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[bool, bool]:
+        """(e1_first, tie) at the point (x, y) of a single-triangle kernel:
+        whether the cheaper visit of the pair touches ``e1`` first, and
+        whether both orders are within tol, in which case the nearer edge
+        goes first (``e1`` when equally near).  ``ordered2`` holds the (6, 1)
+        costs of the ordered pairs at the point (``ordered2_all``)."""
+        c12, c21 = float(ordered2[_PAIR_INDEX[(e1, e2)], 0]), float(ordered2[_PAIR_INDEX[(e2, e1)], 0])
+        if not abs(c12 - c21) <= self.tol:
+            return c12 < c21, False
+        row = self.rows[0]
+        d1, d2 = (
+            nearest_on_segment(x, y, *row[ROW_VERTEX[a]:ROW_VERTEX[a] + 2], *row[ROW_VERTEX[b]:ROW_VERTEX[b] + 2])[2]
+            for a, b in (e1.endpoints, e2.endpoints)
         )
+        return d1 <= d2, True
 
     # -- primitives ----------------------------------------------------
 
@@ -367,34 +421,6 @@ class TriangleKernel:
         against 1.35 ms), and on a 512 raster the loop is faster (51 against
         61 ms) with temporaries six times smaller (one 2-core Xeon host)."""
         return pts.size <= 2 * _BROADCAST_POINTS
-
-    def ordered2_clamp(self, pts: np.ndarray, first: EdgeId, second: EdgeId) -> tuple[np.ndarray, dict]:
-        """(tau, cases) of the visit of ``first`` then ``second``: the point's
-        unclamped foot on ``second`` reflected across ``first`` (0 at the
-        shared vertex, 1 at the far vertex's image), and the mask of each
-        kind: a run to the vertex or a bounce ending on the far vertex within
-        ``EXACT_TIE`` of either end, a bounce between."""
-        tau = self._seg_param(pts, self._pairs[:, _PAIR_INDEX[(first, second)]])
-        to_vertex = tau <= EXACT_TIE
-        to_far = ~to_vertex & (tau >= 1.0 - EXACT_TIE)
-        return tau, {
-            StrategyKind.DIRECT_TO_VERTEX: to_vertex,
-            StrategyKind.DEGENERATE_VERTEX_BOUNCE: to_far,
-            StrategyKind.BOUNCING: ~(to_vertex | to_far),
-        }
-
-    def pair_order(self, pts: np.ndarray, ordered2: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[np.ndarray, np.ndarray]:
-        """(e1_first, tie): whether the cheaper visit of the pair touches
-        ``e1`` first, and whether both orders are within tol, in which case
-        the nearer edge goes first (``e1`` when equally near).  ``ordered2``
-        holds the costs at ``pts`` of the ordered pairs (``ordered2_all``)."""
-        c12, c21 = ordered2[_PAIR_INDEX[(e1, e2)]], ordered2[_PAIR_INDEX[(e2, e1)]]
-        tie = np.abs(c12 - c21) <= self.tol
-        e1_first = c12 < c21
-        if tie.any():
-            d1, d2 = (_py_hypot(*self._seg_offset(pts, self._segs[:, _EDGES.index(e)])).astype(float) for e in (e1, e2))
-            e1_first = np.where(tie, d1 <= d2, e1_first)
-        return e1_first, tie
 
     # -- one evaluator per cost family -----------------------------------
 

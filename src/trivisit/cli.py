@@ -27,18 +27,37 @@ EXIT_VERIFY = 3
 
 
 def _fmt_float(x: float) -> str:
+    """17 significant digits, or ``repr`` for an integral value below 1e16
+    in magnitude; ``NaN`` and quoted infinities as they are."""
+    if -1e16 < x < 1e16:
+        return repr(float(x)) if x.is_integer() else format(x, ".17g")
     if x != x:
         return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    if x == int(x) and abs(x) < 1e16:
-        return repr(float(x))
+    if x == math.inf:
+        return '"Infinity"'
+    if x == -math.inf:
+        return '"-Infinity"'
     return format(x, ".17g")
 
 
 def json_dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered fields, floats at 17 significant
-    digits, so identical inputs produce byte-identical output."""
+    digits, so identical inputs produce byte-identical output.  An ``eval``
+    report is written by ``_eval_json`` in one pass, in the same bytes."""
+    if indent == 0 and obj.__class__ is dict and tuple(obj) in _EVAL_KEYS:
+        try:
+            return _eval_json(obj)
+        except (KeyError, TypeError, ValueError):
+            pass
+    return _json(obj, indent)
+
+
+def _quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _json(obj, indent: int) -> str:
+    """The generic walk of ``json_dumps``, for any object."""
     pad = " " * indent
     if obj is None:
         return "null"
@@ -47,23 +66,121 @@ def json_dumps(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _quote(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, dict):
-        items = [f'{pad}  {json_dumps(k)}: {json_dumps(v, indent + 2)}' for k, v in obj.items()]
+        items = [f'{pad}  {_json(k, 0)}: {_json(v, indent + 2)}' for k, v in obj.items()]
         if not items:
             return "{}"
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        items = [f"{pad}  {json_dumps(v, indent + 2)}" for v in obj]
+        items = [f"{pad}  {_json(v, indent + 2)}" for v in obj]
         if not items:
             return "[]"
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# The ``eval`` report (``eval_report``): its keys, with and without the
+# oracle block, and those of a trajectory (``_traj_dict``) and an R2 witness.
+_REPORT_KEYS = ("schema", "input", "r3", "r2", "r1")
+_EVAL_KEYS = (_REPORT_KEYS, _REPORT_KEYS + ("oracle",))
+_INPUT_KEYS = ("vertices", "angles_deg", "point")
+_R3_KEYS = ("cost", "edges")
+_R2_KEYS = ("cost", "witnesses")
+_R1_KEYS = ("cost", "orders", "trajectory")
+_WITNESS_KEYS = ("single_edge", "determined_by", "single", "pair")
+_TRAJ_KEYS = ("waypoints", "cost", "kind", "order", "edges", "tie")
+
+
+def _leaf(v) -> str:
+    """A scalar as the generic walk writes it; a container raises
+    ``TypeError``, so that the report goes through the generic walk."""
+    if v.__class__ is float:
+        return _fmt_float(v)
+    if v.__class__ is str:
+        return _quote(v)
+    if isinstance(v, (dict, list, tuple)):
+        raise TypeError("not a scalar")
+    return _json(v, 0)
+
+
+def _keys(d, keys: tuple) -> dict:
+    """``d``, if it is a dict with exactly ``keys`` in that order."""
+    if d.__class__ is not dict or tuple(d) != keys:
+        raise KeyError(keys)
+    return d
+
+
+def _items(seq) -> list | tuple:
+    if not isinstance(seq, (list, tuple)):
+        raise TypeError("not a list")
+    return seq
+
+
+def _leaf_list(seq, pad: str) -> str:
+    """A list of scalars whose items sit at ``pad``."""
+    seq = _items(seq)
+    if not seq:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(map(_leaf, seq)) + "\n" + pad[:-2] + "]"
+
+
+def _point_list(seq, pad: str) -> str:
+    """A list of [x, y] pairs whose items sit at ``pad``."""
+    seq = _items(seq)
+    if not seq:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + ",\n".join(
+        f"{pad}[\n{inner}{_leaf(x)},\n{inner}{_leaf(y)}\n{pad}]" for x, y in map(_items, seq)
+    ) + "\n" + pad[:-2] + "]"
+
+
+def _traj_json(tr, pad: str) -> str:
+    """A trajectory (``_traj_dict``) whose keys sit at ``pad``."""
+    tr = _keys(tr, _TRAJ_KEYS)
+    inner = pad + "  "
+    return (
+        f'{{\n{pad}"waypoints": {_point_list(tr["waypoints"], inner)},\n{pad}"cost": {_leaf(tr["cost"])},\n'
+        f'{pad}"kind": {_leaf(tr["kind"])},\n{pad}"order": {_leaf(tr["order"])},\n'
+        f'{pad}"edges": {_leaf_list(tr["edges"], inner)},\n{pad}"tie": {_leaf(tr["tie"])}\n{pad[:-2]}}}'
+    )
+
+
+def _eval_json(rep: dict) -> str:
+    """``_json(rep, 0)`` of an ``eval`` report, written in one pass along its
+    fixed shape; any other shape raises ``KeyError``, ``TypeError`` or
+    ``ValueError``.  Only the oracle block goes through the generic walk."""
+    inp = _keys(rep["input"], _INPUT_KEYS)
+    r3 = _keys(rep["r3"], _R3_KEYS)
+    r2 = _keys(rep["r2"], _R2_KEYS)
+    r1 = _keys(rep["r1"], _R1_KEYS)
+    witnesses = [
+        f'      {{\n        "single_edge": {_leaf(w["single_edge"])},\n'
+        f'        "determined_by": {_leaf(w["determined_by"])},\n'
+        f'        "single": {_traj_json(w["single"], " " * 10)},\n'
+        f'        "pair": {_traj_json(w["pair"], " " * 10)}\n      }}'
+        for w in (_keys(w, _WITNESS_KEYS) for w in _items(r2["witnesses"]))
+    ]
+    out = (
+        f'{{\n  "schema": {_leaf(rep["schema"])},\n'
+        f'  "input": {{\n    "vertices": {_point_list(inp["vertices"], " " * 6)},\n'
+        f'    "angles_deg": {_leaf_list(inp["angles_deg"], " " * 6)},\n'
+        f'    "point": {_leaf_list(inp["point"], " " * 6)}\n  }},\n'
+        f'  "r3": {{\n    "cost": {_leaf(r3["cost"])},\n    "edges": {_leaf_list(r3["edges"], " " * 6)}\n  }},\n'
+        f'  "r2": {{\n    "cost": {_leaf(r2["cost"])},\n    "witnesses": '
+        + ("[\n" + ",\n".join(witnesses) + "\n    ]" if witnesses else "[]")
+        + f'\n  }},\n  "r1": {{\n    "cost": {_leaf(r1["cost"])},\n'
+        f'    "orders": {_leaf_list(r1["orders"], " " * 6)},\n'
+        f'    "trajectory": {_traj_json(r1["trajectory"], " " * 6)}\n  }}'
+    )
+    if "oracle" in rep:
+        out += ',\n  "oracle": ' + _json(rep["oracle"], 2)
+    return out + "\n}"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -108,20 +108,20 @@ class FleetCostReport:
             )
 
 
-def _drop_trajectory(t: Triangle, p: Point2, e: EdgeId) -> Trajectory:
+def _drop(t: Triangle, p: Point2, e: EdgeId) -> tuple[float, float, float]:
+    """(x, y, distance) of the foot of ``p`` on edge ``e``."""
     (ax, ay), (bx, by) = (t.vertex(v) for v in e.endpoints)
-    qx, qy, dist = nearest_on_segment(p.x, p.y, ax, ay, bx, by)
-    return Trajectory(
-        waypoints=(p,) if dist <= 1e-15 else (p, Point2(qx, qy)),
-        cost=dist,
-        kind=StrategyKind.PERPENDICULAR_DROP,
-        edge_sequence=(e,),
-    )
+    return nearest_on_segment(p.x, p.y, ax, ay, bx, by)
+
+
+def _drop_trajectory(t: Triangle, p: Point2, e: EdgeId) -> Trajectory:
+    qx, qy, dist = _drop(t, p, e)
+    return Trajectory((p,) if dist <= 1e-15 else (p, Point2(qx, qy)), dist, StrategyKind.PERPENDICULAR_DROP, None, (e,))
 
 
 def _r3(sp: StandardPoint, dists: np.ndarray) -> R3Result:
     edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(dists)[:, 0]) if far)
-    return R3Result(max(_drop_trajectory(sp.t, sp.p, e).cost for e in edges), edges)
+    return R3Result(max(_drop(sp.t, sp.p, e)[2] for e in edges), edges)
 
 
 _SIDES = (None, "single", "pair", "tie")

@@ -22,20 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import _ORDERS, EXACT_TIE, StrategyKind, TriangleKernel, _Unfold3, _unfold3
+from ._kernels import _ORDERS, EXACT_TIE, StrategyKind, TriangleKernel
 from .geom_core import (
     Cone,
     EdgeId,
-    Line,
     Point2,
-    Segment,
     Triangle,
     VertexId,
     VisitOrder,
     as_point,
     bisector_direction,
     polyline_length,
-    reflect,
 )
 
 
@@ -51,22 +48,6 @@ class Trajectory:
     tie: bool = False
 
 
-@dataclass(frozen=True)
-class IndicatorHalfspaces:
-    """Trajectory-shape selectors for one ordered three-edge visit.
-
-    Both lines are perpendicular to the twice-unfolded last edge, hence
-    parallel to each other.  A point on the reference side of a line is in
-    that line's positive halfspace.
-    """
-
-    bounce_line: Line
-    subopt_line: Line
-    bounce_positive_ref: Point2
-    subopt_positive_ref: Point2
-    unfolded_third: Segment
-
-
 def bouncing_subcone(t: Triangle, vertex: VertexId) -> Cone:
     """Cone of starting points whose optimal two-edge visit goes straight to
     ``vertex``; angle 3*V - pi about the bisector, a ray at V = pi/3, empty
@@ -80,64 +61,62 @@ def bouncing_subcone(t: Triangle, vertex: VertexId) -> Cone:
     return Cone(tip, direction, max(0.0, half))
 
 
-def indicator_halfspaces(t: Triangle, order: VisitOrder) -> IndicatorHalfspaces:
-    """Bounce and subopt indicator lines for ``order`` in the given pose."""
-    uf = _unfold3(t, order)
-    return IndicatorHalfspaces(
-        bounce_line=Line.from_point_normal(uf.corner_img, uf.u),
-        subopt_line=Line.from_point_normal(uf.apex, uf.u),
-        bounce_positive_ref=uf.apex,
-        subopt_positive_ref=uf.base_vertex,
-        unfolded_third=uf.e3u,
-    )
+# Witnesses are built in standard form on plain floats: points are (x, y)
+# and lines (a, b, c), and each helper takes the operations, in their order,
+# of the ``geom_core`` method it stands for (``Line.signed_dist``,
+# ``reflect``, ``Point2.dist`` and ``Point2`` arithmetic), so the waypoints
+# are the ones those give bit for bit.
 
 
-def _dedupe(points: list[Point2], tol: float = EXACT_TIE) -> tuple[Point2, ...]:
-    out: list[Point2] = []
-    for p in points:
-        if not out or out[-1].dist(p) > tol:
+def _dedupe(points: list) -> list:
+    out = [points[0]]
+    for p in points[1:]:
+        q = out[-1]
+        if math.hypot(q[0] - p[0], q[1] - p[1]) > EXACT_TIE:
             out.append(p)
-    return tuple(out)
+    return out
 
 
-def _cross_line(p: Point2, q: Point2, line: Line) -> Point2:
+def _reflect(p, line) -> tuple[float, float]:
+    (x, y), (a, b, c) = p, line
+    d = a * x + b * y + c
+    return x - 2 * d * a, y - 2 * d * b
+
+
+def _cross_line(p, q, line):
     """Point of line ``pq`` on ``line``; falls back to ``p`` when pq is parallel."""
-    dp, dq = line.signed_dist(p), line.signed_dist(q)
+    (px, py), (qx, qy), (a, b, c) = p, q, line
+    dp, dq = a * px + b * py + c, a * qx + b * qy + c
     if abs(dp - dq) <= 1e-15:
         return p
     t = dp / (dp - dq)
-    return p + t * (q - p)
+    return px + (qx - px) * t, py + (qy - py) * t
 
 
-def _case_bouncing(uf: _Unfold3, ps: Point2) -> Trajectory:
-    n = uf.u.perp()
-    proj = ps - n.dot(ps - uf.corner_img) * n
-    e = _cross_line(ps, proj, uf.line1)
-    f = _cross_line(ps, proj, uf.line2u)
-    h = reflect(f, uf.line1)
-    g = reflect(reflect(proj, uf.line2u), uf.line1)
-    wps = _dedupe([ps, e, h, g])
-    return Trajectory(wps, polyline_length(wps), StrategyKind.BOUNCING, uf.order, uf.order.edges)
+def _case_bouncing(w, ps) -> list:
+    line1, line2u, (cix, ciy), (ux, uy), _, _, _ = w
+    (px, py), nx, ny = ps, -uy, ux
+    s = nx * (px - cix) + ny * (py - ciy)
+    proj = (px - nx * s, py - ny * s)
+    e = _cross_line(ps, proj, line1)
+    f = _cross_line(ps, proj, line2u)
+    return _dedupe([ps, e, _reflect(f, line1), _reflect(_reflect(proj, line2u), line1)])
 
 
-def _case_degenerate(uf: _Unfold3, ps: Point2) -> Trajectory:
-    j = _cross_line(ps, uf.corner_img, uf.line1)
-    wps = _dedupe([ps, j, uf.corner])
-    return Trajectory(
-        wps, polyline_length(wps), StrategyKind.DEGENERATE_VERTEX_BOUNCE, uf.order, uf.order.edges
-    )
+def _case_degenerate(w, ps) -> list:
+    line1, _, corner_img, _, _, _, corner = w
+    return _dedupe([ps, _cross_line(ps, corner_img, line1), corner])
 
 
-def _case_subopt(uf: _Unfold3, ps: Point2) -> Trajectory:
-    wps = _dedupe([ps, uf.apex, uf.alt_foot])
-    return Trajectory(
-        wps, polyline_length(wps), StrategyKind.SUBOPT_VERTEX_ALTITUDE, uf.order, uf.order.edges
-    )
+def _case_subopt(w, ps) -> list:
+    _, _, _, _, apex, alt_foot, _ = w
+    return _dedupe([ps, apex, alt_foot])
 
 
-# Witness builder of each three-edge case, in order of preference on exact
-# cost ties: a degenerate bounce through the corner vertex, then a
-# three-bounce path, then the vertex-plus-altitude detour.
+# Waypoint builder of each three-edge case, from ``TriangleKernel.order_witness``,
+# in order of preference on exact cost ties: a degenerate bounce through the
+# corner vertex, then a three-bounce path, then the vertex-plus-altitude
+# detour.
 _CASES = {
     StrategyKind.DEGENERATE_VERTEX_BOUNCE: _case_degenerate,
     StrategyKind.BOUNCING: _case_bouncing,
@@ -161,7 +140,8 @@ class StandardPoint:
         self.ps = std.require_inside(sim.apply(self.p))
         self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(std)
-        self._sim_inv = sim.inverse()
+        inv = sim.inverse()
+        self._inverse = (math.cos(inv.rotation), math.sin(inv.rotation), inv.scale, *inv.translation)
 
     @cached_property
     def edge_dists(self) -> np.ndarray:
@@ -179,34 +159,40 @@ class StandardPoint:
         """Every admissible case is built; the cheapest wins, and among
         those within ``EXACT_TIE`` of it the best-ranked kind."""
         k = _ORDERS.index(order)
-        uf = self.kernel.unfolding(order)
-        candidates = [_CASES[kind](uf, self.ps) for kind, ok in self.orders[1].items() if ok[k, 0]]
-        best = min(c.cost for c in candidates)
-        near = [c for c in candidates if c.cost <= best + EXACT_TIE]
-        return self._map_back(min(near, key=lambda tr: _KIND_RANK[tr.kind]))
+        w = self.kernel.order_witness(order)
+        candidates = [(kind, _CASES[kind](w, self.ps)) for kind, ok in self.orders[1].items() if ok[k, 0]]
+        costs = [polyline_length(wps) for _, wps in candidates]
+        best = min(costs)
+        kind, wps = min(
+            (c for c, cost in zip(candidates, costs) if cost <= best + EXACT_TIE), key=lambda c: _KIND_RANK[c[0]]
+        )
+        return self._map_back(wps, kind, order, order.edges)
 
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
-        tau, cases = self.kernel.ordered2_clamp(self.pts, first, second)
-        kind = next(kind for kind, ok in cases.items() if ok[0])
-        ps, line1 = self.ps, self.kernel.edge_line(first)
+        ps = self.ps
+        tau, kind = self.kernel.ordered2_clamp(*ps, first, second)
+        line1 = self.kernel.edge_line(first)
         pivot, far, far_img = self.kernel.pair_unfolding(first, second)
         if kind is StrategyKind.DIRECT_TO_VERTEX:
             wps = _dedupe([ps, pivot])
         elif kind is StrategyKind.DEGENERATE_VERTEX_BOUNCE:
             wps = _dedupe([ps, _cross_line(ps, far_img, line1), far])
         else:
-            target = pivot + float(tau[0]) * (far_img - pivot)
-            wps = _dedupe([ps, _cross_line(ps, target, line1), reflect(target, line1)])
-        return self._map_back(Trajectory(wps, polyline_length(wps), kind, None, (first, second), tie))
+            target = (pivot[0] + (far_img[0] - pivot[0]) * tau, pivot[1] + (far_img[1] - pivot[1]) * tau)
+            wps = _dedupe([ps, _cross_line(ps, target, line1), _reflect(target, line1)])
+        return self._map_back(wps, kind, None, (first, second), tie)
 
     def two_set(self, e1: EdgeId, e2: EdgeId) -> Trajectory:
-        e1_first, tie = self.kernel.pair_order(self.pts, self.ordered_pairs, e1, e2)
-        return self.two_ordered(*((e1, e2) if e1_first[0] else (e2, e1)), tie=bool(tie[0]))
+        e1_first, tie = self.kernel.pair_order(*self.ps, self.ordered_pairs, e1, e2)
+        return self.two_ordered(*((e1, e2) if e1_first else (e2, e1)), tie=tie)
 
-    def _map_back(self, traj: Trajectory) -> Trajectory:
-        """``traj`` in the triangle's pose, its cost the mapped length."""
-        wps = tuple(self._sim_inv.apply(w) for w in traj.waypoints)
-        return Trajectory(wps, polyline_length(wps), traj.kind, traj.order, traj.edge_sequence, traj.tie)
+    def _map_back(self, wps: list, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
+        """The trajectory through the standard-form waypoints ``wps`` in the
+        triangle's pose, as ``Similarity.apply`` maps them, its cost the
+        mapped length."""
+        c, s, k, tx, ty = self._inverse
+        mapped = tuple(Point2(k * (c * x - s * y) + tx, k * (s * x + c * y) + ty) for x, y in wps)
+        return Trajectory(mapped, polyline_length(mapped), kind, order, edges, tie)
 
 
 def visit_two_ordered(t: Triangle, p: Point2, first: EdgeId, second: EdgeId) -> Trajectory:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, eval_report, json_dumps, main
+from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, _eval_json, _json, eval_report, json_dumps, main
 from trivisit.geom_core import Point2, Triangle, triangle_from_angles
 from trivisit.regions import raster_region_map
 
@@ -249,3 +249,61 @@ def test_eval_matches_golden():
     ]
     assert len(EVAL_GOLDEN) == 200
     assert changed == []
+
+
+def _synthetic_reports():
+    """Reports of the ``eval`` shape with values no triangle gives: NaN and
+    infinite costs, signed zeros, integral floats on both sides of 1e16, an
+    integer cost, no order, no edges or witnesses, quotes and backslashes."""
+    base = eval_report(triangle_from_angles(math.radians(70), math.radians(55)), Point2(0.4, 0.2))
+    traj = base["r1"]["trajectory"]
+    odd = {
+        **traj,
+        "waypoints": [[-0.0, 0.0], [1e16, -1e16], [9999999999999998.0, -9999999999999998.0], [1e17, 3.0]],
+        "cost": math.nan, "kind": 'say "hi"', "order": None, "edges": [], "tie": True,
+    }
+    reports = []
+    for cost in (math.nan, math.inf, -math.inf, -0.0, 0.0, 0, 2.0, 1e16, 1.0000000000000002e16, 1e300, 5e-324):
+        rep = json.loads(json.dumps(base))
+        rep["r1"]["cost"] = rep["r2"]["cost"] = rep["r3"]["cost"] = cost
+        rep["r1"]["trajectory"] = odd
+        rep["r2"]["witnesses"][0]["single"] = {**odd, "kind": "back\\slash", "edges": ["L", "D", "R"]}
+        rep["input"]["angles_deg"] = [cost, -cost, 90.0]
+        reports.append(rep)
+    empty = json.loads(json.dumps(base))
+    empty["r3"]["edges"], empty["r2"]["witnesses"], empty["r1"]["orders"] = [], [], []
+    empty["schema"] = 'a\\b"c'
+    return reports + [empty]
+
+
+class TestEvalWriter:
+    """``json_dumps`` writes an ``eval`` report in one pass (``_eval_json``),
+    which must give the bytes of the generic walk (``_json``)."""
+
+    def test_golden_reports(self):
+        for g in EVAL_GOLDEN:
+            rep = eval_report(Triangle(*g["vertices"]), Point2(*g["point"]))
+            assert _eval_json(rep) == _json(rep, 0) == json_dumps(rep)
+
+    def test_oracle_reports(self):
+        for g in EVAL_GOLDEN[::10]:
+            rep = eval_report(Triangle(*g["vertices"]), Point2(*g["point"]), with_oracle=True)
+            assert _eval_json(rep) == _json(rep, 0) == json_dumps(rep)
+
+    def test_synthetic_reports(self):
+        for rep in _synthetic_reports():
+            assert _eval_json(rep) == _json(rep, 0) == json_dumps(rep)
+
+    def test_other_shapes_take_the_generic_walk(self):
+        rep = eval_report(triangle_from_angles(math.radians(70), math.radians(55)), Point2(0.4, 0.2))
+        variants = []
+        for path, value in ((("r1", "cost"), [1.0, 2.0]), (("r3", "edges"), "LD"), (("input", "point"), {"x": 1.0}),
+                            (("r2", "witnesses"), [{"single_edge": "L"}]), (("r1", "trajectory"), {"cost": 1.0})):
+            bad = json.loads(json.dumps(rep))
+            bad[path[0]][path[1]] = value
+            variants.append(bad)
+        bad = json.loads(json.dumps(rep))
+        bad["r1"]["trajectory"]["waypoints"] = [[1.0, 2.0, 3.0]]
+        variants.append(bad)
+        for bad in variants:
+            assert json_dumps(bad) == _json(bad, 0)

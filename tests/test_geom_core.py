@@ -134,6 +134,28 @@ class TestTriangle:
         assert t.contains(Point2(0.5, -0.5e-9))       # inside slack
         assert not t.contains(Point2(0.5, -1e-6))
 
+    def test_contains_long_edge_points_of_thin_triangles(self):
+        # A 1e-6 deg apex at unit base under rotations: a point computed on a
+        # long edge is off it by rounding of coordinates about 5.7e7 in size,
+        # more than CONTAINS_TOL of the base, and still lies inside, in the
+        # pose and (through fleet_costs) in standard form.
+        rng = np.random.default_rng(11)
+        thin = math.radians(1e-6)
+        std = triangle_from_angles(math.pi / 2 - thin / 2, math.pi / 2 - thin / 2)
+        for _ in range(40):
+            sim = Similarity(rng.uniform(0.0, 2 * math.pi), 1.0, Point2(0.0, 0.0))
+            t = Triangle(*(sim.apply(v) for v in std.vertices))
+            for u, w in ((t.a, t.b), (t.a, t.c)):
+                for f in (0.1, 0.3, 0.7):
+                    p = u + f * (w - u)
+                    assert t.contains(p)
+                    fleet_costs(t, p)
+
+    def test_contains_rejects_non_finite_points(self):
+        t = triangle_from_angles(math.pi / 3, math.pi / 3)
+        for p in ((math.nan, 0.2), (0.5, math.inf), (-math.inf, 0.0)):
+            assert not t.contains(Point2(*p))
+
 
 class TestIncenter:
     def test_equilateral(self):

@@ -159,8 +159,9 @@ class TestTriangleRow:
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
                 assert _hexes(_unfold3(t, order)) == _hexes(ref)
-                assert _hexes(k.unfolding(order)) == _hexes(ref)
-                _, _, _, apex, _, _, corner_img, _, u, sigma_z, alt_foot = ref
+                assert _hexes(_kernels._Unfold3.from_row(k.rows[0], order)) == _hexes(ref)
+                _, line1, line2u, apex, _, corner, corner_img, _, u, sigma_z, alt_foot = ref
+                assert _hexes(k.order_witness(order)) == _hexes((line1, line2u, corner_img, u, apex, alt_foot, corner))
                 row = (*corner_img, *u, *apex, sigma_z, apex.dist(alt_foot))
                 assert _array_hexes(k._unfolds[:, i]) == _hexes(row)
             for i, (first, second) in enumerate(_PAIRS):
@@ -297,6 +298,22 @@ def body_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def seg_param_calls(monkeypatch):
+    """Count of the calls of the NumPy segment parameter, which the edge and
+    ordered-pair families reach through the segment distance; witnesses
+    are built on plain floats and make none of their own."""
+    calls = {"seg_param": 0}
+    seg_param = TriangleKernel._seg_param
+
+    def counted(pts, key):
+        calls["seg_param"] += 1
+        return seg_param(pts, key)
+
+    monkeypatch.setattr(TriangleKernel, "_seg_param", staticmethod(counted))
+    return calls
+
+
 # (triangle, point, optimal orders): the equilateral incenter has six
 # optimal orders, three kept partitions and three farthest edges, the right
 # isosceles mid-altitude point four optimal orders; no witness may cost a
@@ -311,15 +328,17 @@ _TIED_IDS = ("equilateral-incenter", "right-isosceles-mid-altitude", "scalene")
 
 class TestOneEvaluationPerFamily:
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
-    def test_fleet_costs(self, body_calls, t, p, optimal):
+    def test_fleet_costs(self, body_calls, seg_param_calls, t, p, optimal):
         assert len(fleet_costs(t, p).r1.orders) == optimal
         assert body_calls == {"ordered3": 1, "seg_dist": 2}
+        assert seg_param_calls == {"seg_param": 2}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
-    def test_visit_two_set(self, body_calls, t, p, optimal):
+    def test_visit_two_set(self, body_calls, seg_param_calls, t, p, optimal):
         for edges in ((EdgeId.L, EdgeId.D), (EdgeId.R, EdgeId.L)):
             visit_two_set(t, p, edges)
         assert body_calls == {"ordered3": 0, "seg_dist": 2}
+        assert seg_param_calls == {"seg_param": 2}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_visit_three_ordered(self, body_calls, t, p, optimal):

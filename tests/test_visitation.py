@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trivisit._kernels import _unfold3
 from trivisit.geom_core import (
     OutsideTriangleError,
     Point2,
@@ -21,7 +22,6 @@ from trivisit.visitation import (
     StrategyKind,
     VisitOrder,
     bouncing_subcone,
-    indicator_halfspaces,
     visit_three_ordered,
     visit_two_ordered,
     visit_two_set,
@@ -131,26 +131,36 @@ class TestVisitTwoSet:
 
 
 class TestIndicatorHalfspaces:
+    """The indicator lines of an ordered three-edge visit as the kernel
+    reads them from ``_Unfold3``: the bounce line through ``corner_img`` and
+    the subopt line through ``apex``, both normal to ``u``."""
+
     def test_lines_parallel(self, rng):
+        # Both lines are level sets of u . p, so their coordinates differ by
+        # the same amount at every point.
         for _ in range(50):
             t = random_triangle(rng)
             for order in VisitOrder:
-                ind = indicator_halfspaces(t, order)
-                cross = ind.bounce_line.a * ind.subopt_line.b - ind.bounce_line.b * ind.subopt_line.a
-                assert abs(cross) < 1e-9
+                uf = _unfold3(t, order)
+                assert uf.u.norm() == pytest.approx(1.0, abs=1e-12)
+                gaps = [uf.t_coord(p) - uf.sigma_z * uf.subopt_coord(p)
+                        for p in (random_interior_point(rng, t) for _ in range(2))]
+                assert abs(gaps[0] - gaps[1]) < 1e-9
 
     def test_unfolded_third_preserves_length(self, rng):
         for _ in range(50):
             t = random_triangle(rng)
             for order in VisitOrder:
-                ind = indicator_halfspaces(t, order)
+                uf = _unfold3(t, order)
                 third = edge_segment(t, order.edges[2])
-                assert ind.unfolded_third.length == pytest.approx(third.length, abs=1e-12)
+                assert uf.e3u.length == pytest.approx(third.length, abs=1e-12)
 
     def test_reference_points_split_lines(self):
-        ind = indicator_halfspaces(EQ, VisitOrder.LRD)
-        # the subopt line passes through the apex shared by the first two edges
-        assert abs(ind.subopt_line.signed_dist(EQ.a)) < 1e-12
+        uf = _unfold3(EQ, VisitOrder.LRD)
+        # the subopt line passes through the apex shared by the first two
+        # edges, and the base vertex lies on its positive side
+        assert abs(uf.subopt_coord(EQ.a)) < 1e-12
+        assert uf.subopt_coord(uf.base_vertex) > 0
 
 
 class TestVisitThreeOrdered:
@@ -183,8 +193,6 @@ class TestVisitThreeOrdered:
     def test_unfolding_identity(self, rng):
         # For a three-bounce trajectory the polyline length equals the
         # point-to-line distance in the twice-unfolded plane.
-        from trivisit.visitation import _unfold3
-
         found = 0
         for _ in range(120):
             t = random_triangle(rng)
