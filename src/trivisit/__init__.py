@@ -1,6 +1,8 @@
 """Edge-visitation makespans, optimal-strategy regions, and fleet-size
 trade-off ratios for non-obtuse triangles."""
 
+import types as _types
+
 from .fleet_costs import (
     FleetCostReport,
     R1Result,
@@ -16,7 +18,6 @@ from .fleet_costs import (
     r1_mid_altitude_closed,
     r2,
     r2_incenter_closed,
-    r2_vertex_heuristic,
     r3,
 )
 from .geom_core import (
@@ -40,7 +41,6 @@ from .geom_core import (
     incenter,
     project,
     reflect,
-    standard_form,
     triangle_from_angles,
     vertex_from_angles,
 )
@@ -50,7 +50,6 @@ from .oracle import (
     certify_instance,
     oracle_costs,
     oracle_ordered3,
-    oracle_r1,
     oracle_r2,
     oracle_r3,
     oracle_two_ordered,
@@ -77,4 +76,5 @@ from .visitation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every public name imported above, but not the submodules those imports bind.
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _types.ModuleType)))

@@ -24,7 +24,9 @@ serve both one point and rasters and sweeps, choose from the number of points
 between one broadcast over the family's members (up to ``_BROADCAST_POINTS``)
 and a loop over them, which give the same bits.  ``ordered2_all`` serves one
 point and always broadcasts; many points reach the pairs through
-``r2_partitions``.
+``r2_partitions``.  The unfolding case masks are read only at one point, by
+the witnesses: ``ordered3_all`` gives them with the costs in one broadcast,
+and ``r1_all`` keeps the costs alone, so a raster carries no masks.
 
 Every constant comes from ``triangle_row``: one flat list of plain floats per
 triangle, computed with ``math`` in the operation order of the ``geom_core``
@@ -55,7 +57,6 @@ from .geom_core import (
     GeometryError,
     Line,
     Point2,
-    Segment,
     Triangle,
     VertexId,
     VisitOrder,
@@ -207,8 +208,8 @@ class _Unfold3:
     apex: Point2                # first-edge / second-edge vertex
     base_vertex: Point2         # first-edge / third-edge vertex
     corner: Point2              # second-edge / third-edge vertex
-    corner_img: Point2          # corner reflected across line1; near end of e3u
-    far_img: Point2             # base vertex after both reflections; far end of e3u
+    corner_img: Point2          # corner reflected across line1; near end of the unfolded e3
+    far_img: Point2             # base vertex after both reflections; far end of the unfolded e3
     u: Point2                   # unit corner_img -> far_img
     sigma_z: float              # orientation of the positive subopt side
     alt_foot: Point2            # foot of the apex on the third edge's line
@@ -225,13 +226,6 @@ class _Unfold3:
             _point(row, ROW_VERTEX[shared_vertex(e1, e3)]), _point(row, ROW_VERTEX[shared_vertex(e2, e3)]),
             Point2(cix, ciy), Point2(fix, fiy), Point2(ux, uy), sigma_z, Point2(ftx, fty),
         )
-
-    @property
-    def e3u(self) -> Segment:
-        return Segment(self.corner_img, self.far_img)
-
-    def line_dist(self, p: Point2) -> float:
-        return abs(self.u.perp().dot(p - self.corner_img))
 
     def t_coord(self, p: Point2) -> float:
         return self.u.dot(p - self.corner_img)
@@ -256,10 +250,6 @@ _PAIR_POINTS = {
     )
     for j, (first, second) in enumerate(_PAIRS)
 }
-
-
-def _unfold3(t: Triangle, order: VisitOrder) -> _Unfold3:
-    return _Unfold3.from_row(_row_of(t), order)
 
 
 def _ordered3_cases(pts: np.ndarray, table, tol) -> tuple[np.ndarray, dict]:
@@ -437,23 +427,25 @@ class TriangleKernel:
         one at a time."""
         return self._seg_dist(pts, self._pairs)
 
-    def r1_all(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
+    def ordered3_all(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
         """(costs, cases): the (6, ...) ordered three-edge visit costs in
-        VisitOrder declaration order, and the (6, ...) mask of each
-        unfolding case (see ``_ordered3_cases``)."""
+        VisitOrder declaration order and the (6, ...) mask of each unfolding
+        case (see ``_ordered3_cases``), in one broadcast: the masks serve the
+        witnesses at one point (``visitation.StandardPoint``), and many points
+        need only the costs, from ``r1_all``."""
+        return _ordered3_cases(pts, self._unfolds, self.tol)
+
+    def r1_all(self, pts: np.ndarray) -> np.ndarray:
+        """(6, ...) ordered three-edge visit costs in VisitOrder declaration
+        order, without the case masks."""
         if self._broadcasts(pts):
-            return _ordered3_cases(pts, self._unfolds, self.tol)
-        # Written in place: stacking lists of the six orders' results made
-        # the peak RSS of a 512 r1 raster 5 MB higher (58 against 53 MB).
-        shape = (len(_ORDERS),) + pts.shape[:-1]
-        costs, cases = np.empty(shape), {}
+            return _ordered3_cases(pts, self._unfolds, self.tol)[0]
+        # Written in place: stacking a list of the six orders' costs makes
+        # the peak RSS of a 512 r1 raster several MB higher.
+        costs = np.empty((len(_ORDERS),) + pts.shape[:-1])
         for k in range(len(_ORDERS)):
-            costs[k], member = _ordered3_cases(pts, self._unfolds[:, k], self.tol)
-            for kind, mask in member.items():
-                if kind not in cases:
-                    cases[kind] = np.empty(shape, dtype=bool)
-                cases[kind][k] = mask
-        return costs, cases
+            costs[k] = _ordered3_cases(pts, self._unfolds[:, k], self.tol)[0]
+        return costs
 
     def farthest_edges(self, dists: np.ndarray) -> np.ndarray:
         """(3, ...) mask of the edges within tol of the largest of ``dists``
@@ -483,7 +475,7 @@ class TriangleKernel:
     def cost(self, pts: np.ndarray, robots: int) -> np.ndarray:
         """R1, R2 or R3 at ``pts`` for a fleet of ``robots``."""
         if robots == 1:
-            return self.r1_all(pts)[0].min(axis=0)
+            return self.r1_all(pts).min(axis=0)
         if robots == 2:
             return self.r2_partitions(pts)[2].min(axis=0)
         if robots == 3:

@@ -208,15 +208,6 @@ def r1_mid_altitude_closed(t: Triangle) -> float:
     return base * 0.5 * (2.0 - math.cos(2.0 * ang_a)) * math.sin(ang_b) * math.sin(ang_c) / math.sin(ang_b + ang_c)
 
 
-def r2_vertex_heuristic(t: Triangle, p: Point2) -> float:
-    """Diagnostic upper bound on R2: one robot runs to the largest-angle
-    vertex, the other drops onto the opposite edge.  Never below R2."""
-    p = t.require_inside(p)
-    v = largest_angle_vertex(t)
-    drop = _drop_trajectory(t, p, opposite_edge(v))
-    return max(p.dist(t.vertex(v)), drop.cost)
-
-
 _DOMAIN_TOL = 1e-9
 
 

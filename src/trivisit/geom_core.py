@@ -30,6 +30,19 @@ CONTAINS_TOL = 1e-9
 # CONTAINS_TOL alone rejected lay at most 1.4 ulps of M outside, so 8 leaves
 # a margin of over 5x.
 CONTAINS_ULPS = 8
+# Further slack of the obtuse gate, in ulps of M, the largest coordinate
+# magnitude among the vertices, per unit of the shortest side.  Rounding a
+# vertex by an ulp of M turns the angles at the ends of the shortest side by
+# up to ulp(M)/shortest, so a right triangle with a thin angle, posed in
+# coordinates many short sides long, comes out with a right angle above
+# pi/2 + ANGLE_SLACK (by up to 3.5e-9 rad for a 1e-6 deg angle at unit
+# base).  Over 144,000 right triangles (the thin angle 1e-6 to 45 deg at a
+# base vertex or with the right angle at the apex, in standard form and
+# posed at scale 1e-9..1e9, rotated, and up to 1e4 scales from the origin)
+# the largest angle exceeded pi/2 by at most 4.9 ulp(M)/shortest, so 16
+# leaves a margin of over 3x.  A 90.001 deg angle is still rejected unless M
+# is above 5e9 shortest sides.
+ANGLE_ULPS = 16
 
 
 class GeometryError(ValueError):
@@ -133,11 +146,6 @@ class Line:
         a, b = -d.y / n, d.x / n
         return cls(a, b, -(a * p.x + b * p.y))
 
-    @classmethod
-    def from_point_normal(cls, p: Point2, normal: Point2) -> "Line":
-        n = normal.unit()
-        return cls(n.x, n.y, -(n.x * p.x + n.y * p.y))
-
     @property
     def direction(self) -> Point2:
         return Point2(-self.b, self.a)
@@ -207,23 +215,6 @@ class Similarity:
         ty = -k * (s * self.translation.x + c * self.translation.y)
         return Similarity(-self.rotation, k, Point2(tx, ty))
 
-    def compose(self, other: "Similarity") -> "Similarity":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        return Similarity(
-            self.rotation + other.rotation,
-            self.scale * other.scale,
-            self.apply(other.translation),
-        )
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return (
-            abs(math.sin(self.rotation)) <= tol
-            and math.cos(self.rotation) >= 0
-            and abs(self.scale - 1.0) <= tol
-            and abs(self.translation.x) <= tol
-            and abs(self.translation.y) <= tol
-        )
-
 
 _VERTEX_ATTR = {VertexId.A: "a", VertexId.B: "b", VertexId.C: "c"}
 
@@ -239,7 +230,8 @@ class Triangle:
         (ax, ay), (bx, by), (cx, cy) = a, b, c
         abx, aby, acx, acy, bcx, bcy, cax, cay = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by, ax - cx, ay - cy
         area2 = abx * acy - aby * acx
-        longest2 = max(abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
+        sides2 = (abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
+        longest2 = max(sides2)
         if abs(area2) / 2 <= AREA_EPS * longest2:
             raise DegenerateTriangleError(f"triangle area {abs(area2)/2:g} below threshold")
         if area2 < 0:
@@ -248,7 +240,8 @@ class Triangle:
         self.angle_a = _corner_angle(a, b, c)
         self.angle_b = _corner_angle(b, c, a)
         self.angle_c = _corner_angle(c, a, b)
-        gate = math.pi / 2 + ANGLE_SLACK
+        m = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
+        gate = math.pi / 2 + max(ANGLE_SLACK, ANGLE_ULPS * math.ulp(m) / math.sqrt(min(sides2)))
         if max(self.angle_a, self.angle_b, self.angle_c) > gate:
             raise ObtuseTriangleError(
                 "obtuse triangle: angles (deg) = "
@@ -394,11 +387,6 @@ def _corner_angle(v: Point2, p: Point2, q: Point2) -> float:
     (vx, vy), (px, py), (qx, qy) = v, p, q
     ux, uy, wx, wy = px - vx, py - vy, qx - vx, qy - vy
     return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-
-
-def standard_form(t: Triangle) -> tuple[Triangle, Similarity]:
-    """Similarity image with B=(0,0), C=(1,0); costs scale by ``sim.scale``."""
-    return t.standard()
 
 
 def vertex_from_angles(ang_b: float, ang_c: float) -> Point2:

@@ -109,12 +109,6 @@ def _fix_first(row: tuple[float, ...], t1: float):
     return h
 
 
-def ordered3_objective(t: Triangle, p: Point2, order: VisitOrder):
-    """f(t1, t2): bounce on the first two edges, then reach the third."""
-    row = _ordered3_row(t, p, order)
-    return lambda t1, t2: _fix_first(row, t1)(t2)
-
-
 def _grid_seed3(t: Triangle, p: Point2, order: VisitOrder, res: int) -> tuple[float, float]:
     e1, e2, e3 = (edge_segment(t, e) for e in order.edges)
     ts = np.linspace(0.0, 1.0, res)
@@ -219,10 +213,6 @@ def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
         duo = oracle_two_set(std, ps, pair, cfg)  # type: ignore[arg-type]
         best = min(best, max(lone, duo))
     return best / sim.scale
-
-
-def oracle_r1(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
-    return min(oracle_ordered3(t, p, order, cfg) for order in VisitOrder)
 
 
 def oracle_costs(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[str, float]:

@@ -113,7 +113,7 @@ class SeparatorChain:
 
 @dataclass(frozen=True)
 class R3Regions:
-    """Bisector feet, incenter, and the classification they induce."""
+    """Bisector feet and incenter: the separators of the farthest-edge regions."""
 
     triangle: Triangle
     foot_a: Point2        # on BC
@@ -128,11 +128,6 @@ class R3Regions:
             Segment(self.center, self.foot_b),
             Segment(self.center, self.foot_c),
         )
-
-    def classify(self, p: Point2) -> tuple[EdgeId, ...]:
-        from .fleet_costs import r3
-
-        return r3(self.triangle, p).edges
 
 
 def r3_regions(t: Triangle) -> R3Regions:
@@ -633,7 +628,7 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
     if mode == "r1":
-        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts)[0])
+        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts))
     elif mode == "r2":
         codes = (4 ** np.arange(3)) @ kernel.r2_sides(*kernel.r2_partitions(pts))
     else:

@@ -14,13 +14,12 @@ triangle rows, with the arithmetic of ``incenter`` and ``altitude_midpoint``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._kernels import ROW_LENGTH, ROW_LINE, ROW_VERTEX, TriangleKernel, barycentric_grid, points_array
-from .fleet_costs import fleet_costs
 from .geom_core import EdgeId, Point2, Triangle, VertexId, opposite_edge, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -54,16 +53,9 @@ class RatioReport:
     rn: float
     rm: float
     grid: int
-    witnesses: object = field(default=None, repr=False, compare=False)
 
 
-def max_ratio(
-    t: Triangle,
-    n: int,
-    m: int,
-    grid: int = 256,
-    with_witnesses: bool = False,
-) -> RatioReport:
+def max_ratio(t: Triangle, n: int, m: int, grid: int = 256) -> RatioReport:
     """Maximize R_n/R_m over the closed triangle (vertices excluded).
 
     The returned ratio is the largest over the seeds and the grid-point
@@ -74,10 +66,7 @@ def max_ratio(
     _check_grid(grid)
     std, _ = t.standard()
     [(argmax, rn, rm)] = _maximize([std], n, m, grid)
-    report = RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
-    if with_witnesses:
-        report = replace(report, witnesses=fleet_costs(std, argmax))
-    return report
+    return RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
 
 
 def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple[Point2, float, float]]:

@@ -153,7 +153,7 @@ class StandardPoint:
 
     @cached_property
     def orders(self) -> tuple[np.ndarray, dict]:
-        return self.kernel.r1_all(self.pts)
+        return self.kernel.ordered3_all(self.pts)
 
     def three_ordered(self, order: VisitOrder) -> Trajectory:
         """Every admissible case is built; the cheapest wins, and among

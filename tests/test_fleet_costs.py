@@ -15,7 +15,6 @@ from trivisit.fleet_costs import (
     r1_mid_altitude_closed,
     r2,
     r2_incenter_closed,
-    r2_vertex_heuristic,
     r3,
 )
 from trivisit.geom_core import Point2, Similarity, Triangle, incenter, triangle_from_angles, VertexId
@@ -185,20 +184,6 @@ class TestClosedForms:
             assert r1_mid_altitude_closed(t2) == pytest.approx(
                 2.7 * r1_mid_altitude_closed(t), rel=1e-12
             )
-
-
-class TestVertexHeuristic:
-    def test_never_below_r2(self, rng):
-        for _ in range(150):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
-            assert r2_vertex_heuristic(t, p) >= r2(t, p).cost - 1e-12
-
-    def test_bounded_by_twice_r3(self, rng):
-        for _ in range(150):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
-            assert r2_vertex_heuristic(t, p) <= 2.0 * r3(t, p).cost + 1e-9
 
 
 class TestH1H2:

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import trivisit
 from trivisit import _kernels
-from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, _unfold3, barycentric_grid, points_array
+from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, barycentric_grid, points_array
 from trivisit.fleet_costs import _partitions, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
@@ -48,7 +49,7 @@ class TestAgainstScalar:
             t = random_triangle(rng)
             k = TriangleKernel(t)
             pts = barycentric_grid(t, 8)
-            for order, vals in zip(VisitOrder, k.r1_all(pts)[0]):
+            for order, vals in zip(VisitOrder, k.r1_all(pts)):
                 for i, xy in enumerate(pts):
                     p = Point2(float(xy[0]), float(xy[1]))
                     assert abs(vals[i] - visit_three_ordered(t, p, order).cost) < 1e-9
@@ -158,7 +159,6 @@ class TestTriangleRow:
             k = TriangleKernel(t)
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
-                assert _hexes(_unfold3(t, order)) == _hexes(ref)
                 assert _hexes(_kernels._Unfold3.from_row(k.rows[0], order)) == _hexes(ref)
                 _, line1, line2u, apex, _, corner, corner_img, _, u, sigma_z, alt_foot = ref
                 assert _hexes(k.order_witness(order)) == _hexes((line1, line2u, corner_img, u, apex, alt_foot, corner))
@@ -207,6 +207,14 @@ def test_imports_only_geom_core_from_the_package(module):
     assert inside <= {".geom_core", "trivisit.geom_core"}, inside
 
 
+def test_star_import_binds_public_names_only():
+    names = {}
+    exec("from trivisit import *", names)
+    assert [n for n, v in names.items() if isinstance(v, types.ModuleType)] == []
+    assert set(trivisit.__all__) <= set(names)
+    assert not set(trivisit.__all__) & {"standard_form", "r2_vertex_heuristic", "oracle_r1", "ordered3_objective"}
+
+
 def _pinned_instances(rng, count):
     """Posed triangles (every tenth with a 0.5 deg apex) with a vertex, an
     edge point, the incenter, an altitude midpoint or an interior point."""
@@ -240,14 +248,13 @@ def _array_hexes(a):
 
 def _family_hexes(k, pts, repeats=1):
     """``float.hex`` of every family evaluator's results at ``pts``, with the
-    case masks and the R2 partitions, at the first of every ``repeats``
-    points along the last point axis."""
+    R2 partitions, at the first of every ``repeats`` points along the last
+    point axis."""
     def first(a):
         return tuple(float(x).hex() for x in np.ravel(a)[::repeats])
-    costs, cases = k.r1_all(pts)
     return (
-        first(costs), {kind: first(m) for kind, m in cases.items()},
-        first(k.ordered2_all(pts)), first(k.r3_all(pts)), tuple(first(a) for a in k.r2_partitions(pts)),
+        first(k.r1_all(pts)), first(k.ordered2_all(pts)), first(k.r3_all(pts)),
+        tuple(first(a) for a in k.r2_partitions(pts)),
     )
 
 
@@ -256,14 +263,16 @@ class TestFamilies:
         """Each family evaluator gives the same bits at one point, where it
         broadcasts over its members, as at that point repeated past
         ``_BROADCAST_POINTS``, where it loops over them, on single and
-        stacked kernels."""
+        stacked kernels; the costs that come with the one-point case masks
+        are those of ``r1_all``."""
         repeats = _kernels._BROADCAST_POINTS + 1
         instances = _pinned_instances(rng, 500)
         for t, p in instances:
             sp = StandardPoint(t, p)
             k, pts = sp.kernel, sp.pts
             one = _family_hexes(k, pts)
-            assert tuple(map(_array_hexes, _partitions(sp))) == one[4]
+            assert tuple(map(_array_hexes, _partitions(sp))) == one[3]
+            assert _array_hexes(sp.orders[0]) == one[0]
             assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
         for at in range(0, len(instances), 25):
             sps = [StandardPoint(t, p) for t, p in instances[at:at + 25]]

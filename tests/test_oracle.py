@@ -16,11 +16,9 @@ from trivisit.oracle import (
     certify_instance,
     oracle_costs,
     oracle_ordered3,
-    oracle_r1,
     oracle_r2,
     oracle_r3,
     oracle_two_ordered,
-    ordered3_objective,
 )
 from trivisit.visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_ordered
 
@@ -76,7 +74,11 @@ class TestOrdered3:
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
             order = VisitOrder.LRD
-            f = ordered3_objective(t, p, order)
+            row = oracle._ordered3_row(t, p, order)
+
+            def f(t1, t2):
+                return oracle._fix_first(row, t1)(t2)
+
             a = (rng.uniform(0, 1), rng.uniform(0, 1))
             b = (rng.uniform(0, 1), rng.uniform(0, 1))
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
@@ -106,7 +108,7 @@ class TestFleetOracles:
         for _ in range(25):
             t = random_triangle(rng)
             p = random_interior_point(rng, t)
-            assert abs(oracle_r1(t, p, FAST) - r1(t, p).cost) < 1e-6
+            assert abs(oracle_costs(t, p, FAST)["r1"] - r1(t, p).cost) < 1e-6
             assert abs(oracle_r2(t, p, FAST) - r2(t, p).cost) < 1e-6
 
 
@@ -183,7 +185,7 @@ class TestOracleCosts:
             costs = oracle_costs(t, p, FAST)
             for o in VisitOrder:
                 assert costs[o.value] == oracle_ordered3(t, p, o, FAST)
-            assert costs["r1"] == oracle_r1(t, p, FAST)
+            assert costs["r1"] == min(oracle_ordered3(t, p, o, FAST) for o in VisitOrder)
             assert costs["r2"] == oracle_r2(t, p, FAST)
             assert costs["r3"] == oracle_r3(t, p)
 

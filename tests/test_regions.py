@@ -52,22 +52,9 @@ def chain_pair_gap(t, chain):
 
 
 class TestR3Regions:
-    def test_classification_matches_argmax(self, rng):
-        import numpy as np
-
-        regions = r3_regions(EQ)
-        gen = np.random.default_rng(5)
-        for _ in range(100):
-            w = gen.dirichlet((1, 1, 1))
-            p = Point2(
-                float(w[0] * EQ.a.x + w[1] * EQ.b.x + w[2] * EQ.c.x),
-                float(w[0] * EQ.a.y + w[1] * EQ.b.y + w[2] * EQ.c.y),
-            )
-            assert set(regions.classify(p)) == set(r3(EQ, p).edges)
-
     def test_incenter_triple_tie(self):
         regions = r3_regions(EQ)
-        assert set(regions.classify(regions.center)) == {EdgeId.L, EdgeId.D, EdgeId.R}
+        assert set(r3(EQ, regions.center).edges) == {EdgeId.L, EdgeId.D, EdgeId.R}
 
     def test_feet_live_on_edges(self, rng):
         for _ in range(50):

@@ -89,11 +89,6 @@ class TestMaxRatio:
             vals = k.cost(pts, 1) / k.cost(pts, 2)
             assert rep.ratio >= float(vals.max()) - 1e-9
 
-    def test_witnesses_attached_on_request(self):
-        rep = max_ratio(EQ, 2, 3, grid=32, with_witnesses=True)
-        assert rep.witnesses is not None
-        assert rep.witnesses.r2.cost == pytest.approx(rep.rn, abs=1e-9)
-
 
     def test_grid_without_interior_points_rejected(self):
         with pytest.raises(ValueError, match="grid needs at least 3 points per side"):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trivisit._kernels import _unfold3
+from trivisit._kernels import _row_of, _Unfold3
 from trivisit.geom_core import (
     OutsideTriangleError,
     Point2,
@@ -141,7 +141,7 @@ class TestIndicatorHalfspaces:
         for _ in range(50):
             t = random_triangle(rng)
             for order in VisitOrder:
-                uf = _unfold3(t, order)
+                uf = _Unfold3.from_row(_row_of(t), order)
                 assert uf.u.norm() == pytest.approx(1.0, abs=1e-12)
                 gaps = [uf.t_coord(p) - uf.sigma_z * uf.subopt_coord(p)
                         for p in (random_interior_point(rng, t) for _ in range(2))]
@@ -151,12 +151,12 @@ class TestIndicatorHalfspaces:
         for _ in range(50):
             t = random_triangle(rng)
             for order in VisitOrder:
-                uf = _unfold3(t, order)
+                uf = _Unfold3.from_row(_row_of(t), order)
                 third = edge_segment(t, order.edges[2])
-                assert uf.e3u.length == pytest.approx(third.length, abs=1e-12)
+                assert uf.far_img.dist(uf.corner_img) == pytest.approx(third.length, abs=1e-12)
 
     def test_reference_points_split_lines(self):
-        uf = _unfold3(EQ, VisitOrder.LRD)
+        uf = _Unfold3.from_row(_row_of(EQ), VisitOrder.LRD)
         # the subopt line passes through the apex shared by the first two
         # edges, and the base vertex lies on its positive side
         assert abs(uf.subopt_coord(EQ.a)) < 1e-12
@@ -201,8 +201,8 @@ class TestVisitThreeOrdered:
                 traj = visit_three_ordered(t, p, order)
                 if traj.kind is not StrategyKind.BOUNCING or len(traj.waypoints) != 4:
                     continue
-                uf = _unfold3(t, order)
-                assert abs(traj.cost - uf.line_dist(p)) < 1e-12
+                uf = _Unfold3.from_row(_row_of(t), order)
+                assert abs(traj.cost - abs(uf.u.perp().dot(p - uf.corner_img))) < 1e-12
                 found += 1
         assert found > 50
 
