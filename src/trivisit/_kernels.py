@@ -505,10 +505,3 @@ def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices:
         wa, wb, wc = wa[interior], wb[interior], wc[interior]
     return wa[:, None] * a + wb[:, None] * b + wc[:, None] * c
 
-
-def points_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
-

@@ -40,16 +40,19 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def json_dumps(obj, indent: int = 0) -> str:
+class EvalReport(dict):
+    """The ``eval`` report, built only by ``eval_report``, so its shape is
+    fixed: ``json_dumps`` writes it in one pass with ``_eval_json``."""
+
+
+def json_dumps(obj) -> str:
     """Deterministic JSON: insertion-ordered fields, floats at 17 significant
-    digits, so identical inputs produce byte-identical output.  An ``eval``
-    report is written by ``_eval_json`` in one pass, in the same bytes."""
-    if indent == 0 and obj.__class__ is dict and tuple(obj) in _EVAL_KEYS:
-        try:
-            return _eval_json(obj)
-        except (KeyError, TypeError, ValueError):
-            pass
-    return _json(obj, indent)
+    digits, so identical inputs produce byte-identical output.  An
+    ``EvalReport`` is written by ``_eval_json`` in one pass, in the same bytes
+    as the generic walk ``_json``."""
+    if isinstance(obj, EvalReport):
+        return _eval_json(obj)
+    return _json(obj, 0)
 
 
 def _quote(s: str) -> str:
@@ -84,46 +87,17 @@ def _json(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# The ``eval`` report (``eval_report``): its keys, with and without the
-# oracle block, and those of a trajectory (``_traj_dict``) and an R2 witness.
-_REPORT_KEYS = ("schema", "input", "r3", "r2", "r1")
-_EVAL_KEYS = (_REPORT_KEYS, _REPORT_KEYS + ("oracle",))
-_INPUT_KEYS = ("vertices", "angles_deg", "point")
-_R3_KEYS = ("cost", "edges")
-_R2_KEYS = ("cost", "witnesses")
-_R1_KEYS = ("cost", "orders", "trajectory")
-_WITNESS_KEYS = ("single_edge", "determined_by", "single", "pair")
-_TRAJ_KEYS = ("waypoints", "cost", "kind", "order", "edges", "tie")
-
-
 def _leaf(v) -> str:
-    """A scalar as the generic walk writes it; a container raises
-    ``TypeError``, so that the report goes through the generic walk."""
+    """A scalar as the generic walk writes it."""
     if v.__class__ is float:
         return _fmt_float(v)
     if v.__class__ is str:
         return _quote(v)
-    if isinstance(v, (dict, list, tuple)):
-        raise TypeError("not a scalar")
     return _json(v, 0)
-
-
-def _keys(d, keys: tuple) -> dict:
-    """``d``, if it is a dict with exactly ``keys`` in that order."""
-    if d.__class__ is not dict or tuple(d) != keys:
-        raise KeyError(keys)
-    return d
-
-
-def _items(seq) -> list | tuple:
-    if not isinstance(seq, (list, tuple)):
-        raise TypeError("not a list")
-    return seq
 
 
 def _leaf_list(seq, pad: str) -> str:
     """A list of scalars whose items sit at ``pad``."""
-    seq = _items(seq)
     if not seq:
         return "[]"
     return "[\n" + pad + (",\n" + pad).join(map(_leaf, seq)) + "\n" + pad[:-2] + "]"
@@ -131,18 +105,16 @@ def _leaf_list(seq, pad: str) -> str:
 
 def _point_list(seq, pad: str) -> str:
     """A list of [x, y] pairs whose items sit at ``pad``."""
-    seq = _items(seq)
     if not seq:
         return "[]"
     inner = pad + "  "
     return "[\n" + ",\n".join(
-        f"{pad}[\n{inner}{_leaf(x)},\n{inner}{_leaf(y)}\n{pad}]" for x, y in map(_items, seq)
+        f"{pad}[\n{inner}{_leaf(x)},\n{inner}{_leaf(y)}\n{pad}]" for x, y in seq
     ) + "\n" + pad[:-2] + "]"
 
 
 def _traj_json(tr, pad: str) -> str:
     """A trajectory (``_traj_dict``) whose keys sit at ``pad``."""
-    tr = _keys(tr, _TRAJ_KEYS)
     inner = pad + "  "
     return (
         f'{{\n{pad}"waypoints": {_point_list(tr["waypoints"], inner)},\n{pad}"cost": {_leaf(tr["cost"])},\n'
@@ -151,20 +123,16 @@ def _traj_json(tr, pad: str) -> str:
     )
 
 
-def _eval_json(rep: dict) -> str:
-    """``_json(rep, 0)`` of an ``eval`` report, written in one pass along its
-    fixed shape; any other shape raises ``KeyError``, ``TypeError`` or
-    ``ValueError``.  Only the oracle block goes through the generic walk."""
-    inp = _keys(rep["input"], _INPUT_KEYS)
-    r3 = _keys(rep["r3"], _R3_KEYS)
-    r2 = _keys(rep["r2"], _R2_KEYS)
-    r1 = _keys(rep["r1"], _R1_KEYS)
+def _eval_json(rep: EvalReport) -> str:
+    """``_json(rep, 0)``, written in one pass along the report's fixed shape.
+    Only the oracle block goes through the generic walk."""
+    inp, r3, r2, r1 = rep["input"], rep["r3"], rep["r2"], rep["r1"]
     witnesses = [
         f'      {{\n        "single_edge": {_leaf(w["single_edge"])},\n'
         f'        "determined_by": {_leaf(w["determined_by"])},\n'
         f'        "single": {_traj_json(w["single"], " " * 10)},\n'
         f'        "pair": {_traj_json(w["pair"], " " * 10)}\n      }}'
-        for w in (_keys(w, _WITNESS_KEYS) for w in _items(r2["witnesses"]))
+        for w in r2["witnesses"]
     ]
     out = (
         f'{{\n  "schema": {_leaf(rep["schema"])},\n'
@@ -226,9 +194,9 @@ def _traj_dict(traj) -> dict:
     }
 
 
-def eval_report(t: Triangle, p: Point2, with_oracle: bool = False) -> dict:
+def eval_report(t: Triangle, p: Point2, with_oracle: bool = False) -> EvalReport:
     rep = fleet_costs(t, p)
-    out = {
+    out = EvalReport({
         "schema": SCHEMA,
         "input": {
             "vertices": [[v.x, v.y] for v in t.vertices],
@@ -253,7 +221,7 @@ def eval_report(t: Triangle, p: Point2, with_oracle: bool = False) -> dict:
             "orders": [o.value for o in rep.r1.orders],
             "trajectory": _traj_dict(rep.r1.trajectory),
         },
-    }
+    })
     if with_oracle:
         ref = oracle_costs(t, p)
         oracle = {key: ref[key] for key in ("r1", "r2", "r3")}

@@ -269,8 +269,8 @@ class Triangle:
         """Length of edge BC (the unit edge in standard form)."""
         return self.b.dist(self.c)
 
-    def contains(self, p: Point2, tol: float = CONTAINS_TOL) -> bool:
-        """Membership with an absolute slack of ``tol`` in standard-form
+    def contains(self, p: Point2) -> bool:
+        """Membership with an absolute slack of ``CONTAINS_TOL`` in standard-form
         scale, or of ``CONTAINS_ULPS`` ulps of the largest coordinate
         magnitude if that is larger.  A non-finite point lies outside."""
         px, py = as_point(p)
@@ -278,16 +278,16 @@ class Triangle:
             return False
         (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
         m = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(px), abs(py))
-        slack = max(tol * self.base_length, CONTAINS_ULPS * math.ulp(m))
+        slack = max(CONTAINS_TOL * self.base_length, CONTAINS_ULPS * math.ulp(m))
         for ux, uy, vx, vy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)):
             dx, dy = vx - ux, vy - uy
             if dx * (py - uy) - dy * (px - ux) < -slack * math.hypot(dx, dy):
                 return False
         return True
 
-    def require_inside(self, p: Point2, tol: float = CONTAINS_TOL) -> Point2:
+    def require_inside(self, p: Point2) -> Point2:
         p = as_point(p)
-        if not self.contains(p, tol):
+        if not self.contains(p):
             raise OutsideTriangleError(f"point {tuple(p)} lies outside the triangle")
         return p
 
@@ -488,7 +488,7 @@ class Cone:
             if abs(n - 1.0) > 1e-9:
                 object.__setattr__(self, "direction", self.direction.unit())
 
-    def contains(self, p: Point2, tol: float = 1e-9) -> bool:
+    def contains(self, p: Point2) -> bool:
         if self.empty:
             return False
         v = p - self.tip
@@ -496,7 +496,7 @@ class Cone:
         if n <= SEGMENT_EPS:
             return True
         cosang = max(-1.0, min(1.0, v.dot(self.direction) / n))
-        return math.acos(cosang) <= self.half_angle + tol
+        return math.acos(cosang) <= self.half_angle + 1e-9
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,7 @@ def oracle_costs(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> 
 
 
 _KEYS = frozenset(order.value for order in VisitOrder) | {"r1", "r2", "r3"}
+CERTIFY_TOL = 1e-6  # largest |closed - oracle| that ``certify_instance`` accepts
 
 
 def certify_instance(
@@ -233,10 +234,9 @@ def certify_instance(
     p: Point2,
     closed: dict[str, float],
     cfg: OracleConfig = DEFAULT_CONFIG,
-    tol: float = 1e-6,
 ) -> dict[str, float]:
-    """Compare closed-form costs against one ``oracle_costs`` pass; any gap
-    is a bug.
+    """Compare closed-form costs against one ``oracle_costs`` pass; a gap
+    above ``CERTIFY_TOL`` is a bug.
 
     ``closed`` maps keys 'r1', 'r2', 'r3' and order names to costs; an
     unknown key raises ``ValueError`` before any oracle work.  Returns the
@@ -250,7 +250,7 @@ def certify_instance(
     for key, value in closed.items():
         delta = value - ref[key]
         deltas[key] = delta
-        if not abs(delta) <= tol:  # a NaN on either side is a breach too
+        if not abs(delta) <= CERTIFY_TOL:  # a NaN on either side is a breach too
             raise OracleMismatchError(
                 f"{key}: closed form {value!r} vs oracle {ref[key]!r} "
                 f"(delta {delta:.3e}) for triangle {t!r}, point {tuple(p)}"

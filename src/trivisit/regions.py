@@ -286,14 +286,14 @@ def _append_segment(pieces: list[ChainPiece], p0: Point2, p1: Point2, label: str
         pieces.append(SegmentPiece(Segment(p0, p1), label))
 
 
-def _along(a: Point2, b: Point2, p: Point2, slack: float = 1e-6) -> float | None:
+def _along(a: Point2, b: Point2, p: Point2) -> float | None:
     """Parameter of ``p`` along segment ab when it lies on it; else None."""
     d = b - a
     denom = d.dot(d)
     if denom <= 1e-300:
         return None
     s = (p - a).dot(d) / denom
-    if -slack <= s <= 1.0 + slack and abs(d.cross(p - a)) <= 1e-6 * math.sqrt(denom):
+    if -1e-6 <= s <= 1.0 + 1e-6 and abs(d.cross(p - a)) <= 1e-6 * math.sqrt(denom):
         return s
     return None
 
@@ -459,9 +459,9 @@ def _first_event(
     return u_prev, "end"
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, iters: int = 80) -> float:
+def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     glo = g(lo)
-    for _ in range(iters):
+    for _ in range(80):
         mid = (lo + hi) / 2
         gm = g(mid)
         if (glo > 0) == (gm > 0):
@@ -585,7 +585,57 @@ class RegionMap:
             fh.write(("%d,%d,%.17g,%.17g,%s\r\n" * len(c)) % tuple(rows.ravel().tolist()))
 
     def to_svg(self, path, chains: Sequence[SeparatorChain] = ()) -> None:
-        write_region_svg(path, self, chains)
+        """Raster strips colored by label plus stroked separator chains."""
+        t = self.triangle
+        cells = self.cells
+        xs = [v.x for v in t.vertices]
+        ys = [v.y for v in t.vertices]
+        span = max(max(xs) - min(xs), max(ys) - min(ys))
+        pad = 0.03 * span
+        x0, y0 = min(xs) - pad, min(ys) - pad
+        scale = 1000.0 / (span + 2 * pad)
+
+        def sx(x):
+            return (x - x0) * scale
+
+        def sy(y):
+            return 1000.0 - (y - y0) * scale
+
+        palette = dict(_LABEL_COLORS)
+        stroke_w = max(1.0, self.pitch * scale * 1.05)
+        parts = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
+            '<rect width="1000" height="1000" fill="#ffffff"/>',
+        ]
+        # Merge equal-label runs along each lattice row into one stroked strip.
+        # Distinct codes have distinct labels, so a run ends where the code or
+        # the row changes.
+        cut = np.flatnonzero((np.diff(cells.codes) != 0) | (np.diff(cells.i) != 0)) + 1
+        first = np.concatenate(([0], cut))
+        last = np.concatenate((cut, [len(cells)])) - 1
+        head, tail = cells.xy[first], cells.xy[last]
+        runs = zip(cells.codes[first].tolist(), sx(head[:, 0]).tolist(), sy(head[:, 1]).tolist(),
+                   sx(tail[:, 0]).tolist(), sy(tail[:, 1]).tolist())
+        for code, x1, y1, x2, y2 in runs:
+            labels = cells.table[code]
+            color = _TIE_COLOR if len(labels) > 1 else _color_for(labels[0], palette)
+            parts.append(
+                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+                f'stroke="{color}" stroke-width="{stroke_w:.2f}" stroke-linecap="round"/>'
+            )
+        # Triangle outline.
+        outline = " ".join(f"{sx(v.x):.2f},{sy(v.y):.2f}" for v in t.vertices)
+        parts.append(f'<polygon points="{outline}" fill="none" stroke="#222222" stroke-width="2"/>')
+        # Separator chains.
+        for chain in chains:
+            for piece in chain.pieces:
+                pts = [piece.point_at(s / 32.0) for s in range(33)]
+                d = "M " + " L ".join(f"{sx(p.x):.2f} {sy(p.y):.2f}" for p in pts)
+                parts.append(f'<path d="{d}" fill="none" stroke="#111111" stroke-width="3"/>')
+        parts.append("</svg>")
+        with open(path, "w") as fh:
+            fh.write("\n".join(parts))
 
 
 _MODES = ("r1", "r2", "r3")
@@ -666,57 +716,3 @@ def _color_for(label: str, palette: dict[str, str]) -> str:
     color = _FALLBACK[len(palette) % len(_FALLBACK)]
     palette[label] = color
     return color
-
-
-def write_region_svg(path, region_map: RegionMap, chains: Sequence[SeparatorChain] = ()) -> None:
-    """Raster strips colored by label plus stroked separator chains."""
-    t = region_map.triangle
-    cells = region_map.cells
-    xs = [v.x for v in t.vertices]
-    ys = [v.y for v in t.vertices]
-    span = max(max(xs) - min(xs), max(ys) - min(ys))
-    pad = 0.03 * span
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    scale = 1000.0 / (span + 2 * pad)
-
-    def sx(x):
-        return (x - x0) * scale
-
-    def sy(y):
-        return 1000.0 - (y - y0) * scale
-
-    palette = dict(_LABEL_COLORS)
-    stroke_w = max(1.0, region_map.pitch * scale * 1.05)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
-        '<rect width="1000" height="1000" fill="#ffffff"/>',
-    ]
-    # Merge equal-label runs along each lattice row into one stroked strip.
-    # Distinct codes have distinct labels, so a run ends where the code or
-    # the row changes.
-    cut = np.flatnonzero((np.diff(cells.codes) != 0) | (np.diff(cells.i) != 0)) + 1
-    first = np.concatenate(([0], cut))
-    last = np.concatenate((cut, [len(cells)])) - 1
-    head, tail = cells.xy[first], cells.xy[last]
-    runs = zip(cells.codes[first].tolist(), sx(head[:, 0]).tolist(), sy(head[:, 1]).tolist(),
-               sx(tail[:, 0]).tolist(), sy(tail[:, 1]).tolist())
-    for code, x1, y1, x2, y2 in runs:
-        labels = cells.table[code]
-        color = _TIE_COLOR if len(labels) > 1 else _color_for(labels[0], palette)
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{color}" stroke-width="{stroke_w:.2f}" stroke-linecap="round"/>'
-        )
-    # Triangle outline.
-    outline = " ".join(f"{sx(v.x):.2f},{sy(v.y):.2f}" for v in t.vertices)
-    parts.append(f'<polygon points="{outline}" fill="none" stroke="#222222" stroke-width="2"/>')
-    # Separator chains.
-    for chain in chains:
-        for piece in chain.pieces:
-            pts = [piece.point_at(s / 32.0) for s in range(33)]
-            d = "M " + " L ".join(f"{sx(p.x):.2f} {sy(p.y):.2f}" for p in pts)
-            parts.append(f'<path d="{d}" fill="none" stroke="#111111" stroke-width="3"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import ROW_LENGTH, ROW_LINE, ROW_VERTEX, TriangleKernel, barycentric_grid, points_array
+from ._kernels import ROW_LENGTH, ROW_LINE, ROW_VERTEX, TriangleKernel, barycentric_grid
 from .geom_core import EdgeId, Point2, Triangle, VertexId, opposite_edge, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -30,19 +30,13 @@ def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
     """R_n / R_m at one starting point."""
     _check_pair(n, m)
     k = TriangleKernel(t)
-    pts = points_array([t.require_inside(p)])
+    pts = np.array([t.require_inside(p)])
     return float(k.cost(pts, n)[0] / k.cost(pts, m)[0])
 
 
 def _check_pair(n: int, m: int) -> None:
     if (n, m) not in _PAIRS:
         raise ValueError(f"ratio pair must be one of {_PAIRS}, got ({n}, {m})")
-
-
-def _check_grid(grid: int) -> None:
-    # Vertices are excluded, so a 2-per-side lattice has no point to sample.
-    if grid < 3:
-        raise ValueError("grid needs at least 3 points per side")
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,9 @@ def max_ratio(t: Triangle, n: int, m: int, grid: int = 256) -> RatioReport:
     grid point, so non-unique maxima land on the canonical extremal points.
     """
     _check_pair(n, m)
-    _check_grid(grid)
+    # Vertices are excluded, so a 2-per-side lattice has no point to sample.
+    if grid < 3:
+        raise ValueError("grid needs at least 3 points per side")
     std, _ = t.standard()
     [(argmax, rn, rm)] = _maximize([std], n, m, grid)
     return RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
@@ -117,17 +113,20 @@ def _seeds(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(xy, axis=-1) for xy in seeds], axis=1)
 
 
-def describe_shape(angles_deg: tuple[float, float, float], tol: float = 0.51) -> str:
+_SHAPE_TOL = 0.51  # degrees
+
+
+def describe_shape(angles_deg: tuple[float, float, float]) -> str:
     """Coarse shape classification of an angle triple, in degrees."""
     s = sorted(angles_deg, reverse=True)
-    if all(abs(a - 60.0) <= tol for a in s):
+    if all(abs(a - 60.0) <= _SHAPE_TOL for a in s):
         return "equilateral"
-    if abs(s[0] - 90.0) <= tol and abs(s[1] - 45.0) <= tol:
+    if abs(s[0] - 90.0) <= _SHAPE_TOL and abs(s[1] - 45.0) <= _SHAPE_TOL:
         return "right isosceles"
-    two_equal = abs(s[0] - s[1]) <= tol or abs(s[1] - s[2]) <= tol
+    two_equal = abs(s[0] - s[1]) <= _SHAPE_TOL or abs(s[1] - s[2]) <= _SHAPE_TOL
     if two_equal and s[2] <= 15.0:
         return "thin isosceles"
-    if abs(s[0] - 90.0) <= tol:
+    if abs(s[0] - 90.0) <= _SHAPE_TOL:
         return "right"
     if two_equal:
         return "isosceles"
@@ -224,26 +223,22 @@ def _sweep_cells(step_deg: float, eps_apex_deg: float) -> list[tuple[float, floa
     return cells
 
 
-def sweep_triangles(
-    n: int,
-    m: int,
-    step_deg: float = 1.0,
-    eps_apex_deg: float = 0.5,
-    grid: int = 24,
-) -> SweepResult:
+_SWEEP_GRID = 24  # barycentric points per side in each sweep cell
+
+
+def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
     """Per-triangle max_ratio over the (angle B, angle C) grid.
 
     Cells are independent.  They run on one thread in fixed-size chunks, in
     cell order, each chunk on one stacked kernel (``_maximize``); every cell
     follows the same arithmetic as ``max_ratio`` on its own, so results do
     not depend on the chunk size.  The chunk size bounds the memory of a
-    batch.  The default per-cell grid is coarse on purpose: the extremal
-    values come from the seeded witnesses, which every cell evaluates, and
-    coarser angle grids are subsets of finer ones, so running inf/sup values
-    stay monotone in the step size.
+    batch.  The per-cell grid (``_SWEEP_GRID``) is coarse on purpose: the
+    extremal values come from the seeded witnesses, which every cell
+    evaluates, and coarser angle grids are subsets of finer ones, so running
+    inf/sup values stay monotone in the step size.
     """
     _check_pair(n, m)
-    _check_grid(grid)
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"sweep step must be a finite positive number of degrees, got {step_deg!r}")
     cells = _sweep_cells(step_deg, eps_apex_deg)
@@ -253,6 +248,6 @@ def sweep_triangles(
     for lo in range(0, len(cells), _CHUNK):
         chunk = cells[lo:lo + _CHUNK]
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
-        for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, grid)):
+        for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, _SWEEP_GRID)):
             rows.append(SweepRow(b, c, rn / rm, argmax, rn, rm))
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(rows))

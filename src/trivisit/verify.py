@@ -17,11 +17,11 @@ import numpy as np
 from ._kernels import TriangleKernel
 from .fleet_costs import fleet_costs, mid_altitude_point, r1, r2, r3
 from .fleet_costs import h1 as h1_fn
-from .geom_core import Point2, Triangle, closest_point_on_segment, edge_segment, incenter, triangle_from_angles
-from .oracle import OracleConfig, oracle_costs, oracle_ordered3
+from .geom_core import Point2, VertexId, dist_point_segment, edge_segment, incenter, opposite_edge, triangle_from_angles
+from .oracle import CERTIFY_TOL, OracleConfig, oracle_costs, oracle_ordered3
 from .regions import r1_lrd_rld_locus, r2_separator, r3_regions
-from .tradeoffs import describe_shape, max_ratio, sweep_triangles
-from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_set
+from .tradeoffs import max_ratio, sweep_triangles
+from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_ordered, visit_two_set
 
 SQRT10 = math.sqrt(10.0)
 SQRT2 = math.sqrt(2.0)
@@ -213,7 +213,7 @@ def _crit_10(quick: bool) -> CriterionResult:
             gap = abs(value - ref[key])
             if not gap <= worst and not math.isnan(worst):  # a NaN gap is the worst, and stays so
                 worst, worst_what = gap, f"{key}@{tuple(p)}"
-    c.at_most(f"max |closed - oracle| ({worst_what})", worst, 1e-6)
+    c.at_most(f"max |closed - oracle| ({worst_what})", worst, CERTIFY_TOL)
     return c.result(10, f"oracle equivalence on {count} random instances")
 
 
@@ -348,13 +348,11 @@ def _run_region_probes(c: _Check, quick: bool) -> None:
                 f"got {[(v.single_edge.value, v.determined_by) for v in res.witnesses]}",
             )
             if equality == "drop":
-                want = p.dist(closest_point_on_segment(p, edge_segment(t, EdgeId(edge))))
+                want = dist_point_segment(p, edge_segment(t, EdgeId(edge)))
             elif equality == "apex":
                 want = p.dist(t.a)
             else:
                 _, e1, e2 = equality
-                from .visitation import visit_two_ordered
-
                 want = visit_two_ordered(t, p, EdgeId(e1), EdgeId(e2)).cost
             c.ok(f"{name} r2-cost@{xy}", abs(res.cost - want) <= scale_tol,
                  f"cost {res.cost!r} want {want!r}")
@@ -366,17 +364,12 @@ def _run_region_probes(c: _Check, quick: bool) -> None:
 
 def _run_chain_samples(c: _Check) -> None:
     for name, t in _TRIANGLES.items():
-        opposite = {"A": EdgeId.D, "B": EdgeId.R, "C": EdgeId.L}
         chain = r2_separator(t)
         worst = 0.0
         for p, label in chain.sample(200):
-            v = label.split("-")[1]
-            opp = opposite[v]
+            opp = opposite_edge(VertexId(label.split("-")[1]))
             pair = tuple(e for e in EdgeId if e is not opp)
-            gap = abs(
-                p.dist(closest_point_on_segment(p, edge_segment(t, opp)))
-                - visit_two_set(t, p, pair).cost
-            )
+            gap = abs(dist_point_segment(p, edge_segment(t, opp)) - visit_two_set(t, p, pair).cost)
             worst = max(worst, gap)
         c.at_most(f"{name} two-robot chain gap", worst, 1e-8)
 
@@ -397,8 +390,8 @@ def _run_chain_samples(c: _Check) -> None:
             e1, e2 = tied_edges[idx]
             for k in range(40):
                 p = seg.point_at((k + 0.5) / 40)
-                d1 = p.dist(closest_point_on_segment(p, edge_segment(t, e1)))
-                d2 = p.dist(closest_point_on_segment(p, edge_segment(t, e2)))
+                d1 = dist_point_segment(p, edge_segment(t, e1))
+                d2 = dist_point_segment(p, edge_segment(t, e2))
                 worst = max(worst, abs(d1 - d2))
         c.at_most(f"{name} bisector tie gap", worst, 1e-8)
 
@@ -490,12 +483,12 @@ CRITERIA: tuple[tuple[int, str, Callable[[bool], CriterionResult]], ...] = (
 
 
 def run_criterion(cid: int, quick: bool = False) -> CriterionResult:
-    for num, _, func in CRITERIA:
+    for num, description, func in CRITERIA:
         if num == cid:
             try:
                 return func(quick)
             except Exception as exc:  # noqa: BLE001 - verification must report, not crash
-                return CriterionResult(cid, f"criterion {cid}", False, f"raised {exc!r}")
+                return CriterionResult(cid, description, False, f"raised {exc!r}")
     raise KeyError(f"no criterion {cid}")
 
 

@@ -30,6 +30,16 @@ _QUICK_DETAILS = {
 }
 
 
+def test_raising_criterion_keeps_its_description(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("no cost")
+
+    monkeypatch.setattr(verify, "r1", fail)
+    result = verify.run_criterion(4, quick=True)
+    assert (result.passed, result.detail) == (False, "raised RuntimeError('no cost')")
+    assert result.description == _DESCRIPTIONS[4]
+
+
 @pytest.mark.parametrize("cid", sorted(_QUICK_DETAILS))
 def test_batched_criterion_details(cid):
     assert verify.run_criterion(cid, quick=True).detail == _QUICK_DETAILS[cid]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, _eval_json, _json, eval_report, json_dumps, main
+from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, EvalReport, _eval_json, _json, eval_report, json_dumps, main
 from trivisit.geom_core import Point2, Triangle, triangle_from_angles
 from trivisit.regions import raster_region_map
 
@@ -293,6 +293,14 @@ class TestEvalWriter:
     def test_synthetic_reports(self):
         for rep in _synthetic_reports():
             assert _eval_json(rep) == _json(rep, 0) == json_dumps(rep)
+
+    def test_report_type_picks_the_writer(self):
+        """An ``EvalReport`` and a plain copy of it, which takes the generic
+        walk, are written in the same bytes."""
+        for g in EVAL_GOLDEN:
+            rep = eval_report(Triangle(*g["vertices"]), Point2(*g["point"]))
+            assert isinstance(rep, EvalReport)
+            assert json_dumps(dict(rep)) == json_dumps(rep)
 
     def test_other_shapes_take_the_generic_walk(self):
         rep = eval_report(triangle_from_angles(math.radians(70), math.radians(55)), Point2(0.4, 0.2))

@@ -10,6 +10,7 @@ from trivisit.cli import eval_report
 from trivisit.fleet_costs import fleet_costs, r1, r2, r3
 from trivisit.geom_core import Point2, Triangle, incenter, triangle_from_angles
 from trivisit.oracle import (
+    CERTIFY_TOL,
     DEFAULT_CONFIG,
     OracleConfig,
     OracleMismatchError,
@@ -132,6 +133,18 @@ class TestCertify:
         with pytest.raises(OracleMismatchError) as err:
             certify_instance(EQ, p, {"r1": 0.5})
         assert "r1" in str(err.value)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bound_is_certify_tol(self, sign):
+        p = Point2(0.4, 0.2)
+        ref = oracle_costs(EQ, p, FAST)
+        closed = {key: ref[key] + sign * 0.9 * CERTIFY_TOL for key in ("r1", "r2", "r3")}
+        assert certify_instance(EQ, p, closed, FAST) == pytest.approx(
+            {key: sign * 0.9 * CERTIFY_TOL for key in closed}, rel=1e-6
+        )
+        for key in closed:
+            with pytest.raises(OracleMismatchError, match=key):
+                certify_instance(EQ, p, {key: ref[key] + sign * 1.1 * CERTIFY_TOL}, FAST)
 
     def test_nan_cost_is_a_gap(self):
         p = incenter(EQ)

@@ -22,7 +22,7 @@ from trivisit.tradeoffs import (
     sweep_triangles,
 )
 
-from conftest import random_interior_point, random_triangle
+from conftest import random_triangle
 
 EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
 RI = triangle_from_angles(math.pi / 4, math.pi / 4)
@@ -163,11 +163,6 @@ class TestSweep:
     def test_empty_or_bad_grid_rejected(self, step, eps_apex):
         with pytest.raises(ValueError):
             sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
-
-    def test_grid_without_interior_points_rejected(self):
-        with pytest.raises(ValueError, match="grid needs at least 3 points per side"):
-            sweep_triangles(1, 3, step_deg=30.0, grid=2)
-        assert len(sweep_triangles(1, 3, step_deg=30.0, grid=3).rows) > 0
 
     def test_max_ratio_reproduces_sweep_row(self):
         row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (50.0, 70.0))

@@ -6,7 +6,6 @@ from trivisit._kernels import _row_of, _Unfold3
 from trivisit.geom_core import (
     OutsideTriangleError,
     Point2,
-    Segment,
     Similarity,
     Triangle,
     dist_point_segment,
