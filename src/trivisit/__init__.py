@@ -21,7 +21,6 @@ from .fleet_costs import (
     r3,
 )
 from .geom_core import (
-    Cone,
     DegenerateTriangleError,
     EdgeId,
     GeometryError,
@@ -68,7 +67,6 @@ from .tradeoffs import RatioReport, SweepResult, max_ratio, ratio_at, sweep_tria
 from .visitation import (
     StrategyKind,
     Trajectory,
-    bouncing_subcone,
     visit_three_ordered,
     visit_two_ordered,
     visit_two_set,

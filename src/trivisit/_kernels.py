@@ -31,21 +31,23 @@ and ``r1_all`` keeps the costs alone, so a raster carries no masks.
 Every constant comes from ``triangle_row``: one flat list of plain floats per
 triangle, computed with ``math`` in the operation order of the ``geom_core``
 objects, so that it equals what ``Line``, ``reflect``, ``project`` and
-``Point2.unit`` give bit for bit.  A kernel cuts its tables from those rows.
-A single-triangle kernel also hands the witnesses of one point their
-constants as plain floats read from its row (``order_witness``,
+``Point2.unit`` give bit for bit.  The row's layout (the ``_ROW_*`` offsets)
+is private to this module: a kernel cuts its tables from the rows, and every
+other module reads a row only through a kernel method.  A single-triangle
+kernel hands the witnesses of one point, and the R1 locus of ``regions``,
+their constants as plain floats read from its row (``order_witness``,
 ``pair_unfolding``, ``edge_line``), and decides the clamp of an ordered
 two-edge visit and the order of a pair there on plain floats too
 (``ordered2_clamp``, ``pair_order``), with the operations of the array
-code.  The tables are not built with NumPy array code: a vectorized
-builder is several times slower on one triangle, which is what ``eval``
-builds per point.
+code.  A stacked kernel of standard-form triangles gives the ratio
+maximizer its seeds (``seeds``).  The tables are not built with NumPy array
+code: a vectorized builder is several times slower on one triangle, which
+is what ``eval`` builds per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -55,12 +57,11 @@ from .geom_core import (
     SEGMENT_EPS,
     EdgeId,
     GeometryError,
-    Line,
-    Point2,
     Triangle,
     VertexId,
     VisitOrder,
     nearest_on_segment,
+    opposite_edge,
     shared_vertex,
 )
 
@@ -69,7 +70,7 @@ BOUNDARY_TOL = 1e-9
 # Cost ties tighter than this are treated as exact when choosing a kind.
 EXACT_TIE = 1e-12
 # ``r1_all`` and ``r3_all`` broadcast over their members up to this many
-# points and loop over them above it (see ``TriangleKernel._broadcasts``).
+# points and loop over them above it (see ``TriangleKernel._each_member``).
 _BROADCAST_POINTS = 4096
 
 _ORDERS = tuple(VisitOrder)
@@ -88,14 +89,13 @@ _ROW_PAIRS = _ROW_SEGS + 5 * len(_EDGES)        # segment row pivot -> far image
 _ROW_FARS = _ROW_PAIRS + 5 * len(_PAIRS)        # x, y of each pair's far image
 _ROW_UNFOLDS = _ROW_FARS + 2 * len(_PAIRS)      # corner_img, u, apex, sigma_z, altitude per order
 _ROW_WITNESS = _ROW_UNFOLDS + 8 * len(_ORDERS)  # line2u a, b, c, far_img, alt_foot per order
-ROW_WIDTH = _ROW_WITNESS + 7 * len(_ORDERS)
 # Where each edge's line (a, b, c) and length and each vertex (x, y) sit; an
 # edge's segment row starts at its first endpoint, so L's holds A, D's B and
 # R's C.
-ROW_LINE = {e: _ROW_LINES + 3 * k for k, e in enumerate(_EDGES)}
-ROW_LENGTH = {e: _ROW_LENGTHS + k for k, e in enumerate(_EDGES)}
-ROW_VERTEX = {e.endpoints[0]: _ROW_SEGS + 5 * k for k, e in enumerate(_EDGES)}
-ROW_SCALE = ROW_LENGTH[EdgeId.D]
+_ROW_LINE = {e: _ROW_LINES + 3 * k for k, e in enumerate(_EDGES)}
+_ROW_LENGTH = {e: _ROW_LENGTHS + k for k, e in enumerate(_EDGES)}
+_ROW_VERTEX = {e.endpoints[0]: _ROW_SEGS + 5 * k for k, e in enumerate(_EDGES)}
+_ROW_SCALE = _ROW_LENGTH[EdgeId.D]
 
 
 def _other_end(e: EdgeId, v: VertexId) -> VertexId:
@@ -139,10 +139,10 @@ def _line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, fl
 
 def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> list[float]:
     """Every kernel and witness constant of the triangle with vertices A, B,
-    C, as one flat list of ``ROW_WIDTH`` plain floats in the ``_ROW_*``
-    layout.  Each value follows the operation order of ``Line.from_points``,
-    ``reflect``, ``project`` and ``Point2.unit``, so it equals the one those
-    give bit for bit."""
+    C, as one flat list of plain floats in the ``_ROW_*`` layout.  Each
+    value follows the operation order of ``Line.from_points``, ``reflect``,
+    ``project`` and ``Point2.unit``, so it equals the one those give bit for
+    bit."""
     xs, ys = (ax, bx, cx), (ay, by, cy)
     lines, lengths, segs = [], [], []
     for i, j in _EDGE_ENDS:
@@ -194,58 +194,19 @@ def _row_of(t: Triangle) -> list[float]:
     return triangle_row(*t.a, *t.b, *t.c)
 
 
-def _point(row, at: int) -> Point2:
-    return Point2(row[at], row[at + 1])
-
-
-@dataclass(frozen=True)
-class _Unfold3:
-    """Constants of one ordered three-edge unfolding."""
-
-    order: VisitOrder
-    line1: Line                 # supporting line of the first edge
-    line2u: Line                # once-unfolded second edge's line
-    apex: Point2                # first-edge / second-edge vertex
-    base_vertex: Point2         # first-edge / third-edge vertex
-    corner: Point2              # second-edge / third-edge vertex
-    corner_img: Point2          # corner reflected across line1; near end of the unfolded e3
-    far_img: Point2             # base vertex after both reflections; far end of the unfolded e3
-    u: Point2                   # unit corner_img -> far_img
-    sigma_z: float              # orientation of the positive subopt side
-    alt_foot: Point2            # foot of the apex on the third edge's line
-
-    @classmethod
-    def from_row(cls, row, order: VisitOrder) -> "_Unfold3":
-        """The view of ``order``'s unfolding in a triangle row."""
-        e1, e2, e3 = order.edges
-        k = _ORDERS.index(order)
-        cix, ciy, ux, uy, apx, apy, sigma_z, _ = row[_ROW_UNFOLDS + 8 * k:_ROW_UNFOLDS + 8 * k + 8]
-        a2, b2, c2, fix, fiy, ftx, fty = row[_ROW_WITNESS + 7 * k:_ROW_WITNESS + 7 * k + 7]
-        return cls(
-            order, Line(*row[ROW_LINE[e1]:ROW_LINE[e1] + 3]), Line(a2, b2, c2), Point2(apx, apy),
-            _point(row, ROW_VERTEX[shared_vertex(e1, e3)]), _point(row, ROW_VERTEX[shared_vertex(e2, e3)]),
-            Point2(cix, ciy), Point2(fix, fiy), Point2(ux, uy), sigma_z, Point2(ftx, fty),
-        )
-
-    def t_coord(self, p: Point2) -> float:
-        return self.u.dot(p - self.corner_img)
-
-    def subopt_coord(self, p: Point2) -> float:
-        return self.sigma_z * self.u.dot(p - self.apex)
-
-
 # Row offset and width of each field of ``TriangleKernel.order_witness`` and
 # of each point of ``TriangleKernel.pair_unfolding``.
 _ORDER_WITNESS = {
     order: (
-        (ROW_LINE[e1], 3), (_ROW_WITNESS + 7 * k, 3), (_ROW_UNFOLDS + 8 * k, 2), (_ROW_UNFOLDS + 8 * k + 2, 2),
-        (_ROW_UNFOLDS + 8 * k + 4, 2), (_ROW_WITNESS + 7 * k + 5, 2), (ROW_VERTEX[shared_vertex(e2, e3)], 2),
+        (_ROW_LINE[e1], 3), (_ROW_WITNESS + 7 * k, 3), (_ROW_UNFOLDS + 8 * k, 2), (_ROW_UNFOLDS + 8 * k + 2, 2),
+        (_ROW_UNFOLDS + 8 * k + 4, 2), (_ROW_WITNESS + 7 * k + 5, 2), (_ROW_VERTEX[shared_vertex(e2, e3)], 2),
+        (_ROW_WITNESS + 7 * k + 3, 2), (_ROW_UNFOLDS + 8 * k + 6, 1),
     )
     for k, (order, (e1, e2, e3)) in enumerate((o, o.edges) for o in _ORDERS)
 }
 _PAIR_POINTS = {
     (first, second): (
-        ROW_VERTEX[shared_vertex(first, second)], ROW_VERTEX[_other_end(second, shared_vertex(first, second))],
+        _ROW_VERTEX[shared_vertex(first, second)], _ROW_VERTEX[_other_end(second, shared_vertex(first, second))],
         _ROW_FARS + 2 * j,
     )
     for j, (first, second) in enumerate(_PAIRS)
@@ -302,7 +263,7 @@ class TriangleKernel:
 
     ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
     plain floats for a single-triangle kernel, for the witness views, and a
-    (T, ROW_WIDTH) array for a stack.  Each family's table is one (width,
+    (T, row width) array for a stack.  Each family's table is one (width,
     count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
     fields of member k and ``table`` into those of every member: (1,) or
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
@@ -314,10 +275,10 @@ class TriangleKernel:
             row = _row_of(t)
             self.rows = [row]
             flat = np.array(row)
-            self.scale = row[ROW_SCALE]
+            self.scale = row[_ROW_SCALE]
         else:
             self.rows = flat = np.array([_row_of(s) for s in t], dtype=float)
-            self.scale = flat[:, ROW_SCALE, None]
+            self.scale = flat[:, _ROW_SCALE, None]
 
         # .T rather than np.moveaxis, which costs about 6 us more per table,
         # and ``eval`` builds a kernel per point.
@@ -333,15 +294,23 @@ class TriangleKernel:
     # -- a single-triangle kernel at one point, on plain floats ----------
 
     def order_witness(self, order: VisitOrder) -> tuple[list[float], ...]:
-        """(line1, line2u, corner_img, u, apex, alt_foot, corner) of
-        ``order``'s unfolding, the fields of ``_Unfold3`` that its witnesses
-        read: the lines as [a, b, c] and the points and ``u`` as [x, y]."""
+        """(line1, line2u, corner_img, u, apex, alt_foot, corner, far_img,
+        [sigma_z]) of ``order``'s unfolding: line1 is the first edge's line,
+        line2u the once-unfolded second edge's line, corner_img and far_img
+        the ends of the twice-unfolded third edge, u the unit vector from the
+        one to the other, apex the vertex of the first two edges, alt_foot its
+        foot on the third edge's line, corner the vertex of the last two edges
+        and sigma_z the orientation of the positive subopt side.  The lines
+        are [a, b, c] and the points and ``u`` [x, y].  The witnesses read
+        the first seven fields; the R1 locus of ``regions`` reads the bounce
+        and subopt lines (corner_img, u, apex, sigma_z), alt_foot and
+        far_img."""
         row = self.rows[0]
         return tuple(row[at:at + width] for at, width in _ORDER_WITNESS[order])
 
     def edge_line(self, e: EdgeId) -> tuple[float, float, float]:
         """(a, b, c) of the line of ``e``, as ``Line`` holds them."""
-        at = ROW_LINE[e]
+        at = _ROW_LINE[e]
         return tuple(self.rows[0][at:at + 3])
 
     def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[tuple[float, float], ...]:
@@ -378,10 +347,34 @@ class TriangleKernel:
             return c12 < c21, False
         row = self.rows[0]
         d1, d2 = (
-            nearest_on_segment(x, y, *row[ROW_VERTEX[a]:ROW_VERTEX[a] + 2], *row[ROW_VERTEX[b]:ROW_VERTEX[b] + 2])[2]
+            nearest_on_segment(x, y, *row[_ROW_VERTEX[a]:_ROW_VERTEX[a] + 2],
+                               *row[_ROW_VERTEX[b]:_ROW_VERTEX[b] + 2])[2]
             for a, b in (e1.endpoints, e2.endpoints)
         )
         return d1 <= d2, True
+
+    # -- a stacked kernel of standard-form triangles ---------------------
+
+    def seeds(self) -> np.ndarray:
+        """(T, 4, 2) seeds of a stacked kernel of standard-form triangles:
+        the incenter, then the altitude midpoints from A, B and C.
+
+        Only ``+ - * /`` are applied to the rows, which NumPy rounds exactly
+        as Python does, so each seed equals ``incenter`` or
+        ``altitude_midpoint`` bit for bit.  The incenter uses the standard
+        form's B = (0, 0) and C = (1, 0), with the rows' lengths of AB and
+        AC."""
+        rows = self.rows
+        q = rows[:, _ROW_VERTEX[VertexId.A] + 1]
+        ab, ac = rows[:, _ROW_LENGTH[EdgeId.L]], rows[:, _ROW_LENGTH[EdgeId.R]]
+        seeds = [((ab - ac + 1.0) / 2, q / (1.0 + ac + ab))]
+        for v in _VERTICES:
+            x, y = rows[:, _ROW_VERTEX[v]], rows[:, _ROW_VERTEX[v] + 1]
+            at = _ROW_LINE[opposite_edge(v)]
+            a, b, c = rows[:, at], rows[:, at + 1], rows[:, at + 2]
+            d = a * x + b * y + c
+            seeds.append(((x + (x - d * a)) / 2, (y + (y - d * b)) / 2))
+        return np.stack([np.stack(xy, axis=-1) for xy in seeds], axis=1)
 
     # -- primitives ----------------------------------------------------
 
@@ -402,23 +395,30 @@ class TriangleKernel:
         return np.hypot(*cls._seg_offset(pts, key))
 
     @staticmethod
-    def _broadcasts(pts: np.ndarray) -> bool:
-        """Whether ``r1_all`` and ``r3_all`` broadcast over their member
-        axis at ``pts`` rather than loop over the members (same bits either
-        way).  Each ufunc call costs about 1 us whatever its size, so at one
-        point the broadcast is several times faster (44 against 208 us for
-        the six orders); the two are level near ``_BROADCAST_POINTS`` (1.31
-        against 1.35 ms), and on a 512 raster the loop is faster (51 against
-        61 ms) with temporaries six times smaller (one 2-core Xeon host)."""
-        return pts.size <= 2 * _BROADCAST_POINTS
+    def _each_member(pts: np.ndarray, table: np.ndarray, body) -> np.ndarray:
+        """(count, ...) results of ``body(pts, member table)`` for each of
+        the ``count`` members of ``table``: one broadcast over the member
+        axis up to ``_BROADCAST_POINTS`` points, above it a loop over the
+        members that writes each result in place (same bits either way).
+        Each ufunc call costs about 1 us whatever its size, so at one point
+        the broadcast is several times faster (44 against 208 us for the six
+        orders); the two are level near ``_BROADCAST_POINTS`` (1.31 against
+        1.35 ms), and on a 512 raster the loop is faster (51 against 61 ms)
+        with temporaries six times smaller (one 2-core Xeon host).  Stacking
+        a list of the members' results instead of writing them in place
+        makes the peak RSS of a 512 r1 raster several MB higher."""
+        if pts.size <= 2 * _BROADCAST_POINTS:
+            return body(pts, table)
+        out = np.empty((table.shape[1],) + pts.shape[:-1])
+        for k in range(len(out)):
+            out[k] = body(pts, table[:, k])
+        return out
 
     # -- one evaluator per cost family -----------------------------------
 
     def r3_all(self, pts: np.ndarray) -> np.ndarray:
         """(3, ...) point-to-edge distances in EdgeId declaration order."""
-        if self._broadcasts(pts):
-            return self._seg_dist(pts, self._segs)
-        return np.array([self._seg_dist(pts, self._segs[:, k]) for k in range(len(_EDGES))])
+        return self._each_member(pts, self._segs, self._seg_dist)
 
     def ordered2_all(self, pts: np.ndarray) -> np.ndarray:
         """(6, ...) ordered two-edge visit costs in ``_PAIRS`` order, in one
@@ -438,14 +438,7 @@ class TriangleKernel:
     def r1_all(self, pts: np.ndarray) -> np.ndarray:
         """(6, ...) ordered three-edge visit costs in VisitOrder declaration
         order, without the case masks."""
-        if self._broadcasts(pts):
-            return _ordered3_cases(pts, self._unfolds, self.tol)[0]
-        # Written in place: stacking a list of the six orders' costs makes
-        # the peak RSS of a 512 r1 raster several MB higher.
-        costs = np.empty((len(_ORDERS),) + pts.shape[:-1])
-        for k in range(len(_ORDERS)):
-            costs[k] = _ordered3_cases(pts, self._unfolds[:, k], self.tol)[0]
-        return costs
+        return self._each_member(pts, self._unfolds, lambda p, table: _ordered3_cases(p, table, self.tol)[0])
 
     def farthest_edges(self, dists: np.ndarray) -> np.ndarray:
         """(3, ...) mask of the edges within tol of the largest of ``dists``

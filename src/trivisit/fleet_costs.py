@@ -26,6 +26,7 @@ from .geom_core import (
     altitude_midpoint,
     edge_segment,
     incenter,
+    largest_angle_vertex,
     nearest_on_segment,
     opposite_edge,
     reflect,
@@ -40,9 +41,6 @@ from .visitation import StandardPoint, StrategyKind, Trajectory
 # 1e-3 or 1e-6 deg angle it was 6, so 64 leaves a margin of 8x.  Relative to
 # the base the gaps reached 2.8e-8 on those thin triangles.
 CHAIN_ULPS = 64
-
-_ANGLE_TIE = 1e-12
-_VERTEX_PRIORITY = (VertexId.A, VertexId.B, VertexId.C)
 
 
 class ClosedFormDomainError(ValueError):
@@ -170,15 +168,6 @@ def fleet_costs(t: Triangle, p: Point2) -> FleetCostReport:
     return FleetCostReport(t, p, _r3(sp, sp.edge_dists), _r2(sp, _partitions(sp)), _r1(sp, sp.orders[0]))
 
 
-def largest_angle_vertex(t: Triangle) -> VertexId:
-    """Vertex of the largest angle; ties resolve by label priority A > B > C."""
-    best = max(t.angle(v) for v in _VERTEX_PRIORITY)
-    for v in _VERTEX_PRIORITY:
-        if best - t.angle(v) <= _ANGLE_TIE:
-            return v
-    raise AssertionError("unreachable")
-
-
 def r2_incenter_closed(t: Triangle) -> float:
     """R2 at the incenter: distance from the incenter to the largest-angle vertex."""
     return incenter(t).dist(t.vertex(largest_angle_vertex(t)))
@@ -202,7 +191,7 @@ def r1_mid_altitude_closed(t: Triangle) -> float:
     scaled by the largest edge length."""
     va = largest_angle_vertex(t)
     ang_a = t.angle(va)
-    others = [t.angle(v) for v in _VERTEX_PRIORITY if v is not va]
+    others = [t.angle(v) for v in VertexId if v is not va]
     ang_b, ang_c = others
     base = edge_segment(t, opposite_edge(va)).length
     return base * 0.5 * (2.0 - math.cos(2.0 * ang_a)) * math.sin(ang_b) * math.sin(ang_c) / math.sin(ang_b + ang_c)

@@ -2,7 +2,7 @@
 
 Plain double-precision geometry: points, normalized implicit lines, segments,
 orientation-preserving similarities, non-obtuse triangles with their named
-edges and edge visit orders, cones and parabolas.  Triangles are validated on
+edges and edge visit orders, and parabolas.  Triangles are validated on
 construction and normalized to counter-clockwise vertex order; everything
 downstream relies on both.
 """
@@ -376,6 +376,18 @@ class VisitOrder(str, Enum):
 _ORDER_EDGES = {order: tuple(EdgeId(ch) for ch in order.value) for order in VisitOrder}
 
 
+_ANGLE_TIE = 1e-12
+
+
+def largest_angle_vertex(t: Triangle) -> VertexId:
+    """Vertex of the largest angle; ties resolve by label priority A > B > C."""
+    best = max(t.angle(v) for v in VertexId)
+    for v in VertexId:
+        if best - t.angle(v) <= _ANGLE_TIE:
+            return v
+    raise AssertionError("unreachable")
+
+
 def altitude_midpoint(t: Triangle, v: VertexId) -> Point2:
     """Midpoint of the altitude dropped from ``v`` onto its opposite edge."""
     apex = t.vertex(v)
@@ -465,38 +477,6 @@ def bisector_direction(t: Triangle, vertex: VertexId) -> Point2:
     v = t.vertex(vertex)
     u1, u2 = (t.vertex(u) for u in opposite_edge(vertex).endpoints)
     return ((u1 - v).unit() + (u2 - v).unit()).unit()
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Circular cone in the plane; ``half_angle`` 0 encodes a ray.
-
-    The degenerate empty cone gets its own flag rather than a negative
-    half-angle, because zero half-angle is a real (ray) case.
-    """
-
-    tip: Point2
-    direction: Point2
-    half_angle: float
-    empty: bool = False
-
-    def __post_init__(self):
-        if not self.empty:
-            if not (0.0 <= self.half_angle <= math.pi / 2 + 1e-12):
-                raise GeometryError("cone half-angle out of [0, pi/2]")
-            n = self.direction.norm()
-            if abs(n - 1.0) > 1e-9:
-                object.__setattr__(self, "direction", self.direction.unit())
-
-    def contains(self, p: Point2) -> bool:
-        if self.empty:
-            return False
-        v = p - self.tip
-        n = v.norm()
-        if n <= SEGMENT_EPS:
-            return True
-        cosang = max(-1.0, min(1.0, v.dot(self.direction) / n))
-        return math.acos(cosang) <= self.half_angle + 1e-9
 
 
 @dataclass(frozen=True)

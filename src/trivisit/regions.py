@@ -5,7 +5,9 @@ arrangement: a cell is labeled by every strategy that the triangle's kernel
 keeps within the tie tolerance of its best cost.  The constructed separator
 chains (bisector segments, the two-robot mixed hexagon, the
 left/right-first equal-cost locus) are cross-checks: sampled points on them
-must tie the two strategies they separate.
+must tie the two strategies they separate.  They are built from ``geom_core``
+pieces and the kernel's unfolding constants (``TriangleKernel.order_witness``)
+alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, _row_of, _Unfold3, barycentric_grid
-from .fleet_costs import largest_angle_vertex
+from ._kernels import TriangleKernel, barycentric_grid
 from .geom_core import (
     EdgeId,
     GeometryError,
@@ -32,9 +33,9 @@ from .geom_core import (
     edge_segment,
     foot_of_bisector,
     incenter,
+    largest_angle_vertex,
     opposite_edge,
 )
-from .visitation import bouncing_subcone
 
 _PIECE_EPS = 1e-9           # pieces shorter than this are dropped
 
@@ -144,32 +145,22 @@ def r3_regions(t: Triangle) -> R3Regions:
 # two-robot separator
 
 
-_CCW_NEXT = {VertexId.A: VertexId.B, VertexId.B: VertexId.C, VertexId.C: VertexId.A}
+def _turned(d: Point2, angle: float) -> Point2:
+    """``d`` rotated counter-clockwise by ``angle``."""
+    ca, sa = math.cos(angle), math.sin(angle)
+    return Point2(ca * d.x - sa * d.y, sa * d.x + ca * d.y)
 
 
-def _edge_with(v1: VertexId, v2: VertexId) -> EdgeId:
-    return opposite_edge(({*VertexId} - {v1, v2}).pop())
-
-
-def _extreme_ray_toward(t: Triangle, foot: Point2, edge: EdgeId, toward: Point2) -> tuple[Point2, Point2]:
-    """Extreme ray of the cone at ``foot`` (angle = the opposite vertex's
-    angle, bisector perpendicular to ``edge``) tilted toward ``toward``."""
-    opp = edge.opposite_vertex
-    half = t.angle(opp) / 2.0
-    seg = edge_segment(t, edge)
-    d = seg.direction
-    inward = d.perp()
+def _extreme_ray_toward(t: Triangle, edge: EdgeId, vertex: VertexId) -> Point2:
+    """Extreme ray of the cone at the bisector foot on ``edge`` (angle = the
+    opposite vertex's angle, axis the inward normal of ``edge``) tilted
+    toward ``vertex``, one of the edge's endpoints."""
+    half = t.angle(edge.opposite_vertex) / 2.0
     # Triangle vertices are counter-clockwise, so the inward normal of each
-    # directed edge is the CCW perpendicular.
-    ca, sa = math.cos(half), math.sin(half)
-    cand = []
-    for sign in (1.0, -1.0):
-        rx = ca * inward.x - sign * sa * inward.y
-        ry = sign * sa * inward.x + ca * inward.y
-        cand.append(Point2(rx, ry))
-    want = (toward - foot).unit()
-    best = max(cand, key=lambda r: r.dot(want))
-    return foot, best
+    # directed edge is the CCW perpendicular, and turning it counter-clockwise
+    # tilts it toward the edge's first endpoint.
+    d = edge_segment(t, edge).direction.perp()
+    return _turned(d, half if edge.endpoints[0] is vertex else -half)
 
 
 def bisector_separator_point(t: Triangle, vertex: VertexId) -> Point2:
@@ -179,13 +170,11 @@ def bisector_separator_point(t: Triangle, vertex: VertexId) -> Point2:
     center = incenter(t)
     bis = Line.from_points(v, center)
     hits = []
-    for other in VertexId:
-        if other is vertex:
+    for edge in EdgeId:
+        if vertex not in edge.endpoints:
             continue
-        edge = _edge_with(vertex, other)
-        opp = edge.opposite_vertex
-        foot = foot_of_bisector(t, opp)
-        origin, ray = _extreme_ray_toward(t, foot, edge, v)
+        origin = foot_of_bisector(t, edge.opposite_vertex)
+        ray = _extreme_ray_toward(t, edge, vertex)
         ray_line = Line.from_points(origin, origin + ray)
         hit = ray_line.intersect(bis)
         if hit is None:
@@ -244,16 +233,19 @@ def r2_separator(t: Triangle) -> SeparatorChain:
     for v in (VertexId.B, VertexId.C, VertexId.A):
         enter, leave = corner_feet[v]
         label = f"corner-{v.value}"
-        cone = bouncing_subcone(t, v)
-        if cone.empty or cone.half_angle <= 1e-12:
+        # Half-angle of the bouncing subcone at v, the starting points whose
+        # optimal two-edge visit goes straight to v: 3V - pi about the
+        # bisector, a ray at V = pi/3 and empty below.
+        half = (3.0 * t.angle(v) - math.pi) / 2.0
+        if half <= 1e-12:
             pieces.extend(_corner_segments(enter, seps[v], leave, label))
             continue
         vx = t.vertex(v)
         opp_line = t.edge_line(opposite_edge(v))
         par = Parabola(vx, opp_line)
-        rays = _subcone_extreme_rays(t, v, cone.half_angle)
+        bis = bisector_direction(t, v)
         xs = []
-        for ray in rays:
+        for ray in (_turned(bis, half), _turned(bis, -half)):
             hit = _ray_parabola_point(par, vx, ray)
             if hit is None:
                 xs = []
@@ -298,25 +290,15 @@ def _along(a: Point2, b: Point2, p: Point2) -> float | None:
     return None
 
 
-def _subcone_extreme_rays(t: Triangle, v: VertexId, half: float) -> tuple[Point2, Point2]:
-    bis = bisector_direction(t, v)
-    out = []
-    for sign in (1.0, -1.0):
-        ca, sa = math.cos(half), math.sin(sign * half)
-        out.append(Point2(ca * bis.x - sa * bis.y, sa * bis.x + ca * bis.y))
-    return out[0], out[1]
-
-
 # ---------------------------------------------------------------------------
 # one-robot left-first / right-first locus
 
 
 def _orders_for_apex(apex: VertexId) -> tuple[VisitOrder, VisitOrder]:
-    nxt = _CCW_NEXT[apex]
-    prv = _CCW_NEXT[nxt]
-    e_left = _edge_with(apex, nxt)
-    e_right = _edge_with(prv, apex)
-    e_down = _edge_with(nxt, prv)
+    # Edges run counter-clockwise, so the apex starts its left edge and ends
+    # its right edge.
+    e_left, e_right = (next(e for e in EdgeId if e.endpoints[k] is apex) for k in (0, 1))
+    e_down = opposite_edge(apex)
     o1 = VisitOrder(e_left.value + e_right.value + e_down.value)
     o2 = VisitOrder(e_right.value + e_left.value + e_down.value)
     return o1, o2
@@ -331,6 +313,21 @@ def _inward_gap(t: Triangle, p: Point2) -> float:
     return min(gaps)
 
 
+def _indicators(w) -> tuple[Callable[[Point2], float], Callable[[Point2], float], Point2, Point2]:
+    """(bounce, subopt, corner_img, far_img) of an unfolding, from its
+    ``TriangleKernel.order_witness`` fields: a point's coordinates across
+    the bounce and subopt lines, in the operations of the kernel's case
+    indicators (``_ordered3_cases``), and the ends of the twice-unfolded
+    last edge."""
+    _, _, (cix, ciy), (ux, uy), (ax, ay), _, _, (fix, fiy), (sigma_z,) = w
+    return (
+        lambda p: ux * (p.x - cix) + uy * (p.y - ciy),
+        lambda p: sigma_z * (ux * (p.x - ax) + uy * (p.y - ay)),
+        Point2(cix, ciy),
+        Point2(fix, fiy),
+    )
+
+
 def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChain:
     """Equal-cost locus of the two visit orders that keep the apex's
     opposite edge last: an altitude piece, then possibly a parabola arc once
@@ -341,39 +338,43 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         apex = largest_angle_vertex(t)
     o1, o2 = _orders_for_apex(apex)
     label = f"{o1.value}={o2.value}"
-    row = _row_of(t)
-    uf1, uf2 = _Unfold3.from_row(row, o1), _Unfold3.from_row(row, o2)
+    kernel = TriangleKernel(t)
+    w1 = kernel.order_witness(o1)
     v = t.vertex(apex)
-    foot = uf1.alt_foot  # both orders share the apex and the last edge
+    foot = Point2(*w1[5])  # alt_foot: both orders share the apex and the last edge
     altitude = Segment(v, foot)
 
-    def bounce_cross(uf) -> float | None:
+    def bounce_cross(bounce) -> float | None:
         # parameter along the altitude where the bounce line is crossed
-        t0 = uf.t_coord(v)
-        t1 = uf.t_coord(foot)
+        t0 = bounce(v)
+        t1 = bounce(foot)
         if abs(t0 - t1) <= 1e-12:
             return None
         s = t0 / (t0 - t1)
         return s if 1e-9 < s < 1.0 - 1e-9 else None
 
-    crossings = [(bounce_cross(uf), uf, other)
-                 for uf, other in ((uf1, uf2), (uf2, uf1))]
-    crossings = [(s, uf, other) for s, uf, other in crossings if s is not None]
+    ind1, ind2 = _indicators(w1), _indicators(kernel.order_witness(o2))
+    crossings = [(bounce_cross(ind[0]), ind, other) for ind, other in ((ind1, ind2), (ind2, ind1))]
+    crossings = [c for c in crossings if c[0] is not None]
     if not crossings:
         return SeparatorChain((SegmentPiece(altitude, label),), label)
 
-    s_u, uf_deg, uf_straight = min(crossings, key=lambda c: c[0])
+    # The order whose bounce line the altitude crosses first degenerates to
+    # a corner hit there; the other still bounces straight.
+    s_u, (bounce_deg, subopt_deg, corner_deg, _), (bounce_st, subopt_st, corner_st, far_st) = min(
+        crossings, key=lambda c: c[0]
+    )
     u_pt = altitude.point_at(s_u)
     pieces: list[ChainPiece] = []
     _append_segment(pieces, v, u_pt, label)
 
-    third_line = Line.from_points(uf_straight.corner_img, uf_straight.far_img)
-    if abs(third_line.signed_dist(uf_deg.corner_img)) <= 1e-12:
+    third_line = Line.from_points(corner_st, far_st)
+    if abs(third_line.signed_dist(corner_deg)) <= 1e-12:
         # Degenerate parabola (right apex): both unfolded lines coincide and
         # the locus continues straight down the altitude.
         _append_segment(pieces, u_pt, foot, label)
         return SeparatorChain(tuple(pieces), label)
-    par = Parabola(uf_deg.corner_img, third_line)
+    par = Parabola(corner_deg, third_line)
     u0 = par.param_of(u_pt)
 
     # March along the parabola on the side where the first order stays
@@ -383,7 +384,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
     probe = 1e-6 * altitude.length
     direction = (
         1.0
-        if uf_deg.t_coord(par.point_at(u0 + probe)) < uf_deg.t_coord(par.point_at(u0 - probe))
+        if bounce_deg(par.point_at(u0 + probe)) < bounce_deg(par.point_at(u0 - probe))
         else -1.0
     )
 
@@ -391,10 +392,10 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         return par.point_at(u)
 
     guards = (
-        ("bounce", lambda u: uf_straight.t_coord(at(u))),
+        ("bounce", lambda u: bounce_st(at(u))),
         ("exit", lambda u: _inward_gap(t, at(u))),
-        ("restraight", lambda u: -uf_deg.t_coord(at(u))),
-        ("subopt", lambda u: min(uf_deg.subopt_coord(at(u)), uf_straight.subopt_coord(at(u)))),
+        ("restraight", lambda u: -bounce_deg(at(u))),
+        ("subopt", lambda u: min(subopt_deg(at(u)), subopt_st(at(u)))),
     )
     u_stop, stop_kind = _first_event(u0, du * direction, guards)
     if abs(u_stop - u0) > _PIECE_EPS:
@@ -404,20 +405,17 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         # Both orders now end on their unfolded corner vertices, so the tail
         # is the perpendicular bisector of the two corner images, clipped to
         # where those degenerate cases keep holding.
-        axis = (uf_straight.corner_img - uf_deg.corner_img).perp().unit()
+        axis = (corner_st - corner_deg).perp().unit()
         d = axis if axis.dot(w_pt - v) > 0 else -axis
         z = _ray_exit(t, w_pt, d)
         if z is not None and w_pt.dist(z) > _PIECE_EPS:
-            span = w_pt.dist(z)
-
             def seg_at(s: float) -> Point2:
                 return Point2(w_pt.x + s * (z.x - w_pt.x), w_pt.y + s * (z.y - w_pt.y))
 
             line_guards = (
-                ("deg", lambda s: -uf_deg.t_coord(seg_at(s))),
-                ("deg2", lambda s: -uf_straight.t_coord(seg_at(s))),
-                ("subopt", lambda s: min(uf_deg.subopt_coord(seg_at(s)),
-                                         uf_straight.subopt_coord(seg_at(s)))),
+                ("deg", lambda s: -bounce_deg(seg_at(s))),
+                ("deg2", lambda s: -bounce_st(seg_at(s))),
+                ("subopt", lambda s: min(subopt_deg(seg_at(s)), subopt_st(seg_at(s)))),
             )
             s_stop, _ = _first_event(0.0, 1.0 / 64.0, line_guards, stop_at=1.0)
             _append_segment(pieces, w_pt, seg_at(s_stop), label)

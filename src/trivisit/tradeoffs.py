@@ -7,8 +7,9 @@ midpoints, where the paper places the maximizers of the three ratio pairs.
 infimum and supremum; infima are limits over degenerating shapes, so they
 are reported as approached, never attained.  Both evaluate ``_maximize`` on
 a stacked kernel: ``max_ratio`` on a batch of one triangle,
-``sweep_triangles`` on chunks of cells.  The seeds are read off the kernel's
-triangle rows, with the arithmetic of ``incenter`` and ``altitude_midpoint``.
+``sweep_triangles`` on chunks of cells.  The seeds come from the kernel
+(``TriangleKernel.seeds``), with the arithmetic of ``incenter`` and
+``altitude_midpoint``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import ROW_LENGTH, ROW_LINE, ROW_VERTEX, TriangleKernel, barycentric_grid
-from .geom_core import EdgeId, Point2, Triangle, VertexId, opposite_edge, triangle_from_angles
+from ._kernels import TriangleKernel, barycentric_grid
+from .geom_core import Point2, Triangle, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
@@ -74,7 +75,7 @@ def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple
     each triangle's result does not depend on the others in the batch.
     """
     k = TriangleKernel(stds)
-    seeds = _seeds(k.rows)
+    seeds = k.seeds()
     pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
     rn, rm = k.cost(pts, n), k.cost(pts, m)
     vals = rn / rm
@@ -90,27 +91,6 @@ def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple
         (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
         for i, j in zip(rows, at)
     ]
-
-
-def _seeds(rows: np.ndarray) -> np.ndarray:
-    """(T, 4, 2) seeds of a (T, ROW_WIDTH) stack of standard-form triangle
-    rows: the incenter, then the altitude midpoints from A, B and C.
-
-    Only ``+ - * /`` are applied to the rows, which NumPy rounds exactly as
-    Python does, so each seed equals ``incenter`` or ``altitude_midpoint``
-    bit for bit.  The incenter uses the standard form's B = (0, 0) and
-    C = (1, 0), with the rows' lengths of AB and AC.
-    """
-    q = rows[:, ROW_VERTEX[VertexId.A] + 1]
-    ab, ac = rows[:, ROW_LENGTH[EdgeId.L]], rows[:, ROW_LENGTH[EdgeId.R]]
-    seeds = [((ab - ac + 1.0) / 2, q / (1.0 + ac + ab))]
-    for v in VertexId:
-        x, y = rows[:, ROW_VERTEX[v]], rows[:, ROW_VERTEX[v] + 1]
-        at = ROW_LINE[opposite_edge(v)]
-        a, b, c = rows[:, at], rows[:, at + 1], rows[:, at + 2]
-        d = a * x + b * y + c
-        seeds.append(((x + (x - d * a)) / 2, (y + (y - d * b)) / 2))
-    return np.stack([np.stack(xy, axis=-1) for xy in seeds], axis=1)
 
 
 _SHAPE_TOL = 0.51  # degrees

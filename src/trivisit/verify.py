@@ -411,7 +411,6 @@ _SWEEP_TARGETS = {
     (2, 3): (2.0, "equilateral", SQRT2),
     (1, 2): (3.0, "right isosceles", 2.5),
 }
-_SUP_SHAPES = {(1, 3): "equilateral", (2, 3): "equilateral", (1, 2): "right isosceles"}
 # The (1,2) and (2,3) infima are attained, so their witness shapes are fixed;
 # the (1,3) infimum is only approached along degenerating thin triangles, and
 # on an integer-degree grid the thinnest admitted cell is a one-degree-apex

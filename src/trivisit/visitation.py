@@ -23,17 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _ORDERS, EXACT_TIE, StrategyKind, TriangleKernel
-from .geom_core import (
-    Cone,
-    EdgeId,
-    Point2,
-    Triangle,
-    VertexId,
-    VisitOrder,
-    as_point,
-    bisector_direction,
-    polyline_length,
-)
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, polyline_length
 
 
 @dataclass(frozen=True)
@@ -46,19 +36,6 @@ class Trajectory:
     order: VisitOrder | None = None
     edge_sequence: tuple[EdgeId, ...] = ()
     tie: bool = False
-
-
-def bouncing_subcone(t: Triangle, vertex: VertexId) -> Cone:
-    """Cone of starting points whose optimal two-edge visit goes straight to
-    ``vertex``; angle 3*V - pi about the bisector, a ray at V = pi/3, empty
-    below."""
-    ang = t.angle(vertex)
-    tip = t.vertex(vertex)
-    direction = bisector_direction(t, vertex)
-    half = (3.0 * ang - math.pi) / 2.0
-    if half < -1e-12:
-        return Cone(tip, direction, 0.0, empty=True)
-    return Cone(tip, direction, max(0.0, half))
 
 
 # Witnesses are built in standard form on plain floats: points are (x, y)
@@ -94,7 +71,7 @@ def _cross_line(p, q, line):
 
 
 def _case_bouncing(w, ps) -> list:
-    line1, line2u, (cix, ciy), (ux, uy), _, _, _ = w
+    line1, line2u, (cix, ciy), (ux, uy), *_ = w
     (px, py), nx, ny = ps, -uy, ux
     s = nx * (px - cix) + ny * (py - ciy)
     proj = (px - nx * s, py - ny * s)
@@ -104,12 +81,12 @@ def _case_bouncing(w, ps) -> list:
 
 
 def _case_degenerate(w, ps) -> list:
-    line1, _, corner_img, _, _, _, corner = w
+    line1, _, corner_img, _, _, _, corner, *_ = w
     return _dedupe([ps, _cross_line(ps, corner_img, line1), corner])
 
 
 def _case_subopt(w, ps) -> list:
-    _, _, _, _, apex, alt_foot, _ = w
+    _, _, _, _, apex, alt_foot, *_ = w
     return _dedupe([ps, apex, alt_foot])
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from trivisit import cli
 from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, EvalReport, _eval_json, _json, eval_report, json_dumps, main
 from trivisit.geom_core import Point2, Triangle, triangle_from_angles
 from trivisit.regions import raster_region_map
@@ -294,24 +295,30 @@ class TestEvalWriter:
         for rep in _synthetic_reports():
             assert _eval_json(rep) == _json(rep, 0) == json_dumps(rep)
 
-    def test_report_type_picks_the_writer(self):
-        """An ``EvalReport`` and a plain copy of it, which takes the generic
-        walk, are written in the same bytes."""
-        for g in EVAL_GOLDEN:
-            rep = eval_report(Triangle(*g["vertices"]), Point2(*g["point"]))
-            assert isinstance(rep, EvalReport)
-            assert json_dumps(dict(rep)) == json_dumps(rep)
-
-    def test_other_shapes_take_the_generic_walk(self):
-        rep = eval_report(triangle_from_angles(math.radians(70), math.radians(55)), Point2(0.4, 0.2))
+    def test_report_type_picks_the_writer(self, monkeypatch):
+        """An ``EvalReport`` is written by ``_eval_json``; a plain copy of it
+        and mis-shaped reports take the generic walk, the copy in the same
+        bytes as the report."""
+        reports = [eval_report(Triangle(*g["vertices"]), Point2(*g["point"])) for g in EVAL_GOLDEN]
+        texts = [json_dumps(rep) for rep in reports]
         variants = []
         for path, value in ((("r1", "cost"), [1.0, 2.0]), (("r3", "edges"), "LD"), (("input", "point"), {"x": 1.0}),
                             (("r2", "witnesses"), [{"single_edge": "L"}]), (("r1", "trajectory"), {"cost": 1.0})):
-            bad = json.loads(json.dumps(rep))
+            bad = json.loads(json.dumps(reports[0]))
             bad[path[0]][path[1]] = value
             variants.append(bad)
-        bad = json.loads(json.dumps(rep))
+        bad = json.loads(json.dumps(reports[0]))
         bad["r1"]["trajectory"]["waypoints"] = [[1.0, 2.0, 3.0]]
         variants.append(bad)
+
+        def one_pass_writer(report):
+            raise AssertionError("one-pass writer called")
+
+        monkeypatch.setattr(cli, "_eval_json", one_pass_writer)
+        for rep, text in zip(reports, texts):
+            assert isinstance(rep, EvalReport)
+            with pytest.raises(AssertionError, match="one-pass writer called"):
+                json_dumps(rep)
+            assert json_dumps(dict(rep)) == _json(dict(rep), 0) == text
         for bad in variants:
             assert json_dumps(bad) == _json(bad, 0)

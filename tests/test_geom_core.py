@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trivisit.geom_core import (
-    Cone,
     DegenerateTriangleError,
     GeometryError,
     Line,
@@ -272,16 +271,6 @@ class TestFootOfBisector:
 
 
 class TestConeAndParabola:
-    def test_cone_contains(self):
-        cone = Cone(Point2(0, 0), Point2(1, 0), math.pi / 6)
-        assert cone.contains(Point2(1, 0.2))
-        assert not cone.contains(Point2(1, 1))
-        assert cone.contains(Point2(0, 0))  # tip
-
-    def test_empty_cone(self):
-        cone = Cone(Point2(0, 0), Point2(1, 0), 0.0, empty=True)
-        assert not cone.contains(Point2(1, 0))
-
     def test_parabola_points(self):
         par = Parabola(Point2(0, 1), Line.from_points(Point2(0, 0), Point2(1, 0)))
         for u in (-2.0, -0.5, 0.0, 0.7, 3.0):

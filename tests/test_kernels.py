@@ -123,7 +123,8 @@ def _edge_line(t, e):
 
 
 def _reference_unfold3(t, order):
-    """The ordered three-edge unfolding built from geom_core objects."""
+    """The ordered three-edge unfolding built from geom_core objects, in the
+    fields of ``TriangleKernel.order_witness``."""
     e1, e2, e3 = order.edges
     line1 = _edge_line(t, e1)
     apex, base_vertex, corner = (t.vertex(shared_vertex(*es)) for es in ((e1, e2), (e1, e3), (e2, e3)))
@@ -133,7 +134,7 @@ def _reference_unfold3(t, order):
     u = (far_img - corner_img).unit()
     sigma_z = math.copysign(1.0, u.dot(base_vertex - apex))
     alt_foot = project(apex, _edge_line(t, e3))
-    return (order, line1, line2u, apex, base_vertex, corner, corner_img, far_img, u, sigma_z, alt_foot)
+    return (line1, line2u, corner_img, u, apex, alt_foot, corner, far_img, [sigma_z])
 
 
 def _reference_pair_unfolding(t, first, second):
@@ -153,9 +154,8 @@ class TestTriangleRow:
             k = TriangleKernel(t)
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
-                assert _hexes(_kernels._Unfold3.from_row(k.rows[0], order)) == _hexes(ref)
-                _, line1, line2u, apex, _, corner, corner_img, _, u, sigma_z, alt_foot = ref
-                assert _hexes(k.order_witness(order)) == _hexes((line1, line2u, corner_img, u, apex, alt_foot, corner))
+                assert _hexes(k.order_witness(order)) == _hexes(ref)
+                _, _, corner_img, u, apex, alt_foot, _, _, [sigma_z] = ref
                 row = (*corner_img, *u, *apex, sigma_z, apex.dist(alt_foot))
                 assert _array_hexes(k._unfolds[:, i]) == _hexes(row)
             for i, (first, second) in enumerate(_PAIRS):
@@ -187,18 +187,36 @@ class TestTriangleRow:
                 TriangleKernel(arg)
 
 
+def _package_imports(module: str) -> list[tuple[str, str]]:
+    """(module, name) of every import from inside the package that
+    ``module`` makes anywhere in it, the module named without the package."""
+    tree = ast.parse((Path(trivisit.__file__).parent / module).read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("trivisit")):
+            out += [((node.module or "").removeprefix("trivisit").lstrip("."), a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.name.removeprefix("trivisit").lstrip("."), "")
+                    for a in node.names if a.name.startswith("trivisit")]
+    return out
+
+
 @pytest.mark.parametrize("module", ["_kernels.py", "oracle.py"])
 def test_imports_only_geom_core_from_the_package(module):
     """The kernel and the brute-force oracle stay independent of the
     evaluators built on them: within the package they import geom_core only."""
-    tree = ast.parse((Path(trivisit.__file__).parent / module).read_text())
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("trivisit")):
-            inside.add("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            inside.update(a.name for a in node.names if a.name.startswith("trivisit"))
-    assert inside <= {".geom_core", "trivisit.geom_core"}, inside
+    inside = {m for m, _ in _package_imports(module)}
+    assert inside <= {"geom_core"}, inside
+
+
+@pytest.mark.parametrize("module", ["regions.py", "tradeoffs.py"])
+def test_reads_the_row_only_through_the_kernel(module):
+    """The triangle row's layout is known to ``_kernels`` alone: the region
+    chains and the ratio seeds reach it through the kernel's public methods,
+    and every other geometric piece comes from geom_core."""
+    imports = _package_imports(module)
+    assert {m for m, _ in imports} <= {"geom_core", "_kernels"}, imports
+    assert [n for m, n in imports if m == "_kernels" and n.startswith(("_", "ROW_"))] == []
 
 
 def test_star_import_binds_public_names_only():

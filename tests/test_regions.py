@@ -8,6 +8,7 @@ import pytest
 
 from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import (
+    GeometryError,
     Point2,
     closest_point_on_segment,
     dist_point_segment,
@@ -331,6 +332,45 @@ def test_raster_matches_golden(golden, tmp_path):
     assert hashlib.sha256((tmp_path / "m.svg").read_bytes()).hexdigest() == golden["svg_sha256"]
 
 
+CHAINS_GOLDEN_PATH = Path(__file__).parent / "data" / "chains_golden.json"
+CHAIN_ANGLES = ((60, 60), (45, 45), (85, 85), (50, 70), (70, 55), (45, 90), (80, 50), (30, 80), (89, 46), (61, 62),
+                (1, 89.5))
+
+
+def chain_record(build):
+    """Type, label and ``float.hex`` of ``point_at(s/8)``, s = 0..8, of every
+    piece of the chain ``build()`` returns, or the class name of the
+    ``GeometryError`` it raises."""
+    try:
+        chain = build()
+    except GeometryError as exc:
+        return type(exc).__name__
+    return [
+        [type(piece).__name__, piece.label, [[p.x.hex(), p.y.hex()] for p in (piece.point_at(s / 8) for s in range(9))]]
+        for piece in chain.pieces
+    ]
+
+
+def chains_record(b_deg, c_deg):
+    t = triangle_from_angles(math.radians(b_deg), math.radians(c_deg))
+    return {
+        "angles_deg": [b_deg, c_deg],
+        "r2_separator": chain_record(lambda: r2_separator(t)),
+        "r1_lrd_rld_locus": {
+            "largest" if apex is None else apex.value: chain_record(lambda: r1_lrd_rld_locus(t, apex))
+            for apex in (None, *VertexId)
+        },
+    }
+
+
+@pytest.mark.parametrize("angles", CHAIN_ANGLES, ids=[f"{b}-{c}" for b, c in CHAIN_ANGLES])
+def test_chains_match_golden(angles):
+    # Pins the separator chains' geometry bit for bit; re-record with
+    # ``python tests/test_regions.py`` only for a change meant to move them.
+    golden = {tuple(g["angles_deg"]): g for g in json.loads(CHAINS_GOLDEN_PATH.read_text())["triangles"]}
+    assert chains_record(*angles) == golden[angles]
+
+
 _SIDE_SUFFIX = {"single": "/one", "pair": "/two", "tie": "/both"}
 
 
@@ -352,3 +392,8 @@ def test_raster_labels_match_scalar(angles, mode):
     rmap = raster_region_map(t, 24, mode)
     for cell in rmap.cells:
         assert set(cell.labels) == scalar_labels(t, cell.point, mode), (cell.i, cell.j)
+
+
+if __name__ == "__main__":
+    record = {"triangles": [chains_record(b, c) for b, c in CHAIN_ANGLES]}
+    CHAINS_GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n")

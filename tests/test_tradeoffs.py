@@ -99,12 +99,12 @@ class TestMaxRatio:
 
 @pytest.mark.parametrize("step", [5.0, 1.0])
 def test_seeds_equal_incenter_and_altitude_midpoints(step):
-    """The seeds read off the kernel rows are the geom_core points, bit for
-    bit, on every cell of the grid."""
+    """The kernel's seeds are the geom_core points, bit for bit, on every
+    cell of the grid."""
     cells = tradeoffs._sweep_cells(step, 0.5)
     for lo in range(0, len(cells), 256):
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells[lo:lo + 256]]
-        seeds = tradeoffs._seeds(TriangleKernel(stds).rows)
+        seeds = TriangleKernel(stds).seeds()
         for s, got in zip(stds, seeds.tolist()):
             want = [incenter(s), *(altitude_midpoint(s, v) for v in VertexId)]
             assert [[v.hex() for v in xy] for xy in got] == [[v.hex() for v in xy] for xy in want]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trivisit._kernels import _row_of, _Unfold3
+from trivisit._kernels import TriangleKernel
 from trivisit.geom_core import (
     OutsideTriangleError,
     Point2,
@@ -14,13 +14,14 @@ from trivisit.geom_core import (
     triangle_from_angles,
     VertexId,
     edge_segment,
+    shared_vertex,
 )
 from trivisit.oracle import OracleConfig, oracle_ordered3, oracle_two_ordered
+from trivisit.regions import ParabolaArcPiece, _indicators, r2_separator
 from trivisit.visitation import (
     EdgeId,
     StrategyKind,
     VisitOrder,
-    bouncing_subcone,
     visit_three_ordered,
     visit_two_ordered,
     visit_two_set,
@@ -38,23 +39,38 @@ def touches(t, traj, edge, tol=1e-9):
     return any(dist_point_segment(w, seg) <= tol * t.base_length for w in traj.waypoints)
 
 
+def arc_corners(t):
+    """Vertices at which the two-robot separator has a parabola arc: the
+    corners whose bouncing subcone (angle 3V - pi about the bisector) is
+    wider than a ray."""
+    return {VertexId(p.label.split("-")[1]) for p in r2_separator(t).pieces if isinstance(p, ParabolaArcPiece)}
+
+
 class TestBouncingSubcone:
+    """The bouncing subcone, the starting points whose optimal two-edge
+    visit goes straight to the vertex, as ``r2_separator`` draws it."""
+
     def test_equilateral_ray(self):
-        for v in VertexId:
-            cone = bouncing_subcone(EQ, v)
-            assert not cone.empty
-            assert cone.half_angle == pytest.approx(0.0, abs=1e-12)
+        # At 60 degrees the subcone is a ray, so no corner has an arc.
+        assert arc_corners(EQ) == set()
 
     def test_right_angle_full_cone(self):
-        cone = bouncing_subcone(RI, VertexId.A)
-        assert cone.half_angle == pytest.approx(math.pi / 4)
-        # spans the whole right angle: both edges lie on its boundary
-        assert cone.contains(Point2(0.25, 0.25))
-        assert cone.contains(Point2(0.75, 0.25))
+        # The subcone spans the whole right angle, so the arc runs from one
+        # edge at the apex to the other.
+        [arc] = [p for p in r2_separator(RI).pieces if isinstance(p, ParabolaArcPiece)]
+        assert arc.label == "corner-A"
+        ends = {e for e in (EdgeId.L, EdgeId.R) for q in (arc.start, arc.end)
+                if dist_point_segment(q, edge_segment(RI, e)) < 1e-12}
+        assert ends == {EdgeId.L, EdgeId.R}
 
     def test_narrow_angle_empty(self):
-        assert bouncing_subcone(RI, VertexId.B).empty
-        assert bouncing_subcone(RI, VertexId.C).empty
+        assert VertexId.B not in arc_corners(RI)
+        assert VertexId.C not in arc_corners(RI)
+
+    def test_arc_exactly_where_angle_above_60(self, rng):
+        for _ in range(200):
+            t = random_triangle(rng)
+            assert arc_corners(t) == {v for v in VertexId if t.angle(v) > math.pi / 3}
 
 
 class TestVisitTwoOrdered:
@@ -131,35 +147,39 @@ class TestVisitTwoSet:
 
 class TestIndicatorHalfspaces:
     """The indicator lines of an ordered three-edge visit as the kernel
-    reads them from ``_Unfold3``: the bounce line through ``corner_img`` and
-    the subopt line through ``apex``, both normal to ``u``."""
+    hands them out (``TriangleKernel.order_witness``) and the R1 locus reads
+    them (``regions._indicators``): the bounce line through ``corner_img``
+    and the subopt line through ``apex``, both normal to ``u``."""
 
     def test_lines_parallel(self, rng):
         # Both lines are level sets of u . p, so their coordinates differ by
         # the same amount at every point.
         for _ in range(50):
             t = random_triangle(rng)
+            k = TriangleKernel(t)
             for order in VisitOrder:
-                uf = _Unfold3.from_row(_row_of(t), order)
-                assert uf.u.norm() == pytest.approx(1.0, abs=1e-12)
-                gaps = [uf.t_coord(p) - uf.sigma_z * uf.subopt_coord(p)
-                        for p in (random_interior_point(rng, t) for _ in range(2))]
+                w = k.order_witness(order)
+                (ux, uy), (sigma_z,) = w[3], w[8]
+                assert math.hypot(ux, uy) == pytest.approx(1.0, abs=1e-12)
+                bounce, subopt, _, _ = _indicators(w)
+                gaps = [bounce(p) - sigma_z * subopt(p) for p in (random_interior_point(rng, t) for _ in range(2))]
                 assert abs(gaps[0] - gaps[1]) < 1e-9
 
     def test_unfolded_third_preserves_length(self, rng):
         for _ in range(50):
             t = random_triangle(rng)
+            k = TriangleKernel(t)
             for order in VisitOrder:
-                uf = _Unfold3.from_row(_row_of(t), order)
+                _, _, corner_img, far_img = _indicators(k.order_witness(order))
                 third = edge_segment(t, order.edges[2])
-                assert uf.far_img.dist(uf.corner_img) == pytest.approx(third.length, abs=1e-12)
+                assert far_img.dist(corner_img) == pytest.approx(third.length, abs=1e-12)
 
     def test_reference_points_split_lines(self):
-        uf = _Unfold3.from_row(_row_of(EQ), VisitOrder.LRD)
+        _, subopt, _, _ = _indicators(TriangleKernel(EQ).order_witness(VisitOrder.LRD))
         # the subopt line passes through the apex shared by the first two
         # edges, and the base vertex lies on its positive side
-        assert abs(uf.subopt_coord(EQ.a)) < 1e-12
-        assert uf.subopt_coord(uf.base_vertex) > 0
+        assert abs(subopt(EQ.a)) < 1e-12
+        assert subopt(EQ.vertex(shared_vertex(EdgeId.L, EdgeId.D))) > 0
 
 
 class TestVisitThreeOrdered:
@@ -200,8 +220,8 @@ class TestVisitThreeOrdered:
                 traj = visit_three_ordered(t, p, order)
                 if traj.kind is not StrategyKind.BOUNCING or len(traj.waypoints) != 4:
                     continue
-                uf = _Unfold3.from_row(_row_of(t), order)
-                assert abs(traj.cost - abs(uf.u.perp().dot(p - uf.corner_img))) < 1e-12
+                _, _, (cix, ciy), (ux, uy), *_ = TriangleKernel(t).order_witness(order)
+                assert abs(traj.cost - abs(Point2(-uy, ux).dot(p - Point2(cix, ciy)))) < 1e-12
                 found += 1
         assert found > 50
 
