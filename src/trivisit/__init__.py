@@ -52,7 +52,6 @@ from .oracle import (
     oracle_r2,
     oracle_r3,
     oracle_two_ordered,
-    oracle_two_set,
 )
 from .regions import (
     RegionMap,

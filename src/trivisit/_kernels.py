@@ -35,10 +35,10 @@ objects, so that it equals what ``Line``, ``reflect``, ``project`` and
 is private to this module: a kernel cuts its tables from the rows, and every
 other module reads a row only through a kernel method.  A single-triangle
 kernel hands the witnesses of one point, and the R1 locus of ``regions``,
-their constants as plain floats read from its row (``order_witness``,
-``pair_unfolding``, ``edge_line``), and decides the clamp of an ordered
-two-edge visit and the order of a pair there on plain floats too
-(``ordered2_clamp``, ``pair_order``), with the operations of the array
+their constants as plain floats read from its row: ``order_witness`` for an
+ordered three-edge visit, ``pair_witness`` for an ordered two-edge visit,
+with the clamp decided at the point.  It decides the order of a pair there
+on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
 maximizer its seeds (``seeds``).  The tables are not built with NumPy array
 code: a vectorized builder is several times slower on one triangle, which
@@ -194,8 +194,10 @@ def _row_of(t: Triangle) -> list[float]:
     return triangle_row(*t.a, *t.b, *t.c)
 
 
-# Row offset and width of each field of ``TriangleKernel.order_witness`` and
-# of each point of ``TriangleKernel.pair_unfolding``.
+# Row offset and width of each field of ``TriangleKernel.order_witness``, and
+# the row offsets that ``TriangleKernel.pair_witness`` reads: the pair's
+# segment row (which starts at the pivot), its first edge's line, its far
+# vertex and that vertex's image.
 _ORDER_WITNESS = {
     order: (
         (_ROW_LINE[e1], 3), (_ROW_WITNESS + 7 * k, 3), (_ROW_UNFOLDS + 8 * k, 2), (_ROW_UNFOLDS + 8 * k + 2, 2),
@@ -204,9 +206,9 @@ _ORDER_WITNESS = {
     )
     for k, (order, (e1, e2, e3)) in enumerate((o, o.edges) for o in _ORDERS)
 }
-_PAIR_POINTS = {
+_PAIR_WITNESS = {
     (first, second): (
-        _ROW_VERTEX[shared_vertex(first, second)], _ROW_VERTEX[_other_end(second, shared_vertex(first, second))],
+        _ROW_PAIRS + 5 * j, _ROW_LINE[first], _ROW_VERTEX[_other_end(second, shared_vertex(first, second))],
         _ROW_FARS + 2 * j,
     )
     for j, (first, second) in enumerate(_PAIRS)
@@ -308,33 +310,26 @@ class TriangleKernel:
         row = self.rows[0]
         return tuple(row[at:at + width] for at, width in _ORDER_WITNESS[order])
 
-    def edge_line(self, e: EdgeId) -> tuple[float, float, float]:
-        """(a, b, c) of the line of ``e``, as ``Line`` holds them."""
-        at = _ROW_LINE[e]
-        return tuple(self.rows[0][at:at + 3])
-
-    def pair_unfolding(self, first: EdgeId, second: EdgeId) -> tuple[tuple[float, float], ...]:
-        """(pivot, far, far_img) of the visit of ``first`` then ``second``,
-        each as (x, y): their shared vertex, the other end of ``second``, and
-        its reflection across ``first``'s line."""
+    def pair_witness(self, x: float, y: float, first: EdgeId, second: EdgeId) -> tuple:
+        """(kind, tau, line1, pivot, far, far_img) of the visit of ``first``
+        then ``second`` from the point (x, y), in plain floats: line1 is
+        ``first``'s line [a, b, c], pivot the shared vertex, far the other
+        end of ``second`` and far_img its reflection across line1, each
+        [x, y].  tau is the point's unclamped foot on ``second`` reflected
+        across ``first`` (0 at pivot, 1 at far_img), with the operations of
+        ``_seg_param``; the kind is a run to the vertex or a bounce ending on
+        the far vertex within ``EXACT_TIE`` of either end, a bounce between."""
         row = self.rows[0]
-        return tuple((row[at], row[at + 1]) for at in _PAIR_POINTS[first, second])
-
-    def ordered2_clamp(self, x: float, y: float, first: EdgeId, second: EdgeId) -> tuple[float, StrategyKind]:
-        """(tau, kind) of the visit of ``first`` then ``second`` from the
-        point (x, y), in plain floats with the operations of ``_seg_param``:
-        tau is the point's unclamped foot on ``second`` reflected across
-        ``first`` (0 at the shared vertex, 1 at the far vertex's image), and
-        the kind is a run to the vertex or a bounce ending on the far vertex
-        within ``EXACT_TIE`` of either end, a bounce between."""
-        at = _ROW_PAIRS + 5 * _PAIR_INDEX[(first, second)]
-        p0x, p0y, dx, dy, dd = self.rows[0][at:at + 5]
+        seg, line1, far, far_img = _PAIR_WITNESS[first, second]
+        p0x, p0y, dx, dy, dd = row[seg:seg + 5]
         tau = ((x - p0x) * dx + (y - p0y) * dy) / dd
         if tau <= EXACT_TIE:
-            return tau, StrategyKind.DIRECT_TO_VERTEX
-        if tau >= 1.0 - EXACT_TIE:
-            return tau, StrategyKind.DEGENERATE_VERTEX_BOUNCE
-        return tau, StrategyKind.BOUNCING
+            kind = StrategyKind.DIRECT_TO_VERTEX
+        elif tau >= 1.0 - EXACT_TIE:
+            kind = StrategyKind.DEGENERATE_VERTEX_BOUNCE
+        else:
+            kind = StrategyKind.BOUNCING
+        return kind, tau, row[line1:line1 + 3], [p0x, p0y], row[far:far + 2], row[far_img:far_img + 2]
 
     def pair_order(self, x: float, y: float, ordered2: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[bool, bool]:
         """(e1_first, tie) at the point (x, y) of a single-triangle kernel:
@@ -384,15 +379,11 @@ class TriangleKernel:
         return ((pts[..., 0] - p0x) * dx + (pts[..., 1] - p0y) * dy) / dd
 
     @classmethod
-    def _seg_offset(cls, pts: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
+    def _seg_dist(cls, pts: np.ndarray, key) -> np.ndarray:
         p0x, p0y, dx, dy, _ = key
         t = cls._seg_param(pts, key)
         np.clip(t, 0.0, 1.0, out=t)
-        return pts[..., 0] - (p0x + t * dx), pts[..., 1] - (p0y + t * dy)
-
-    @classmethod
-    def _seg_dist(cls, pts: np.ndarray, key) -> np.ndarray:
-        return np.hypot(*cls._seg_offset(pts, key))
+        return np.hypot(pts[..., 0] - (p0x + t * dx), pts[..., 1] - (p0y + t * dy))
 
     @staticmethod
     def _each_member(pts: np.ndarray, table: np.ndarray, body) -> np.ndarray:

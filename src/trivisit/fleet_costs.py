@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import partitions
 from .geom_core import (
     EdgeId,
@@ -117,17 +115,18 @@ def _drop_trajectory(t: Triangle, p: Point2, e: EdgeId) -> Trajectory:
     return Trajectory((p,) if dist <= 1e-15 else (p, Point2(qx, qy)), dist, StrategyKind.PERPENDICULAR_DROP, None, (e,))
 
 
-def _r3(sp: StandardPoint, dists: np.ndarray) -> R3Result:
-    edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(dists)[:, 0]) if far)
+def _r3(sp: StandardPoint) -> R3Result:
+    edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(sp.edge_dists)[:, 0]) if far)
     return R3Result(max(_drop(sp.t, sp.p, e)[2] for e in edges), edges)
 
 
 _SIDES = (None, "single", "pair", "tie")
 
 
-def _r2(sp: StandardPoint, partitions: tuple[np.ndarray, np.ndarray, np.ndarray]) -> R2Result:
+def _r2(sp: StandardPoint) -> R2Result:
     witnesses = []
-    for lone, side in zip(EdgeId, sp.kernel.r2_sides(*partitions)[:, 0]):
+    sides = sp.kernel.r2_sides(*partitions(sp.edge_dists, sp.ordered_pairs.__getitem__))
+    for lone, side in zip(EdgeId, sides[:, 0]):
         if side:
             pair = sp.two_set(*(e for e in EdgeId if e is not lone))
             witnesses.append(R2Witness(lone, _drop_trajectory(sp.t, sp.p, lone), pair, _SIDES[side]))
@@ -135,37 +134,30 @@ def _r2(sp: StandardPoint, partitions: tuple[np.ndarray, np.ndarray, np.ndarray]
     return R2Result(witnesses[0].cost, tuple(witnesses))
 
 
-def _r1(sp: StandardPoint, costs: np.ndarray) -> R1Result:
-    orders = tuple(o for o, ok in zip(VisitOrder, sp.kernel.optimal_orders(costs)[:, 0]) if ok)
+def _r1(sp: StandardPoint) -> R1Result:
+    orders = tuple(o for o, ok in zip(VisitOrder, sp.kernel.optimal_orders(sp.orders[0])[:, 0]) if ok)
     best = min((sp.three_ordered(o) for o in orders), key=lambda tr: tr.cost)
     return R1Result(best.cost, orders, best)
 
 
-def _partitions(sp: StandardPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return partitions(sp.edge_dists, sp.ordered_pairs.__getitem__)
-
-
 def r3(t: Triangle, p: Point2) -> R3Result:
     """Largest of the three point-to-edge distances, with every argmax edge."""
-    sp = StandardPoint(t, p)
-    return _r3(sp, sp.edge_dists)
+    return _r3(StandardPoint(t, p))
 
 
 def r2(t: Triangle, p: Point2) -> R2Result:
     """Best partition of the edges into a singleton and a pair."""
-    sp = StandardPoint(t, p)
-    return _r2(sp, _partitions(sp))
+    return _r2(StandardPoint(t, p))
 
 
 def r1(t: Triangle, p: Point2) -> R1Result:
     """Cheapest of the six ordered visits; ties collected."""
-    sp = StandardPoint(t, p)
-    return _r1(sp, sp.orders[0])
+    return _r1(StandardPoint(t, p))
 
 
 def fleet_costs(t: Triangle, p: Point2) -> FleetCostReport:
     sp = StandardPoint(t, p)
-    return FleetCostReport(t, p, _r3(sp, sp.edge_dists), _r2(sp, _partitions(sp)), _r1(sp, sp.orders[0]))
+    return FleetCostReport(t, p, _r3(sp), _r2(sp), _r1(sp))
 
 
 def r2_incenter_closed(t: Triangle) -> float:

@@ -460,10 +460,6 @@ def dist_point_segment(p: Point2, seg: Segment) -> float:
     return nearest_on_segment(p.x, p.y, *seg.p0, *seg.p1)[2]
 
 
-def closest_point_on_segment(p: Point2, seg: Segment) -> Point2:
-    return Point2(*nearest_on_segment(p.x, p.y, *seg.p0, *seg.p1)[:2])
-
-
 def foot_of_bisector(t: Triangle, vertex: VertexId) -> Point2:
     """Intersection of the internal bisector at ``vertex`` with the opposite edge."""
     v = t.vertex(vertex)
@@ -506,10 +502,6 @@ class Parabola:
     def param_of(self, p: Point2) -> float:
         origin, ex, _, _ = self._frame
         return (p - origin).dot(ex)
-
-    def gap(self, p: Point2) -> float:
-        """||p - focus|| - dist(p, directrix); zero on the parabola."""
-        return p.dist(self.focus) - abs(self.directrix.signed_dist(p))
 
 
 def polyline_length(points: Iterable[Point2]) -> float:

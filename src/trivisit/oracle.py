@@ -186,16 +186,6 @@ def oracle_two_ordered(
     return min(val, grid_best) / sim.scale
 
 
-def oracle_two_set(
-    t: Triangle, p: Point2, edges: tuple[EdgeId, EdgeId], cfg: OracleConfig = DEFAULT_CONFIG
-) -> float:
-    e1, e2 = edges
-    return min(
-        oracle_two_ordered(t, p, e1, e2, cfg),
-        oracle_two_ordered(t, p, e2, e1, cfg),
-    )
-
-
 def oracle_r3(t: Triangle, p: Point2) -> float:
     std, sim = t.standard()
     ps = std.require_inside(sim.apply(p))
@@ -208,9 +198,9 @@ def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
     ps = std.require_inside(sim.apply(p))
     best = math.inf
     for single in EdgeId:
-        pair = tuple(e for e in EdgeId if e is not single)
+        e1, e2 = (e for e in EdgeId if e is not single)
         lone = dist_point_segment(ps, edge_segment(std, single))
-        duo = oracle_two_set(std, ps, pair, cfg)  # type: ignore[arg-type]
+        duo = min(oracle_two_ordered(std, ps, e1, e2, cfg), oracle_two_ordered(std, ps, e2, e1, cfg))
         best = min(best, max(lone, duo))
     return best / sim.scale
 

@@ -501,10 +501,6 @@ class RegionCell:
     def tie(self) -> bool:
         return len(self.labels) > 1
 
-    @property
-    def label(self) -> str:
-        return "+".join(self.labels)
-
 
 class RasterCells(Sequence[RegionCell]):
     """The cells of a raster map, held as arrays and built into
@@ -522,21 +518,14 @@ class RasterCells(Sequence[RegionCell]):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[m] for m in range(*k.indices(len(self))))
+    def __getitem__(self, k: int) -> RegionCell:
         k = range(len(self))[k]
         x, y = self.xy[k].tolist()
         return RegionCell(int(self.i[k]), int(self.j[k]), Point2(x, y), self.table[self.codes[k]])
 
-    def __iter__(self):
-        return self._build(slice(None))
-
-    def _build(self, at) -> Iterator[RegionCell]:
-        """The cells at index ``at`` (a slice or an index array), in order."""
+    def __iter__(self) -> Iterator[RegionCell]:
         table = self.table
-        for i, j, (x, y), code in zip(self.i[at].tolist(), self.j[at].tolist(), self.xy[at].tolist(),
-                                      self.codes[at].tolist()):
+        for i, j, (x, y), code in zip(self.i.tolist(), self.j.tolist(), self.xy.tolist(), self.codes.tolist()):
             yield RegionCell(i, j, Point2(x, y), table[code])
 
     @property
@@ -547,20 +536,14 @@ class RasterCells(Sequence[RegionCell]):
 
 @dataclass(frozen=True)
 class RegionMap:
-    """A labelled raster.  ``raster_region_map`` fills ``cells`` with a
-    ``RasterCells`` view; CSV and SVG emission read its arrays."""
+    """A labelled raster.  ``cells`` is the ``RasterCells`` array view:
+    CSV and SVG emission read its arrays, and ``cells.tie`` marks the
+    tied cells."""
 
     triangle: Triangle
     n: int
     mode: str
-    cells: Sequence[RegionCell]
-
-    @property
-    def tie_cells(self) -> tuple[RegionCell, ...]:
-        cells = self.cells
-        if isinstance(cells, RasterCells):
-            return tuple(cells._build(np.flatnonzero(cells.tie)))
-        return tuple(c for c in cells if c.tie)
+    cells: RasterCells
 
     @property
     def pitch(self) -> float:

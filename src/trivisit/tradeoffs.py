@@ -221,6 +221,8 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"sweep step must be a finite positive number of degrees, got {step_deg!r}")
+    if not (math.isfinite(eps_apex_deg) and eps_apex_deg >= 0):
+        raise ValueError(f"sweep smallest angle must be a finite non-negative number of degrees, got {eps_apex_deg!r}")
     cells = _sweep_cells(step_deg, eps_apex_deg)
     if not cells:
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")

@@ -147,9 +147,7 @@ class StandardPoint:
 
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
         ps = self.ps
-        tau, kind = self.kernel.ordered2_clamp(*ps, first, second)
-        line1 = self.kernel.edge_line(first)
-        pivot, far, far_img = self.kernel.pair_unfolding(first, second)
+        kind, tau, line1, pivot, far, far_img = self.kernel.pair_witness(*ps, first, second)
         if kind is StrategyKind.DIRECT_TO_VERTEX:
             wps = _dedupe([ps, pivot])
         elif kind is StrategyKind.DEGENERATE_VERTEX_BOUNCE:

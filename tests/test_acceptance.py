@@ -1,14 +1,23 @@
 """Acceptance suite: one test per criterion, full sample sizes.
 
 Each test prints a PASS/FAIL line with the measured values (visible with
-``pytest -s`` or on failure) and asserts the criterion outcome.
+``pytest -s`` or on failure), asserts the criterion outcome, and pins the
+whole result to its entry in ``data/verify_full.json``, the recorded
+``trivisit verify --json`` report, so that a drifting detail (criterion 10's
+worst delta, criterion 13's sup and inf) fails here too.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from trivisit import verify
 
 _DESCRIPTIONS = {cid: desc for cid, desc, _ in verify.CRITERIA}
+_FULL_REPORT = {
+    c["id"]: c for c in json.loads((Path(__file__).parent / "data" / "verify_full.json").read_text())["criteria"]
+}
 
 
 @pytest.mark.parametrize(
@@ -19,6 +28,10 @@ def test_criterion(cid):
     flag = "PASS" if result.passed else "FAIL"
     print(f"[{flag}] criterion {cid}: {_DESCRIPTIONS[cid]} -- {result.detail}")
     assert result.passed, f"criterion {cid} ({_DESCRIPTIONS[cid]}): {result.detail}"
+    pinned = _FULL_REPORT[cid]
+    assert (result.cid, result.description, result.passed, result.detail) == (
+        pinned["id"], pinned["description"], pinned["passed"], pinned["detail"]
+    )
 
 
 # Details of the quick runs of criteria 8 and 9, recorded when each sample

@@ -135,7 +135,7 @@ class TestRegionsCmd:
         rm = raster_region_map(triangle_from_angles(math.radians(50), math.radians(70)), 40, mode)
         doc = json.loads(stdout)
         assert doc["cells"] == len(rm.cells)
-        assert doc["tie_cells"] == len(rm.tie_cells)
+        assert doc["tie_cells"] == sum(c.tie for c in rm.cells)
 
     def test_non_obtuse_boundary_valid(self, capsys, tmp_path):
         out = tmp_path / "b.svg"
@@ -182,6 +182,7 @@ class TestSweepCmd:
 
     @pytest.mark.parametrize("flags", [
         ("--step", "0"), ("--step", "-1"), ("--step", "100"), ("--eps-apex", "95"),
+        ("--eps-apex", "-5"), ("--eps-apex", "nan"),
     ])
     def test_bad_grid_exits_1_without_csv(self, capsys, tmp_path, flags):
         out = tmp_path / "sw.csv"

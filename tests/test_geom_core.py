@@ -15,10 +15,10 @@ from trivisit.geom_core import (
     Segment,
     Similarity,
     Triangle,
-    closest_point_on_segment,
     dist_point_segment,
     foot_of_bisector,
     incenter,
+    nearest_on_segment,
     project,
     reflect,
     triangle_from_angles,
@@ -232,7 +232,7 @@ class TestLineOps:
         seg = Segment(Point2(0, 0), Point2(1, 0))
         assert dist_point_segment(Point2(0.5, 0.5), seg) == pytest.approx(0.5)
         assert dist_point_segment(Point2(2.0, 0.0), seg) == pytest.approx(1.0)
-        assert closest_point_on_segment(Point2(2.0, 1.0), seg) == Point2(1.0, 0.0)
+        assert nearest_on_segment(2.0, 1.0, *seg.p0, *seg.p1) == (1.0, 0.0, math.hypot(1.0, 1.0))
 
     def test_line_normalized(self):
         line = Line(3.0, 4.0, 10.0)
@@ -274,7 +274,8 @@ class TestConeAndParabola:
     def test_parabola_points(self):
         par = Parabola(Point2(0, 1), Line.from_points(Point2(0, 0), Point2(1, 0)))
         for u in (-2.0, -0.5, 0.0, 0.7, 3.0):
-            assert abs(par.gap(par.point_at(u))) < 1e-12
+            p = par.point_at(u)
+            assert abs(p.dist(par.focus) - abs(par.directrix.signed_dist(p))) < 1e-12
             assert par.param_of(par.point_at(u)) == pytest.approx(u)
 
     def test_parabola_rejects_focus_on_directrix(self):

@@ -1,5 +1,6 @@
-"""Every module-level import is used by the module that makes it, and
-every module-level private name of the package is read somewhere in it.
+"""Every module-level import is used by the module that makes it, every
+module-level private name of the package is read somewhere in it, and every
+public function, class and method of the package has a reader.
 
 The package's ``__init__.py`` is left out of the import check: its imports
 are the public surface, named by ``__all__`` rather than by its own code.
@@ -14,6 +15,7 @@ import trivisit
 
 _SRC = Path(trivisit.__file__).parent
 _TESTS = Path(__file__).parent
+_PERFBENCH = _TESTS.parent / "perfbench"
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py") + sorted(_TESTS.glob("*.py"))
 
 
@@ -113,3 +115,85 @@ def test_scan_sees_a_dead_private_name():
     assert _dead_private_names({"a": a, "b": b}) == {"a._dead", "a._orphan", "a._point"}
     c = ast.parse("from .a import _orphan\n")
     assert _dead_private_names({"a": a, "b": b, "c": c}) == {"a._dead", "a._point"}
+
+
+# Public names with no reader yet, kept for the certified ratio maxima, the
+# proved trade-off table and the region-boundary check that ROADMAP items 4,
+# 5 and 8 plan (see item 7).
+_RESERVED = frozenset({
+    "fleet_costs.r1_incenter_closed",
+    "fleet_costs.r2_incenter_closed",
+    "fleet_costs.r1_mid_altitude_closed",
+    "fleet_costs.h2",
+    "regions.SeparatorChain.max_endpoint_gap",
+    "tradeoffs.ratio_at",
+})
+
+
+def _public_defs(module: str, tree: ast.Module) -> dict[str, str]:
+    """Qualified name (``module.name`` or ``module.Class.name``) of each
+    public module-level function and class, and of each public method of
+    those classes, mapped to its bare name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                out.update(
+                    (f"{module}.{node.name}.{m.name}", m.name) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_")
+                )
+    return out
+
+
+def _reader_names(tree: ast.Module, strings: bool = False) -> set[str]:
+    """Every identifier the module names: names, attributes, imported names
+    and string annotations, and with ``strings`` every string constant."""
+    out = _named(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _unread_public_names(modules: dict[str, ast.Module], perf: list[ast.Module]) -> set[str]:
+    """Qualified names from ``_public_defs`` that no package module and no
+    benchmark module ``perf`` names; in a benchmark module a string counts,
+    because its tracer names the attributes it wraps as strings.
+
+    The check is by bare name, so it cannot see a method whose name some
+    other identifier shares: a ``Parabola.gap`` method with no caller would
+    pass, named by the local ``gap`` of ``TriangleKernel.r2_sides``, and so
+    would a ``RegionCell.label`` property, named by every chain piece's
+    ``label``."""
+    named = set().union(*(_reader_names(t) for t in modules.values()), *(_reader_names(t, True) for t in perf))
+    return {q for name, tree in modules.items() for q, bare in _public_defs(name, tree).items() if bare not in named}
+
+
+def test_every_public_name_has_a_reader():
+    modules = {p.stem: ast.parse(p.read_text()) for p in _SRC.glob("*.py") if p.name != "__init__.py"}
+    perf = [ast.parse(p.read_text()) for p in sorted(_PERFBENCH.glob("*.py"))]
+    defined = set().union(*(_public_defs(name, tree) for name, tree in modules.items()))
+    assert _RESERVED <= defined, f"reserved but gone: {sorted(_RESERVED - defined)}"
+    assert _unread_public_names(modules, perf) - _RESERVED == set()
+
+
+def test_scan_sees_a_public_name_without_reader():
+    # ``planted`` and ``Box.unread`` have no reader; ``Box.traced`` is named
+    # only as a benchmark string and ``helper`` only by another module.
+    a = ast.parse(
+        "def planted():\n    return 1\n\n"
+        "def helper():\n    return 2\n\n"
+        "class Box:\n    def unread(self):\n        return 3\n\n"
+        "    def traced(self):\n        return 4\n\n"
+        "    def _private(self):\n        return 5\n\n"
+        "y = Box()\n"
+    )
+    b = ast.parse("from .a import helper\n\nz = helper()\n")
+    perf = ast.parse("WRAP = ('traced', 'planted_not')\n")
+    assert _unread_public_names({"a": a, "b": b}, [perf]) == {"a.planted", "a.Box.unread"}
+    assert _unread_public_names({"a": a, "b": b}, []) == {"a.planted", "a.Box.unread", "a.Box.traced"}

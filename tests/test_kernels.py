@@ -10,7 +10,7 @@ import pytest
 import trivisit
 from trivisit import _kernels
 from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, barycentric_grid
-from trivisit.fleet_costs import _partitions, fleet_costs, r1, r2, r3
+from trivisit.fleet_costs import fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
     GeometryError,
@@ -160,7 +160,9 @@ class TestTriangleRow:
                 assert _array_hexes(k._unfolds[:, i]) == _hexes(row)
             for i, (first, second) in enumerate(_PAIRS):
                 pivot, far, far_img = _reference_pair_unfolding(t, first, second)
-                assert _hexes(k.pair_unfolding(first, second)) == _hexes((pivot, far, far_img))
+                _, _, line1, *points = k.pair_witness(*pivot, first, second)
+                assert _hexes(points) == _hexes((pivot, far, far_img))
+                assert _hexes(line1) == _hexes(t.edge_line(first))
                 assert _array_hexes(k._pairs[:, i]) == _hexes(_segment_row(pivot, far_img))
             for i, e in enumerate(_EDGES):
                 assert _array_hexes(k._segs[:, i]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
@@ -283,7 +285,7 @@ class TestFamilies:
             sp = StandardPoint(t, p)
             k, pts = sp.kernel, sp.pts
             one = _family_hexes(k, pts)
-            assert tuple(map(_array_hexes, _partitions(sp))) == one[3]
+            assert tuple(map(_array_hexes, _kernels.partitions(sp.edge_dists, sp.ordered_pairs.__getitem__))) == one[3]
             assert _array_hexes(sp.orders[0]) == one[0]
             assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
         for at in range(0, len(instances), 25):
@@ -291,12 +293,6 @@ class TestFamilies:
             k = TriangleKernel([sp.std for sp in sps])
             pts = np.array([sp.pts for sp in sps])
             assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
-
-    def test_edge_line_is_the_triangle_edge_line(self, rng):
-        for t in _posed(rng, 20):
-            k = TriangleKernel(t)
-            for e in _EDGES:
-                assert _hexes(k.edge_line(e)) == _hexes(t.edge_line(e))
 
 
 @pytest.fixture
