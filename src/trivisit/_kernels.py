@@ -28,6 +28,13 @@ point and always broadcasts; many points reach the pairs through
 the witnesses: ``ordered3_all`` gives them with the costs in one broadcast,
 and ``r1_all`` keeps the costs alone, so a raster carries no masks.
 
+At one point a family's cost is the Python overhead of its ufunc calls; at
+array scale it is mostly libm ``hypot``: on a 9,632-point sweep chunk one
+``hypot`` takes about 170 us against about 6 us for a subtract or a
+multiply.  So the three-edge body takes each case's ``hypot`` only where
+that case is admissible, and nothing loops over a trailing coordinate axis
+of length 2.
+
 Every constant comes from ``triangle_row``: one flat list of plain floats per
 triangle, computed with ``math`` in the operation order of the ``geom_core``
 objects, so that it equals what ``Line``, ``reflect``, ``project`` and
@@ -71,7 +78,7 @@ BOUNDARY_TOL = 1e-9
 EXACT_TIE = 1e-12
 # ``r1_all`` and ``r3_all`` broadcast over their members up to this many
 # points and loop over them above it (see ``TriangleKernel._each_member``).
-_BROADCAST_POINTS = 4096
+_BROADCAST_POINTS = 2048
 
 _ORDERS = tuple(VisitOrder)
 _EDGES = tuple(EdgeId)
@@ -235,10 +242,16 @@ def _ordered3_cases(pts: np.ndarray, table, tol) -> tuple[np.ndarray, dict]:
         StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
         StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
     }
-    # One case cost at a time, so that few full-size arrays are alive.
-    cost = np.where(cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE], np.hypot(qx, qy) + alt, np.inf)
-    cost = np.minimum(cost, np.where(cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE], np.hypot(rx, ry), np.inf))
-    cost = np.minimum(cost, np.where(cases[StrategyKind.BOUNCING], np.abs(rx * -uy + ry * ux), np.inf))
+    # Each case cost only where the case is admissible (``where=``), inf
+    # elsewhere: at array scale one ``hypot`` costs as much as 25 or more
+    # subtracts, and over a 5 deg sweep the subopt case is admissible at 16%
+    # of order-points and the degenerate case at 52%.  inf + alt is inf, so
+    # the subopt cost takes its altitude unmasked.
+    infs = np.full(s_b.shape, np.inf)
+    cost = np.hypot(qx, qy, out=infs.copy(), where=cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE])
+    cost += alt
+    np.minimum(cost, np.hypot(rx, ry, out=infs.copy(), where=cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE]), out=cost)
+    np.minimum(cost, np.abs(ry * ux - rx * uy, out=infs, where=cases[StrategyKind.BOUNCING]), out=cost)
     return cost, cases
 
 
@@ -392,12 +405,15 @@ class TriangleKernel:
         axis up to ``_BROADCAST_POINTS`` points, above it a loop over the
         members that writes each result in place (same bits either way).
         Each ufunc call costs about 1 us whatever its size, so at one point
-        the broadcast is several times faster (44 against 208 us for the six
-        orders); the two are level near ``_BROADCAST_POINTS`` (1.31 against
-        1.35 ms), and on a 512 raster the loop is faster (51 against 61 ms)
-        with temporaries six times smaller (one 2-core Xeon host).  Stacking
-        a list of the members' results instead of writing them in place
-        makes the peak RSS of a 512 r1 raster several MB higher."""
+        the broadcast is several times faster (32-36 against 130-220 us for
+        the six orders); the two are level near ``_BROADCAST_POINTS`` (0.54
+        against 0.48 ms, and 0.60 against 0.72 ms, at 2,048 points on one
+        triangle; on a stacked sweep chunk the loop is faster from about
+        3,000 points), and on a 512 raster the loop is faster (20-27 against
+        40-43 ms) with temporaries six times smaller (one shared 2-core
+        host).  Stacking a list of the members' results instead of writing
+        them in place makes the peak RSS of a 512 r1 raster several MB
+        higher."""
         if pts.size <= 2 * _BROADCAST_POINTS:
             return body(pts, table)
         out = np.empty((table.shape[1],) + pts.shape[:-1])
@@ -456,15 +472,24 @@ class TriangleKernel:
         ``costs`` (from ``r1_all``)."""
         return costs <= costs.min(axis=0) + self.tol
 
-    def cost(self, pts: np.ndarray, robots: int) -> np.ndarray:
-        """R1, R2 or R3 at ``pts`` for a fleet of ``robots``."""
-        if robots == 1:
-            return self.r1_all(pts).min(axis=0)
-        if robots == 2:
-            return self.r2_partitions(pts)[2].min(axis=0)
-        if robots == 3:
-            return self.r3_all(pts).max(axis=0)
-        raise ValueError(f"fleet size must be 1, 2 or 3, got {robots!r}")
+    def costs(self, pts: np.ndarray, *robots: int) -> list[np.ndarray]:
+        """R1, R2 or R3 at ``pts`` for each fleet size in ``robots``, in
+        order, with each family evaluated once: when R2 is asked for, R3 is
+        read from the singles of ``r2_partitions``, which are ``r3_all``."""
+        for r in robots:
+            if r not in (1, 2, 3):
+                raise ValueError(f"fleet size must be 1, 2 or 3, got {r!r}")
+        by_size = {}
+        if 1 in robots:
+            by_size[1] = self.r1_all(pts).min(axis=0)
+        if 2 in robots:
+            singles, _, r2 = self.r2_partitions(pts)
+            by_size[2] = r2.min(axis=0)
+        elif 3 in robots:
+            singles = self.r3_all(pts)
+        if 3 in robots:
+            by_size[3] = singles.max(axis=0)
+        return [by_size[r] for r in robots]
 
 
 def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices: bool = True) -> np.ndarray:
@@ -476,7 +501,6 @@ def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices:
         verts = np.asarray(t.vertices, dtype=float)
     else:
         verts = np.array([tri.vertices for tri in t], dtype=float)
-    a, b, c = (verts[..., None, k, :] for k in range(3))
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     keep = ii + jj <= n - 1
     i = ii[keep].astype(float)
@@ -487,5 +511,12 @@ def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices:
     if not include_vertices:
         interior = (wa <= 1.0 - 1e-12) & (wb <= 1.0 - 1e-12) & (wc <= 1.0 - 1e-12)
         wa, wb, wc = wa[interior], wb[interior], wc[interior]
-    return wa[:, None] * a + wb[:, None] * b + wc[:, None] * c
+    # wa*A + wb*B + wc*C one coordinate at a time, the same operations in the
+    # same order: a ufunc over a trailing axis of length 2 is several times
+    # slower per element.
+    out = np.empty(verts.shape[:-2] + wa.shape + (2,))
+    for d in range(2):
+        a, b, c = (verts[..., k, d, None] for k in range(3))
+        np.add(wa * a + wb * b, wc * c, out=out[..., d])
+    return out
 

@@ -13,6 +13,7 @@ alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -519,7 +520,7 @@ class RasterCells(Sequence[RegionCell]):
         return len(self.codes)
 
     def __getitem__(self, k: int) -> RegionCell:
-        k = range(len(self))[k]
+        k = range(len(self))[operator.index(k)]
         x, y = self.xy[k].tolist()
         return RegionCell(int(self.i[k]), int(self.j[k]), Point2(x, y), self.table[self.codes[k]])
 

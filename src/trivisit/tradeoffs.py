@@ -32,7 +32,8 @@ def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
     _check_pair(n, m)
     k = TriangleKernel(t)
     pts = np.array([t.require_inside(p)])
-    return float(k.cost(pts, n)[0] / k.cost(pts, m)[0])
+    rn, rm = k.costs(pts, n, m)
+    return float(rn[0] / rm[0])
 
 
 def _check_pair(n: int, m: int) -> None:
@@ -77,7 +78,7 @@ def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple
     k = TriangleKernel(stds)
     seeds = k.seeds()
     pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
-    rn, rm = k.cost(pts, n), k.cost(pts, m)
+    rn, rm = k.costs(pts, n, m)
     vals = rn / rm
     rows = np.arange(len(stds))
     ns = seeds.shape[1]

@@ -173,7 +173,7 @@ def _crit_8(quick: bool) -> CriterionResult:
     samples = _universal_samples(1000 if quick else 10000)
     k = _universal_kernel(len(samples))
     pts = np.array([[tuple(p)] for _, p in samples])
-    v1, v2, v3 = (k.cost(pts, n)[:, 0] for n in (1, 2, 3))
+    v1, v2, v3 = (v[:, 0] for v in k.costs(pts, 1, 2, 3))
     c.at_most("max R1/R3", float((v1 / v3).max()), 4.0 + 1e-9)
     c.at_most("max R2/R3", float((v2 / v3).max()), 2.0 + 1e-9)
     c.at_most("max R1/R2", float((v1 / v2).max()), 3.0 + 1e-9)
@@ -186,7 +186,7 @@ def _crit_9(quick: bool) -> CriterionResult:
     samples = _universal_samples(1000 if quick else 10000)
     k = _universal_kernel(len(samples))
     pts = np.array([[tuple(incenter(t)), tuple(mid_altitude_point(t))] for t, _ in samples])
-    v1, v2, v3 = (k.cost(pts, n) for n in (1, 2, 3))
+    v1, v2, v3 = k.costs(pts, 1, 2, 3)
     floors = {
         "r13": float((v1[:, 0] / v3[:, 0]).min()),
         "r23": float((v2[:, 0] / v3[:, 0]).min()),

@@ -9,7 +9,7 @@ import pytest
 
 import trivisit
 from trivisit import _kernels
-from trivisit._kernels import _EDGES, _PAIRS, TriangleKernel, barycentric_grid
+from trivisit._kernels import _EDGES, _PAIRS, StrategyKind, TriangleKernel, barycentric_grid
 from trivisit.fleet_costs import fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
@@ -28,7 +28,7 @@ from trivisit.geom_core import (
 )
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
-from conftest import random_triangle
+from conftest import random_interior_point, random_triangle
 
 
 class TestAgainstScalar:
@@ -37,7 +37,7 @@ class TestAgainstScalar:
             t = random_triangle(rng)
             k = TriangleKernel(t)
             pts = barycentric_grid(t, 10)
-            v1, v2, v3 = (k.cost(pts, n) for n in (1, 2, 3))
+            v1, v2, v3 = k.costs(pts, 1, 2, 3)
             for i, xy in enumerate(pts):
                 p = Point2(float(xy[0]), float(xy[1]))
                 assert abs(v1[i] - r1(t, p).cost) < 1e-9
@@ -80,11 +80,15 @@ class TestStacked:
         k = TriangleKernel(tris)
         pts = barycentric_grid(tris, 9)
         assert pts.shape == (5, 45, 2)
-        for robots in (1, 2, 3):
-            stacked = k.cost(pts, robots)
+        together = k.costs(pts, 1, 2, 3)
+        for robots, stacked in zip((1, 2, 3), together):
             assert stacked.shape == (5, 45)
+            np.testing.assert_array_equal(k.costs(pts, robots)[0], stacked)
             for i, t in enumerate(tris):
-                np.testing.assert_array_equal(stacked[i], TriangleKernel(t).cost(pts[i], robots))
+                np.testing.assert_array_equal(stacked[i], TriangleKernel(t).costs(pts[i], robots)[0])
+        assert _array_hexes(k.costs(pts, 3, 2)) == _array_hexes(together[:0:-1])
+        with pytest.raises(ValueError, match="fleet size must be 1, 2 or 3, got 4"):
+            k.costs(pts, 1, 4)
 
     def test_grid_rows_match_single_grids(self, rng):
         tris = [random_triangle(rng) for _ in range(3)]
@@ -293,6 +297,121 @@ class TestFamilies:
             k = TriangleKernel([sp.std for sp in sps])
             pts = np.array([sp.pts for sp in sps])
             assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
+
+
+def _unmasked_ordered3(pts, table, tol):
+    """The ordered three-edge body with every case cost taken at every
+    point and then masked with ``np.where``: the reference that the masked
+    body must match bit for bit."""
+    cx, cy, ux, uy, ax, ay, sigma_z, alt = table
+    x, y = pts[..., 0], pts[..., 1]
+    rx, ry = x - cx, y - cy
+    qx, qy = x - ax, y - ay
+    s_b = rx * ux + ry * uy
+    s_z = sigma_z * (qx * ux + qy * uy)
+    past_subopt = s_z >= -tol
+    cases = {
+        StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
+        StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
+        StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
+    }
+    cost = np.where(cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE], np.hypot(qx, qy) + alt, np.inf)
+    cost = np.minimum(cost, np.where(cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE], np.hypot(rx, ry), np.inf))
+    cost = np.minimum(cost, np.where(cases[StrategyKind.BOUNCING], np.abs(rx * -uy + ry * ux), np.inf))
+    return cost, cases
+
+
+def _case_line_points(rng, t, k, count):
+    """``count`` random interior points of ``t``, then each of them moved
+    onto every order's bounce line and subopt line (along that order's
+    ``u``), and 0.5 tol to either side of the line, where two cases are
+    admissible at once."""
+    inside = np.array([tuple(random_interior_point(rng, t)) for _ in range(count)])
+    out = [inside]
+    for i in range(len(VisitOrder)):
+        cx, cy, ux, uy, ax, ay, _, _ = k._unfolds[:, i, 0].tolist()
+        u = np.array([ux, uy])
+        for origin in ((cx, cy), (ax, ay)):
+            on = inside - ((inside - origin) @ u)[:, None] * u
+            out += [on + side * 0.5 * k.tol * u for side in (-1.0, 0.0, 1.0)]
+    return np.concatenate(out)
+
+
+def _probe(k, table):
+    """``k`` evaluating its ordered three-edge visits from ``table``."""
+    k._unfolds = table
+    return k
+
+
+class TestMaskedCases:
+    """``r1_all`` and ``ordered3_all`` take each case's cost only where the
+    case is admissible.  They must give the bits of ``_unmasked_ordered3``
+    on a single kernel at one point and past ``_BROADCAST_POINTS``, and on a
+    stacked kernel.  A subopt tour (apex, then the altitude) is always
+    feasible, so with the real altitudes a subopt cost leaking past its mask
+    can never undercut the true minimum; the same checks also run with every
+    altitude replaced by -1e3 and by 1e3 base lengths, which makes a leak of
+    any case or a skipped admissible case change the minimum."""
+
+    def _instances(self, rng):
+        tris = _posed(rng, 4)
+        kernels = [TriangleKernel(t) for t in tris]
+        pts = [_case_line_points(rng, t, k, 8) for t, k in zip(tris, kernels)]
+        return tris, kernels, pts
+
+    @staticmethod
+    def _tables(k):
+        probes = []
+        for alt in (-1e3, 1e3):
+            table = k._unfolds.copy()
+            table[7] = alt * k.scale
+            probes.append(table)
+        return [k._unfolds, *probes]
+
+    @staticmethod
+    def _check(k, pts, table):
+        want, want_cases = _unmasked_ordered3(pts, table, k.tol)
+        cost, cases = k.ordered3_all(pts)
+        assert _array_hexes(cost) == _array_hexes(want)
+        assert cases.keys() == want_cases.keys()
+        for kind in cases:
+            np.testing.assert_array_equal(cases[kind], want_cases[kind])
+        assert _array_hexes(k.r1_all(pts)) == _array_hexes(want)
+
+    def test_points_cover_every_case_and_overlap(self, rng):
+        sub, deg, bounce = (StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE,
+                            StrategyKind.BOUNCING)
+        for _, k, pts in zip(*self._instances(rng)):
+            _, cases = _unmasked_ordered3(pts, k._unfolds, k.tol)
+            for kind in cases.values():
+                assert kind.any() and not kind.all()
+            assert (cases[sub] & (cases[deg] | cases[bounce])).any()
+            assert (cases[deg] & cases[bounce]).any()
+            # where the subopt case alone is admissible, a leak of either
+            # other case shows against a 1e3 altitude
+            assert (cases[sub] & ~cases[deg] & ~cases[bounce]).any()
+
+    def test_single_kernel_at_one_point(self, rng):
+        for t, k, pts in zip(*self._instances(rng)):
+            for table in self._tables(k):
+                probe = _probe(TriangleKernel(t), table)
+                for p in pts:
+                    self._check(probe, p[None], table)
+
+    def test_single_kernel_past_broadcast_points(self, rng):
+        for t, k, pts in zip(*self._instances(rng)):
+            many = np.resize(pts, (_kernels._BROADCAST_POINTS + len(pts), 2))
+            for table in self._tables(k):
+                self._check(_probe(TriangleKernel(t), table), many, table)
+
+    def test_stacked_kernel(self, rng):
+        tris, _, pts = self._instances(rng)
+        pts = np.array(pts)
+        k = TriangleKernel(tris)
+        for table in self._tables(k):
+            for stack in (pts, np.tile(pts, (1, _kernels._BROADCAST_POINTS // pts[..., 0].size + 1, 1))):
+                assert (stack.size > 2 * _kernels._BROADCAST_POINTS) == (stack is not pts)
+                self._check(_probe(TriangleKernel(tris), table), stack, table)
 
 
 @pytest.fixture

@@ -305,6 +305,9 @@ class TestRasterMap:
         assert cells.tie.tolist() == [len(c.labels) > 1 for c in every]
         with pytest.raises(IndexError):
             cells[len(cells)]
+        for k in (slice(0, 2), slice(0, 1), 1.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                cells[k]
 
 
 RASTER_GOLDEN = json.loads((Path(__file__).parent / "data" / "raster_golden.json").read_text())["maps"]

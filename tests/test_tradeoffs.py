@@ -86,7 +86,8 @@ class TestMaxRatio:
             std, _ = t.standard()
             k = TriangleKernel(std)
             pts = barycentric_grid(std, 48, include_vertices=False)
-            vals = k.cost(pts, 1) / k.cost(pts, 2)
+            v1, v2 = k.costs(pts, 1, 2)
+            vals = v1 / v2
             assert rep.ratio >= float(vals.max()) - 1e-9
 
 
