@@ -553,18 +553,30 @@ class RegionMap:
         return max(t.a.dist(t.b), t.b.dist(t.c), t.c.dist(t.a)) / (self.n - 1)
 
     def to_csv(self, path) -> None:
-        """Rows ``i,j,x,y,label`` with 17-digit coordinates and CRLF line
-        ends, formatted in one pass over the arrays."""
+        """Rows ``i,j,x,y,label`` with CRLF line ends, each coordinate
+        written byte for byte as Python's ``%.17g`` writes it.
+
+        Coordinates are converted exactly in integer arithmetic: with
+        v = m·2^q (m < 2^53) and p = 16 - floor(log10 |v|), the 17
+        significant digits are round-half-even(m·5^p·2^(q+p)), the correctly
+        rounded conversion ``%.17g`` makes, and are laid out in fixed
+        notation without trailing zeros.  Zeros, non-finite values and
+        magnitudes outside [2^-13, 2^50) take ``%.17g`` itself, one at a
+        time.  Rows are built and written ``_CSV_CHUNK`` at a time.
+        """
         c = self.cells
-        labels = np.array(["+".join(lab) for lab in c.table], dtype=object)
-        rows = np.empty((len(c), 5), dtype=object)
-        rows[:, 0] = c.i
-        rows[:, 1] = c.j
-        rows[:, 2:4] = c.xy
-        rows[:, 4] = labels[c.codes]
-        with open(path, "w", newline="") as fh:
-            fh.write("i,j,x,y,label\r\n")
-            fh.write(("%d,%d,%.17g,%.17g,%s\r\n" * len(c)) % tuple(rows.ravel().tolist()))
+        # NUL-padded cells: the comma and CRLF ride on the index and label
+        # tables, and compaction deletes the padding
+        ints = _byte_table([b"%d," % k for k in range(self.n)])
+        labels = _byte_table([("+".join(lab) + "\r\n").encode() for lab in c.table])
+        with open(path, "wb") as fh:
+            fh.write(b"i,j,x,y,label\r\n")
+            for s in range(0, len(c), _CSV_CHUNK):
+                part = slice(s, s + _CSV_CHUNK)
+                x, y = _format_g17(c.xy[part, 0]), _format_g17(c.xy[part, 1])
+                comma = np.full((len(x), 1), ord(","), dtype=np.uint8)
+                rows = np.concatenate((ints[c.i[part]], ints[c.j[part]], x, comma, y, comma, labels[c.codes[part]]), axis=1)
+                fh.write(rows.tobytes().translate(None, b"\0"))
 
     def to_svg(self, path, chains: Sequence[SeparatorChain] = ()) -> None:
         """Raster strips colored by label plus stroked separator chains."""
@@ -698,3 +710,125 @@ def _color_for(label: str, palette: dict[str, str]) -> str:
     color = _FALLBACK[len(palette) % len(_FALLBACK)]
     palette[label] = color
     return color
+
+
+# ---------------------------------------------------------------------------
+# CSV emission
+#
+# A CSV chunk is a NUL-padded uint8 row matrix, compacted by deleting the
+# NULs.  Its transient arrays take about 0.5 KB per row (some twenty uint64
+# columns and a 24-column intp layout index per coordinate, the row matrix
+# and its bytes): a 512 map traces 8.2 MB at 16384 rows, against 27.5 MB for
+# the object arrays, argument tuple and string of a one-pass ``%`` format.
+# Half or twice the chunk was slower.
+_CSV_CHUNK = 16384
+
+_G17_WIDTH = 24             # len(b"%.17g" % -2.2250738585072014e-308): every double fits
+# |v| in [2^-13, 2^50) prints in fixed notation (1e-4 <= |v| < 1e17), and
+# its scaling shift stays within the 1..52 that ``_round_scaled`` admits
+_G17_FAST = (2.0 ** -13, 2.0 ** 50)
+_POW5 = np.array([5 ** p for p in range(22)], dtype=np.uint64)
+
+
+def _byte_table(items: Sequence[bytes]) -> np.ndarray:
+    """(len, width) uint8 rows of ``items``, NUL-padded to the longest."""
+    table = np.array(items, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(items), table.itemsize)
+
+
+def _four_digit_words() -> np.ndarray:
+    """``b"%04d" % g`` for g < 10000, each as one uint32 word."""
+    pairs = _byte_table([b"%02d" % g for g in range(100)])
+    words = np.empty((100, 100, 4), dtype=np.uint8)
+    words[:, :, :2] = pairs[:, None]
+    words[:, :, 2:] = pairs[None, :]
+    return words.view(np.uint32).ravel()
+
+
+def _g17_layouts() -> np.ndarray:
+    """Byte positions of every fixed-notation ``%.17g`` string, one row per
+    (sign, decimal exponent k in -4..15, fraction digits shown nf in 0..20),
+    into a source row of 3 NULs, the 17 digits, '.', '0', '-' and a NUL.
+    Each row is a prefix of the string with every fraction digit, NUL-padded;
+    with no fraction digit shown the point goes too."""
+    digit, dot, zero, minus, nul = 3, 20, 21, 22, 23
+    full = np.full((2, 20, _G17_WIDTH), nul, dtype=np.uint8)
+    for k in range(-4, 16):
+        if k >= 0:
+            lay = [digit + d for d in range(k + 1)] + [dot] + [digit + d for d in range(k + 1, 17)]
+        else:
+            lay = [zero, dot] + [zero] * (-k - 1) + [digit + d for d in range(17)]
+        full[0, k + 4, :len(lay)] = lay
+        full[1, k + 4, :len(lay) + 1] = [minus] + lay
+    neg, k, nf = np.arange(2)[:, None, None], np.arange(-4, 16)[:, None], np.arange(21)
+    shown = neg + np.where(k < 0, 2 + nf, np.where(nf == 0, k + 1, k + 2 + nf))
+    return np.where(np.arange(_G17_WIDTH) < shown[..., None], full[:, :, None, :], np.uint8(nul)).reshape(-1, _G17_WIDTH)
+
+
+_G17_LAYOUTS = _g17_layouts()
+# Digit sources as uint32 words, so that one store places four digits.
+_TOP_DIGIT = np.frombuffer(b"".join(b"\0\0\0%d" % d for d in range(10)), dtype=np.uint32)
+_FOUR_DIGITS = _four_digit_words()
+_SOURCE_TAIL = np.frombuffer(b".0-\0", dtype=np.uint32)[0]
+
+
+def _round_scaled(m: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """round-half-even(m·5^p·2^(q+p)) for uint64 m < 2^53, 0 <= p <= 21 and
+    1 <= -(q+p) <= 52.  m·5^p < 2^100 is held as hi·2^52 + lo, built from
+    26-bit limbs.  Every operand is uint64: NumPy 1.x takes uint64 with
+    int64 to float64."""
+    u = np.uint64
+    mask26 = u(2 ** 26 - 1)
+    f = _POW5[p]
+    m0, m1, f0, f1 = m & mask26, m >> u(26), f & mask26, f >> u(26)
+    mid = m1 * f0 + m0 * f1
+    lo = m0 * f0 + ((mid & mask26) << u(26))
+    hi = m1 * f1 + (mid >> u(26)) + (lo >> u(52))
+    lo &= u(2 ** 52 - 1)
+    s = (-(q + p)).astype(np.uint64)
+    d = (hi << (u(52) - s)) | (lo >> s)
+    rem, half = lo & ((u(1) << s) - u(1)), u(1) << (s - u(1))
+    d += (rem > half) | ((rem == half) & (d & u(1)).astype(bool))
+    return d
+
+
+def _format_g17(v: np.ndarray) -> np.ndarray:
+    """(len(v), 24) uint8 rows, each ``b"%.17g" % v[k]`` padded with NULs."""
+    a = np.abs(v)
+    fast = (a >= _G17_FAST[0]) & (a < _G17_FAST[1])
+    # the other lanes get a dummy 1.0, so log10 and frexp warn about nothing
+    a = np.where(fast, a, 1.0)
+    frac, e = np.frexp(a)
+    m = (frac * 2.0 ** 53).astype(np.uint64)
+    q = e.astype(np.int64) - 53
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    d = _round_scaled(m, q, p)
+    # log10 may miss the exponent by one near a power of ten, and rounding
+    # may carry to 10^17; one more pass at the neighbouring p settles both.
+    off = (d < np.uint64(10 ** 16)).astype(np.int64) - (d >= np.uint64(10 ** 17))
+    redo = np.flatnonzero(off)
+    if len(redo):
+        p[redo] += off[redo]
+        d[redo] = _round_scaled(m[redo], q[redo], p[redo])
+    top = d // np.uint64(10 ** 16)
+    rest = d - top * np.uint64(10 ** 16)
+    hi8 = (rest // np.uint64(10 ** 8)).astype(np.uint32)
+    lo8 = (rest - hi8.astype(np.uint64) * np.uint64(10 ** 8)).astype(np.uint32)
+    src = np.empty((len(v), 6), dtype=np.uint32)
+    src[:, 0] = _TOP_DIGIT[top]
+    src[:, 1] = _FOUR_DIGITS[hi8 // 10000]
+    src[:, 2] = _FOUR_DIGITS[hi8 % 10000]
+    src[:, 3] = _FOUR_DIGITS[lo8 // 10000]
+    src[:, 4] = _FOUR_DIGITS[lo8 % 10000]
+    src[:, 5] = _SOURCE_TAIL
+    src = src.view(np.uint8)
+    k = 16 - p
+    trailing_zeros = np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
+    nf = np.maximum(16 - k - trailing_zeros, 0)
+    at = _G17_LAYOUTS[(np.signbit(v) * 20 + k + 4) * 21 + nf] + np.arange(0, src.size, _G17_WIDTH)[:, None]
+    out = src.ravel().take(at)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        formatted = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype=f"S{_G17_WIDTH}")
+        out[slow] = formatted.view(np.uint8).reshape(len(slow), _G17_WIDTH)
+    return out

@@ -3,12 +3,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from trivisit import regions
 from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import (
     GeometryError,
     Point2,
+    Triangle,
     dist_point_segment,
     incenter,
     triangle_from_angles,
@@ -325,6 +330,86 @@ def test_raster_matches_golden(golden, tmp_path):
     assert int(rm.cells.tie.sum()) == golden["tie_cells"]
     assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == golden["csv_sha256"]
     assert hashlib.sha256((tmp_path / "m.svg").read_bytes()).hexdigest() == golden["svg_sha256"]
+
+
+def _assert_g17(values):
+    """Every ``_format_g17`` row is ``b"%.17g" % v`` padded with NULs."""
+    values = np.asarray(values, dtype=np.float64)
+    want = [(b"%.17g" % v).ljust(regions._G17_WIDTH, b"\0") for v in values.tolist()]
+    got = [row.tobytes() for row in regions._format_g17(values)]
+    bad = [(v, w, g) for v, w, g in zip(values.tolist(), want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+def test_format_g17_random_bit_patterns():
+    # every exponent, subnormals, NaN payloads, +-inf and +-0
+    bits = np.random.default_rng(1717).integers(0, 2**64, size=262_144, dtype=np.uint64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    _assert_g17(np.concatenate((bits.view(np.float64), special)))
+
+
+def test_format_g17_edges():
+    lo, hi = regions._G17_FAST
+    edges = [lo, hi, 1.0, 0.1, 0.3, 1 / 3, 9.9999999999999999e14, 99999999999999990.0]
+    edges += [10.0**e for e in range(-6, 18)]
+    edges = np.array(edges)
+    edges = np.concatenate((edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)))
+    ties = [562949953421312.125, 562949953421312.375, 562949953421312.625, 562949953421312.875]
+    _assert_g17(np.concatenate((edges, -edges, ties)))
+    rows = regions._format_g17(np.array(ties + [np.nextafter(1.0, 0.0)]))
+    got = [row.tobytes().rstrip(b"\0") for row in rows]
+    assert got == [b"562949953421312.12", b"562949953421312.38", b"562949953421312.62", b"562949953421312.88",
+                   b"0.99999999999999989"]
+
+
+@given(st.lists(st.floats() | st.floats(-2.0**50, 2.0**50), min_size=1, max_size=64))
+def test_format_g17_matches_percent_format(values):
+    _assert_g17(values)
+
+
+def _percent_to_csv(rm, path):
+    """The one-pass ``%`` writer: the reference ``RegionMap.to_csv`` must
+    match byte for byte."""
+    c = rm.cells
+    labels = np.array(["+".join(lab) for lab in c.table], dtype=object)
+    rows = np.empty((len(c), 5), dtype=object)
+    rows[:, 0] = c.i
+    rows[:, 1] = c.j
+    rows[:, 2:4] = c.xy
+    rows[:, 4] = labels[c.codes]
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,x,y,label\r\n")
+        fh.write(("%d,%d,%.17g,%.17g,%s\r\n" * len(c)) % tuple(rows.ravel().tolist()))
+
+
+def _posed(scale, dx, dy):
+    t = triangle_from_angles(math.radians(70), math.radians(55))
+    return Triangle(*(Point2(v.x * scale + dx, v.y * scale + dy) for v in t.vertices))
+
+
+@pytest.mark.parametrize(
+    "t, mode",
+    [
+        (_posed(1e-6, 0.0, 0.0), "r1"),       # every coordinate below 2^-13: all take %.17g
+        (_posed(1.0, -3.0, -2.0), "r2"),      # negative quadrant
+        (_posed(1.0, 1e9, 1e9), "r3"),        # 10 significant digits before the point
+    ],
+    ids=["tiny", "negative", "far"],
+)
+def test_to_csv_matches_percent_writer(t, mode, tmp_path):
+    rm = raster_region_map(t, 40, mode)
+    rm.to_csv(tmp_path / "m.csv")
+    _percent_to_csv(rm, tmp_path / "ref.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_to_csv_chunks_fall_mid_map(tmp_path, monkeypatch):
+    monkeypatch.setattr(regions, "_CSV_CHUNK", 7)
+    rm = raster_region_map(THIN, 16, "r1")
+    assert len(rm.cells) % 7
+    rm.to_csv(tmp_path / "m.csv")
+    _percent_to_csv(rm, tmp_path / "ref.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 CHAINS_GOLDEN_PATH = Path(__file__).parent / "data" / "chains_golden.json"
