@@ -3,10 +3,10 @@
 R3 is the largest point-to-edge distance, R2 the best split of one edge vs.
 the other two, R1 the best of the six ordered three-edge visits.  The kernel
 of the standard-form triangle picks the farthest edges, kept partitions and
-optimal orders at the point; only their witnesses are built, and each cost
-is that of its cheapest witness.  Closed forms for the incenter and the
-mid-altitude starting points are provided separately; they must agree with
-the general evaluators.
+optimal orders at the point, and only their witnesses are built.  Every cost,
+of a fleet or of a witness, is the kernel's times the scale back to the pose.
+Closed forms for the incenter and the mid-altitude starting points are
+provided separately; they must agree with the general evaluators.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import partitions
+from ._kernels import _ORDERS, partitions
 from .geom_core import (
     EdgeId,
     Point2,
@@ -32,12 +32,12 @@ from .geom_core import (
 from .visitation import StandardPoint, StrategyKind, Trajectory
 
 # Slack for the R3 <= R2 <= R1 chain, in ulps of M, the largest coordinate
-# magnitude among the vertices and the point: witnesses start at the point
-# mapped to standard form and back, one ulp of M from where the drops start.
-# Over 230,000 posed instances (scale 1e-9..1e9, up to 1e4 base lengths from
-# the origin) the largest gap was 8 ulps of M, and over 100,000 more with a
-# 1e-3 or 1e-6 deg angle it was 6, so 64 leaves a margin of 8x.  Relative to
-# the base the gaps reached 2.8e-8 on those thin triangles.
+# magnitude among the vertices and the point.  The three kernel families round
+# differently where two costs are equal, as at vertices and on edges: 893 of
+# 11,728 eval benchmark instances (seeds 1-3) broke the chain, all at vertex or
+# edge points, by at most 2.75 ulps of M; of 100,000 posed ones (scale 1e-9 to
+# 1e9, up to 1e4 base lengths off the origin) 8,374 by at most 6.3, and of
+# 60,000 with a 1e-3 or 1e-6 deg angle 2,000 by at most 2.  Hence 64 (10x).
 CHAIN_ULPS = 64
 
 
@@ -104,20 +104,17 @@ class FleetCostReport:
             )
 
 
-def _drop(t: Triangle, p: Point2, e: EdgeId) -> tuple[float, float, float]:
-    """(x, y, distance) of the foot of ``p`` on edge ``e``."""
-    (ax, ay), (bx, by) = (t.vertex(v) for v in e.endpoints)
-    return nearest_on_segment(p.x, p.y, ax, ay, bx, by)
-
-
-def _drop_trajectory(t: Triangle, p: Point2, e: EdgeId) -> Trajectory:
-    qx, qy, dist = _drop(t, p, e)
-    return Trajectory((p,) if dist <= 1e-15 else (p, Point2(qx, qy)), dist, StrategyKind.PERPENDICULAR_DROP, None, (e,))
+def _drop(sp: StandardPoint, k: int, e: EdgeId) -> Trajectory:
+    """Drop to ``e``, the ``k``-th edge: foot on the posed triangle, kernel cost."""
+    p, ((ax, ay), (bx, by)) = sp.p, (sp.t.vertex(v) for v in e.endpoints)
+    qx, qy, dist = nearest_on_segment(p.x, p.y, ax, ay, bx, by)
+    wps = (p,) if dist <= 1e-15 else (p, Point2(qx, qy))
+    return Trajectory(wps, sp.scale * float(sp.edge_dists[k, 0]), StrategyKind.PERPENDICULAR_DROP, None, (e,))
 
 
 def _r3(sp: StandardPoint) -> R3Result:
     edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(sp.edge_dists)[:, 0]) if far)
-    return R3Result(max(_drop(sp.t, sp.p, e)[2] for e in edges), edges)
+    return R3Result(sp.scale * float(sp.edge_dists.max()), edges)
 
 
 _SIDES = (None, "single", "pair", "tie")
@@ -126,18 +123,20 @@ _SIDES = (None, "single", "pair", "tie")
 def _r2(sp: StandardPoint) -> R2Result:
     witnesses = []
     sides = sp.kernel.r2_sides(*partitions(sp.edge_dists, sp.ordered_pairs.__getitem__))
-    for lone, side in zip(EdgeId, sides[:, 0]):
+    for k, (lone, side) in enumerate(zip(EdgeId, sides[:, 0])):
         if side:
             pair = sp.two_set(*(e for e in EdgeId if e is not lone))
-            witnesses.append(R2Witness(lone, _drop_trajectory(sp.t, sp.p, lone), pair, _SIDES[side]))
+            witnesses.append(R2Witness(lone, _drop(sp, k, lone), pair, _SIDES[side]))
     witnesses.sort(key=lambda w: (w.cost, w.single_edge.value))
     return R2Result(witnesses[0].cost, tuple(witnesses))
 
 
 def _r1(sp: StandardPoint) -> R1Result:
-    orders = tuple(o for o, ok in zip(VisitOrder, sp.kernel.optimal_orders(sp.orders[0])[:, 0]) if ok)
-    best = min((sp.three_ordered(o) for o in orders), key=lambda tr: tr.cost)
-    return R1Result(best.cost, orders, best)
+    """One witness, of the cheapest tied order (the first on an exact tie)."""
+    costs = sp.orders[0][:, 0]
+    ks = [k for k, ok in enumerate(sp.kernel.optimal_orders(costs)) if ok]
+    best = sp.three_ordered(_ORDERS[min(ks, key=costs.__getitem__)])
+    return R1Result(best.cost, tuple(_ORDERS[k] for k in ks), best)
 
 
 def r3(t: Triangle, p: Point2) -> R3Result:

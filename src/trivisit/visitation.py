@@ -7,11 +7,12 @@ so each ordered cost is either a point-to-segment distance, a point-to-point
 distance, or a vertex detour plus an altitude.  Which of those cases apply
 is decided by a ``TriangleKernel`` of the triangle's standard form, evaluated
 at the point (``StandardPoint``); this module only builds the polyline of
-each case the kernel admits and maps it back to the triangle's pose.  For a
-three-edge visit the kernel's cases come from two parallel indicator lines
-perpendicular to the twice-unfolded last edge: one through the image of the
-corner shared by the last two edges (bounce line), one through the vertex
-shared by the first two edges (subopt line).
+each case the kernel admits and maps it back to the triangle's pose, with
+the kernel's cost scaled back.  For a three-edge visit the kernel's cases
+come from two parallel indicator lines perpendicular to the twice-unfolded
+last edge: one through the image of the corner shared by the last two edges
+(bounce line), one through the vertex shared by the first two edges (subopt
+line).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import _ORDERS, EXACT_TIE, StrategyKind, TriangleKernel
+from ._kernels import _ORDERS, _PAIR_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
 from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, polyline_length
 
 
@@ -108,8 +109,8 @@ class StandardPoint:
     evaluated at the point at most once, by its kernel evaluator, when first
     read: ``edge_dists`` (3, 1), ``ordered_pairs`` (6, 1) and ``orders``, the
     (6, 1) costs and case masks of the ordered three-edge visits.  Each visit
-    method reads the cases or order there, builds their witnesses in
-    standard form and returns the chosen one in the triangle's pose."""
+    method builds the witnesses of what the kernel marks in standard form and
+    returns the chosen one in the pose, its cost ``scale`` times the kernel's."""
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
@@ -118,7 +119,7 @@ class StandardPoint:
         self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(std)
         inv = sim.inverse()
-        self._inverse = (math.cos(inv.rotation), math.sin(inv.rotation), inv.scale, *inv.translation)
+        self.scale, self._inverse = inv.scale, (math.cos(inv.rotation), math.sin(inv.rotation), *inv.translation)
 
     @cached_property
     def edge_dists(self) -> np.ndarray:
@@ -133,17 +134,17 @@ class StandardPoint:
         return self.kernel.ordered3_all(self.pts)
 
     def three_ordered(self, order: VisitOrder) -> Trajectory:
-        """Every admissible case is built; the cheapest wins, and among
-        those within ``EXACT_TIE`` of it the best-ranked kind."""
+        """Every admissible case is built; the shortest in standard form
+        wins, and among those within ``EXACT_TIE`` of it the best-ranked kind."""
         k = _ORDERS.index(order)
         w = self.kernel.order_witness(order)
         candidates = [(kind, _CASES[kind](w, self.ps)) for kind, ok in self.orders[1].items() if ok[k, 0]]
-        costs = [polyline_length(wps) for _, wps in candidates]
-        best = min(costs)
+        lengths = [polyline_length(wps) for _, wps in candidates]
+        best = min(lengths)
         kind, wps = min(
-            (c for c, cost in zip(candidates, costs) if cost <= best + EXACT_TIE), key=lambda c: _KIND_RANK[c[0]]
+            (c for c, n in zip(candidates, lengths) if n <= best + EXACT_TIE), key=lambda c: _KIND_RANK[c[0]]
         )
-        return self._map_back(wps, kind, order, order.edges)
+        return self._map_back(wps, self.orders[0][k, 0], kind, order, order.edges)
 
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
         ps = self.ps
@@ -155,19 +156,19 @@ class StandardPoint:
         else:
             target = (pivot[0] + (far_img[0] - pivot[0]) * tau, pivot[1] + (far_img[1] - pivot[1]) * tau)
             wps = _dedupe([ps, _cross_line(ps, target, line1), _reflect(target, line1)])
-        return self._map_back(wps, kind, None, (first, second), tie)
+        return self._map_back(wps, self.ordered_pairs[_PAIR_INDEX[first, second], 0], kind, None, (first, second), tie)
 
     def two_set(self, e1: EdgeId, e2: EdgeId) -> Trajectory:
         e1_first, tie = self.kernel.pair_order(*self.ps, self.ordered_pairs, e1, e2)
         return self.two_ordered(*((e1, e2) if e1_first else (e2, e1)), tie=tie)
 
-    def _map_back(self, wps: list, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
+    def _map_back(self, wps: list, cost, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
         """The trajectory through the standard-form waypoints ``wps`` in the
-        triangle's pose, as ``Similarity.apply`` maps them, its cost the
-        mapped length."""
-        c, s, k, tx, ty = self._inverse
+        triangle's pose, as ``Similarity.apply`` maps them, with ``scale``
+        times the standard-form kernel ``cost``."""
+        (c, s, tx, ty), k = self._inverse, self.scale
         mapped = tuple(Point2(k * (c * x - s * y) + tx, k * (s * x + c * y) + ty) for x, y in wps)
-        return Trajectory(mapped, polyline_length(mapped), kind, order, edges, tie)
+        return Trajectory(mapped, k * float(cost), kind, order, edges, tie)
 
 
 def visit_two_ordered(t: Triangle, p: Point2, first: EdgeId, second: EdgeId) -> Trajectory:

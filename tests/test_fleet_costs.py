@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,8 @@ from trivisit.fleet_costs import (
     r3,
 )
 from trivisit.geom_core import Point2, Similarity, Triangle, incenter, triangle_from_angles, VertexId
-from trivisit.visitation import EdgeId, StrategyKind, VisitOrder
+from trivisit.oracle import certify_instance
+from trivisit.visitation import EdgeId, StandardPoint, StrategyKind, VisitOrder
 
 from conftest import random_interior_point, random_triangle
 
@@ -88,6 +90,13 @@ class TestR1:
         assert res.cost == pytest.approx(0.75, abs=1e-9)
         assert {VisitOrder.LRD, VisitOrder.RLD} <= set(res.orders)
 
+    def test_one_witness_for_tied_orders(self, monkeypatch):
+        # The witness is built for the cheapest tied order alone.
+        built, build = [], StandardPoint.three_ordered
+        monkeypatch.setattr(StandardPoint, "three_ordered", lambda sp, o: built.append(o) or build(sp, o))
+        res = r1(EQ, incenter(EQ))
+        assert len(res.orders) > 1 and built == [res.trajectory.order]
+
     def test_trajectory_cost_matches(self, rng):
         for _ in range(60):
             t = random_triangle(rng, posed=True)
@@ -131,6 +140,43 @@ class TestChain:
         rep = fleet_costs(t, incenter(t))
         with pytest.raises(AssertionError, match="cost chain violated"):
             dataclasses.replace(rep, r2=dataclasses.replace(rep.r2, cost=rep.r1.cost * (1 + 1e-9)))
+
+
+class TestPosedSlivers:
+    """Every cost of a posed thin triangle is its unposed cost times the
+    scale: the reported costs are the standard form's kernel costs, not the
+    lengths of witnesses whose bounce points are ill conditioned there."""
+
+    @pytest.mark.parametrize("deg", [1e-2, 1e-4, 1e-6])
+    def test_costs_scale_with_the_pose(self, deg):
+        # Over 3,000 instances per apex (both kinds of point, translations up
+        # to 1e3 base lengths) the largest gap was 4 ulps of the unposed
+        # triangle's largest coordinate: 3.0e-8 base lengths at 1e-6 deg,
+        # where the R1 witness's polyline length is off R1 by up to 0.74 base
+        # lengths at points on a long edge.
+        rng, thin = random.Random(4), math.radians(deg)
+        for _ in range(100):
+            s = rng.random()
+            std = triangle_from_angles(math.pi / 2 - s * thin, math.pi / 2 - (1 - s) * thin)
+            bound = 16 * math.ulp(max(abs(x) for v in std.vertices for x in v))
+            scale = 10 ** rng.uniform(-3, 3)
+            off = Point2(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            sim = Similarity(rng.uniform(0, 2 * math.pi), scale, off * scale)
+            t = Triangle(*(sim.apply(v) for v in std.vertices))
+            a, b, c = std.vertices
+            u, v = sorted((rng.random(), rng.random()))
+            for p in (a + u * (b - a) + (v - u) * (c - a), a + rng.random() * (rng.choice((b, c)) - a)):
+                want, got = fleet_costs(std, p), fleet_costs(t, sim.apply(p))
+                for n in ("r1", "r2", "r3"):
+                    gap = abs(getattr(got, n).cost / scale - getattr(want, n).cost)
+                    assert gap <= bound, (n, deg, tuple(std.vertices), p, scale, gap)
+
+    def test_thin_instance_certifies(self):
+        # A 1e-6 deg apex at unit base, rotated, at a point 0.3 of the way
+        # along a long edge; its R1 witness is 0.17 longer than R1.
+        t = Triangle((-41412789.39174358, 39595292.05318967), (0.0, 0.0), (0.6910682158908876, 0.7227895412811294))
+        rep = fleet_costs(t, Point2(-28988952.574220505, 27716704.43723277))
+        certify_instance(t, rep.point, {"r1": rep.r1.cost, "r2": rep.r2.cost, "r3": rep.r3.cost})
 
 
 class TestClosedForms:
