@@ -17,16 +17,22 @@ triangle at one point and build witnesses only for what it marks admissible
 or optimal.  Costs are in each triangle's own scale, and the slack scales
 with the base edge.
 
-Each cost family has one table and one evaluator: ``r3_all`` for the three
-edge drops, ``ordered2_all`` for the six ordered edge pairs and ``r1_all``
-for the six ordered three-edge unfoldings.  ``r3_all`` and ``r1_all``, which
-serve both one point and rasters and sweeps, choose from the number of points
-between one broadcast over the family's members (up to ``_BROADCAST_POINTS``)
-and a loop over them, which give the same bits.  ``ordered2_all`` serves one
-point and always broadcasts; many points reach the pairs through
-``r2_partitions``.  The unfolding case masks are read only at one point, by
-the witnesses: ``ordered3_all`` gives them with the costs in one broadcast,
-and ``r1_all`` keeps the costs alone, so a raster carries no masks.
+Two tables hold every cost: the segment table, whose nine members are the
+three edges and the six ordered edge pairs, and the unfolding table of the
+six ordered three-edge visits.  ``r3_all`` reads the edges' members and
+``r2_partitions`` the pairs'; ``segs_all`` gives all nine and ``r1_all`` the
+six orders.  Each chooses from the number of points between one broadcast
+over its members (up to ``_BROADCAST_POINTS``) and a loop over them, which
+give the same bits.  So one point costs two NumPy passes, ``segs_all`` and
+``r1_all`` (``visitation.StandardPoint``).
+
+Each decision rule (the unfolding cases, the farthest edges, R2's kept
+partitions with their sides, the optimal orders) is one expression of
+operators only, which serves arrays and plain floats alike; the caller
+passes in the largest or least cost.  At one point the decisions are made on
+plain floats: the costs of the two passes, and for the one order whose
+witness is built the unfolding cases (``order_cases``), so no array carries
+case masks.
 
 At one point a family's cost is the Python overhead of its ufunc calls; at
 array scale it is mostly libm ``hypot``: on a 9,632-point sweep chunk one
@@ -84,11 +90,15 @@ _ORDERS = tuple(VisitOrder)
 _EDGES = tuple(EdgeId)
 _VERTICES = tuple(VertexId)
 _PAIRS = tuple((first, second) for first in _EDGES for second in _EDGES if second is not first)
-_PAIR_INDEX = {pair: i for i, pair in enumerate(_PAIRS)}
+# The nine members of the segment table, a segment row each: the edges (a
+# point's cost is its distance to the edge), then the ordered pairs (the
+# distance to the second edge's image across the first).
+_SEG_INDEX = {member: i for i, member in enumerate(_EDGES + _PAIRS)}
 
 # Layout of a triangle row (``triangle_row``), by offset.  Edges go in EdgeId
 # order, ordered pairs in ``_PAIRS`` order and visit orders in VisitOrder
-# order; a segment row is p0x, p0y, dx, dy, dx*dx + dy*dy.
+# order; a segment row is p0x, p0y, dx, dy, dx*dx + dy*dy.  The pairs' rows
+# follow the edges' directly, so the nine rows are one segment table.
 _ROW_LINES = 0                                  # a, b, c of each edge's line
 _ROW_LENGTHS = _ROW_LINES + 3 * len(_EDGES)     # each edge's length
 _ROW_SEGS = _ROW_LENGTHS + len(_EDGES)          # each edge's segment row
@@ -222,63 +232,65 @@ _PAIR_WITNESS = {
 }
 
 
-def _ordered3_cases(pts: np.ndarray, table, tol) -> tuple[np.ndarray, dict]:
-    """(cost, cases) of the ordered three-edge visits whose unfolding
-    constants (corner_img, u, apex, sigma_z, altitude) are ``table``:
-    ``cases`` maps each unfolding case to the mask where it is admissible,
-    within ``tol`` of its side of the subopt and bounce lines, and the cost
-    is the minimum over the admissible cases.  Each field of ``table``
-    broadcasts against the point coordinates: a (1,) or (T, 1) array for one
-    order, a (6, 1) or (6, T, 1) array for all six."""
-    cx, cy, ux, uy, ax, ay, sigma_z, alt = table
-    x, y = pts[..., 0], pts[..., 1]
+def _unfold_cases(x, y, table, tol) -> tuple:
+    """(rx, ry, qx, qy, cases) of the point (x, y) against the unfolding
+    constants (corner_img, u, apex, sigma_z, ...) ``table``: r runs from the
+    corner image and q from the apex to the point, and ``cases`` maps each
+    unfolding case to whether it is admissible, within ``tol`` of its side of
+    the subopt and bounce lines.  Only operators are applied, so the one
+    expression serves arrays (``_ordered3_cases``) and the plain floats of
+    one point and one order (``TriangleKernel.order_cases``) with the same
+    bits."""
+    cx, cy, ux, uy, ax, ay, sigma_z, _ = table
     rx, ry = x - cx, y - cy
     qx, qy = x - ax, y - ay
     s_b = rx * ux + ry * uy
     s_z = sigma_z * (qx * ux + qy * uy)
     past_subopt = s_z >= -tol
-    cases = {
+    return rx, ry, qx, qy, {
         StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
         StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
         StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
     }
+
+
+def _ordered3_cases(pts: np.ndarray, table, tol) -> np.ndarray:
+    """Costs of the ordered three-edge visits whose unfolding constants
+    (corner_img, u, apex, sigma_z, altitude) are ``table``: the minimum over
+    the unfolding cases that ``_unfold_cases`` admits.  Each field of
+    ``table`` broadcasts against the point coordinates: a (1,) or (T, 1)
+    array for one order, a (6, 1) or (6, T, 1) array for all six."""
+    rx, ry, qx, qy, cases = _unfold_cases(pts[..., 0], pts[..., 1], table, tol)
     # Each case cost only where the case is admissible (``where=``), inf
     # elsewhere: at array scale one ``hypot`` costs as much as 25 or more
     # subtracts, and over a 5 deg sweep the subopt case is admissible at 16%
     # of order-points and the degenerate case at 52%.  inf + alt is inf, so
     # the subopt cost takes its altitude unmasked.
-    infs = np.full(s_b.shape, np.inf)
+    ux, uy, alt = table[2], table[3], table[7]
+    infs = np.full(rx.shape, np.inf)
     cost = np.hypot(qx, qy, out=infs.copy(), where=cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE])
     cost += alt
     np.minimum(cost, np.hypot(rx, ry, out=infs.copy(), where=cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE]), out=cost)
     np.minimum(cost, np.abs(ry * ux - rx * uy, out=infs, where=cases[StrategyKind.BOUNCING]), out=cost)
-    return cost, cases
+    return cost
 
 
 # The orders (first, second) and (second, first) of the pair of edges left by
-# each lone edge, as indices into ``_PAIRS``, in EdgeId order of the lone edge.
+# each lone edge, as indices into the segment table, in EdgeId order of the
+# lone edge.
 _LONE_PAIRS = tuple(
-    (_PAIR_INDEX[(first, second)], _PAIR_INDEX[(second, first)])
+    (_SEG_INDEX[(first, second)], _SEG_INDEX[(second, first)])
     for first, second in ([e for e in _EDGES if e is not lone] for lone in _EDGES)
 )
 
 
-def partitions(singles: np.ndarray, ordered2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(singles, pairs, costs) of the three R2 partitions, each (3, ...)
-    indexed by the lone edge, from the (3, ...) edge distances ``singles``
-    and ``ordered2(k)``, the cost of the ordered pair ``_PAIRS[k]``: a pair
-    costs the cheaper of its two orders, a partition the larger of its two
-    robots' costs."""
-    pairs = np.array([np.minimum(ordered2(i), ordered2(j)) for i, j in _LONE_PAIRS])
-    return singles, pairs, np.maximum(singles, pairs)
-
-
 class TriangleKernel:
-    """Triangle rows plus one array evaluator per cost family.
+    """Triangle rows plus the array evaluators of their two cost tables,
+    and the decision rules that read the costs.
 
     ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
     plain floats for a single-triangle kernel, for the witness views, and a
-    (T, row width) array for a stack.  Each family's table is one (width,
+    (T, row width) array for a stack.  Each table is one (width,
     count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
     fields of member k and ``table`` into those of every member: (1,) or
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
@@ -301,8 +313,7 @@ class TriangleKernel:
             r = flat[..., at:at + count * width]
             return r.reshape(r.shape[:-1] + (count, width)).T[..., None]
 
-        self._segs = table(_ROW_SEGS, len(_EDGES), 5)
-        self._pairs = table(_ROW_PAIRS, len(_PAIRS), 5)
+        self._segs = table(_ROW_SEGS, len(_SEG_INDEX), 5)
         self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
         self.tol = BOUNDARY_TOL * self.scale
 
@@ -344,13 +355,21 @@ class TriangleKernel:
             kind = StrategyKind.BOUNCING
         return kind, tau, row[line1:line1 + 3], [p0x, p0y], row[far:far + 2], row[far_img:far_img + 2]
 
-    def pair_order(self, x: float, y: float, ordered2: np.ndarray, e1: EdgeId, e2: EdgeId) -> tuple[bool, bool]:
+    def order_cases(self, x: float, y: float, order: VisitOrder) -> dict:
+        """The unfolding cases of ``order`` at the point (x, y) of a
+        single-triangle kernel, each mapped to whether it is admissible there,
+        decided on the row's plain floats by ``_unfold_cases``, the rule of
+        the array code."""
+        at = _ROW_UNFOLDS + 8 * _ORDERS.index(order)
+        return _unfold_cases(x, y, self.rows[0][at:at + 8], self.tol)[4]
+
+    def pair_order(self, x: float, y: float, segs: list[float], e1: EdgeId, e2: EdgeId) -> tuple[bool, bool]:
         """(e1_first, tie) at the point (x, y) of a single-triangle kernel:
         whether the cheaper visit of the pair touches ``e1`` first, and
         whether both orders are within tol, in which case the nearer edge
-        goes first (``e1`` when equally near).  ``ordered2`` holds the (6, 1)
-        costs of the ordered pairs at the point (``ordered2_all``)."""
-        c12, c21 = float(ordered2[_PAIR_INDEX[(e1, e2)], 0]), float(ordered2[_PAIR_INDEX[(e2, e1)], 0])
+        goes first (``e1`` when equally near).  ``segs`` holds the nine
+        segment costs at the point (``segs_all``) as plain floats."""
+        c12, c21 = segs[_SEG_INDEX[(e1, e2)]], segs[_SEG_INDEX[(e2, e1)]]
         if not abs(c12 - c21) <= self.tol:
             return c12 < c21, False
         row = self.rows[0]
@@ -421,56 +440,59 @@ class TriangleKernel:
             out[k] = body(pts, table[:, k])
         return out
 
-    # -- one evaluator per cost family -----------------------------------
+    # -- the evaluators ----------------------------------------------------
+
+    def segs_all(self, pts: np.ndarray) -> np.ndarray:
+        """(9, ...) costs of the nine members of the segment table: the three
+        point-to-edge distances in EdgeId order, then the six ordered two-edge
+        visits in ``_PAIRS`` order.  At one point this is one broadcast
+        (``visitation.StandardPoint``)."""
+        return self._each_member(pts, self._segs, self._seg_dist)
 
     def r3_all(self, pts: np.ndarray) -> np.ndarray:
         """(3, ...) point-to-edge distances in EdgeId declaration order."""
-        return self._each_member(pts, self._segs, self._seg_dist)
-
-    def ordered2_all(self, pts: np.ndarray) -> np.ndarray:
-        """(6, ...) ordered two-edge visit costs in ``_PAIRS`` order, in one
-        broadcast: it serves one point (``visitation.StandardPoint``), and
-        many points go through ``r2_partitions``, which evaluates the pairs
-        one at a time."""
-        return self._seg_dist(pts, self._pairs)
-
-    def ordered3_all(self, pts: np.ndarray) -> tuple[np.ndarray, dict]:
-        """(costs, cases): the (6, ...) ordered three-edge visit costs in
-        VisitOrder declaration order and the (6, ...) mask of each unfolding
-        case (see ``_ordered3_cases``), in one broadcast: the masks serve the
-        witnesses at one point (``visitation.StandardPoint``), and many points
-        need only the costs, from ``r1_all``."""
-        return _ordered3_cases(pts, self._unfolds, self.tol)
+        return self._each_member(pts, self._segs[:, :len(_EDGES)], self._seg_dist)
 
     def r1_all(self, pts: np.ndarray) -> np.ndarray:
         """(6, ...) ordered three-edge visit costs in VisitOrder declaration
-        order, without the case masks."""
-        return self._each_member(pts, self._unfolds, lambda p, table: _ordered3_cases(p, table, self.tol)[0])
-
-    def farthest_edges(self, dists: np.ndarray) -> np.ndarray:
-        """(3, ...) mask of the edges within tol of the largest of ``dists``
-        (from ``r3_all``, or the singles of ``r2_partitions``)."""
-        return dists >= dists.max(axis=0) - self.tol
+        order."""
+        return self._each_member(pts, self._unfolds, lambda p, table: _ordered3_cases(p, table, self.tol))
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(singles, pairs, costs), each (3, ...), indexed by the lone edge.
-        Each pair's two orders are reduced as soon as they are evaluated,
-        with no (6, ...) array of pair costs: on a 2 deg (2,3) sweep that is
-        about 10% faster than ``ordered2_all``."""
-        return partitions(self.r3_all(pts), lambda k: self._seg_dist(pts, self._pairs[:, k]))
+        """(singles, pairs, costs), each (3, ...), indexed by the lone edge:
+        a pair costs the cheaper of its two orders, a partition the larger of
+        its two robots' costs.  Each pair's two orders are reduced as soon as
+        they are evaluated, with no (6, ...) array of pair costs: on a 2 deg
+        (2,3) sweep that is about 10% faster than one six-member pass."""
+        singles = self.r3_all(pts)
+        pairs = np.array([
+            np.minimum(self._seg_dist(pts, self._segs[:, i]), self._seg_dist(pts, self._segs[:, j]))
+            for i, j in _LONE_PAIRS
+        ])
+        return singles, pairs, np.maximum(singles, pairs)
 
-    def r2_sides(self, singles: np.ndarray, pairs: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """(3, ...) code per lone edge, from ``r2_partitions``: 0 unless its
-        partition is within tol of the best, else which cost determines it:
-        1 the drop, 2 the pair visit, 3 both within tol."""
+    # -- one decision rule each, for arrays and for plain floats ---------
+    #
+    # Only operators, so that one expression serves (count, ...) arrays of
+    # costs and the plain floats of one member at one point; the caller
+    # passes the largest or least cost over the members.
+
+    def farthest_edges(self, dists, largest):
+        """Whether each of ``dists`` (from ``r3_all``, or the singles of
+        ``r2_partitions``) is within tol of ``largest``, their largest."""
+        return dists >= largest - self.tol
+
+    def r2_sides(self, singles, pairs, costs, least):
+        """Code per lone edge, from ``r2_partitions``: 0 unless its partition
+        is within tol of ``least``, the cheapest of ``costs``, else which
+        cost determines it: 1 the drop, 2 the pair visit, 3 both within tol."""
         gap = singles - pairs
-        side = np.where(np.abs(gap) <= self.tol, 3, np.where(gap > 0, 1, 2))
-        return np.where(costs > costs.min(axis=0) + self.tol, 0, side)
+        return ((gap >= -self.tol) + 2 * (gap <= self.tol)) * (costs <= least + self.tol)
 
-    def optimal_orders(self, costs: np.ndarray) -> np.ndarray:
-        """(6, ...) mask of the orders within tol of the cheapest of
-        ``costs`` (from ``r1_all``)."""
-        return costs <= costs.min(axis=0) + self.tol
+    def optimal_orders(self, costs, least):
+        """Whether each of ``costs`` (from ``r1_all``) is within tol of
+        ``least``, their cheapest."""
+        return costs <= least + self.tol
 
     def costs(self, pts: np.ndarray, *robots: int) -> list[np.ndarray]:
         """R1, R2 or R3 at ``pts`` for each fleet size in ``robots``, in

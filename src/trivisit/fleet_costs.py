@@ -1,10 +1,11 @@
 """Makespans R1, R2, R3 for fleets of one to three unit-speed robots.
 
 R3 is the largest point-to-edge distance, R2 the best split of one edge vs.
-the other two, R1 the best of the six ordered three-edge visits.  The kernel
-of the standard-form triangle picks the farthest edges, kept partitions and
-optimal orders at the point, and only their witnesses are built.  Every cost,
-of a fleet or of a witness, is the kernel's times the scale back to the pose.
+the other two, R1 the best of the six ordered three-edge visits.  The costs
+are the plain floats of the two kernel passes of ``StandardPoint``; the
+kernel's rules pick the farthest edges, kept partitions and optimal orders
+from them at the point, and only their witnesses are built.  Every cost, of
+a fleet or of a witness, is the kernel's times the scale back to the pose.
 Closed forms for the incenter and the mid-altitude starting points are
 provided separately; they must agree with the general evaluators.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import _ORDERS, partitions
+from ._kernels import _EDGES, _LONE_PAIRS, _ORDERS
 from .geom_core import (
     EdgeId,
     Point2,
@@ -104,37 +105,48 @@ class FleetCostReport:
             )
 
 
-def _drop(sp: StandardPoint, k: int, e: EdgeId) -> Trajectory:
-    """Drop to ``e``, the ``k``-th edge: foot on the posed triangle, kernel cost."""
+def _drop(sp: StandardPoint, e: EdgeId, cost: float) -> Trajectory:
+    """Drop to ``e``: foot on the posed triangle, kernel ``cost``."""
     p, ((ax, ay), (bx, by)) = sp.p, (sp.t.vertex(v) for v in e.endpoints)
     qx, qy, dist = nearest_on_segment(p.x, p.y, ax, ay, bx, by)
     wps = (p,) if dist <= 1e-15 else (p, Point2(qx, qy))
-    return Trajectory(wps, sp.scale * float(sp.edge_dists[k, 0]), StrategyKind.PERPENDICULAR_DROP, None, (e,))
+    return Trajectory(wps, sp.scale * cost, StrategyKind.PERPENDICULAR_DROP, None, (e,))
 
 
 def _r3(sp: StandardPoint) -> R3Result:
-    edges = tuple(e for e, far in zip(EdgeId, sp.kernel.farthest_edges(sp.edge_dists)[:, 0]) if far)
-    return R3Result(sp.scale * float(sp.edge_dists.max()), edges)
+    dists = sp.segs[:len(_EDGES)]
+    largest = max(dists)
+    edges = tuple(e for e, d in zip(_EDGES, dists) if sp.kernel.farthest_edges(d, largest))
+    return R3Result(sp.scale * largest, edges)
 
 
 _SIDES = (None, "single", "pair", "tie")
+# Each lone edge with the two edges left to the pair robot, in EdgeId order.
+_PARTITIONS = tuple((lone, tuple(e for e in _EDGES if e is not lone)) for lone in _EDGES)
 
 
 def _r2(sp: StandardPoint) -> R2Result:
+    """The kept partitions: a pair costs the cheaper of its two orders, a
+    partition the larger of its two robots' costs (as ``r2_partitions``)."""
+    segs = sp.segs
+    singles = segs[:len(_EDGES)]
+    pairs = [min(segs[i], segs[j]) for i, j in _LONE_PAIRS]
+    costs = [max(d, q) for d, q in zip(singles, pairs)]
+    least = min(costs)
     witnesses = []
-    sides = sp.kernel.r2_sides(*partitions(sp.edge_dists, sp.ordered_pairs.__getitem__))
-    for k, (lone, side) in enumerate(zip(EdgeId, sides[:, 0])):
+    for (lone, rest), single, pair_cost, cost in zip(_PARTITIONS, singles, pairs, costs):
+        side = sp.kernel.r2_sides(single, pair_cost, cost, least)
         if side:
-            pair = sp.two_set(*(e for e in EdgeId if e is not lone))
-            witnesses.append(R2Witness(lone, _drop(sp, k, lone), pair, _SIDES[side]))
+            witnesses.append(R2Witness(lone, _drop(sp, lone, single), sp.two_set(*rest), _SIDES[side]))
     witnesses.sort(key=lambda w: (w.cost, w.single_edge.value))
     return R2Result(witnesses[0].cost, tuple(witnesses))
 
 
 def _r1(sp: StandardPoint) -> R1Result:
     """One witness, of the cheapest tied order (the first on an exact tie)."""
-    costs = sp.orders[0][:, 0]
-    ks = [k for k, ok in enumerate(sp.kernel.optimal_orders(costs)) if ok]
+    costs = sp.orders
+    least = min(costs)
+    ks = [k for k, cost in enumerate(costs) if sp.kernel.optimal_orders(cost, least)]
     best = sp.three_ordered(_ORDERS[min(ks, key=costs.__getitem__)])
     return R1Result(best.cost, tuple(_ORDERS[k] for k in ks), best)
 

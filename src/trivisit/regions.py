@@ -318,7 +318,7 @@ def _indicators(w) -> tuple[Callable[[Point2], float], Callable[[Point2], float]
     """(bounce, subopt, corner_img, far_img) of an unfolding, from its
     ``TriangleKernel.order_witness`` fields: a point's coordinates across
     the bounce and subopt lines, in the operations of the kernel's case
-    indicators (``_ordered3_cases``), and the ends of the twice-unfolded
+    indicators (``_unfold_cases``), and the ends of the twice-unfolded
     last edge."""
     _, _, (cix, ciy), (ux, uy), (ax, ay), _, _, (fix, fiy), (sigma_z,) = w
     return (
@@ -672,11 +672,14 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
     if mode == "r1":
-        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(kernel.r1_all(pts))
+        costs = kernel.r1_all(pts)
+        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(costs, costs.min(axis=0))
     elif mode == "r2":
-        codes = (4 ** np.arange(3)) @ kernel.r2_sides(*kernel.r2_partitions(pts))
+        singles, pairs, costs = kernel.r2_partitions(pts)
+        codes = (4 ** np.arange(3)) @ kernel.r2_sides(singles, pairs, costs, costs.min(axis=0))
     else:
-        codes = (2 ** np.arange(3)) @ kernel.farthest_edges(kernel.r3_all(pts))
+        dists = kernel.r3_all(pts)
+        codes = (2 ** np.arange(3)) @ kernel.farthest_edges(dists, dists.max(axis=0))
     return RegionMap(t, n, mode, RasterCells(i, j, pts, codes, _LABEL_TABLES[mode]))
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import _ORDERS, _PAIR_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
+from ._kernels import _ORDERS, _SEG_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
 from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, polyline_length
 
 
@@ -105,12 +105,15 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_CASES)}
 
 class StandardPoint:
     """A start point in the standard form of its triangle, checked to lie
-    inside, with the kernel of that standard form.  Each cost family is
-    evaluated at the point at most once, by its kernel evaluator, when first
-    read: ``edge_dists`` (3, 1), ``ordered_pairs`` (6, 1) and ``orders``, the
-    (6, 1) costs and case masks of the ordered three-edge visits.  Each visit
-    method builds the witnesses of what the kernel marks in standard form and
-    returns the chosen one in the pose, its cost ``scale`` times the kernel's."""
+    inside, with the kernel of that standard form.  The point's costs come
+    from two NumPy passes, each made at most once, when first read, and
+    converted to plain floats once: ``segs``, the nine costs of the segment
+    table (``segs_all``: the three edge distances, then the six ordered
+    pairs, indexed by ``_SEG_INDEX``), and ``orders``, the six ordered
+    three-edge visit costs (``r1_all``).  Every decision at the point is
+    made on those floats by the kernel's rules.  Each visit method builds the
+    witnesses of what the kernel marks in standard form and returns the
+    chosen one in the pose, its cost ``scale`` times the kernel's."""
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
@@ -122,29 +125,25 @@ class StandardPoint:
         self.scale, self._inverse = inv.scale, (math.cos(inv.rotation), math.sin(inv.rotation), *inv.translation)
 
     @cached_property
-    def edge_dists(self) -> np.ndarray:
-        return self.kernel.r3_all(self.pts)
+    def segs(self) -> list[float]:
+        return self.kernel.segs_all(self.pts)[:, 0].tolist()
 
     @cached_property
-    def ordered_pairs(self) -> np.ndarray:
-        return self.kernel.ordered2_all(self.pts)
-
-    @cached_property
-    def orders(self) -> tuple[np.ndarray, dict]:
-        return self.kernel.ordered3_all(self.pts)
+    def orders(self) -> list[float]:
+        return self.kernel.r1_all(self.pts)[:, 0].tolist()
 
     def three_ordered(self, order: VisitOrder) -> Trajectory:
         """Every admissible case is built; the shortest in standard form
         wins, and among those within ``EXACT_TIE`` of it the best-ranked kind."""
-        k = _ORDERS.index(order)
         w = self.kernel.order_witness(order)
-        candidates = [(kind, _CASES[kind](w, self.ps)) for kind, ok in self.orders[1].items() if ok[k, 0]]
+        cases = self.kernel.order_cases(*self.ps, order)
+        candidates = [(kind, _CASES[kind](w, self.ps)) for kind, ok in cases.items() if ok]
         lengths = [polyline_length(wps) for _, wps in candidates]
         best = min(lengths)
         kind, wps = min(
             (c for c, n in zip(candidates, lengths) if n <= best + EXACT_TIE), key=lambda c: _KIND_RANK[c[0]]
         )
-        return self._map_back(wps, self.orders[0][k, 0], kind, order, order.edges)
+        return self._map_back(wps, self.orders[_ORDERS.index(order)], kind, order, order.edges)
 
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
         ps = self.ps
@@ -156,19 +155,19 @@ class StandardPoint:
         else:
             target = (pivot[0] + (far_img[0] - pivot[0]) * tau, pivot[1] + (far_img[1] - pivot[1]) * tau)
             wps = _dedupe([ps, _cross_line(ps, target, line1), _reflect(target, line1)])
-        return self._map_back(wps, self.ordered_pairs[_PAIR_INDEX[first, second], 0], kind, None, (first, second), tie)
+        return self._map_back(wps, self.segs[_SEG_INDEX[first, second]], kind, None, (first, second), tie)
 
     def two_set(self, e1: EdgeId, e2: EdgeId) -> Trajectory:
-        e1_first, tie = self.kernel.pair_order(*self.ps, self.ordered_pairs, e1, e2)
+        e1_first, tie = self.kernel.pair_order(*self.ps, self.segs, e1, e2)
         return self.two_ordered(*((e1, e2) if e1_first else (e2, e1)), tie=tie)
 
-    def _map_back(self, wps: list, cost, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
+    def _map_back(self, wps: list, cost: float, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
         """The trajectory through the standard-form waypoints ``wps`` in the
         triangle's pose, as ``Similarity.apply`` maps them, with ``scale``
         times the standard-form kernel ``cost``."""
         (c, s, tx, ty), k = self._inverse, self.scale
         mapped = tuple(Point2(k * (c * x - s * y) + tx, k * (s * x + c * y) + ty) for x, y in wps)
-        return Trajectory(mapped, k * float(cost), kind, order, edges, tie)
+        return Trajectory(mapped, k * cost, kind, order, edges, tie)
 
 
 def visit_two_ordered(t: Triangle, p: Point2, first: EdgeId, second: EdgeId) -> Trajectory:

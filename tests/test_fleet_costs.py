@@ -18,7 +18,7 @@ from trivisit.fleet_costs import (
     r2_incenter_closed,
     r3,
 )
-from trivisit.geom_core import Point2, Similarity, Triangle, incenter, triangle_from_angles, VertexId
+from trivisit.geom_core import Point2, Similarity, Triangle, altitude_midpoint, incenter, triangle_from_angles, VertexId
 from trivisit.oracle import certify_instance
 from trivisit.visitation import EdgeId, StandardPoint, StrategyKind, VisitOrder
 
@@ -177,6 +177,36 @@ class TestPosedSlivers:
         t = Triangle((-41412789.39174358, 39595292.05318967), (0.0, 0.0), (0.6910682158908876, 0.7227895412811294))
         rep = fleet_costs(t, Point2(-28988952.574220505, 27716704.43723277))
         certify_instance(t, rep.point, {"r1": rep.r1.cost, "r2": rep.r2.cost, "r3": rep.r3.cost})
+
+
+def _tie_sets(rep):
+    """The R1 order set, the R2 set of (lone edge, determined_by) and the R3
+    edge set, as sets: the order of tied R2 witnesses and a tied pair's
+    visit order follow rounding."""
+    return (set(rep.r1.orders), {(w.single_edge, w.determined_by) for w in rep.r2.witnesses}, set(rep.r3.edges))
+
+
+class TestPosedTieSets:
+    """The tie sets at a point do not change under a similarity: the
+    decisions are made in standard form with a slack in the standard
+    form's scale."""
+
+    @pytest.mark.parametrize("b, c", [(60, 60), (45, 45), (45, 90), (90, 45), (70, 55), (30, 80), (85, 85), (50, 70)])
+    def test_tie_sets_keep_under_similarities(self, b, c):
+        # 60 similarities of each point: scale 1e-3 to 1e3, translation up
+        # to 1e3 scales.
+        rng = random.Random(11)
+        std = triangle_from_angles(math.radians(b), math.radians(c))
+        mids = [(u + v) * 0.5 for u, v in ((std.a, std.b), (std.b, std.c), (std.c, std.a))]
+        points = [incenter(std), *(altitude_midpoint(std, v) for v in VertexId), *std.vertices, *mids]
+        for p in points:
+            want = _tie_sets(fleet_costs(std, p))
+            for _ in range(60):
+                scale = 10 ** rng.uniform(-3, 3)
+                off = Point2(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+                sim = Similarity(rng.uniform(0, 2 * math.pi), scale, off * scale)
+                t = Triangle(*(sim.apply(v) for v in std.vertices))
+                assert _tie_sets(fleet_costs(t, sim.apply(p))) == want, (b, c, p, scale)
 
 
 class TestClosedForms:

@@ -9,8 +9,10 @@ import pytest
 
 import trivisit
 from trivisit import _kernels
-from trivisit._kernels import _EDGES, _PAIRS, StrategyKind, TriangleKernel, barycentric_grid
-from trivisit.fleet_costs import fleet_costs, r1, r2, r3
+from trivisit._kernels import (
+    _EDGES, _LONE_PAIRS, _ORDERS, _PAIRS, _SEG_INDEX, StrategyKind, TriangleKernel, _unfold_cases, barycentric_grid,
+)
+from trivisit.fleet_costs import _SIDES, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
     GeometryError,
@@ -167,9 +169,9 @@ class TestTriangleRow:
                 _, _, line1, *points = k.pair_witness(*pivot, first, second)
                 assert _hexes(points) == _hexes((pivot, far, far_img))
                 assert _hexes(line1) == _hexes(t.edge_line(first))
-                assert _array_hexes(k._pairs[:, i]) == _hexes(_segment_row(pivot, far_img))
-            for i, e in enumerate(_EDGES):
-                assert _array_hexes(k._segs[:, i]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
+                assert _array_hexes(k._segs[:, _SEG_INDEX[first, second]]) == _hexes(_segment_row(pivot, far_img))
+            for e in _EDGES:
+                assert _array_hexes(k._segs[:, _SEG_INDEX[e]]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
             assert k.scale.hex() == t.base_length.hex()
 
     def test_stacked_tables_equal_single_tables(self, rng):
@@ -178,7 +180,7 @@ class TestTriangleRow:
         assert k.rows.shape == (64, len(k.rows[0]))
         for i, t in enumerate(tris):
             one = TriangleKernel(t)
-            for name in ("_segs", "_pairs", "_unfolds"):
+            for name in ("_segs", "_unfolds"):
                 stacked = getattr(k, name)[..., i, 0]
                 assert stacked.shape == getattr(one, name).shape[:-1], name
                 assert _array_hexes(stacked) == _array_hexes(getattr(one, name)), name
@@ -265,38 +267,108 @@ def _array_hexes(a):
 
 
 def _family_hexes(k, pts, repeats=1):
-    """``float.hex`` of every family evaluator's results at ``pts``, with the
-    R2 partitions, at the first of every ``repeats`` points along the last
+    """``float.hex`` of every evaluator's results at ``pts``, with the R2
+    partitions, at the first of every ``repeats`` points along the last
     point axis."""
     def first(a):
         return tuple(float(x).hex() for x in np.ravel(a)[::repeats])
     return (
-        first(k.r1_all(pts)), first(k.ordered2_all(pts)), first(k.r3_all(pts)),
+        first(k.r1_all(pts)), first(k.segs_all(pts)), first(k.r3_all(pts)),
         tuple(first(a) for a in k.r2_partitions(pts)),
     )
 
 
 class TestFamilies:
     def test_broadcast_matches_loop(self, rng):
-        """Each family evaluator gives the same bits at one point, where it
+        """Each evaluator gives the same bits at one point, where it
         broadcasts over its members, as at that point repeated past
         ``_BROADCAST_POINTS``, where it loops over them, on single and
-        stacked kernels; the costs that come with the one-point case masks
-        are those of ``r1_all``."""
+        stacked kernels.  At one point the nine-member segment pass gives
+        the bits of ``r3_all`` and, reduced on plain floats as ``fleet_costs``
+        reduces them, of ``r2_partitions``; the point's two passes are those
+        of ``segs_all`` and ``r1_all``."""
         repeats = _kernels._BROADCAST_POINTS + 1
         instances = _pinned_instances(rng, 500)
         for t, p in instances:
             sp = StandardPoint(t, p)
             k, pts = sp.kernel, sp.pts
             one = _family_hexes(k, pts)
-            assert tuple(map(_array_hexes, _kernels.partitions(sp.edge_dists, sp.ordered_pairs.__getitem__))) == one[3]
-            assert _array_hexes(sp.orders[0]) == one[0]
+            segs = sp.segs
+            assert (_hexes(sp.orders), _hexes(segs)) == one[:2]
+            pairs = [min(segs[i], segs[j]) for i, j in _LONE_PAIRS]
+            partitions = (segs[:3], pairs, [max(d, q) for d, q in zip(segs, pairs)])
+            assert (_hexes(segs[:3]), _hexes(partitions)) == one[2:]
             assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
         for at in range(0, len(instances), 25):
             sps = [StandardPoint(t, p) for t, p in instances[at:at + 25]]
             k = TriangleKernel([sp.std for sp in sps])
             pts = np.array([sp.pts for sp in sps])
             assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
+
+
+def _sliver_instances(rng, count):
+    """Posed triangles with a 1e-2, 1e-4 or 1e-6 deg apex, scale 1e-3 to
+    1e3 and up to 1e3 scales off the origin, each with an interior point and
+    a point on a long edge."""
+    out = []
+    for i in range(count):
+        thin, s = math.radians((1e-2, 1e-4, 1e-6)[i % 3]), rng.uniform()
+        std = triangle_from_angles(math.pi / 2 - s * thin, math.pi / 2 - (1 - s) * thin)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        sim = Similarity(rng.uniform(0.0, 2 * math.pi), scale, Point2(*rng.uniform(-1e3, 1e3, 2).tolist()) * scale)
+        t = Triangle(*(sim.apply(v) for v in std.vertices))
+        a, b, c = std.vertices
+        u, v, w = sorted(rng.uniform(size=2).tolist()) + [rng.uniform()]
+        for p in (a + u * (b - a) + (v - u) * (c - a), a + w * (b - a)):
+            q = sim.apply(p)
+            out.append((t, Point2(float(q.x), float(q.y))))
+    return out
+
+
+class TestOnePointDecisions:
+    """At one point every decision is made on the plain floats of the two
+    passes (``StandardPoint``).  Each rule must give on those floats what it
+    gives on the (count, 1) arrays of the evaluators, and ``fleet_costs``
+    must report exactly what the arrays mark, with their costs bit for bit."""
+
+    @staticmethod
+    def _instances(rng):
+        eq = triangle_from_angles(math.pi / 3, math.pi / 3)
+        ri = triangle_from_angles(math.pi / 4, math.pi / 4)
+        return [
+            (eq, incenter(eq)), (ri, altitude_midpoint(ri, VertexId.A)),
+            *_pinned_instances(rng, 300), *_sliver_instances(rng, 60),
+        ]
+
+    def test_plain_floats_match_arrays(self, rng):
+        ties = 0
+        for t, p in self._instances(rng):
+            sp = StandardPoint(t, p)
+            k, pts = sp.kernel, sp.pts
+            dists, (singles, pairs, costs), orders = k.r3_all(pts), k.r2_partitions(pts), k.r1_all(pts)
+            far = k.farthest_edges(dists, dists.max(axis=0))[:, 0].tolist()
+            sides = k.r2_sides(singles, pairs, costs, costs.min(axis=0))[:, 0].tolist()
+            best = k.optimal_orders(orders, orders.min(axis=0))[:, 0].tolist()
+            cases = _unfold_cases(pts[..., 0], pts[..., 1], k._unfolds, k.tol)[4]
+
+            d, s, q, c, o = (a[:, 0].tolist() for a in (dists, singles, pairs, costs, orders))
+            assert [k.farthest_edges(x, max(d)) for x in d] == far
+            assert [k.r2_sides(*x, min(c)) for x in zip(s, q, c)] == sides
+            assert [k.optimal_orders(x, min(o)) for x in o] == best
+            for i, order in enumerate(_ORDERS):
+                assert k.order_cases(*sp.ps, order) == {kind: mask[i, 0].item() for kind, mask in cases.items()}
+
+            rep = fleet_costs(t, p)
+            assert rep.r3.edges == tuple(e for e, m in zip(_EDGES, far) if m)
+            assert {(w.single_edge, w.determined_by) for w in rep.r2.witnesses} == {
+                (e, _SIDES[x]) for e, x in zip(_EDGES, sides) if x
+            }
+            assert rep.r1.orders == tuple(order for order, m in zip(_ORDERS, best) if m)
+            want = (dists.max(), costs.min(), orders.min())
+            assert _hexes((rep.r3.cost, rep.r2.cost, rep.r1.cost)) == _hexes(tuple(sp.scale * float(x) for x in want))
+            ties += sum(far) > 1 or sum(map(bool, sides)) > 1 or sum(best) > 1 or 3 in sides
+        # the instances tie often enough that the rules' tol sides are read
+        assert ties > 50, ties
 
 
 def _unmasked_ordered3(pts, table, tol):
@@ -324,8 +396,8 @@ def _unmasked_ordered3(pts, table, tol):
 def _case_line_points(rng, t, k, count):
     """``count`` random interior points of ``t``, then each of them moved
     onto every order's bounce line and subopt line (along that order's
-    ``u``), and 0.5 tol to either side of the line, where two cases are
-    admissible at once."""
+    ``u``), 0.5 tol to either side of the line, where two cases are
+    admissible at once, and 1.5 tol to either side, where only one is."""
     inside = np.array([tuple(random_interior_point(rng, t)) for _ in range(count)])
     out = [inside]
     for i in range(len(VisitOrder)):
@@ -333,7 +405,7 @@ def _case_line_points(rng, t, k, count):
         u = np.array([ux, uy])
         for origin in ((cx, cy), (ax, ay)):
             on = inside - ((inside - origin) @ u)[:, None] * u
-            out += [on + side * 0.5 * k.tol * u for side in (-1.0, 0.0, 1.0)]
+            out += [on + side * k.tol * u for side in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     return np.concatenate(out)
 
 
@@ -344,10 +416,11 @@ def _probe(k, table):
 
 
 class TestMaskedCases:
-    """``r1_all`` and ``ordered3_all`` take each case's cost only where the
-    case is admissible.  They must give the bits of ``_unmasked_ordered3``
-    on a single kernel at one point and past ``_BROADCAST_POINTS``, and on a
-    stacked kernel.  A subopt tour (apex, then the altitude) is always
+    """``r1_all`` takes each case's cost only where the case is admissible.
+    It must give the bits of ``_unmasked_ordered3`` on a single kernel at one
+    point and past ``_BROADCAST_POINTS``, and on a stacked kernel, and at one
+    point the plain-float cases of ``order_cases`` must be its masks.  A
+    subopt tour (apex, then the altitude) is always
     feasible, so with the real altitudes a subopt cost leaking past its mask
     can never undercut the true minimum; the same checks also run with every
     altitude replaced by -1e3 and by 1e3 base lengths, which makes a leak of
@@ -371,12 +444,12 @@ class TestMaskedCases:
     @staticmethod
     def _check(k, pts, table):
         want, want_cases = _unmasked_ordered3(pts, table, k.tol)
-        cost, cases = k.ordered3_all(pts)
-        assert _array_hexes(cost) == _array_hexes(want)
-        assert cases.keys() == want_cases.keys()
-        for kind in cases:
-            np.testing.assert_array_equal(cases[kind], want_cases[kind])
         assert _array_hexes(k.r1_all(pts)) == _array_hexes(want)
+        if pts.shape == (1, 2):
+            for i, order in enumerate(VisitOrder):
+                cases = k.order_cases(*pts[0].tolist(), order)
+                assert cases == {kind: bool(mask[i, 0]) for kind, mask in want_cases.items()}
+                assert list(cases) == list(want_cases)
 
     def test_points_cover_every_case_and_overlap(self, rng):
         sub, deg, bounce = (StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE,
@@ -466,8 +539,8 @@ class TestOneEvaluationPerFamily:
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_fleet_costs(self, body_calls, seg_param_calls, t, p, optimal):
         assert len(fleet_costs(t, p).r1.orders) == optimal
-        assert body_calls == {"ordered3": 1, "seg_dist": 2}
-        assert seg_param_calls == {"seg_param": 2}
+        assert body_calls == {"ordered3": 1, "seg_dist": 1}
+        assert seg_param_calls == {"seg_param": 1}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_visit_two_set(self, body_calls, seg_param_calls, t, p, optimal):
