@@ -4,8 +4,9 @@ R3 is the largest point-to-edge distance, R2 the best split of one edge vs.
 the other two, R1 the best of the six ordered three-edge visits.  The costs
 are the plain floats of the two kernel passes of ``StandardPoint``; the
 kernel's rules pick the farthest edges, kept partitions and optimal orders
-from them at the point, and only their witnesses are built.  Every cost, of
-a fleet or of a witness, is the kernel's times the scale back to the pose.
+from them at the point, and only their witnesses are built, each by
+``StandardPoint`` in standard form, drops included.  Every cost, of a fleet
+or of a witness, is the kernel's times the scale back to the pose.
 Closed forms for the incenter and the mid-altitude starting points are
 provided separately; they must agree with the general evaluators.
 """
@@ -26,11 +27,10 @@ from .geom_core import (
     edge_segment,
     incenter,
     largest_angle_vertex,
-    nearest_on_segment,
     opposite_edge,
     reflect,
 )
-from .visitation import StandardPoint, StrategyKind, Trajectory
+from .visitation import StandardPoint, Trajectory
 
 # Slack for the R3 <= R2 <= R1 chain, in ulps of M, the largest coordinate
 # magnitude among the vertices and the point.  The three kernel families round
@@ -105,14 +105,6 @@ class FleetCostReport:
             )
 
 
-def _drop(sp: StandardPoint, e: EdgeId, cost: float) -> Trajectory:
-    """Drop to ``e``: foot on the posed triangle, kernel ``cost``."""
-    p, ((ax, ay), (bx, by)) = sp.p, (sp.t.vertex(v) for v in e.endpoints)
-    qx, qy, dist = nearest_on_segment(p.x, p.y, ax, ay, bx, by)
-    wps = (p,) if dist <= 1e-15 else (p, Point2(qx, qy))
-    return Trajectory(wps, sp.scale * cost, StrategyKind.PERPENDICULAR_DROP, None, (e,))
-
-
 def _r3(sp: StandardPoint) -> R3Result:
     dists = sp.segs[:len(_EDGES)]
     largest = max(dists)
@@ -137,7 +129,7 @@ def _r2(sp: StandardPoint) -> R2Result:
     for (lone, rest), single, pair_cost, cost in zip(_PARTITIONS, singles, pairs, costs):
         side = sp.kernel.r2_sides(single, pair_cost, cost, least)
         if side:
-            witnesses.append(R2Witness(lone, _drop(sp, lone, single), sp.two_set(*rest), _SIDES[side]))
+            witnesses.append(R2Witness(lone, sp.drop(lone), sp.two_set(*rest), _SIDES[side]))
     witnesses.sort(key=lambda w: (w.cost, w.single_edge.value))
     return R2Result(witnesses[0].cost, tuple(witnesses))
 

@@ -7,12 +7,14 @@ so each ordered cost is either a point-to-segment distance, a point-to-point
 distance, or a vertex detour plus an altitude.  Which of those cases apply
 is decided by a ``TriangleKernel`` of the triangle's standard form, evaluated
 at the point (``StandardPoint``); this module only builds the polyline of
-each case the kernel admits and maps it back to the triangle's pose, with
-the kernel's cost scaled back.  For a three-edge visit the kernel's cases
-come from two parallel indicator lines perpendicular to the twice-unfolded
-last edge: one through the image of the corner shared by the last two edges
-(bounce line), one through the vertex shared by the first two edges (subopt
-line).
+each case the kernel admits, and of a drop, in standard form, merges its
+waypoints within ``EXACT_TIE`` there (no length test is absolute) and maps it
+back to the triangle's pose once, with the kernel's cost scaled back.  So a
+witness is as long as its cost on slivers and at any scale.  For a three-edge
+visit the kernel's cases come from two parallel indicator lines perpendicular
+to the twice-unfolded last edge: one through the image of the corner shared
+by the last two edges (bounce line), one through the vertex shared by the
+first two edges (subopt line).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _ORDERS, _SEG_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
-from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, polyline_length
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, nearest_on_segment, polyline_length
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,11 @@ def _reflect(p, line) -> tuple[float, float]:
 
 
 def _cross_line(p, q, line):
-    """Point of line ``pq`` on ``line``; falls back to ``p`` when pq is parallel."""
+    """Point of segment ``pq`` on ``line``, its parameter clamped to [0, 1]:
+    on slivers ``line`` is nearly parallel to pq, and rounding throws it off."""
     (px, py), (qx, qy), (a, b, c) = p, q, line
     dp, dq = a * px + b * py + c, a * qx + b * qy + c
-    if abs(dp - dq) <= 1e-15:
-        return p
-    t = dp / (dp - dq)
+    t = min(max(dp / (dp - dq), 0.0), 1.0) if dp != dq else 0.0
     return px + (qx - px) * t, py + (qy - py) * t
 
 
@@ -117,8 +118,7 @@ class StandardPoint:
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
-        self.t, self.p, self.std = t, as_point(p), std
-        self.ps = std.require_inside(sim.apply(self.p))
+        self.std, self.ps = std, std.require_inside(sim.apply(as_point(p)))
         self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(std)
         inv = sim.inverse()
@@ -144,6 +144,12 @@ class StandardPoint:
             (c for c, n in zip(candidates, lengths) if n <= best + EXACT_TIE), key=lambda c: _KIND_RANK[c[0]]
         )
         return self._map_back(wps, self.orders[_ORDERS.index(order)], kind, order, order.edges)
+
+    def drop(self, e: EdgeId) -> Trajectory:
+        """Drop to ``e``: to the nearest point of the standard triangle's edge."""
+        (ax, ay), (bx, by) = (self.std.vertex(v) for v in e.endpoints)
+        wps = _dedupe([self.ps, nearest_on_segment(*self.ps, ax, ay, bx, by)[:2]])
+        return self._map_back(wps, self.segs[_SEG_INDEX[e]], StrategyKind.PERPENDICULAR_DROP, None, (e,))
 
     def two_ordered(self, first: EdgeId, second: EdgeId, tie: bool = False) -> Trajectory:
         ps = self.ps

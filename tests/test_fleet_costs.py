@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from trivisit.fleet_costs import (
@@ -18,8 +19,10 @@ from trivisit.fleet_costs import (
     r2_incenter_closed,
     r3,
 )
-from trivisit.geom_core import Point2, Similarity, Triangle, altitude_midpoint, incenter, triangle_from_angles, VertexId
-from trivisit.oracle import certify_instance
+from trivisit.geom_core import (
+    Point2, Similarity, Triangle, VertexId, altitude_midpoint, incenter, polyline_length, triangle_from_angles,
+)
+from trivisit.oracle import CERTIFY_TOL, certify_instance
 from trivisit.visitation import EdgeId, StandardPoint, StrategyKind, VisitOrder
 
 from conftest import random_interior_point, random_triangle
@@ -144,16 +147,18 @@ class TestChain:
 
 class TestPosedSlivers:
     """Every cost of a posed thin triangle is its unposed cost times the
-    scale: the reported costs are the standard form's kernel costs, not the
-    lengths of witnesses whose bounce points are ill conditioned there."""
+    scale, since the reported costs are the standard form's kernel costs,
+    and every R1 and R2 witness is as long as its cost, since its bounce
+    points are built in standard form on their segments."""
 
     @pytest.mark.parametrize("deg", [1e-2, 1e-4, 1e-6])
     def test_costs_scale_with_the_pose(self, deg):
         # Over 3,000 instances per apex (both kinds of point, translations up
         # to 1e3 base lengths) the largest gap was 4 ulps of the unposed
-        # triangle's largest coordinate: 3.0e-8 base lengths at 1e-6 deg,
-        # where the R1 witness's polyline length is off R1 by up to 0.74 base
-        # lengths at points on a long edge.
+        # triangle's largest coordinate: 3.0e-8 base lengths at 1e-6 deg.
+        # Here the R1 and R2 witnesses' lengths are off their costs by at most
+        # 2.1e-12, 2.2e-10 and 2.0e-8 base lengths (0.17 of the bound); a
+        # bounce point thrown off its segment puts them off by up to 6.9.
         rng, thin = random.Random(4), math.radians(deg)
         for _ in range(100):
             s = rng.random()
@@ -170,13 +175,51 @@ class TestPosedSlivers:
                 for n in ("r1", "r2", "r3"):
                     gap = abs(getattr(got, n).cost / scale - getattr(want, n).cost)
                     assert gap <= bound, (n, deg, tuple(std.vertices), p, scale, gap)
+                for tr in _trajectories(got):
+                    gap = abs(polyline_length(tr.waypoints) - tr.cost) / scale
+                    assert gap <= bound, (tr.kind, tr.edges, deg, tuple(std.vertices), p, scale, gap)
 
     def test_thin_instance_certifies(self):
         # A 1e-6 deg apex at unit base, rotated, at a point 0.3 of the way
-        # along a long edge; its R1 witness is 0.17 longer than R1.
+        # along a long edge.  A bounce point thrown off its segment makes the
+        # R1 witness 0.1708 longer than R1.
         t = Triangle((-41412789.39174358, 39595292.05318967), (0.0, 0.0), (0.6910682158908876, 0.7227895412811294))
         rep = fleet_costs(t, Point2(-28988952.574220505, 27716704.43723277))
         certify_instance(t, rep.point, {"r1": rep.r1.cost, "r2": rep.r2.cost, "r3": rep.r3.cost})
+        assert abs(polyline_length(rep.r1.trajectory.waypoints) - rep.r1.cost) <= CERTIFY_TOL
+
+    def test_tiny_scale_drops_are_as_long_as_their_cost(self):
+        # Points near a vertex of triangles at scales 1e-13 to 1e-9: a drop's
+        # foot is kept or merged by its standard-form length, so a drop with
+        # one waypoint costs at most EXACT_TIE base lengths.  Of these 361
+        # drops the worst is off by 1.6e-15; an absolute 1e-15 cut-off in the
+        # pose puts 35 off by more than 1e-9, the worst by 2.4e-3.
+        rng = random.Random(5)
+        for _ in range(300):
+            std = random_triangle(rng)
+            scale = 10 ** rng.uniform(-13, -9)
+            sim = Similarity(rng.uniform(0, 2 * math.pi), scale, Point2(rng.uniform(-10, 10), rng.uniform(-10, 10)) * scale)
+            t = Triangle(*(sim.apply(v) for v in std.vertices))
+            a, b, c = rng.sample(std.vertices, 3)
+            u, v = (rng.random() * 10 ** rng.uniform(-9, -1) for _ in range(2))
+            p = sim.apply(a + u * (b - a) + v * (c - a))
+            for w in r2(t, p).witnesses:
+                gap = abs(polyline_length(w.single.waypoints) - w.single.cost) / scale
+                assert gap <= 1e-9, (tuple(t.vertices), p, w.single_edge, gap)
+
+
+_TIE_SHAPES = [(60, 60), (45, 45), (45, 90), (90, 45), (70, 55), (30, 80), (85, 85), (50, 70)]
+
+
+def _special_points(std):
+    """Incenter, altitude midpoints, vertices and edge midpoints."""
+    mids = [(u + v) * 0.5 for u, v in ((std.a, std.b), (std.b, std.c), (std.c, std.a))]
+    return [incenter(std), *(altitude_midpoint(std, v) for v in VertexId), *std.vertices, *mids]
+
+
+def _trajectories(rep):
+    """The R1 witness and every R2 witness's two trajectories."""
+    return [rep.r1.trajectory, *(tr for w in rep.r2.witnesses for tr in (w.single, w.pair))]
 
 
 def _tie_sets(rep):
@@ -191,15 +234,13 @@ class TestPosedTieSets:
     decisions are made in standard form with a slack in the standard
     form's scale."""
 
-    @pytest.mark.parametrize("b, c", [(60, 60), (45, 45), (45, 90), (90, 45), (70, 55), (30, 80), (85, 85), (50, 70)])
+    @pytest.mark.parametrize("b, c", _TIE_SHAPES)
     def test_tie_sets_keep_under_similarities(self, b, c):
         # 60 similarities of each point: scale 1e-3 to 1e3, translation up
         # to 1e3 scales.
         rng = random.Random(11)
         std = triangle_from_angles(math.radians(b), math.radians(c))
-        mids = [(u + v) * 0.5 for u, v in ((std.a, std.b), (std.b, std.c), (std.c, std.a))]
-        points = [incenter(std), *(altitude_midpoint(std, v) for v in VertexId), *std.vertices, *mids]
-        for p in points:
+        for p in _special_points(std):
             want = _tie_sets(fleet_costs(std, p))
             for _ in range(60):
                 scale = 10 ** rng.uniform(-3, 3)
@@ -207,6 +248,32 @@ class TestPosedTieSets:
                 sim = Similarity(rng.uniform(0, 2 * math.pi), scale, off * scale)
                 t = Triangle(*(sim.apply(v) for v in std.vertices))
                 assert _tie_sets(fleet_costs(t, sim.apply(p))) == want, (b, c, p, scale)
+
+
+class TestMirrorImages:
+    """x -> -x reverses the vertex order, so ``Triangle`` relabels the image
+    with B and C swapped, which swaps edges L and R: every order, R3 edge and
+    R2 lone edge maps under L <-> R, and every cost stays."""
+
+    @pytest.mark.parametrize("b, c", [*_TIE_SHAPES, (89.9995, 89.9995), (89.5, 89.6)])
+    def test_labels_swap_left_and_right(self, b, c):
+        # Over these 400 points the label sets all mapped and the costs were
+        # at most 2 ulps of M apart.
+        swap = {EdgeId.L: EdgeId.R, EdgeId.D: EdgeId.D, EdgeId.R: EdgeId.L}
+        std = triangle_from_angles(math.radians(b), math.radians(c))
+        image = Triangle(*(Point2(-x, y) for x, y in std.vertices))
+        bound = 4 * math.ulp(max(abs(x) for v in std.vertices for x in v))
+        rng = np.random.default_rng(13)
+        for p in _special_points(std) + [random_interior_point(rng, std) for _ in range(30)]:
+            rep, mirrored = fleet_costs(std, p), fleet_costs(image, Point2(-p.x, p.y))
+            want = (
+                {VisitOrder("".join(swap[e].value for e in o.edges)) for o in rep.r1.orders},
+                {(swap[w.single_edge], w.determined_by) for w in rep.r2.witnesses},
+                {swap[e] for e in rep.r3.edges},
+            )
+            assert _tie_sets(mirrored) == want, (b, c, p)
+            for n in ("r1", "r2", "r3"):
+                assert abs(getattr(mirrored, n).cost - getattr(rep, n).cost) <= bound, (b, c, p, n)
 
 
 class TestClosedForms:
