@@ -42,6 +42,28 @@ from .visitation import StandardPoint, Trajectory
 CHAIN_ULPS = 64
 
 
+def _distance_outside(t: Triangle, p: Point2) -> float:
+    """How far ``p`` lies outside ``t``, in the pose's units; 0 inside.
+
+    Measured on the standard form, which the kernel evaluates.  Every cost is
+    1-Lipschitz in the start point, and the chain holds at the nearest point
+    of the triangle, so a point ``d`` outside can break it by up to ``2 d``.
+    ``Triangle.contains`` accepts points up to ``CONTAINS_TOL`` base lengths
+    outside.  Of 3,226 such points on or near an edge (posed at scale 1e-6
+    to 1e6), 2,141 broke the chain by more than ``CHAIN_ULPS``, the worst by
+    that plus 0.998 of ``2 d``; of 1,471 near-vertex points at scale 1e-13
+    to 1e-9, 952 did.  None broke it by more than ``CHAIN_ULPS`` plus ``2 d``.
+    """
+    std, sim = t.standard()
+    px, py = sim.apply(p)
+    (ax, ay), (bx, by), (cx, cy) = std.a, std.b, std.c
+    out = 0.0
+    for ux, uy, vx, vy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)):
+        dx, dy = vx - ux, vy - uy
+        out = max(out, (dy * (px - ux) - dx * (py - uy)) / math.hypot(dx, dy))
+    return out / sim.scale
+
+
 class ClosedFormDomainError(ValueError):
     """Arguments outside the validity domain of a closed-form expression."""
 
@@ -99,6 +121,7 @@ class FleetCostReport:
 
     def __post_init__(self):
         slack = CHAIN_ULPS * math.ulp(max(abs(x) for q in (*self.triangle.vertices, self.point) for x in q))
+        slack += 2.0 * _distance_outside(self.triangle, self.point)
         if not (self.r3.cost <= self.r2.cost + slack and self.r2.cost <= self.r1.cost + slack):
             raise AssertionError(
                 f"cost chain violated: R3={self.r3.cost!r} R2={self.r2.cost!r} R1={self.r1.cost!r}"

@@ -7,7 +7,9 @@ midpoints, where the paper places the maximizers of the three ratio pairs.
 infimum and supremum; infima are limits over degenerating shapes, so they
 are reported as approached, never attained.  Both evaluate ``_maximize`` on
 a stacked kernel: ``max_ratio`` on a batch of one triangle,
-``sweep_triangles`` on chunks of cells.  The seeds come from the kernel
+``sweep_triangles`` on chunks of the cells with B >= C; each cell with
+B < C is the mirror image of a computed one, and its row is filled from
+that row.  The seeds come from the kernel
 (``TriangleKernel.seeds``), with the arithmetic of ``incenter`` and
 ``altitude_midpoint``.
 """
@@ -210,14 +212,19 @@ _SWEEP_GRID = 24  # barycentric points per side in each sweep cell
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
     """Per-triangle max_ratio over the (angle B, angle C) grid.
 
-    Cells are independent.  They run on one thread in fixed-size chunks, in
-    cell order, each chunk on one stacked kernel (``_maximize``); every cell
-    follows the same arithmetic as ``max_ratio`` on its own, so results do
-    not depend on the chunk size.  The chunk size bounds the memory of a
-    batch.  The per-cell grid (``_SWEEP_GRID``) is coarse on purpose: the
-    extremal values come from the seeded witnesses, which every cell
-    evaluates, and coarser angle grids are subsets of finer ones, so running
-    inf/sup values stay monotone in the step size.
+    Cells are independent, and cell (C, B) is the mirror image of cell
+    (B, C), which leaves R_n/R_m unchanged.  So only the cells with B >= C
+    are computed, the diagonal included.  They run on one thread in
+    fixed-size chunks, in cell order, each chunk on one stacked kernel
+    (``_maximize``); every computed cell follows the same arithmetic as
+    ``max_ratio`` on its own, so results do not depend on the chunk size.
+    The chunk size bounds the memory of a batch.  Each row with B < C is
+    its mirror's row with the argmax reflected in standard form, x -> 1 - x,
+    so mirror rows are equal by construction.  The per-cell grid
+    (``_SWEEP_GRID``) is coarse on purpose: the extremal values come from
+    the seeded witnesses, which every computed cell evaluates, and coarser
+    angle grids are subsets of finer ones, so running inf/sup values stay
+    monotone in the step size.
     """
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -227,10 +234,19 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     cells = _sweep_cells(step_deg, eps_apex_deg)
     if not cells:
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
-    rows = []
-    for lo in range(0, len(cells), _CHUNK):
-        chunk = cells[lo:lo + _CHUNK]
+    computed = [(b, c) for b, c in cells if b >= c]
+    found = {}
+    for lo in range(0, len(computed), _CHUNK):
+        chunk = computed[lo:lo + _CHUNK]
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
         for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, _SWEEP_GRID)):
-            rows.append(SweepRow(b, c, rn / rm, argmax, rn, rm))
-    return SweepResult((n, m), step_deg, eps_apex_deg, tuple(rows))
+            found[b, c] = SweepRow(b, c, rn / rm, argmax, rn, rm)
+    return SweepResult((n, m), step_deg, eps_apex_deg, tuple(
+        found[b, c] if b >= c else _mirror_row(found[c, b]) for b, c in cells
+    ))
+
+
+def _mirror_row(row: SweepRow) -> SweepRow:
+    """Row of the mirror-image cell: swapping B and C reflects the standard
+    form in x = 1/2, which leaves every cost unchanged."""
+    return SweepRow(row.c_deg, row.b_deg, row.ratio, Point2(1.0 - row.argmax.x, row.argmax.y), row.rn, row.rm)

@@ -55,6 +55,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["schema"] == "trivisit/1"
 
+    def test_point_accepted_just_outside_exits_0(self, capsys):
+        # 5e-10 outside CA near C: Triangle.contains accepts it, and R3
+        # exceeds R2 there by 4.4e-10, within twice the distance outside.
+        code, out, _ = run_cli(
+            capsys, "eval", "--vertices", "0.5,0.8,0,0,1,0", "--point=0.9999994704250592,8.482633034750894e-07"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["r3"]["cost"] == pytest.approx(doc["r2"]["cost"], abs=1e-9)
+
     def test_point_outside_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--angles", "60,60", "--point", "2,2")
         assert code == EXIT_GEOMETRY

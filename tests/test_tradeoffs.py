@@ -166,10 +166,36 @@ class TestSweep:
             sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
 
     def test_max_ratio_reproduces_sweep_row(self):
-        row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (50.0, 70.0))
-        t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
+        # (70, 50) has B >= C, so the sweep computes it rather than mirroring it.
+        row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (70.0, 50.0))
+        t = triangle_from_angles(math.radians(70.0), math.radians(50.0))
         rep = max_ratio(t, 2, 3, grid=24)
         assert (rep.ratio, rep.rn, rep.rm, rep.argmax) == (row.ratio, row.rn, row.rm, row.argmax)
+
+    def test_mirror_row_is_computed_row_reflected(self):
+        rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(2, 3, step_deg=10.0).rows}
+        row, mirror = rows[70.0, 50.0], rows[50.0, 70.0]
+        assert (mirror.ratio, mirror.rn, mirror.rm) == (row.ratio, row.rn, row.rm)
+        assert mirror.argmax == Point2(1.0 - row.argmax.x, row.argmax.y)
+
+    @pytest.mark.parametrize("step", [5.0, 10.0])
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_every_mirror_row_is_filled_from_its_computed_row(self, n, m, step, monkeypatch):
+        built = []
+
+        def spy(ang_b, ang_c):
+            built.append((ang_b, ang_c))
+            return triangle_from_angles(ang_b, ang_c)
+
+        monkeypatch.setattr(tradeoffs, "triangle_from_angles", spy)
+        rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(n, m, step_deg=step).rows}
+        # Exactly the cells with B >= C are computed, the diagonal included.
+        assert sorted(built) == sorted((math.radians(b), math.radians(c)) for b, c in rows if b >= c)
+        for (b, c), mirror in rows.items():
+            if b < c:
+                row = rows[c, b]
+                assert (mirror.ratio, mirror.rn, mirror.rm) == (row.ratio, row.rn, row.rm), (b, c)
+                assert mirror.argmax == Point2(1.0 - row.argmax.x, row.argmax.y), (b, c)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_10deg.json").read_text())
