@@ -228,21 +228,26 @@ class Triangle:
         if not (a.is_finite() and b.is_finite() and c.is_finite()):
             raise GeometryError("non-finite vertex coordinates")
         (ax, ay), (bx, by), (cx, cy) = a, b, c
-        abx, aby, acx, acy, bcx, bcy, cax, cay = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by, ax - cx, ay - cy
+        abx, aby, acx, acy, bcx, bcy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+        # The gates square differences scaled by 2^-k, which is exact for
+        # normal numbers (Blue 1978), so they decide alike at every scale.
+        k = max(math.frexp(max(abs(abx), abs(aby), abs(acx), abs(acy), abs(bcx), abs(bcy)))[1], -1021)
+        self._prescale = f = math.ldexp(1.0, -k)
+        abx, aby, acx, acy, bcx, bcy = abx * f, aby * f, acx * f, acy * f, bcx * f, bcy * f
         area2 = abx * acy - aby * acx
-        sides2 = (abx * abx + aby * aby, bcx * bcx + bcy * bcy, cax * cax + cay * cay)
-        longest2 = max(sides2)
-        if abs(area2) / 2 <= AREA_EPS * longest2:
-            raise DegenerateTriangleError(f"triangle area {abs(area2)/2:g} below threshold")
+        sides2 = (abx * abx + aby * aby, bcx * bcx + bcy * bcy, acx * acx + acy * acy)
+        if abs(area2) / 2 <= AREA_EPS * max(sides2):
+            raise DegenerateTriangleError(f"triangle area {abs(area2) / 2 / f / f:g} below threshold")
         if area2 < 0:
-            b, c = c, b
+            b, c, abx, aby, acx, acy, bcx, bcy = c, b, acx, acy, abx, aby, -bcx, -bcy
         self.a, self.b, self.c = a, b, c
-        self.angle_a = _corner_angle(a, b, c)
-        self.angle_b = _corner_angle(b, c, a)
-        self.angle_c = _corner_angle(c, a, b)
+        self.angle_a = _corner_angle(abx, aby, acx, acy)
+        self.angle_b = _corner_angle(bcx, bcy, -abx, -aby)
+        self.angle_c = _corner_angle(-acx, -acy, -bcx, -bcy)
         m = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
-        gate = math.pi / 2 + max(ANGLE_SLACK, ANGLE_ULPS * math.ulp(m) / math.sqrt(min(sides2)))
-        if max(self.angle_a, self.angle_b, self.angle_c) > gate:
+        # The turn of an angle at the shortest side that rounding by an ulp of M causes.
+        self._ulp_turn = math.ulp(m) * f / math.sqrt(min(sides2))
+        if max(self.angle_a, self.angle_b, self.angle_c) > math.pi / 2 + max(ANGLE_SLACK, ANGLE_ULPS * self._ulp_turn):
             raise ObtuseTriangleError(
                 "obtuse triangle: angles (deg) = "
                 f"{math.degrees(self.angle_a):.6f}, {math.degrees(self.angle_b):.6f}, "
@@ -276,12 +281,13 @@ class Triangle:
         px, py = as_point(p)
         if not (math.isfinite(px) and math.isfinite(py)):
             return False
-        (ax, ay), (bx, by), (cx, cy) = self.a, self.b, self.c
+        (ax, ay), (bx, by), (cx, cy), f = self.a, self.b, self.c, self._prescale
         m = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(px), abs(py))
-        slack = max(CONTAINS_TOL * self.base_length, CONTAINS_ULPS * math.ulp(m))
+        slack = max(CONTAINS_TOL * self.base_length, CONTAINS_ULPS * math.ulp(m)) * f
         for ux, uy, vx, vy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)):
-            dx, dy = vx - ux, vy - uy
-            if dx * (py - uy) - dy * (px - ux) < -slack * math.hypot(dx, dy):
+            dx, dy = (vx - ux) * f, (vy - uy) * f
+            # Scaled as the gates are; a point too far off to scale is outside.
+            if not dx * ((py - uy) * f) - dy * ((px - ux) * f) >= -slack * math.hypot(dx, dy):
                 return False
         return True
 
@@ -300,7 +306,21 @@ class Triangle:
         shift = rot.apply(self.b)
         sim = Similarity(theta, scale, Point2(-shift.x, -shift.y))
         a_std = sim.apply(self.a)
-        std = Triangle(Point2(a_std.x, abs(a_std.y)), Point2(0.0, 0.0), Point2(1.0, 0.0))
+        # Rounding can leave a pose, and its image, obtuse by more than the
+        # kernel's unfoldings bear (on thin right triangles they find paths as
+        # short as the short side).  If the pose is no more obtuse than moving
+        # a vertex by CONTAINS_ULPS ulps of M makes it, the apex moves out of
+        # the circle on BC and into the strip over BC; if more, the gate decides.
+        x, y = a_std.x, abs(a_std.y)
+        angles = (math.atan2(y, x), math.atan2(y, 1.0 - x), math.atan2(y, y * y - x * (1.0 - x)))
+        rounded = max(self.angle_a, self.angle_b, self.angle_c) <= math.pi / 2 + max(
+            ANGLE_SLACK, CONTAINS_ULPS * self._ulp_turn)
+        if max(angles) > math.pi / 2 + ANGLE_SLACK and rounded:
+            d = math.hypot(x - 0.5, y)
+            if d < 0.5:
+                x, y = 0.5 + (x - 0.5) * (0.5 / d), y * (0.5 / d)
+            x = min(max(x, 0.0), 1.0)
+        std = Triangle(Point2(x, y), Point2(0.0, 0.0), Point2(1.0, 0.0))
         return std, sim
 
     def standard(self) -> tuple["Triangle", Similarity]:
@@ -395,9 +415,8 @@ def altitude_midpoint(t: Triangle, v: VertexId) -> Point2:
     return Point2((apex.x + foot.x) / 2, (apex.y + foot.y) / 2)
 
 
-def _corner_angle(v: Point2, p: Point2, q: Point2) -> float:
-    (vx, vy), (px, py), (qx, qy) = v, p, q
-    ux, uy, wx, wy = px - vx, py - vy, qx - vx, qy - vy
+def _corner_angle(ux: float, uy: float, wx: float, wy: float) -> float:
+    """Angle between the sides (ux, uy) and (wx, wy) of a corner."""
     return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 

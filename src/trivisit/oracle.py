@@ -138,7 +138,7 @@ def oracle_ordered3(
     from f, with an inner golden section supplying the partial minimum.
     """
     std, sim = t.standard()
-    ps = std.require_inside(sim.apply(p))
+    ps = sim.apply(t.require_inside(p))
     row = _ordered3_row(std, ps, order)
     s1, s2 = _grid_seed3(std, ps, order, cfg.coarse_resolution)
     best = _fix_first(row, s1)(s2)
@@ -165,8 +165,7 @@ def oracle_two_ordered(
 ) -> float:
     """One-parameter convex minimization for an ordered two-edge visit."""
     std, sim = t.standard()
-    ps = std.require_inside(sim.apply(p))
-    px, py = ps
+    px, py = sim.apply(t.require_inside(p))
     e1, e2 = edge_segment(std, first), edge_segment(std, second)
     a1x, a1y, d1x, d1y = e1.p0.x, e1.p0.y, e1.p1.x - e1.p0.x, e1.p1.y - e1.p0.y
     a2x, a2y, d2x, d2y = e2.p0.x, e2.p0.y, e2.p1.x - e2.p0.x, e2.p1.y - e2.p0.y
@@ -188,21 +187,22 @@ def oracle_two_ordered(
 
 def oracle_r3(t: Triangle, p: Point2) -> float:
     std, sim = t.standard()
-    ps = std.require_inside(sim.apply(p))
+    ps = sim.apply(t.require_inside(p))
     worst = max(dist_point_segment(ps, edge_segment(std, e)) for e in EdgeId)
     return worst / sim.scale
 
 
 def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
     std, sim = t.standard()
-    ps = std.require_inside(sim.apply(p))
+    ps = sim.apply(t.require_inside(p))
     best = math.inf
     for single in EdgeId:
         e1, e2 = (e for e in EdgeId if e is not single)
-        lone = dist_point_segment(ps, edge_segment(std, single))
-        duo = min(oracle_two_ordered(std, ps, e1, e2, cfg), oracle_two_ordered(std, ps, e2, e1, cfg))
+        # Scaled back before the max and min, which rounding keeps in order.
+        lone = dist_point_segment(ps, edge_segment(std, single)) / sim.scale
+        duo = min(oracle_two_ordered(t, p, e1, e2, cfg), oracle_two_ordered(t, p, e2, e1, cfg))
         best = min(best, max(lone, duo))
-    return best / sim.scale
+    return best
 
 
 def oracle_costs(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[str, float]:

@@ -195,21 +195,22 @@ def bisector_separator_point(t: Triangle, vertex: VertexId) -> Point2:
     return f
 
 
-def _ray_parabola_point(par: Parabola, origin: Point2, direction: Point2) -> Point2 | None:
-    """Point of the focus-anchored ray on the parabola, if any.
+def _ray_parabola_point(par: Parabola, origin: Point2, direction: Point2) -> Point2:
+    """Point of the focus-anchored ray on the parabola.
 
     Valid when the ray starts at the focus: along it, distance to the focus
-    grows like s while distance to the directrix is affine in s.
+    grows like s while distance to the directrix is affine in s.  A ray of
+    ``r2_separator`` leaves its vertex V within V <= 90 deg of the inward
+    altitude (the bisector lies within (180 deg - V)/2 of it, and the ray
+    within the half-angle (3V - 180 deg)/2 of the bisector), so the distance
+    to the directrix does not grow and the ray always meets the parabola.
     """
     d = direction.unit()
     e0 = abs(par.directrix.signed_dist(origin))
     slope = par.directrix.signed_dist(origin + d) - par.directrix.signed_dist(origin)
     sgn = math.copysign(1.0, par.directrix.signed_dist(origin))
     growth = sgn * slope
-    denom = 1.0 - growth
-    if denom <= 1e-12:
-        return None
-    s = e0 / denom
+    s = e0 / (1.0 - growth)
     return origin + s * d
 
 
@@ -245,16 +246,7 @@ def r2_separator(t: Triangle) -> SeparatorChain:
         opp_line = t.edge_line(opposite_edge(v))
         par = Parabola(vx, opp_line)
         bis = bisector_direction(t, v)
-        xs = []
-        for ray in (_turned(bis, half), _turned(bis, -half)):
-            hit = _ray_parabola_point(par, vx, ray)
-            if hit is None:
-                xs = []
-                break
-            xs.append(hit)
-        if len(xs) != 2:
-            pieces.extend(_corner_segments(enter, seps[v], leave, label))
-            continue
+        xs = [_ray_parabola_point(par, vx, ray) for ray in (_turned(bis, half), _turned(bis, -half))]
         # Match each arc endpoint with the hexagon side it lies on.
         if _along(enter, seps[v], xs[0]) is None:
             xs.reverse()

@@ -30,11 +30,10 @@ _CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
 
 
 def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
-    """R_n / R_m at one starting point."""
+    """R_n / R_m at one starting point, evaluated in standard form."""
     _check_pair(n, m)
-    k = TriangleKernel(t)
-    pts = np.array([t.require_inside(p)])
-    rn, rm = k.costs(pts, n, m)
+    std, sim = t.standard()
+    rn, rm = TriangleKernel(std).costs(np.array([sim.apply(t.require_inside(p))]), n, m)
     return float(rn[0] / rm[0])
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _ORDERS, _SEG_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
-from .geom_core import EdgeId, Point2, Triangle, VisitOrder, as_point, nearest_on_segment, polyline_length
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, nearest_on_segment, polyline_length
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,20 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_CASES)}
 
 
 class StandardPoint:
-    """A start point in the standard form of its triangle, checked to lie
-    inside, with the kernel of that standard form.  The point's costs come
-    from two NumPy passes, each made at most once, when first read, and
-    converted to plain floats once: ``segs``, the nine costs of the segment
-    table (``segs_all``: the three edge distances, then the six ordered
-    pairs, indexed by ``_SEG_INDEX``), and ``orders``, the six ordered
-    three-edge visit costs (``r1_all``).  Every decision at the point is
-    made on those floats by the kernel's rules.  Each visit method builds the
-    witnesses of what the kernel marks in standard form and returns the
+    """A start point, checked to lie inside its triangle in the pose and
+    mapped to the standard form, with the kernel of that standard form.  The
+    point's costs come from two NumPy passes, each made at most once, when
+    first read, and converted to plain floats once: ``segs``, the nine costs
+    of the segment table (``segs_all``: the three edge distances, then the
+    six ordered pairs, indexed by ``_SEG_INDEX``), and ``orders``, the six
+    ordered three-edge visit costs (``r1_all``).  Every decision at the point
+    is made on those floats by the kernel's rules.  Each visit method builds
+    the witnesses of what the kernel marks in standard form and returns the
     chosen one in the pose, its cost ``scale`` times the kernel's."""
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
-        self.std, self.ps = std, std.require_inside(sim.apply(as_point(p)))
+        self.std, self.ps = std, sim.apply(t.require_inside(p))
         self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(std)
         inv = sim.inverse()

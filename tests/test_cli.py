@@ -8,6 +8,7 @@ import pytest
 from trivisit import cli
 from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, EvalReport, _eval_json, _json, eval_report, json_dumps, main
 from trivisit.geom_core import Point2, Triangle, triangle_from_angles
+from trivisit.oracle import CERTIFY_TOL
 from trivisit.regions import raster_region_map
 
 
@@ -65,6 +66,34 @@ class TestEval:
         doc = json.loads(out)
         assert doc["r3"]["cost"] == pytest.approx(doc["r2"]["cost"], abs=1e-9)
 
+    def test_small_far_triangle_vertex_certifies(self, capsys):
+        # Vertex C of a small triangle about 730 from the origin, up to the
+        # last digit: the pose's gate accepts it, and no second gate in
+        # standard form, where an ulp of the pose is many base lengths,
+        # rejects it.  Its costs agree with the oracle's.
+        code, out, err = run_cli(
+            capsys, "eval", "--oracle",
+            "--vertices=-43.01990492393453,728.3900355068699,-43.01990327223518,728.3900357925199,"
+            "-43.01990448432249,728.3900371079799", "--point=-43.01990448432249,728.39003710798",
+        )
+        assert code == 0, err
+        oracle = json.loads(out)["oracle"]
+        assert all(abs(oracle[k]) <= CERTIFY_TOL for k in ("delta_r1", "delta_r2", "delta_r3")), oracle
+
+    def test_costs_at_two_to_the_1000_are_exact(self, capsys):
+        # The gates square coordinate differences scaled by a power of two,
+        # so a triangle posed at 2^1000 is accepted, and its costs are the
+        # unit triangle's times 2^1000 exactly.
+        unit = (0.5, 0.8, 0.0, 0.0, 1.0, 0.0, 0.5, 0.3)
+        docs = []
+        for k in (0, 1000):
+            x = [repr(math.ldexp(v, k)) for v in unit]
+            code, out, err = run_cli(capsys, "eval", "--vertices=" + ",".join(x[:6]), "--point=" + ",".join(x[6:]))
+            assert code == 0, err
+            docs.append(json.loads(out))
+        for key in ("r1", "r2", "r3"):
+            assert docs[1][key]["cost"] == math.ldexp(docs[0][key]["cost"], 1000), key
+
     def test_point_outside_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--angles", "60,60", "--point", "2,2")
         assert code == EXIT_GEOMETRY
@@ -73,6 +102,16 @@ class TestEval:
     def test_obtuse_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--angles", "20,30", "--point", "0.5,0.1")
         assert code == EXIT_GEOMETRY
+
+    def test_small_far_obtuse_triangle_exits_2(self, capsys):
+        # A 100 deg apex over a base of 1e-11 at (1000, 1000), where an ulp
+        # is 1.1% of the base.  The pose's gate allows 16 ulps of rounding
+        # and accepts it, but rounding by 8 ulps does not make it right, so
+        # its standard form keeps the obtuse apex and is rejected.
+        v = (1000 + 0.5e-11, 1000 + 0.5e-11 / math.tan(math.radians(50)), 1000.0, 1000.0, 1000 + 1e-11, 1000.0)
+        Triangle(v[:2], v[2:4], v[4:])
+        code, _, err = run_cli(capsys, "eval", "--vertices=" + ",".join(map(repr, v)), "--point=1000,1000")
+        assert code == EXIT_GEOMETRY and "obtuse" in err, err
 
     def test_vertices_form(self, capsys):
         code, out, _ = run_cli(

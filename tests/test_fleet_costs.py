@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
-import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poses
 from trivisit.fleet_costs import (
     ClosedFormDomainError,
     fleet_costs,
@@ -19,16 +21,13 @@ from trivisit.fleet_costs import (
     r2_incenter_closed,
     r3,
 )
-from trivisit.geom_core import (
-    Point2, Similarity, Triangle, VertexId, altitude_midpoint, incenter, polyline_length, triangle_from_angles,
-)
+from trivisit.geom_core import Point2, Similarity, Triangle, VertexId, incenter, polyline_length, triangle_from_angles
 from trivisit.oracle import CERTIFY_TOL, certify_instance
 from trivisit.visitation import EdgeId, StandardPoint, StrategyKind, VisitOrder
 
 from conftest import random_interior_point, random_triangle
+from poses import EQ, RI
 
-EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
-RI = triangle_from_angles(math.pi / 4, math.pi / 4)
 FAR = Triangle((74034.58959750044, -4431.205093016029), (74026.05820673211, -4438.941268104179),
                (74034.20284624322, -4442.786978033005))
 
@@ -100,12 +99,13 @@ class TestR1:
         res = r1(EQ, incenter(EQ))
         assert len(res.orders) > 1 and built == [res.trajectory.order]
 
-    def test_trajectory_cost_matches(self, rng):
-        for _ in range(60):
-            t = random_triangle(rng, posed=True)
-            p = random_interior_point(rng, t)
-            res = r1(t, p)
-            assert res.trajectory.cost == pytest.approx(res.cost, abs=1e-12 * max(1.0, res.cost))
+    @settings(max_examples=13)
+    @given(poses.instances(n=5))
+    def test_trajectory_cost_matches(self, instances):
+        # In base lengths: the pose's scale divided out.
+        for inst in instances:
+            res, s = r1(inst.t, inst.q), inst.pose.scale
+            assert res.trajectory.cost / s == pytest.approx(res.cost / s, abs=1e-12 * max(1.0, res.cost / s))
 
 
 class TestChain:
@@ -124,19 +124,13 @@ class TestChain:
         assert abs(rep.r3.cost - rep.r2.cost) <= 2 * math.ulp(FAR.a.x)
 
     @pytest.mark.parametrize("deg", [1e-3, 1e-6])
-    def test_thin_triangles_keep_the_chain(self, deg):
-        # Near a thin apex the three costs tie to within an ulp of the
+    @settings(max_examples=7)
+    @given(data=st.data())
+    def test_thin_triangles_keep_the_chain(self, deg, data):
+        # Near a thin angle the three costs tie to within an ulp of the
         # coordinates, which is more than 1e-12 of the short base.
-        thin = math.radians(deg)
-        apex = triangle_from_angles(math.pi / 2 - 0.4 * thin, math.pi / 2 - 0.6 * thin)
-        sliver = triangle_from_angles(thin, math.pi / 2 - 0.5 * thin)
-        for std, poses in ((apex, ((1.0, 0.0), (1e3, 0.0), (10.0, 1e2), (1e6, 1e3))), (sliver, ((1.0, 0.0), (1e3, 0.0)))):
-            for scale, off in poses:
-                sim = Similarity(0.7, scale, Point2(off * scale, -0.5 * off * scale))
-                t = Triangle(*(sim.apply(v) for v in std.vertices))
-                v = t.vertices
-                for p in (*v, v[0] + 0.3 * (v[1] - v[0]), incenter(t)):
-                    fleet_costs(t, p)
+        for inst in data.draw(poses.instances({"apex": deg}, n=5)):
+            fleet_costs(inst.t, inst.q)
 
     def test_tiny_triangle_chain_slack_is_not_absolute(self):
         t = Triangle(*(Similarity(0.3, 1e-6, Point2(0.0, 0.0)).apply(v) for v in RI.vertices))
@@ -152,32 +146,24 @@ class TestPosedSlivers:
     points are built in standard form on their segments."""
 
     @pytest.mark.parametrize("deg", [1e-2, 1e-4, 1e-6])
-    def test_costs_scale_with_the_pose(self, deg):
+    @settings(max_examples=21)
+    @given(data=st.data())
+    def test_costs_scale_with_the_pose(self, deg, data):
         # Over 3,000 instances per apex (both kinds of point, translations up
         # to 1e3 base lengths) the largest gap was 4 ulps of the unposed
         # triangle's largest coordinate: 3.0e-8 base lengths at 1e-6 deg.
-        # Here the R1 and R2 witnesses' lengths are off their costs by at most
+        # The R1 and R2 witnesses' lengths were off their costs by at most
         # 2.1e-12, 2.2e-10 and 2.0e-8 base lengths (0.17 of the bound); a
         # bounce point thrown off its segment puts them off by up to 6.9.
-        rng, thin = random.Random(4), math.radians(deg)
-        for _ in range(100):
-            s = rng.random()
-            std = triangle_from_angles(math.pi / 2 - s * thin, math.pi / 2 - (1 - s) * thin)
+        for std, p, pose, t, q in data.draw(poses.instances({"apex": deg, "at": VertexId.A}, shift=1e3, n=10)):
             bound = 16 * math.ulp(max(abs(x) for v in std.vertices for x in v))
-            scale = 10 ** rng.uniform(-3, 3)
-            off = Point2(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-            sim = Similarity(rng.uniform(0, 2 * math.pi), scale, off * scale)
-            t = Triangle(*(sim.apply(v) for v in std.vertices))
-            a, b, c = std.vertices
-            u, v = sorted((rng.random(), rng.random()))
-            for p in (a + u * (b - a) + (v - u) * (c - a), a + rng.random() * (rng.choice((b, c)) - a)):
-                want, got = fleet_costs(std, p), fleet_costs(t, sim.apply(p))
-                for n in ("r1", "r2", "r3"):
-                    gap = abs(getattr(got, n).cost / scale - getattr(want, n).cost)
-                    assert gap <= bound, (n, deg, tuple(std.vertices), p, scale, gap)
-                for tr in _trajectories(got):
-                    gap = abs(polyline_length(tr.waypoints) - tr.cost) / scale
-                    assert gap <= bound, (tr.kind, tr.edges, deg, tuple(std.vertices), p, scale, gap)
+            want, got = fleet_costs(std, p), fleet_costs(t, q)
+            for n in ("r1", "r2", "r3"):
+                gap = abs(getattr(got, n).cost / pose.scale - getattr(want, n).cost)
+                assert gap <= bound, (n, gap)
+            for tr in _trajectories(got):
+                gap = abs(polyline_length(tr.waypoints) - tr.cost) / pose.scale
+                assert gap <= bound, (tr.kind, tr.edges, gap)
 
     def test_thin_instance_certifies(self):
         # A 1e-6 deg apex at unit base, rotated, at a point 0.3 of the way
@@ -188,33 +174,19 @@ class TestPosedSlivers:
         certify_instance(t, rep.point, {"r1": rep.r1.cost, "r2": rep.r2.cost, "r3": rep.r3.cost})
         assert abs(polyline_length(rep.r1.trajectory.waypoints) - rep.r1.cost) <= CERTIFY_TOL
 
-    def test_tiny_scale_drops_are_as_long_as_their_cost(self):
-        # Points near a vertex of triangles at scales 1e-13 to 1e-9: a drop's
-        # foot is kept or merged by its standard-form length, so a drop with
-        # one waypoint costs at most EXACT_TIE base lengths.  Of these 361
-        # drops the worst is off by 1.6e-15; an absolute 1e-15 cut-off in the
-        # pose puts 35 off by more than 1e-9, the worst by 2.4e-3.
-        rng = random.Random(5)
-        for _ in range(300):
-            std = random_triangle(rng)
-            scale = 10 ** rng.uniform(-13, -9)
-            sim = Similarity(rng.uniform(0, 2 * math.pi), scale, Point2(rng.uniform(-10, 10), rng.uniform(-10, 10)) * scale)
-            t = Triangle(*(sim.apply(v) for v in std.vertices))
-            a, b, c = rng.sample(std.vertices, 3)
-            u, v = (rng.random() * 10 ** rng.uniform(-9, -1) for _ in range(2))
-            p = sim.apply(a + u * (b - a) + v * (c - a))
-            for w in r2(t, p).witnesses:
-                gap = abs(polyline_length(w.single.waypoints) - w.single.cost) / scale
-                assert gap <= 1e-9, (tuple(t.vertices), p, w.single_edge, gap)
-
-
-_TIE_SHAPES = [(60, 60), (45, 45), (45, 90), (90, 45), (70, 55), (30, 80), (85, 85), (50, 70)]
-
-
-def _special_points(std):
-    """Incenter, altitude midpoints, vertices and edge midpoints."""
-    mids = [(u + v) * 0.5 for u, v in ((std.a, std.b), (std.b, std.c), (std.c, std.a))]
-    return [incenter(std), *(altitude_midpoint(std, v) for v in VertexId), *std.vertices, *mids]
+    @settings(max_examples=21)
+    @given(poses.instances({"least": 1.0}, ("near-vertex",), scale=(-13.0, -9.0), binary=(-1000, 0), shift=10.0, n=15))
+    def test_tiny_scale_drops_are_as_long_as_their_cost(self, instances):
+        # Points near a vertex of triangles at scales 1e-13 to 1e-9 and
+        # below: a drop's foot is kept or merged by its standard-form length,
+        # so a drop with one waypoint costs at most EXACT_TIE base lengths.
+        # Of 361 such drops the worst was off by 1.6e-15; an absolute 1e-15
+        # cut-off in the pose puts 35 off by more than 1e-9, the worst by
+        # 2.4e-3.
+        for inst in instances:
+            for w in r2(inst.t, inst.q).witnesses:
+                gap = abs(polyline_length(w.single.waypoints) - w.single.cost) / inst.pose.scale
+                assert gap <= 1e-9, (w.single_edge, gap)
 
 
 def _trajectories(rep):
@@ -229,51 +201,89 @@ def _tie_sets(rep):
     return (set(rep.r1.orders), {(w.single_edge, w.determined_by) for w in rep.r2.witnesses}, set(rep.r3.edges))
 
 
+@functools.cache
+def _special_reports(b, c):
+    """The standard-form triangle with ``b`` and ``c`` degrees at B and C,
+    and its ``fleet_costs`` at each of its special points, made once."""
+    std = triangle_from_angles(math.radians(b), math.radians(c))
+    return std, [(p, fleet_costs(std, p)) for p in poses.special_points(std)]
+
+
 class TestPosedTieSets:
     """The tie sets at a point do not change under a similarity: the
     decisions are made in standard form with a slack in the standard
     form's scale."""
 
-    @pytest.mark.parametrize("b, c", _TIE_SHAPES)
-    def test_tie_sets_keep_under_similarities(self, b, c):
-        # 60 similarities of each point: scale 1e-3 to 1e3, translation up
-        # to 1e3 scales.
-        rng = random.Random(11)
-        std = triangle_from_angles(math.radians(b), math.radians(c))
-        for p in _special_points(std):
-            want = _tie_sets(fleet_costs(std, p))
-            for _ in range(60):
-                scale = 10 ** rng.uniform(-3, 3)
-                off = Point2(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-                sim = Similarity(rng.uniform(0, 2 * math.pi), scale, off * scale)
-                t = Triangle(*(sim.apply(v) for v in std.vertices))
-                assert _tie_sets(fleet_costs(t, sim.apply(p))) == want, (b, c, p, scale)
+    @pytest.mark.parametrize("b, c", poses.TIE_SHAPES)
+    @settings(max_examples=11)
+    @given(data=st.data())
+    def test_tie_sets_keep_under_similarities(self, b, c, data):
+        # 60 similarities, each of every special point.
+        std, specials = _special_reports(b, c)
+        for inst in data.draw(poses.instances(std, n=6)):
+            for p, rep in specials:
+                assert _tie_sets(fleet_costs(inst.t, inst.pose(p))) == _tie_sets(rep), p
 
 
 class TestMirrorImages:
     """x -> -x reverses the vertex order, so ``Triangle`` relabels the image
     with B and C swapped, which swaps edges L and R: every order, R3 edge and
-    R2 lone edge maps under L <-> R, and every cost stays."""
+    R2 lone edge maps under L <-> R, and every cost stays, times the pose's
+    power of two."""
 
-    @pytest.mark.parametrize("b, c", [*_TIE_SHAPES, (89.9995, 89.9995), (89.5, 89.6)])
-    def test_labels_swap_left_and_right(self, b, c):
-        # Over these 400 points the label sets all mapped and the costs were
-        # at most 2 ulps of M apart.
+    @pytest.mark.parametrize("b, c", [*poses.TIE_SHAPES, (89.9995, 89.9995), (89.5, 89.6)])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_labels_swap_left_and_right(self, b, c, data):
+        # Over 400 points (the special points and 30 drawn ones per shape)
+        # the label sets all mapped and the costs were at most 2 ulps of M
+        # apart.  The mirror images are drawn at every 2^k.
         swap = {EdgeId.L: EdgeId.R, EdgeId.D: EdgeId.D, EdgeId.R: EdgeId.L}
-        std = triangle_from_angles(math.radians(b), math.radians(c))
-        image = Triangle(*(Point2(-x, y) for x, y in std.vertices))
+        std, specials = _special_reports(b, c)
         bound = 4 * math.ulp(max(abs(x) for v in std.vertices for x in v))
-        rng = np.random.default_rng(13)
-        for p in _special_points(std) + [random_interior_point(rng, std) for _ in range(30)]:
-            rep, mirrored = fleet_costs(std, p), fleet_costs(image, Point2(-p.x, p.y))
+        mirrors = data.draw(poses.instances(std, scale=0.0, shift=0.0, rotation=0.0, mirror=True, n=25))
+        for i, m in enumerate(mirrors):
+            p, rep = specials[i] if i < len(specials) else (m.p, fleet_costs(std, m.p))
+            mirrored = fleet_costs(m.t, m.pose(p))
             want = (
                 {VisitOrder("".join(swap[e].value for e in o.edges)) for o in rep.r1.orders},
                 {(swap[w.single_edge], w.determined_by) for w in rep.r2.witnesses},
                 {swap[e] for e in rep.r3.edges},
             )
-            assert _tie_sets(mirrored) == want, (b, c, p)
+            assert _tie_sets(mirrored) == want, p
             for n in ("r1", "r2", "r3"):
-                assert abs(getattr(mirrored, n).cost - getattr(rep, n).cost) <= bound, (b, c, p, n)
+                assert abs(getattr(mirrored, n).cost / m.pose.scale - getattr(rep, n).cost) <= bound, (p, n)
+
+
+class TestPowersOfTwo:
+    """Scaling a pose by 2^k scales every coordinate exactly, and the gates
+    decide on coordinate differences scaled back by a power of two, so every
+    decision is the same at every k and every cost is 2^k times the cost at
+    k = 0, bit for bit, out to 2^+-1000."""
+
+    @staticmethod
+    def _check(inst):
+        unit = inst.at(0)
+        assert inst.t.contains(inst.q) == unit.t.contains(unit.q)
+        if not unit.t.contains(unit.q):
+            return
+        got, want = fleet_costs(inst.t, inst.q), fleet_costs(unit.t, unit.q)
+        for n in ("r1", "r2", "r3"):
+            assert getattr(got, n).cost == math.ldexp(getattr(want, n).cost, inst.pose.k), n
+        assert _tie_sets(got) == _tie_sets(want)
+
+    @settings(max_examples=12)
+    @given(poses.instances(nudge=None, n=6))
+    def test_costs_and_tie_sets_scale_exactly(self, instances):
+        for inst in instances:
+            self._check(inst)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -150, 150, 600, 1000])
+    def test_unit_instance_far_from_unit_scale(self, k):
+        # Squared sides overflow at 2^600 and underflow at 2^-600 without
+        # the prescaling, and the gates then called the triangle degenerate.
+        std = Triangle((0.5, 0.8), (0.0, 0.0), (1.0, 0.0))
+        self._check(poses.instance(std, Point2(0.5, 0.3), poses.Pose(0.0, 0.0, k)))
 
 
 class TestClosedForms:

@@ -1,15 +1,16 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import poses
 from trivisit.geom_core import (
     DegenerateTriangleError,
     GeometryError,
     Line,
     ObtuseTriangleError,
+    OutsideTriangleError,
     Parabola,
     Point2,
     Segment,
@@ -26,8 +27,11 @@ from trivisit.geom_core import (
     VertexId,
 )
 from trivisit.fleet_costs import fleet_costs
+from trivisit.oracle import OracleConfig, oracle_costs
 
 from conftest import random_triangle
+
+_FAST_ORACLE = OracleConfig(coarse_resolution=8, tol=0.5)  # only whether it answers is read
 
 SQRT3 = math.sqrt(3.0)
 
@@ -54,9 +58,10 @@ class TestStandardForm:
         assert std.a.dist(Point2(0.5, 0.5)) < 1e-12
         assert abs(abs(sim.rotation) - math.pi / 2) < 1e-12
 
-    def test_round_trip(self, rng):
-        for _ in range(200):
-            t = random_triangle(rng, posed=True)
+    @settings(max_examples=21)
+    @given(poses.triangles(n=10, **poses.PLAIN))
+    def test_round_trip(self, triangles):
+        for t in triangles:
             std, sim = t.standard()
             inv = sim.inverse()
             for orig, mapped in zip(t.vertices, std.vertices):
@@ -103,15 +108,15 @@ class TestTriangle:
             Triangle((0.5, 0.05), (0, 0), (1, 0))
 
     @pytest.mark.parametrize("angles", [(1e-6, 90.0), (1e-4, 90.0 - 1e-4)], ids=["right-angle-at-C", "right-angle-at-apex"])
-    def test_posed_thin_right_triangles_pass_the_gate(self, angles):
+    @settings(max_examples=11)
+    @given(data=st.data())
+    def test_posed_thin_right_triangles_pass_the_gate(self, angles, data):
         # Rounding the coordinates turns the right angle past pi/2 (by up to
-        # 3.5e-9 rad for the first); the gate allows for it, and every cost
-        # evaluates, in standard form and posed.
+        # 3.5e-9 rad for the first at unit scale); the gate allows for it,
+        # and every cost evaluates, in standard form and posed.
         std = triangle_from_angles(*(math.radians(x) for x in angles))
-        for k in range(200):
-            sim = Similarity(0.1 + 0.031 * k, 1.0, Point2(0.0, 0.0))
-            t = Triangle(*(sim.apply(v) for v in std.vertices))
-            fleet_costs(t, incenter(t))
+        for inst in data.draw(poses.instances(std, n=20)):
+            fleet_costs(inst.t, incenter(inst.t))
 
     @pytest.mark.parametrize("angles", [(44.999, 90.001), (1e-6, 90.001), (89.999 - 1e-6, 1e-6)],
                              ids=["right-angle-at-C", "thin-at-B", "apex"])
@@ -155,22 +160,37 @@ class TestTriangle:
         assert t.contains(Point2(0.5, -0.5e-9))       # inside slack
         assert not t.contains(Point2(0.5, -1e-6))
 
-    def test_contains_long_edge_points_of_thin_triangles(self):
-        # A 1e-6 deg apex at unit base under rotations: a point computed on a
-        # long edge is off it by rounding of coordinates about 5.7e7 in size,
-        # more than CONTAINS_TOL of the base, and still lies inside, in the
-        # pose and (through fleet_costs) in standard form.
-        rng = np.random.default_rng(11)
-        thin = math.radians(1e-6)
-        std = triangle_from_angles(math.pi / 2 - thin / 2, math.pi / 2 - thin / 2)
-        for _ in range(40):
-            sim = Similarity(rng.uniform(0.0, 2 * math.pi), 1.0, Point2(0.0, 0.0))
-            t = Triangle(*(sim.apply(v) for v in std.vertices))
-            for u, w in ((t.a, t.b), (t.a, t.c)):
-                for f in (0.1, 0.3, 0.7):
-                    p = u + f * (w - u)
-                    assert t.contains(p)
-                    fleet_costs(t, p)
+    @settings(max_examples=11)
+    @given(poses.instances({"apex": 1e-6}, ("edge",), n=24))
+    def test_contains_long_edge_points_of_thin_triangles(self, instances):
+        # A 1e-6 deg apex: a point computed on a long edge is off it by
+        # rounding of coordinates about 5.7e7 base lengths in size, more than
+        # CONTAINS_TOL of the base, and still lies inside, in the pose and
+        # (through fleet_costs) in standard form.
+        for inst in instances:
+            assert inst.t.contains(inst.q)
+            fleet_costs(inst.t, inst.q)
+
+    # The example: vertex C of a small triangle about 730 from the origin,
+    # up to the last digit.  The pose accepts it, and nothing gates it again
+    # in standard form, where an ulp of the pose is many base lengths.
+    @settings(max_examples=8)
+    @given(poses.instances(nudge=True, n=10).map(lambda instances: [(inst.t, inst.q) for inst in instances]))
+    @example([(Triangle((-43.01990492393453, 728.3900355068699), (-43.01990327223518, 728.3900357925199),
+                        (-43.01990448432249, 728.3900371079799)), Point2(-43.01990448432249, 728.39003710798))])
+    def test_contains_exactly_when_costs_answer(self, instances):
+        # Over nudged points of every kind and small triangles far off the
+        # origin: one gate, in the pose, for the closed forms and the oracle.
+        for t, q in instances:
+            inside = t.contains(q)
+            for costs in (fleet_costs, lambda t, q: oracle_costs(t, q, _FAST_ORACLE)):
+                try:
+                    costs(t, q)
+                except OutsideTriangleError as exc:
+                    assert not inside, exc
+                    assert str(exc) == f"point {tuple(q)} lies outside the triangle"
+                else:
+                    assert inside
 
     def test_contains_rejects_non_finite_points(self):
         t = triangle_from_angles(math.pi / 3, math.pi / 3)
@@ -192,9 +212,10 @@ class TestIncenter:
         t3 = Triangle(3 * t.a, 3 * t.b, 3 * t.c)
         assert incenter(t3).dist(3 * incenter(t)) < 1e-12
 
-    def test_equidistant_from_edges(self, rng):
-        for _ in range(1000):
-            t = random_triangle(rng, posed=True)
+    @settings(max_examples=41)
+    @given(poses.triangles(n=25, **poses.PLAIN))
+    def test_equidistant_from_edges(self, triangles):
+        for t in triangles:
             i = incenter(t)
             dists = [
                 dist_point_segment(i, Segment(t.a, t.b)),

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poses
 import trivisit
 from trivisit import _kernels
 from trivisit._kernels import (
@@ -18,7 +21,6 @@ from trivisit.geom_core import (
     GeometryError,
     Line,
     Point2,
-    Similarity,
     Triangle,
     VertexId,
     altitude_midpoint,
@@ -30,7 +32,7 @@ from trivisit.geom_core import (
 )
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
-from conftest import random_interior_point, random_triangle
+from conftest import random_triangle
 
 
 class TestAgainstScalar:
@@ -99,15 +101,12 @@ class TestStacked:
             np.testing.assert_array_equal(pts[i], barycentric_grid(t, 7, include_vertices=False))
 
 
-def _posed(rng, count):
-    """Random triangles under similarities of scale 1e-3 to 1e3."""
-    out = []
-    for _ in range(count):
-        t = random_triangle(rng, min_angle=math.radians(0.5))
-        sim = Similarity(rng.uniform(0.0, 2 * math.pi), 10.0 ** rng.uniform(-3.0, 3.0),
-                         Point2(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)))
-        out.append(Triangle(sim.apply(t.a), sim.apply(t.b), sim.apply(t.c)))
-    return out
+# Posed triangles for the kernel, which reads them in the pose: every
+# shape, scale 1e-3 to 1e3 times 2^k for k up to 1000, and up to 1e4 base
+# lengths off the origin.  Smaller scales put sides below SEGMENT_EPS, an
+# absolute length that no line through them passes (see
+# ``test_edges_at_segment_eps_raise``).
+_KERNEL_POSES = {"binary": (0, 1000)}
 
 
 def _hexes(value):
@@ -155,8 +154,10 @@ def _segment_row(p0, p1):
 
 
 class TestTriangleRow:
-    def test_unfoldings_and_tables_match_geom_core(self, rng):
-        for t in _posed(rng, 200):
+    @settings(max_examples=21)
+    @given(poses.triangles(n=10, **_KERNEL_POSES))
+    def test_unfoldings_and_tables_match_geom_core(self, triangles):
+        for t in triangles:
             k = TriangleKernel(t)
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
@@ -174,8 +175,9 @@ class TestTriangleRow:
                 assert _array_hexes(k._segs[:, _SEG_INDEX[e]]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
             assert k.scale.hex() == t.base_length.hex()
 
-    def test_stacked_tables_equal_single_tables(self, rng):
-        tris = _posed(rng, 64)
+    @settings(max_examples=2)
+    @given(poses.triangles(n=64, **_KERNEL_POSES))
+    def test_stacked_tables_equal_single_tables(self, tris):
         k = TriangleKernel(tris)
         assert k.rows.shape == (64, len(k.rows[0]))
         for i, t in enumerate(tris):
@@ -235,33 +237,6 @@ def test_star_import_binds_public_names_only():
     assert not set(trivisit.__all__) & {"standard_form", "r2_vertex_heuristic", "oracle_r1", "ordered3_objective"}
 
 
-def _pinned_instances(rng, count):
-    """Posed triangles (every tenth with a 0.5 deg apex) with a vertex, an
-    edge point, the incenter, an altitude midpoint or an interior point."""
-    apex = triangle_from_angles(math.radians(89.75), math.radians(89.75))
-    out = []
-    for i, t in enumerate(_posed(rng, count)):
-        if i % 10 == 0:
-            sim = Similarity(rng.uniform(0.0, 2 * math.pi), 10.0 ** rng.uniform(-3.0, 3.0), Point2(1.0, -2.0))
-            t = Triangle(*(sim.apply(v) for v in apex.vertices))
-        v = t.vertices
-        k = i % 5
-        if k == 0:
-            p = v[i % 3]
-        elif k == 1:
-            a, b = v[i % 3], v[(i + 1) % 3]
-            p = a + rng.uniform() * (b - a)
-        elif k == 2:
-            p = incenter(t)
-        elif k == 3:
-            p = altitude_midpoint(t, tuple(VertexId)[i % 3])
-        else:
-            w = rng.dirichlet((1.0, 1.0, 1.0))
-            p = Point2(*(w[0] * np.asarray(v[0]) + w[1] * np.asarray(v[1]) + w[2] * np.asarray(v[2])))
-        out.append((t, Point2(float(p.x), float(p.y))))
-    return out
-
-
 def _array_hexes(a):
     return tuple(float(x).hex() for x in np.ravel(a))
 
@@ -279,7 +254,9 @@ def _family_hexes(k, pts, repeats=1):
 
 
 class TestFamilies:
-    def test_broadcast_matches_loop(self, rng):
+    @settings(max_examples=21)
+    @given(poses.instances(n=25))
+    def test_broadcast_matches_loop(self, instances):
         """Each evaluator gives the same bits at one point, where it
         broadcasts over its members, as at that point repeated past
         ``_BROADCAST_POINTS``, where it loops over them, on single and
@@ -288,9 +265,8 @@ class TestFamilies:
         reduces them, of ``r2_partitions``; the point's two passes are those
         of ``segs_all`` and ``r1_all``."""
         repeats = _kernels._BROADCAST_POINTS + 1
-        instances = _pinned_instances(rng, 500)
-        for t, p in instances:
-            sp = StandardPoint(t, p)
+        sps = [StandardPoint(inst.t, inst.q) for inst in instances]
+        for sp in sps:
             k, pts = sp.kernel, sp.pts
             one = _family_hexes(k, pts)
             segs = sp.segs
@@ -299,30 +275,9 @@ class TestFamilies:
             partitions = (segs[:3], pairs, [max(d, q) for d, q in zip(segs, pairs)])
             assert (_hexes(segs[:3]), _hexes(partitions)) == one[2:]
             assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
-        for at in range(0, len(instances), 25):
-            sps = [StandardPoint(t, p) for t, p in instances[at:at + 25]]
-            k = TriangleKernel([sp.std for sp in sps])
-            pts = np.array([sp.pts for sp in sps])
-            assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
-
-
-def _sliver_instances(rng, count):
-    """Posed triangles with a 1e-2, 1e-4 or 1e-6 deg apex, scale 1e-3 to
-    1e3 and up to 1e3 scales off the origin, each with an interior point and
-    a point on a long edge."""
-    out = []
-    for i in range(count):
-        thin, s = math.radians((1e-2, 1e-4, 1e-6)[i % 3]), rng.uniform()
-        std = triangle_from_angles(math.pi / 2 - s * thin, math.pi / 2 - (1 - s) * thin)
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        sim = Similarity(rng.uniform(0.0, 2 * math.pi), scale, Point2(*rng.uniform(-1e3, 1e3, 2).tolist()) * scale)
-        t = Triangle(*(sim.apply(v) for v in std.vertices))
-        a, b, c = std.vertices
-        u, v, w = sorted(rng.uniform(size=2).tolist()) + [rng.uniform()]
-        for p in (a + u * (b - a) + (v - u) * (c - a), a + w * (b - a)):
-            q = sim.apply(p)
-            out.append((t, Point2(float(q.x), float(q.y))))
-    return out
+        k = TriangleKernel([sp.std for sp in sps])
+        pts = np.array([sp.pts for sp in sps])
+        assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
 
 
 class TestOnePointDecisions:
@@ -331,18 +286,10 @@ class TestOnePointDecisions:
     gives on the (count, 1) arrays of the evaluators, and ``fleet_costs``
     must report exactly what the arrays mark, with their costs bit for bit."""
 
-    @staticmethod
-    def _instances(rng):
-        eq = triangle_from_angles(math.pi / 3, math.pi / 3)
-        ri = triangle_from_angles(math.pi / 4, math.pi / 4)
-        return [
-            (eq, incenter(eq)), (ri, altitude_midpoint(ri, VertexId.A)),
-            *_pinned_instances(rng, 300), *_sliver_instances(rng, 60),
-        ]
+    def test_plain_floats_match_arrays(self):
+        ties = []
 
-    def test_plain_floats_match_arrays(self, rng):
-        ties = 0
-        for t, p in self._instances(rng):
+        def check(t, p):
             sp = StandardPoint(t, p)
             k, pts = sp.kernel, sp.pts
             dists, (singles, pairs, costs), orders = k.r3_all(pts), k.r2_partitions(pts), k.r1_all(pts)
@@ -366,9 +313,19 @@ class TestOnePointDecisions:
             assert rep.r1.orders == tuple(order for order, m in zip(_ORDERS, best) if m)
             want = (dists.max(), costs.min(), orders.min())
             assert _hexes((rep.r3.cost, rep.r2.cost, rep.r1.cost)) == _hexes(tuple(sp.scale * float(x) for x in want))
-            ties += sum(far) > 1 or sum(map(bool, sides)) > 1 or sum(best) > 1 or 3 in sides
+            ties.append(sum(far) > 1 or sum(map(bool, sides)) > 1 or sum(best) > 1 or 3 in sides)
+
+        @settings(max_examples=22)
+        @given(poses.instances(n=20))
+        def drawn(instances):
+            for inst in instances:
+                check(inst.t, inst.q)
+
+        check(poses.EQ, incenter(poses.EQ))
+        check(poses.RI, altitude_midpoint(poses.RI, VertexId.A))
+        drawn()
         # the instances tie often enough that the rules' tol sides are read
-        assert ties > 50, ties
+        assert sum(ties) > 50, sum(ties)
 
 
 def _unmasked_ordered3(pts, table, tol):
@@ -393,12 +350,12 @@ def _unmasked_ordered3(pts, table, tol):
     return cost, cases
 
 
-def _case_line_points(rng, t, k, count):
-    """``count`` random interior points of ``t``, then each of them moved
-    onto every order's bounce line and subopt line (along that order's
-    ``u``), 0.5 tol to either side of the line, where two cases are
-    admissible at once, and 1.5 tol to either side, where only one is."""
-    inside = np.array([tuple(random_interior_point(rng, t)) for _ in range(count)])
+def _case_line_points(k, inside):
+    """The points ``inside``, then each of them moved onto every order's
+    bounce line and subopt line (along that order's ``u``), 0.5 tol to
+    either side of the line, where two cases are admissible at once, and 1.5
+    tol to either side, where only one is."""
+    inside = np.array(inside)
     out = [inside]
     for i in range(len(VisitOrder)):
         cx, cy, ux, uy, ax, ay, _, _ = k._unfolds[:, i, 0].tolist()
@@ -407,6 +364,16 @@ def _case_line_points(rng, t, k, count):
             on = inside - ((inside - origin) @ u)[:, None] * u
             out += [on + side * k.tol * u for side in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     return np.concatenate(out)
+
+
+@st.composite
+def _masked(draw):
+    """A posed triangle, its kernel and ``_case_line_points`` of 8 of its
+    interior points."""
+    inst = draw(poses.instances(kinds=("interior",), **_KERNEL_POSES))
+    more = draw(poses.instances(inst.std, ("interior",), n=7))
+    k = TriangleKernel(inst.t)
+    return inst.t, k, _case_line_points(k, [inst.q, *(inst.pose(m.p) for m in more)])
 
 
 def _probe(k, table):
@@ -425,12 +392,6 @@ class TestMaskedCases:
     can never undercut the true minimum; the same checks also run with every
     altitude replaced by -1e3 and by 1e3 base lengths, which makes a leak of
     any case or a skipped admissible case change the minimum."""
-
-    def _instances(self, rng):
-        tris = _posed(rng, 4)
-        kernels = [TriangleKernel(t) for t in tris]
-        pts = [_case_line_points(rng, t, k, 8) for t, k in zip(tris, kernels)]
-        return tris, kernels, pts
 
     @staticmethod
     def _tables(k):
@@ -451,40 +412,48 @@ class TestMaskedCases:
                 assert cases == {kind: bool(mask[i, 0]) for kind, mask in want_cases.items()}
                 assert list(cases) == list(want_cases)
 
-    def test_points_cover_every_case_and_overlap(self, rng):
+    @settings(max_examples=5)
+    @given(_masked())
+    def test_points_cover_every_case_and_overlap(self, instance):
         sub, deg, bounce = (StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE,
                             StrategyKind.BOUNCING)
-        for _, k, pts in zip(*self._instances(rng)):
-            _, cases = _unmasked_ordered3(pts, k._unfolds, k.tol)
-            for kind in cases.values():
-                assert kind.any() and not kind.all()
-            assert (cases[sub] & (cases[deg] | cases[bounce])).any()
-            assert (cases[deg] & cases[bounce]).any()
-            # where the subopt case alone is admissible, a leak of either
-            # other case shows against a 1e3 altitude
-            assert (cases[sub] & ~cases[deg] & ~cases[bounce]).any()
+        _, k, pts = instance
+        _, cases = _unmasked_ordered3(pts, k._unfolds, k.tol)
+        for kind in cases.values():
+            assert kind.any() and not kind.all()
+        assert (cases[sub] & (cases[deg] | cases[bounce])).any()
+        assert (cases[deg] & cases[bounce]).any()
+        # where the subopt case alone is admissible, a leak of either
+        # other case shows against a 1e3 altitude
+        assert (cases[sub] & ~cases[deg] & ~cases[bounce]).any()
 
-    def test_single_kernel_at_one_point(self, rng):
-        for t, k, pts in zip(*self._instances(rng)):
-            for table in self._tables(k):
-                probe = _probe(TriangleKernel(t), table)
-                for p in pts:
-                    self._check(probe, p[None], table)
+    @settings(max_examples=5)
+    @given(_masked())
+    def test_single_kernel_at_one_point(self, instance):
+        t, k, pts = instance
+        for table in self._tables(k):
+            probe = _probe(TriangleKernel(t), table)
+            for p in pts:
+                self._check(probe, p[None], table)
 
-    def test_single_kernel_past_broadcast_points(self, rng):
-        for t, k, pts in zip(*self._instances(rng)):
-            many = np.resize(pts, (_kernels._BROADCAST_POINTS + len(pts), 2))
-            for table in self._tables(k):
-                self._check(_probe(TriangleKernel(t), table), many, table)
+    @settings(max_examples=5)
+    @given(_masked())
+    def test_single_kernel_past_broadcast_points(self, instance):
+        t, k, pts = instance
+        many = np.resize(pts, (_kernels._BROADCAST_POINTS + len(pts), 2))
+        for table in self._tables(k):
+            self._check(_probe(TriangleKernel(t), table), many, table)
 
-    def test_stacked_kernel(self, rng):
-        tris, _, pts = self._instances(rng)
+    @settings(max_examples=2)
+    @given(st.lists(_masked(), min_size=4, max_size=4, unique_by=lambda masked: repr(masked[0])))
+    def test_stacked_kernel(self, instances):
+        tris, _, pts = zip(*instances)
         pts = np.array(pts)
-        k = TriangleKernel(tris)
+        k = TriangleKernel(list(tris))
         for table in self._tables(k):
             for stack in (pts, np.tile(pts, (1, _kernels._BROADCAST_POINTS // pts[..., 0].size + 1, 1))):
                 assert (stack.size > 2 * _kernels._BROADCAST_POINTS) == (stack is not pts)
-                self._check(_probe(TriangleKernel(tris), table), stack, table)
+                self._check(_probe(TriangleKernel(list(tris)), table), stack, table)
 
 
 @pytest.fixture

@@ -24,9 +24,8 @@ from trivisit.oracle import (
 from trivisit.visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_ordered
 
 from conftest import random_interior_point, random_triangle
+from poses import EQ, RI
 
-EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
-RI = triangle_from_angles(math.pi / 4, math.pi / 4)
 FAST = OracleConfig(coarse_resolution=24, tol=1e-11)
 
 

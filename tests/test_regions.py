@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poses
 from trivisit import regions
 from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import (
@@ -37,9 +39,8 @@ from trivisit.visitation import (
 )
 
 from conftest import random_triangle
+from poses import EQ, RI
 
-EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
-RI = triangle_from_angles(math.pi / 4, math.pi / 4)
 THIN = triangle_from_angles(math.radians(85), math.radians(85))
 OPPOSITE = {VertexId.A: EdgeId.D, VertexId.B: EdgeId.R, VertexId.C: EdgeId.L}
 
@@ -380,6 +381,19 @@ def _percent_to_csv(rm, path):
     with open(path, "w", newline="") as fh:
         fh.write("i,j,x,y,label\r\n")
         fh.write(("%d,%d,%.17g,%.17g,%s\r\n" * len(c)) % tuple(rows.ravel().tolist()))
+
+
+class TestPosedMaps:
+    """A map's label codes are the standard form's, cell by cell, under
+    every rotation and translation, at scales 1e-9 to 1e9.  Below 1e-9 the
+    kernel's lines reject sides shorter than the absolute SEGMENT_EPS."""
+
+    @settings(max_examples=8)
+    @given(poses.instances({"least": 0.5}, ("incenter",), scale=(-9.0, 9.0), binary=0, n=3))
+    def test_label_codes_match_standard_form(self, instances):
+        for inst, mode in itertools.product(instances, ("r1", "r2", "r3")):
+            want = raster_region_map(inst.std, 32, mode).cells.codes
+            np.testing.assert_array_equal(raster_region_map(inst.t, 32, mode).cells.codes, want, err_msg=mode)
 
 
 def _posed(scale, dx, dy):

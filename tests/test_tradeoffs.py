@@ -3,13 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import poses
 from trivisit import tradeoffs
 from trivisit._kernels import TriangleKernel
 from trivisit.geom_core import (
     Point2,
-    Similarity,
-    Triangle,
     VertexId,
     altitude_midpoint,
     incenter,
@@ -23,9 +23,8 @@ from trivisit.tradeoffs import (
 )
 
 from conftest import random_triangle
+from poses import EQ, RI
 
-EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
-RI = triangle_from_angles(math.pi / 4, math.pi / 4)
 SQRT2 = math.sqrt(2.0)
 
 
@@ -67,14 +66,12 @@ class TestMaxRatio:
         rep = max_ratio(EQ, 1, 3, grid=64)
         assert rep.ratio == pytest.approx(rep.rn / rep.rm, abs=1e-12)
 
-    def test_similarity_invariance(self, rng):
-        for _ in range(10):
-            t = random_triangle(rng)
-            sim = Similarity(rng.uniform(0, 6), rng.uniform(0.3, 3), Point2(1.0, -2.0))
-            t2 = Triangle(sim.apply(t.a), sim.apply(t.b), sim.apply(t.c))
-            r1v = max_ratio(t, 1, 3, grid=48).ratio
-            r2v = max_ratio(t2, 1, 3, grid=48).ratio
-            assert r1v == pytest.approx(r2v, abs=1e-9)
+    @settings(max_examples=10)
+    @given(poses.instances({"least": 1.0}, mirror=None))
+    def test_similarity_invariance(self, inst):
+        r1v = max_ratio(inst.std, 1, 3, grid=48).ratio
+        r2v = max_ratio(inst.t, 1, 3, grid=48).ratio
+        assert r1v == pytest.approx(r2v, abs=1e-9)
 
     def test_value_not_below_samples(self, rng):
         # seeds and grid points never beat the reported maximum materially

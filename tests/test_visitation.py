@@ -1,17 +1,17 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
+import poses
 from trivisit._kernels import TriangleKernel
 from trivisit.geom_core import (
     OutsideTriangleError,
     Point2,
-    Similarity,
-    Triangle,
     dist_point_segment,
     incenter,
     polyline_length,
-    triangle_from_angles,
     VertexId,
     edge_segment,
     shared_vertex,
@@ -28,9 +28,8 @@ from trivisit.visitation import (
 )
 
 from conftest import random_interior_point, random_triangle
+from poses import EQ, RI
 
-EQ = triangle_from_angles(math.pi / 3, math.pi / 3)
-RI = triangle_from_angles(math.pi / 4, math.pi / 4)
 FAST_ORACLE = OracleConfig(coarse_resolution=24, tol=1e-11)
 
 
@@ -192,13 +191,16 @@ class TestVisitThreeOrdered:
         traj = visit_three_ordered(RI, Point2(0.5, 0.25), VisitOrder.LRD)
         assert traj.cost == pytest.approx(0.75, abs=1e-9)
 
-    def test_cost_equals_polyline(self, rng):
-        for _ in range(60):
-            t = random_triangle(rng, posed=True)
-            p = random_interior_point(rng, t)
-            for order in VisitOrder:
-                traj = visit_three_ordered(t, p, order)
-                assert abs(traj.cost - polyline_length(traj.waypoints)) < 1e-12 * max(1.0, traj.cost)
+    @settings(max_examples=13)
+    @given(poses.instances(n=5, **{**poses.PLAIN, "binary": (-1000, 1000)}))
+    def test_cost_equals_polyline(self, instances):
+        # In base lengths: the pose's scale divided out.  A right triangle
+        # with a 1 deg angle, its apex rounded by 5e-15, has a witness 6.7e-13
+        # base lengths longer than its cost (near the right angle, a bounce
+        # point 3.3e-13 beyond the apex), which is 1.07e-12 at scale 1.6.
+        for inst, order in itertools.product(instances, VisitOrder):
+            traj, s = visit_three_ordered(inst.t, inst.q, order), inst.pose.scale
+            assert abs(traj.cost / s - polyline_length(traj.waypoints) / s) < 1e-12 * max(1.0, traj.cost / s)
 
     def test_all_edges_touched(self, rng):
         for _ in range(60):
@@ -242,21 +244,14 @@ class TestVisitThreeOrdered:
                 vout = (nxt - here).unit()
                 assert abs(abs(vin.dot(d)) - abs(vout.dot(d))) < 1e-9
 
-    def test_similarity_equivariance(self, rng):
-        for _ in range(40):
-            t = random_triangle(rng)
-            p = random_interior_point(rng, t)
-            sim = Similarity(
-                rng.uniform(0, 2 * math.pi), rng.uniform(0.3, 4.0),
-                Point2(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-            )
-            t2 = Triangle(sim.apply(t.a), sim.apply(t.b), sim.apply(t.c))
-            p2 = sim.apply(p)
-            for order in VisitOrder:
-                tr1 = visit_three_ordered(t, p, order)
-                tr2 = visit_three_ordered(t2, p2, order)
-                assert tr2.cost == pytest.approx(tr1.cost * sim.scale, rel=1e-9)
-                assert tr2.kind is tr1.kind
+    @settings(max_examples=9)
+    @given(poses.instances(kinds=("interior",), n=5, **{**poses.PLAIN, "binary": (-1000, 1000)}))
+    def test_similarity_equivariance(self, instances):
+        for inst, order in itertools.product(instances, VisitOrder):
+            tr1 = visit_three_ordered(inst.std, inst.p, order)
+            tr2 = visit_three_ordered(inst.t, inst.q, order)
+            assert tr2.cost == pytest.approx(tr1.cost * inst.pose.scale, rel=1e-9)
+            assert tr2.kind is tr1.kind
 
     def test_matches_oracle(self, rng):
         for _ in range(40):
