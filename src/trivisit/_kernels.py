@@ -14,8 +14,10 @@ two-edge visit, the cheaper order of an edge pair, and the optimal orders
 (R3).  Raster maps and ratio maximization read its costs and masks directly;
 ``visitation`` and ``fleet_costs`` evaluate a kernel of the standard-form
 triangle at one point and build witnesses only for what it marks admissible
-or optimal.  Costs are in each triangle's own scale, and the slack scales
-with the base edge.
+or optimal.  Every kernel is built on standard-form triangles
+(``Triangle.standard``), whose base is the unit: costs are in base lengths,
+and the one float ``BOUNDARY_TOL`` is every triangle's slack.  Callers map
+points into standard form and scale costs back to the pose.
 
 Two tables hold every cost: the segment table, whose nine members are the
 three edges and the six ordered edge pairs, and the unfolding table of the
@@ -67,9 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from .geom_core import (
-    SEGMENT_EPS,
     EdgeId,
-    GeometryError,
     Triangle,
     VertexId,
     VisitOrder,
@@ -78,7 +78,7 @@ from .geom_core import (
     shared_vertex,
 )
 
-# Classification slack for indicator lines and ties, in standard-form scale.
+# Classification slack for indicator lines and ties, in base lengths.
 BOUNDARY_TOL = 1e-9
 # Cost ties tighter than this are treated as exact when choosing a kind.
 EXACT_TIE = 1e-12
@@ -112,7 +112,6 @@ _ROW_WITNESS = _ROW_UNFOLDS + 8 * len(_ORDERS)  # line2u a, b, c, far_img, alt_f
 _ROW_LINE = {e: _ROW_LINES + 3 * k for k, e in enumerate(_EDGES)}
 _ROW_LENGTH = {e: _ROW_LENGTHS + k for k, e in enumerate(_EDGES)}
 _ROW_VERTEX = {e.endpoints[0]: _ROW_SEGS + 5 * k for k, e in enumerate(_EDGES)}
-_ROW_SCALE = _ROW_LENGTH[EdgeId.D]
 
 
 def _other_end(e: EdgeId, v: VertexId) -> VertexId:
@@ -141,11 +140,10 @@ class StrategyKind(str, Enum):
 
 
 def _line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float, float]:
-    """(a, b, c, length) as ``Line.from_points`` computes them."""
+    """(a, b, c, length) as ``Line.from_points`` computes them, for distinct
+    points."""
     dx, dy = qx - px, qy - py
     n = math.hypot(dx, dy)
-    if n <= SEGMENT_EPS:
-        raise GeometryError("line through coincident points")
     a, b = -dy / n, dx / n
     c = -(a * px + b * py)
     m = math.hypot(a, b)
@@ -159,7 +157,9 @@ def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: floa
     C, as one flat list of plain floats in the ``_ROW_*`` layout.  Each
     value follows the operation order of ``Line.from_points``, ``reflect``,
     ``project`` and ``Point2.unit``, so it equals the one those give bit for
-    bit."""
+    bit.  Every length it divides by is a side's, or a side's image under
+    reflections, which keep it, and the area gate keeps every side of a
+    triangle above zero."""
     xs, ys = (ax, bx, cx), (ay, by, cy)
     lines, lengths, segs = [], [], []
     for i, j in _EDGE_ENDS:
@@ -194,8 +194,6 @@ def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: floa
         fix, fiy = bvx - 2 * d * a2, bvy - 2 * d * b2
         vx, vy = fix - cix, fiy - ciy
         n = math.hypot(vx, vy)
-        if n <= SEGMENT_EPS:
-            raise GeometryError("cannot normalize a near-zero vector")
         ux, uy = vx / n, vy / n
         sigma_z = math.copysign(1.0, ux * (bvx - apx) + uy * (bvy - apy))
         # Foot of the apex on the third edge's line.
@@ -285,8 +283,8 @@ _LONE_PAIRS = tuple(
 
 
 class TriangleKernel:
-    """Triangle rows plus the array evaluators of their two cost tables,
-    and the decision rules that read the costs.
+    """Triangle rows of standard-form triangles plus the array evaluators
+    of their two cost tables, and the decision rules that read the costs.
 
     ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
     plain floats for a single-triangle kernel, for the witness views, and a
@@ -297,15 +295,15 @@ class TriangleKernel:
     which broadcast against (N,) and (T, N) coordinate arrays.
     """
 
+    # Standard-form triangles have a unit base, so one slack serves them all.
+    tol = BOUNDARY_TOL
+
     def __init__(self, t: Triangle | Sequence[Triangle]):
         if isinstance(t, Triangle):
-            row = _row_of(t)
-            self.rows = [row]
-            flat = np.array(row)
-            self.scale = row[_ROW_SCALE]
+            self.rows = [_row_of(t)]
+            flat = np.array(self.rows[0])
         else:
             self.rows = flat = np.array([_row_of(s) for s in t], dtype=float)
-            self.scale = flat[:, _ROW_SCALE, None]
 
         # .T rather than np.moveaxis, which costs about 6 us more per table,
         # and ``eval`` builds a kernel per point.
@@ -315,7 +313,6 @@ class TriangleKernel:
 
         self._segs = table(_ROW_SEGS, len(_SEG_INDEX), 5)
         self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
-        self.tol = BOUNDARY_TOL * self.scale
 
     # -- a single-triangle kernel at one point, on plain floats ----------
 

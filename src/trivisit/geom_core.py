@@ -4,7 +4,9 @@ Plain double-precision geometry: points, normalized implicit lines, segments,
 orientation-preserving similarities, non-obtuse triangles with their named
 edges and edge visit orders, and parabolas.  Triangles are validated on
 construction and normalized to counter-clockwise vertex order; everything
-downstream relies on both.
+downstream relies on both.  Numerical work is done on standard forms, whose
+sides the area gate keeps above 2 * AREA_EPS base lengths, so the primitives
+reject only an exactly zero length.
 """
 
 from __future__ import annotations
@@ -18,31 +20,21 @@ from typing import Iterable, NamedTuple
 AREA_EPS = 1e-12             # relative to the longest side squared
 ANGLE_SLACK = 1e-12          # right angles from float inputs must pass the gate
 ANGLE_SUM_TOL = 1e-9
-SEGMENT_EPS = 1e-12
 CONTAINS_TOL = 1e-9
-# Further slack of ``Triangle.contains``, in ulps of M, the largest coordinate
-# magnitude among the vertices and the point.  A point computed on an edge
-# is off it by rounding of coordinates of size M, and on a thin triangle,
-# whose long sides are many base lengths, that exceeds CONTAINS_TOL of the
-# base.  Over 3.9 million points at fractions 0 to 1 along the edges of posed
-# triangles (angles down to 1e-6 deg, scale 1e-3..1e3, up to 1e4 scales from
-# the origin), checked in the pose and in standard form, the 26,833 that
-# CONTAINS_TOL alone rejected lay at most 1.4 ulps of M outside, so 8 leaves
-# a margin of over 5x.
+# Further slack, in ulps of M, the largest coordinate magnitude, of
+# ``Triangle.contains`` (M over the vertices and the point) and, per unit of
+# the shortest side, of the obtuse gate (M over the vertices).  A point
+# computed on an edge is off it by rounding of coordinates of size M: over
+# 3.9 million points at fractions 0 to 1 along the edges of posed triangles
+# (angles down to 1e-6 deg, scale 1e-3..1e3, up to 1e4 scales from the
+# origin) the 26,833 that CONTAINS_TOL alone rejected lay at most 1.4 ulps
+# of M outside.  Rounding a vertex by an ulp of M turns the angles at the
+# shortest side by up to ulp(M)/shortest: over 144,000 posed right triangles
+# (the thin angle 1e-6 to 45 deg, scale 1e-9..1e9, up to 1e4 scales from
+# the origin) the largest angle exceeded pi/2 by at most 4.9 ulp(M)/shortest,
+# and over the tests' pose sampler by 1.15.  A 90.001 deg angle is still
+# rejected unless M is above 1e10 shortest sides.
 CONTAINS_ULPS = 8
-# Further slack of the obtuse gate, in ulps of M, the largest coordinate
-# magnitude among the vertices, per unit of the shortest side.  Rounding a
-# vertex by an ulp of M turns the angles at the ends of the shortest side by
-# up to ulp(M)/shortest, so a right triangle with a thin angle, posed in
-# coordinates many short sides long, comes out with a right angle above
-# pi/2 + ANGLE_SLACK (by up to 3.5e-9 rad for a 1e-6 deg angle at unit
-# base).  Over 144,000 right triangles (the thin angle 1e-6 to 45 deg at a
-# base vertex or with the right angle at the apex, in standard form and
-# posed at scale 1e-9..1e9, rotated, and up to 1e4 scales from the origin)
-# the largest angle exceeded pi/2 by at most 4.9 ulp(M)/shortest, so 16
-# leaves a margin of over 3x.  A 90.001 deg angle is still rejected unless M
-# is above 5e9 shortest sides.
-ANGLE_ULPS = 16
 
 
 class GeometryError(ValueError):
@@ -93,8 +85,8 @@ class Point2(NamedTuple):
 
     def unit(self) -> "Point2":
         n = self.norm()
-        if n <= SEGMENT_EPS:
-            raise GeometryError("cannot normalize a near-zero vector")
+        if n == 0.0:
+            raise GeometryError("cannot normalize a zero vector")
         return Point2(self.x / n, self.y / n)
 
     def perp(self) -> "Point2":
@@ -131,7 +123,7 @@ class Line:
     def __post_init__(self):
         n = math.hypot(self.a, self.b)
         if abs(n - 1.0) > 1e-12:
-            if n <= SEGMENT_EPS:
+            if n == 0.0:
                 raise GeometryError("degenerate line")
             object.__setattr__(self, "a", self.a / n)
             object.__setattr__(self, "b", self.b / n)
@@ -141,7 +133,7 @@ class Line:
     def from_points(cls, p: Point2, q: Point2) -> "Line":
         d = q - p
         n = d.norm()
-        if n <= SEGMENT_EPS:
+        if n == 0.0:
             raise GeometryError("line through coincident points")
         a, b = -d.y / n, d.x / n
         return cls(a, b, -(a * p.x + b * p.y))
@@ -168,7 +160,7 @@ class Segment:
     p1: Point2
 
     def __post_init__(self):
-        if self.p0.dist(self.p1) <= SEGMENT_EPS:
+        if self.p0 == self.p1:
             raise GeometryError("degenerate segment")
 
     @property
@@ -247,7 +239,7 @@ class Triangle:
         m = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy))
         # The turn of an angle at the shortest side that rounding by an ulp of M causes.
         self._ulp_turn = math.ulp(m) * f / math.sqrt(min(sides2))
-        if max(self.angle_a, self.angle_b, self.angle_c) > math.pi / 2 + max(ANGLE_SLACK, ANGLE_ULPS * self._ulp_turn):
+        if max(self.angle_a, self.angle_b, self.angle_c) > math.pi / 2 + max(ANGLE_SLACK, CONTAINS_ULPS * self._ulp_turn):
             raise ObtuseTriangleError(
                 "obtuse triangle: angles (deg) = "
                 f"{math.degrees(self.angle_a):.6f}, {math.degrees(self.angle_b):.6f}, "
@@ -308,14 +300,12 @@ class Triangle:
         a_std = sim.apply(self.a)
         # Rounding can leave a pose, and its image, obtuse by more than the
         # kernel's unfoldings bear (on thin right triangles they find paths as
-        # short as the short side).  If the pose is no more obtuse than moving
-        # a vertex by CONTAINS_ULPS ulps of M makes it, the apex moves out of
-        # the circle on BC and into the strip over BC; if more, the gate decides.
+        # short as the short side).  The gate let the pose through, so it is no
+        # more obtuse than moving a vertex by CONTAINS_ULPS ulps of M makes it:
+        # the apex moves out of the circle on BC and into the strip over BC.
         x, y = a_std.x, abs(a_std.y)
         angles = (math.atan2(y, x), math.atan2(y, 1.0 - x), math.atan2(y, y * y - x * (1.0 - x)))
-        rounded = max(self.angle_a, self.angle_b, self.angle_c) <= math.pi / 2 + max(
-            ANGLE_SLACK, CONTAINS_ULPS * self._ulp_turn)
-        if max(angles) > math.pi / 2 + ANGLE_SLACK and rounded:
+        if max(angles) > math.pi / 2 + ANGLE_SLACK:
             d = math.hypot(x - 0.5, y)
             if d < 0.5:
                 x, y = 0.5 + (x - 0.5) * (0.5 / d), y * (0.5 / d)
@@ -502,7 +492,7 @@ class Parabola:
     directrix: Line
 
     def __post_init__(self):
-        if abs(self.directrix.signed_dist(self.focus)) <= 1e-12:
+        if self.directrix.signed_dist(self.focus) == 0.0:
             raise GeometryError("parabola focus lies on the directrix")
 
     @property

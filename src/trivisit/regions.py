@@ -8,6 +8,12 @@ left/right-first equal-cost locus) are cross-checks: sampled points on them
 must tie the two strategies they separate.  They are built from ``geom_core``
 pieces and the kernel's unfolding constants (``TriangleKernel.order_witness``)
 alone.
+
+Maps and chains are computed on the triangle's standard form, so that no
+similarity changes them: a raster labels the standard form's lattice with
+its kernel, and a chain builds and evaluates its pieces there.  Only the
+points they hand out (cell points, piece ends, ``point_at`` and ``sample``)
+are mapped to the triangle's pose, once.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .geom_core import (
     Parabola,
     Point2,
     Segment,
+    Similarity,
     Triangle,
     VertexId,
     VisitOrder,
@@ -38,7 +45,7 @@ from .geom_core import (
     opposite_edge,
 )
 
-_PIECE_EPS = 1e-9           # pieces shorter than this are dropped
+_PIECE_EPS = 1e-9           # pieces shorter than this many base lengths are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -47,38 +54,40 @@ _PIECE_EPS = 1e-9           # pieces shorter than this are dropped
 
 @dataclass(frozen=True)
 class SegmentPiece:
-    seg: Segment
+    seg: Segment            # in standard form
     label: str
+    pose: Similarity        # from standard form to the triangle's pose
 
     @property
     def start(self) -> Point2:
-        return self.seg.p0
+        return self.pose.apply(self.seg.p0)
 
     @property
     def end(self) -> Point2:
-        return self.seg.p1
+        return self.pose.apply(self.seg.p1)
 
     def point_at(self, s: float) -> Point2:
-        return self.seg.point_at(s)
+        return self.pose.apply(self.seg.point_at(s))
 
 
 @dataclass(frozen=True)
 class ParabolaArcPiece:
-    parabola: Parabola
+    parabola: Parabola      # in standard form
     u0: float
     u1: float
     label: str
+    pose: Similarity        # from standard form to the triangle's pose
 
     @property
     def start(self) -> Point2:
-        return self.parabola.point_at(self.u0)
+        return self.pose.apply(self.parabola.point_at(self.u0))
 
     @property
     def end(self) -> Point2:
-        return self.parabola.point_at(self.u1)
+        return self.pose.apply(self.parabola.point_at(self.u1))
 
     def point_at(self, s: float) -> Point2:
-        return self.parabola.point_at(self.u0 + s * (self.u1 - self.u0))
+        return self.pose.apply(self.parabola.point_at(self.u0 + s * (self.u1 - self.u0)))
 
 
 ChainPiece = SegmentPiece | ParabolaArcPiece
@@ -167,32 +176,34 @@ def _extreme_ray_toward(t: Triangle, edge: EdgeId, vertex: VertexId) -> Point2:
 def bisector_separator_point(t: Triangle, vertex: VertexId) -> Point2:
     """Meeting point, on the vertex-to-incenter segment, of the extreme cone
     rays raised from the two adjacent bisector feet."""
-    v = t.vertex(vertex)
-    center = incenter(t)
+    std, sim = t.standard()
+    pose = sim.inverse()
+    v = std.vertex(vertex)
+    center = incenter(std)
     bis = Line.from_points(v, center)
     hits = []
     for edge in EdgeId:
         if vertex not in edge.endpoints:
             continue
-        origin = foot_of_bisector(t, edge.opposite_vertex)
-        ray = _extreme_ray_toward(t, edge, vertex)
+        origin = foot_of_bisector(std, edge.opposite_vertex)
+        ray = _extreme_ray_toward(std, edge, vertex)
         ray_line = Line.from_points(origin, origin + ray)
         hit = ray_line.intersect(bis)
         if hit is None:
             raise GeometryError("cone ray parallel to the vertex bisector")
         hits.append(hit)
     gap = hits[0].dist(hits[1])
-    if gap > 1e-6 * t.base_length:
+    if gap > 1e-6:
         raise GeometryError(
-            f"cone rays miss a common bisector point (gap {gap:g}); "
+            f"cone rays miss a common bisector point (gap {gap:g} base lengths); "
             "construction hypotheses violated"
         )
     f = Point2((hits[0].x + hits[1].x) / 2, (hits[0].y + hits[1].y) / 2)
     # F must lie between the vertex and the incenter.
-    along = (f - v).dot(center - v) / max((center - v).dot(center - v), 1e-300)
+    along = (f - v).dot(center - v) / (center - v).dot(center - v)
     if not (-1e-9 <= along <= 1.0 + 1e-6):
         raise GeometryError("separator point left the vertex-to-incenter segment")
-    return f
+    return pose.apply(f)
 
 
 def _ray_parabola_point(par: Parabola, origin: Point2, direction: Point2) -> Point2:
@@ -218,12 +229,15 @@ def r2_separator(t: Triangle) -> SeparatorChain:
     """Closed chain outside which the two-robot cost is the distance to the
     opposite edge: bisector feet and separator points, with parabola arcs
     replacing the portions inside each wide-angle bouncing subcone."""
+    std, sim = t.standard()
+    pose = sim.inverse()
     feet = {
-        VertexId.A: foot_of_bisector(t, VertexId.A),   # on BC
-        VertexId.B: foot_of_bisector(t, VertexId.B),   # on CA
-        VertexId.C: foot_of_bisector(t, VertexId.C),   # on AB
+        VertexId.A: foot_of_bisector(std, VertexId.A),   # on BC
+        VertexId.B: foot_of_bisector(std, VertexId.B),   # on CA
+        VertexId.C: foot_of_bisector(std, VertexId.C),   # on AB
     }
-    seps = {v: bisector_separator_point(t, v) for v in VertexId}
+    # a standard form is its own, so these are std's points as they are
+    seps = {v: bisector_separator_point(std, v) for v in VertexId}
     # Walk corner by corner: around vertex V the chain runs from the foot on
     # one incident edge through the separator point to the foot on the other.
     corner_feet = {
@@ -238,45 +252,37 @@ def r2_separator(t: Triangle) -> SeparatorChain:
         # Half-angle of the bouncing subcone at v, the starting points whose
         # optimal two-edge visit goes straight to v: 3V - pi about the
         # bisector, a ray at V = pi/3 and empty below.
-        half = (3.0 * t.angle(v) - math.pi) / 2.0
+        half = (3.0 * std.angle(v) - math.pi) / 2.0
         if half <= 1e-12:
-            pieces.extend(_corner_segments(enter, seps[v], leave, label))
+            _append_segment(pieces, enter, seps[v], label, pose)
+            _append_segment(pieces, seps[v], leave, label, pose)
             continue
-        vx = t.vertex(v)
-        opp_line = t.edge_line(opposite_edge(v))
+        vx = std.vertex(v)
+        opp_line = std.edge_line(opposite_edge(v))
         par = Parabola(vx, opp_line)
-        bis = bisector_direction(t, v)
+        bis = bisector_direction(std, v)
         xs = [_ray_parabola_point(par, vx, ray) for ray in (_turned(bis, half), _turned(bis, -half))]
         # Match each arc endpoint with the hexagon side it lies on.
         if _along(enter, seps[v], xs[0]) is None:
             xs.reverse()
         x_in, x_out = xs
-        _append_segment(pieces, enter, x_in, label)
+        _append_segment(pieces, enter, x_in, label, pose)
         u0, u1 = par.param_of(x_in), par.param_of(x_out)
         if abs(u1 - u0) > _PIECE_EPS:
-            pieces.append(ParabolaArcPiece(par, u0, u1, label))
-        _append_segment(pieces, x_out, leave, label)
+            pieces.append(ParabolaArcPiece(par, u0, u1, label, pose))
+        _append_segment(pieces, x_out, leave, label, pose)
     return SeparatorChain(tuple(pieces), "two-robot separator")
 
 
-def _corner_segments(enter: Point2, mid: Point2, leave: Point2, label: str) -> list[ChainPiece]:
-    out: list[ChainPiece] = []
-    _append_segment(out, enter, mid, label)
-    _append_segment(out, mid, leave, label)
-    return out
-
-
-def _append_segment(pieces: list[ChainPiece], p0: Point2, p1: Point2, label: str) -> None:
+def _append_segment(pieces: list[ChainPiece], p0: Point2, p1: Point2, label: str, pose: Similarity) -> None:
     if p0.dist(p1) > _PIECE_EPS:
-        pieces.append(SegmentPiece(Segment(p0, p1), label))
+        pieces.append(SegmentPiece(Segment(p0, p1), label, pose))
 
 
 def _along(a: Point2, b: Point2, p: Point2) -> float | None:
     """Parameter of ``p`` along segment ab when it lies on it; else None."""
     d = b - a
     denom = d.dot(d)
-    if denom <= 1e-300:
-        return None
     s = (p - a).dot(d) / denom
     if -1e-6 <= s <= 1.0 + 1e-6 and abs(d.cross(p - a)) <= 1e-6 * math.sqrt(denom):
         return s
@@ -327,13 +333,15 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
     one order degenerates to a corner hit, and a straight tail once both do,
     which runs on until a case guard flips or the triangle is left (the
     equilateral locus ends at the base midpoint)."""
+    std, sim = t.standard()
+    pose = sim.inverse()
     if apex is None:
-        apex = largest_angle_vertex(t)
+        apex = largest_angle_vertex(std)
     o1, o2 = _orders_for_apex(apex)
     label = f"{o1.value}={o2.value}"
-    kernel = TriangleKernel(t)
+    kernel = TriangleKernel(std)
     w1 = kernel.order_witness(o1)
-    v = t.vertex(apex)
+    v = std.vertex(apex)
     foot = Point2(*w1[5])  # alt_foot: both orders share the apex and the last edge
     altitude = Segment(v, foot)
 
@@ -350,7 +358,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
     crossings = [(bounce_cross(ind[0]), ind, other) for ind, other in ((ind1, ind2), (ind2, ind1))]
     crossings = [c for c in crossings if c[0] is not None]
     if not crossings:
-        return SeparatorChain((SegmentPiece(altitude, label),), label)
+        return SeparatorChain((SegmentPiece(altitude, label, pose),), label)
 
     # The order whose bounce line the altitude crosses first degenerates to
     # a corner hit there; the other still bounces straight.
@@ -359,13 +367,13 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
     )
     u_pt = altitude.point_at(s_u)
     pieces: list[ChainPiece] = []
-    _append_segment(pieces, v, u_pt, label)
+    _append_segment(pieces, v, u_pt, label, pose)
 
     third_line = Line.from_points(corner_st, far_st)
     if abs(third_line.signed_dist(corner_deg)) <= 1e-12:
         # Degenerate parabola (right apex): both unfolded lines coincide and
         # the locus continues straight down the altitude.
-        _append_segment(pieces, u_pt, foot, label)
+        _append_segment(pieces, u_pt, foot, label, pose)
         return SeparatorChain(tuple(pieces), label)
     par = Parabola(corner_deg, third_line)
     u0 = par.param_of(u_pt)
@@ -386,13 +394,13 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
 
     guards = (
         ("bounce", lambda u: bounce_st(at(u))),
-        ("exit", lambda u: _inward_gap(t, at(u))),
+        ("exit", lambda u: _inward_gap(std, at(u))),
         ("restraight", lambda u: -bounce_deg(at(u))),
         ("subopt", lambda u: min(subopt_deg(at(u)), subopt_st(at(u)))),
     )
     u_stop, stop_kind = _first_event(u0, du * direction, guards)
     if abs(u_stop - u0) > _PIECE_EPS:
-        pieces.append(ParabolaArcPiece(par, u0, u_stop, label))
+        pieces.append(ParabolaArcPiece(par, u0, u_stop, label, pose))
     w_pt = par.point_at(u_stop)
     if stop_kind == "bounce":
         # Both orders now end on their unfolded corner vertices, so the tail
@@ -400,7 +408,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         # where those degenerate cases keep holding.
         axis = (corner_st - corner_deg).perp().unit()
         d = axis if axis.dot(w_pt - v) > 0 else -axis
-        z = _ray_exit(t, w_pt, d)
+        z = _ray_exit(std, w_pt, d)
         if z is not None and w_pt.dist(z) > _PIECE_EPS:
             def seg_at(s: float) -> Point2:
                 return Point2(w_pt.x + s * (z.x - w_pt.x), w_pt.y + s * (z.y - w_pt.y))
@@ -411,7 +419,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
                 ("subopt", lambda s: min(subopt_deg(seg_at(s)), subopt_st(seg_at(s)))),
             )
             s_stop, _ = _first_event(0.0, 1.0 / 64.0, line_guards, stop_at=1.0)
-            _append_segment(pieces, w_pt, seg_at(s_stop), label)
+            _append_segment(pieces, w_pt, seg_at(s_stop), label, pose)
     return SeparatorChain(tuple(pieces), label)
 
 
@@ -658,8 +666,9 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
         raise ValueError("raster needs n >= 16")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    kernel = TriangleKernel(t)
-    pts = barycentric_grid(t, n)
+    std, sim = t.standard()
+    kernel = TriangleKernel(std)
+    pts = barycentric_grid(std, n)
     # the grid's lattice indices, in its i-major, j-ascending order
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
 
@@ -672,6 +681,8 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     else:
         dists = kernel.r3_all(pts)
         codes = (2 ** np.arange(3)) @ kernel.farthest_edges(dists, dists.max(axis=0))
+    # mapped in place: new coordinate arrays put a raster run's peak RSS 1-4 MB up
+    pts[:, 0], pts[:, 1] = sim.inverse().apply(Point2(pts[:, 0], pts[:, 1]))
     return RegionMap(t, n, mode, RasterCells(i, j, pts, codes, _LABEL_TABLES[mode]))
 
 

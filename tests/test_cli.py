@@ -7,7 +7,7 @@ import pytest
 
 from trivisit import cli
 from trivisit.cli import EXIT_GEOMETRY, EXIT_USAGE, EvalReport, _eval_json, _json, eval_report, json_dumps, main
-from trivisit.geom_core import Point2, Triangle, triangle_from_angles
+from trivisit.geom_core import ObtuseTriangleError, Point2, Triangle, triangle_from_angles
 from trivisit.oracle import CERTIFY_TOL
 from trivisit.regions import raster_region_map
 
@@ -105,11 +105,12 @@ class TestEval:
 
     def test_small_far_obtuse_triangle_exits_2(self, capsys):
         # A 100 deg apex over a base of 1e-11 at (1000, 1000), where an ulp
-        # is 1.1% of the base.  The pose's gate allows 16 ulps of rounding
-        # and accepts it, but rounding by 8 ulps does not make it right, so
-        # its standard form keeps the obtuse apex and is rejected.
+        # is 1.1% of the base, is 9.9 ulps of rounding obtuse.  The pose's
+        # gate allows the 8 ulps by which the standard form may move the
+        # apex, so it rejects the pose itself.
         v = (1000 + 0.5e-11, 1000 + 0.5e-11 / math.tan(math.radians(50)), 1000.0, 1000.0, 1000 + 1e-11, 1000.0)
-        Triangle(v[:2], v[2:4], v[4:])
+        with pytest.raises(ObtuseTriangleError):
+            Triangle(v[:2], v[2:4], v[4:])
         code, _, err = run_cli(capsys, "eval", "--vertices=" + ",".join(map(repr, v)), "--point=1000,1000")
         assert code == EXIT_GEOMETRY and "obtuse" in err, err
 

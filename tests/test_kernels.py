@@ -18,10 +18,8 @@ from trivisit._kernels import (
 from trivisit.fleet_costs import _SIDES, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
-    GeometryError,
     Line,
     Point2,
-    Triangle,
     VertexId,
     altitude_midpoint,
     incenter,
@@ -101,12 +99,11 @@ class TestStacked:
             np.testing.assert_array_equal(pts[i], barycentric_grid(t, 7, include_vertices=False))
 
 
-# Posed triangles for the kernel, which reads them in the pose: every
-# shape, scale 1e-3 to 1e3 times 2^k for k up to 1000, and up to 1e4 base
-# lengths off the origin.  Smaller scales put sides below SEGMENT_EPS, an
-# absolute length that no line through them passes (see
-# ``test_edges_at_segment_eps_raise``).
-_KERNEL_POSES = {"binary": (0, 1000)}
+# Posed triangles, whose standard forms the kernel tests build their kernels
+# on, as every caller does: every shape, scale 1e-3 to 1e3 times 2^k for |k|
+# up to 1000, and up to 1e4 base lengths off the origin, so that the
+# standard forms carry the rounding of every pose.
+_KERNEL_POSES = {"binary": (-1000, 1000)}
 
 
 def _hexes(value):
@@ -156,8 +153,8 @@ def _segment_row(p0, p1):
 class TestTriangleRow:
     @settings(max_examples=21)
     @given(poses.triangles(n=10, **_KERNEL_POSES))
-    def test_unfoldings_and_tables_match_geom_core(self, triangles):
-        for t in triangles:
+    def test_unfoldings_and_tables_match_geom_core(self, posed):
+        for t in (s.standard()[0] for s in posed):
             k = TriangleKernel(t)
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
@@ -173,11 +170,12 @@ class TestTriangleRow:
                 assert _array_hexes(k._segs[:, _SEG_INDEX[first, second]]) == _hexes(_segment_row(pivot, far_img))
             for e in _EDGES:
                 assert _array_hexes(k._segs[:, _SEG_INDEX[e]]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
-            assert k.scale.hex() == t.base_length.hex()
+            assert k.tol == _kernels.BOUNDARY_TOL
 
     @settings(max_examples=2)
     @given(poses.triangles(n=64, **_KERNEL_POSES))
-    def test_stacked_tables_equal_single_tables(self, tris):
+    def test_stacked_tables_equal_single_tables(self, posed):
+        tris = [t.standard()[0] for t in posed]
         k = TriangleKernel(tris)
         assert k.rows.shape == (64, len(k.rows[0]))
         for i, t in enumerate(tris):
@@ -186,15 +184,7 @@ class TestTriangleRow:
                 stacked = getattr(k, name)[..., i, 0]
                 assert stacked.shape == getattr(one, name).shape[:-1], name
                 assert _array_hexes(stacked) == _array_hexes(getattr(one, name)), name
-            assert k.scale[i, 0].item().hex() == one.scale.hex()
-            assert k.tol[i, 0].item().hex() == one.tol.hex()
-
-    def test_edges_at_segment_eps_raise(self):
-        # Sides this short pass the relative area gate but no line fits them.
-        t = Triangle((0.5e-12, 0.5e-12), (0.0, 0.0), (1e-12, 0.0))
-        for arg in (t, [t]):
-            with pytest.raises(GeometryError):
-                TriangleKernel(arg)
+        assert k.tol == one.tol == _kernels.BOUNDARY_TOL
 
 
 def _package_imports(module: str) -> list[tuple[str, str]]:
@@ -368,12 +358,13 @@ def _case_line_points(k, inside):
 
 @st.composite
 def _masked(draw):
-    """A posed triangle, its kernel and ``_case_line_points`` of 8 of its
-    interior points."""
+    """The standard form of a posed triangle, its kernel and
+    ``_case_line_points`` of 8 of its interior points, mapped to it."""
     inst = draw(poses.instances(kinds=("interior",), **_KERNEL_POSES))
     more = draw(poses.instances(inst.std, ("interior",), n=7))
-    k = TriangleKernel(inst.t)
-    return inst.t, k, _case_line_points(k, [inst.q, *(inst.pose(m.p) for m in more)])
+    std, sim = inst.t.standard()
+    k = TriangleKernel(std)
+    return std, k, _case_line_points(k, [sim.apply(q) for q in (inst.q, *(inst.pose(m.p) for m in more))])
 
 
 def _probe(k, table):
@@ -398,7 +389,7 @@ class TestMaskedCases:
         probes = []
         for alt in (-1e3, 1e3):
             table = k._unfolds.copy()
-            table[7] = alt * k.scale
+            table[7] = alt
             probes.append(table)
         return [k._unfolds, *probes]
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import poses
 from trivisit import regions
+from trivisit._kernels import BOUNDARY_TOL
 from trivisit.fleet_costs import r1, r2, r3
 from trivisit.geom_core import (
     GeometryError,
@@ -33,9 +35,9 @@ from trivisit.regions import (
 )
 from trivisit.visitation import (
     EdgeId,
+    StandardPoint,
     VisitOrder,
     visit_three_ordered,
-    visit_two_set,
 )
 
 from conftest import random_triangle
@@ -45,15 +47,19 @@ THIN = triangle_from_angles(math.radians(85), math.radians(85))
 OPPOSITE = {VertexId.A: EdgeId.D, VertexId.B: EdgeId.R, VertexId.C: EdgeId.L}
 
 
+def tie_gap(t, p, label):
+    """The cost gap at ``p`` between the two strategies that a chain piece
+    with ``label`` separates, in the pose of ``t``."""
+    sp = StandardPoint(t, p)
+    if label.startswith("corner-"):
+        opp = OPPOSITE[VertexId(label[-1])]
+        return abs(sp.drop(opp).cost - sp.two_set(*(e for e in EdgeId if e is not opp)).cost)
+    o1, o2 = (VisitOrder(o) for o in label.split("="))
+    return abs(sp.three_ordered(o1).cost - sp.three_ordered(o2).cost)
+
+
 def chain_pair_gap(t, chain):
-    worst = 0.0
-    for p, label in chain.sample(150):
-        v = VertexId(label.split("-")[1])
-        opp = OPPOSITE[v]
-        pair = tuple(e for e in EdgeId if e is not opp)
-        d_opp = dist_point_segment(p, edge_segment(t, opp))
-        worst = max(worst, abs(d_opp - visit_two_set(t, p, pair).cost))
-    return worst
+    return max(tie_gap(t, p, label) for p, label in chain.sample(150))
 
 
 class TestR3Regions:
@@ -385,15 +391,67 @@ def _percent_to_csv(rm, path):
 
 class TestPosedMaps:
     """A map's label codes are the standard form's, cell by cell, under
-    every rotation and translation, at scales 1e-9 to 1e9.  Below 1e-9 the
-    kernel's lines reject sides shorter than the absolute SEGMENT_EPS."""
+    every rotation and translation, at scales 10^±3·2^±1000."""
 
     @settings(max_examples=8)
-    @given(poses.instances({"least": 0.5}, ("incenter",), scale=(-9.0, 9.0), binary=0, n=3))
+    @given(poses.instances({"least": 0.5}, ("incenter",), n=3))
     def test_label_codes_match_standard_form(self, instances):
         for inst, mode in itertools.product(instances, ("r1", "r2", "r3")):
             want = raster_region_map(inst.std, 32, mode).cells.codes
             np.testing.assert_array_equal(raster_region_map(inst.t, 32, mode).cells.codes, want, err_msg=mode)
+
+    def test_side_of_1e_12_matches_standard_form(self):
+        # A right isosceles triangle with a base of 1e-12: its maps and
+        # chains are its standard form's, mapped to it bit for bit.
+        t = Triangle((0.5e-12, 0.5e-12), (0.0, 0.0), (1e-12, 0.0))
+        std, sim = t.standard()
+        pose = sim.inverse()
+        for mode in ("r1", "r2", "r3"):
+            got, want = raster_region_map(t, 32, mode).cells, raster_region_map(std, 32, mode).cells
+            np.testing.assert_array_equal(got.codes, want.codes, err_msg=mode)
+            assert [c.point for c in got] == [pose.apply(c.point) for c in want], mode
+        for build in (r2_separator, *(functools.partial(r1_lrd_rld_locus, apex=v) for v in (None, *VertexId))):
+            got, want = build(t), build(std)
+            assert [(type(p), p.label) for p in got.pieces] == [(type(p), p.label) for p in want.pieces]
+            assert got.sample(40) == [(pose.apply(p), label) for p, label in want.sample(40)]
+
+
+# Sampled chain points of a posed triangle lie within this many ulps of M,
+# its largest coordinate, per sin^2 of its least angle, of the standard
+# form's points mapped by the pose: rounding the pose moves the standard
+# form's vertices by a few ulps of M in base lengths, and a chain's points
+# move by up to about 1/sin^2 of the least angle times that.  Over 1,500
+# sampled posed triangles, 5 chains each (angles of at least 0.5 deg, scale
+# 10^±3·2^±1000, up to 50 base lengths off the origin), the largest was 3.35.
+_CHAIN_ULPS = 16
+
+
+class TestPosedChains:
+    """The separator chains of a posed triangle are its standard form's,
+    mapped once: the same piece types and labels, and sampled points within
+    ``_CHAIN_ULPS``.  In the pose, the two-robot separator and the locus at
+    the largest angle tie within BOUNDARY_TOL base lengths; the locus at a
+    vertex other than a right triangle's right angle does not tie even in
+    standard form.  The translation stays within 50 base lengths: further
+    off, rounding moves a right angle of the standard form by more than the
+    1e-12 that ``r1_lrd_rld_locus`` takes for exact, and so can change its
+    pieces."""
+
+    @settings(max_examples=8)
+    @given(poses.instances({"least": 0.5}, ("incenter",), shift=50.0, n=3))
+    def test_chains_match_standard_form(self, instances):
+        for inst in instances:
+            m = max(abs(x) for v in inst.t.vertices for x in v)
+            bound = _CHAIN_ULPS * math.ulp(m) / min(math.sin(inst.std.angle(v)) for v in VertexId) ** 2
+            for apex in ("r2", None, *VertexId):
+                build = r2_separator if apex == "r2" else functools.partial(r1_lrd_rld_locus, apex=apex)
+                got, want = build(inst.t), build(inst.std)
+                assert [(type(p), p.label) for p in got.pieces] == [(type(p), p.label) for p in want.pieces]
+                sample = got.sample(40)
+                gaps = [p.dist(inst.pose(q)) for (p, _), (q, _) in zip(sample, want.sample(40))]
+                assert max(gaps) <= bound, (apex, max(gaps) / bound)
+                if apex in ("r2", None):
+                    assert max(tie_gap(inst.t, p, label) for p, label in sample) <= BOUNDARY_TOL * inst.pose.scale
 
 
 def _posed(scale, dx, dy):
