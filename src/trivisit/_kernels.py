@@ -424,12 +424,12 @@ class TriangleKernel:
         the broadcast is several times faster (32-36 against 130-220 us for
         the six orders); the two are level near ``_BROADCAST_POINTS`` (0.54
         against 0.48 ms, and 0.60 against 0.72 ms, at 2,048 points on one
-        triangle; on a stacked sweep chunk the loop is faster from about
-        3,000 points), and on a 512 raster the loop is faster (20-27 against
-        40-43 ms) with temporaries six times smaller (one shared 2-core
-        host).  Stacking a list of the members' results instead of writing
-        them in place makes the peak RSS of a 512 r1 raster several MB
-        higher."""
+        triangle; on a stacked kernel the loop is faster from about 3,000
+        points, and a sweep chunk holds 9,760).  A raster map passes blocks of
+        8,192 points, where the two are level on one triangle (0.7-0.9 ms
+        each for the six orders; one shared 2-core host).  Writing each
+        member's result in place, not stacking a list of them, holds one
+        copy of the (count, ...) result."""
         if pts.size <= 2 * _BROADCAST_POINTS:
             return body(pts, table)
         out = np.empty((table.shape[1],) + pts.shape[:-1])

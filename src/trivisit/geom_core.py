@@ -457,9 +457,13 @@ def project(p: Point2, line: Line) -> Point2:
 
 def nearest_on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
     """(x, y, distance) of the point of segment (ax, ay)-(bx, by) nearest to
-    (px, py).  Plain floats: no ``Segment`` and so no minimum length."""
+    (px, py).  Plain floats: no ``Segment`` and so no minimum length.  The
+    projection's differences are scaled by 2^-k, as ``Triangle``'s gates
+    scale theirs, so its squares neither underflow nor overflow."""
     dx, dy = bx - ax, by - ay
-    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    f = math.ldexp(1.0, -max(math.frexp(max(abs(dx), abs(dy)))[1], -1021))
+    sx, sy = dx * f, dy * f
+    t = ((px - ax) * f * sx + (py - ay) * f * sy) / (sx * sx + sy * sy)
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     qx, qy = ax + t * dx, ay + t * dy
     return qx, qy, math.hypot(px - qx, py - qy)

@@ -88,8 +88,8 @@ def _ordered3_row(t: Triangle, p: Point2, order: VisitOrder) -> tuple[float, ...
 
 def _fix_first(row: tuple[float, ...], t1: float):
     """h(t2) = f(t1, t2) for a fixed first bounce: the first leg is paid
-    once, and the nearest point of the third edge is clamped inline in the
-    same operations as ``nearest_on_segment``, so values match it bit for bit."""
+    once, and the nearest point of the third edge is clamped inline, giving
+    the same values as ``nearest_on_segment`` bit for bit."""
     px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row
     x1x = a1x + t1 * d1x
     x1y = a1y + t1 * d1y

@@ -562,7 +562,9 @@ class RegionMap:
         rounded conversion ``%.17g`` makes, and are laid out in fixed
         notation without trailing zeros.  Zeros, non-finite values and
         magnitudes outside [2^-13, 2^50) take ``%.17g`` itself, one at a
-        time.  Rows are built and written ``_CSV_CHUNK`` at a time.
+        time.  Rows are built and written ``_CSV_CHUNK`` at a time, and in
+        each chunk a run of bit-equal neighbouring coordinates is converted
+        once: in standard form, y is one value per lattice row.
         """
         c = self.cells
         # NUL-padded cells: the comma and CRLF ride on the index and label
@@ -573,7 +575,7 @@ class RegionMap:
             fh.write(b"i,j,x,y,label\r\n")
             for s in range(0, len(c), _CSV_CHUNK):
                 part = slice(s, s + _CSV_CHUNK)
-                x, y = _format_g17(c.xy[part, 0]), _format_g17(c.xy[part, 1])
+                x, y = _format_runs(c.xy[part, 0]), _format_runs(c.xy[part, 1])
                 comma = np.full((len(x), 1), ord(","), dtype=np.uint8)
                 rows = np.concatenate((ints[c.i[part]], ints[c.j[part]], x, comma, y, comma, labels[c.codes[part]]), axis=1)
                 fh.write(rows.tobytes().translate(None, b"\0"))
@@ -656,6 +658,25 @@ _LABEL_TABLES = {
 }
 
 
+# Lattice points labelled per kernel pass, so that each pass's (6, block)
+# costs and their temporaries stay in cache.  On the 512 map of the 50/70
+# triangle, raster_region_map took 24.2 ms in r1 and 30.7 ms in r2, against
+# 30.4 and 40.9 ms in one pass over the lattice (BENCH_24.json).
+_LABEL_BLOCK = 8192
+
+
+def _label_codes(kernel: TriangleKernel, pts: np.ndarray, mode: str) -> np.ndarray:
+    """Label code of each of ``pts``, indexing ``_LABEL_TABLES[mode]``."""
+    if mode == "r1":
+        costs = kernel.r1_all(pts)
+        return (2 ** np.arange(6)) @ kernel.optimal_orders(costs, costs.min(axis=0))
+    if mode == "r2":
+        singles, pairs, costs = kernel.r2_partitions(pts)
+        return (4 ** np.arange(3)) @ kernel.r2_sides(singles, pairs, costs, costs.min(axis=0))
+    dists = kernel.r3_all(pts)
+    return (2 ** np.arange(3)) @ kernel.farthest_edges(dists, dists.max(axis=0))
+
+
 def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     """Label every barycentric lattice point by its optimal strategy.
 
@@ -671,16 +692,9 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     pts = barycentric_grid(std, n)
     # the grid's lattice indices, in its i-major, j-ascending order
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
-
-    if mode == "r1":
-        costs = kernel.r1_all(pts)
-        codes = (2 ** np.arange(6)) @ kernel.optimal_orders(costs, costs.min(axis=0))
-    elif mode == "r2":
-        singles, pairs, costs = kernel.r2_partitions(pts)
-        codes = (4 ** np.arange(3)) @ kernel.r2_sides(singles, pairs, costs, costs.min(axis=0))
-    else:
-        dists = kernel.r3_all(pts)
-        codes = (2 ** np.arange(3)) @ kernel.farthest_edges(dists, dists.max(axis=0))
+    codes = np.empty(len(pts), dtype=np.int64)
+    for s in range(0, len(pts), _LABEL_BLOCK):
+        codes[s:s + _LABEL_BLOCK] = _label_codes(kernel, pts[s:s + _LABEL_BLOCK], mode)
     # mapped in place: new coordinate arrays put a raster run's peak RSS 1-4 MB up
     pts[:, 0], pts[:, 1] = sim.inverse().apply(Point2(pts[:, 0], pts[:, 1]))
     return RegionMap(t, n, mode, RasterCells(i, j, pts, codes, _LABEL_TABLES[mode]))
@@ -838,3 +852,17 @@ def _format_g17(v: np.ndarray) -> np.ndarray:
         formatted = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype=f"S{_G17_WIDTH}")
         out[slow] = formatted.view(np.uint8).reshape(len(slow), _G17_WIDTH)
     return out
+
+
+def _format_runs(v: np.ndarray) -> np.ndarray:
+    """``_format_g17(v)``, with each run of bit-equal neighbours in ``v``
+    formatted once.  Comparing bits keeps 0.0 and -0.0 apart and NaN with
+    NaN.  Where no neighbours repeat, as on most posed maps, nothing is
+    gathered."""
+    bits = v.view(np.int64)
+    new = np.ones(len(v), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if new.all():
+        return _format_g17(v)
+    # ``take`` gathers the rows about 3x faster than fancy indexing
+    return _format_g17(v[new]).take(np.cumsum(new) - 1, axis=0)

@@ -17,6 +17,8 @@ from trivisit.geom_core import (
     Similarity,
     Triangle,
     dist_point_segment,
+    edge_segment,
+    EdgeId,
     foot_of_bisector,
     incenter,
     nearest_on_segment,
@@ -254,6 +256,18 @@ class TestLineOps:
         assert dist_point_segment(Point2(0.5, 0.5), seg) == pytest.approx(0.5)
         assert dist_point_segment(Point2(2.0, 0.0), seg) == pytest.approx(1.0)
         assert nearest_on_segment(2.0, 1.0, *seg.p0, *seg.p1) == (1.0, 0.0, math.hypot(1.0, 1.0))
+
+    @pytest.mark.parametrize("k", [-600, -537, 520, 600])
+    def test_dist_point_segment_scales_exactly(self, k):
+        # Squared edge lengths underflow below about 2^-537 and overflow
+        # above about 2^511; the projection must not form them unscaled.
+        t = triangle_from_angles(math.radians(70), math.radians(55))
+        tk = Triangle(*(Point2(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in t.vertices))
+        for p in (Point2(0.5, 0.3), Point2(1.3, 0.2), Point2(-0.2, 0.9), incenter(t), t.a):
+            pk = Point2(math.ldexp(p.x, k), math.ldexp(p.y, k))
+            for e in EdgeId:
+                want = math.ldexp(dist_point_segment(p, edge_segment(t, e)), k)
+                assert dist_point_segment(pk, edge_segment(tk, e)) == want, (p, e)
 
     def test_line_normalized(self):
         line = Line(3.0, 4.0, 10.0)

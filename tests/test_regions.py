@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poses
@@ -374,6 +374,19 @@ def test_format_g17_matches_percent_format(values):
     _assert_g17(values)
 
 
+_RUN_POOL = (0.0, -0.0, math.nan, 1.0, math.nextafter(1.0, 0.0), 2.0**50 + 2.0, 2.0**-13 / 3)
+
+
+@example([0.0, -0.0, -0.0, 0.0, math.nan, math.nan])
+@given(st.lists(st.sampled_from(_RUN_POOL), min_size=1, max_size=64))
+def test_format_runs_matches_format_g17(values):
+    # "0" next to "-0" shows that 0.0 and -0.0 stay two runs.  Both columns
+    # of an (N, 2) array, as ``to_csv`` passes them.
+    xy = np.array([values, values[::-1]]).T
+    for v in (xy[:, 0], xy[:, 1]):
+        np.testing.assert_array_equal(regions._format_runs(v), regions._format_g17(v))
+
+
 def _percent_to_csv(rm, path):
     """The one-pass ``%`` writer: the reference ``RegionMap.to_csv`` must
     match byte for byte."""
@@ -454,6 +467,11 @@ class TestPosedChains:
                     assert max(tie_gap(inst.t, p, label) for p, label in sample) <= BOUNDARY_TOL * inst.pose.scale
 
 
+# A base parallel to the y axis: the pose maps each lattice row to a run of
+# mostly bit-equal x values.
+VERTICAL = Triangle((3.0, 1.0), (-2.5, -1.0), (-2.5, 5.0))
+
+
 def _posed(scale, dx, dy):
     t = triangle_from_angles(math.radians(70), math.radians(55))
     return Triangle(*(Point2(v.x * scale + dx, v.y * scale + dy) for v in t.vertices))
@@ -465,8 +483,9 @@ def _posed(scale, dx, dy):
         (_posed(1e-6, 0.0, 0.0), "r1"),       # every coordinate below 2^-13: all take %.17g
         (_posed(1.0, -3.0, -2.0), "r2"),      # negative quadrant
         (_posed(1.0, 1e9, 1e9), "r3"),        # 10 significant digits before the point
+        (VERTICAL, "r1"),                     # x repeats along lattice rows
     ],
-    ids=["tiny", "negative", "far"],
+    ids=["tiny", "negative", "far", "vertical"],
 )
 def test_to_csv_matches_percent_writer(t, mode, tmp_path):
     rm = raster_region_map(t, 40, mode)
@@ -482,6 +501,18 @@ def test_to_csv_chunks_fall_mid_map(tmp_path, monkeypatch):
     rm.to_csv(tmp_path / "m.csv")
     _percent_to_csv(rm, tmp_path / "ref.csv")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
+def test_label_blocks_fall_mid_map(monkeypatch, mode):
+    # 2,080 cells: one block loops over the kernel's members, and 7-point
+    # blocks broadcast over them (``_kernels._BROADCAST_POINTS``)
+    t = triangle_from_angles(math.radians(45), math.radians(45))
+    monkeypatch.setattr(regions, "_LABEL_BLOCK", 2080)
+    whole = raster_region_map(t, 64, mode).cells.codes
+    monkeypatch.setattr(regions, "_LABEL_BLOCK", 7)
+    assert len(whole) % 7
+    np.testing.assert_array_equal(raster_region_map(t, 64, mode).cells.codes, whole)
 
 
 CHAINS_GOLDEN_PATH = Path(__file__).parent / "data" / "chains_golden.json"
