@@ -7,9 +7,9 @@ midpoints, where the paper places the maximizers of the three ratio pairs.
 infimum and supremum; infima are limits over degenerating shapes, so they
 are reported as approached, never attained.  Both evaluate ``_maximize`` on
 a stacked kernel: ``max_ratio`` on a batch of one triangle,
-``sweep_triangles`` on chunks of the cells with B >= C; each cell with
-B < C is the mirror image of a computed one, and its row is filled from
-that row.  The seeds come from the kernel
+``sweep_triangles`` on chunks of one cell per triangle, the one with
+A >= B >= C; every other cell of the grid is the same triangle relabeled,
+and its row is filled from the computed one.  The seeds come from the kernel
 (``TriangleKernel.seeds``), with the arithmetic of ``incenter`` and
 ``altitude_midpoint``.
 """
@@ -211,19 +211,22 @@ _SWEEP_GRID = 24  # barycentric points per side in each sweep cell
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
     """Per-triangle max_ratio over the (angle B, angle C) grid.
 
-    Cells are independent, and cell (C, B) is the mirror image of cell
-    (B, C), which leaves R_n/R_m unchanged.  So only the cells with B >= C
-    are computed, the diagonal included.  They run on one thread in
-    fixed-size chunks, in cell order, each chunk on one stacked kernel
-    (``_maximize``); every computed cell follows the same arithmetic as
-    ``max_ratio`` on its own, so results do not depend on the chunk size.
-    The chunk size bounds the memory of a batch.  Each row with B < C is
-    its mirror's row with the argmax reflected in standard form, x -> 1 - x,
-    so mirror rows are equal by construction.  The per-cell grid
-    (``_SWEEP_GRID``) is coarse on purpose: the extremal values come from
-    the seeded witnesses, which every computed cell evaluates, and coarser
-    angle grids are subsets of finer ones, so running inf/sup values stay
-    monotone in the step size.
+    Cells are independent, and R_n/R_m is a property of the triangle, not
+    of its labels, so one cell per triangle is computed: the one with the
+    apex at the largest angle and B >= C (``_source_cell``).  They run on
+    one thread in fixed-size chunks, in cell order, each chunk on one
+    stacked kernel (``_maximize``); every computed cell follows the same
+    arithmetic as ``max_ratio`` on its own, so results do not depend on the
+    chunk size.  The chunk size bounds the memory of a batch.  Each other
+    row with B >= C is its triangle's computed row relabeled
+    (``_relabeled_row``), and each row with B < C is its mirror's row with
+    the argmax reflected in standard form, x -> 1 - x, so mirror rows are
+    equal by construction.  A cell whose relabelings are off the grid, as
+    when 180 is not a multiple of the step, is computed itself.  The
+    per-cell grid (``_SWEEP_GRID``) is coarse on purpose: the extremal
+    values come from the seeded witnesses, which every computed cell
+    evaluates, and coarser angle grids are subsets of finer ones, so
+    running inf/sup values stay monotone in the step size.
     """
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -233,16 +236,48 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     cells = _sweep_cells(step_deg, eps_apex_deg)
     if not cells:
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
-    computed = [(b, c) for b, c in cells if b >= c]
+    on_grid = set(cells)
+    source = {(b, c): _source_cell(b, c, on_grid) for b, c in cells if b >= c}
+    computed = [cell for cell, src in source.items() if src == cell]
     found = {}
     for lo in range(0, len(computed), _CHUNK):
         chunk = computed[lo:lo + _CHUNK]
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
-        for (b, c), (argmax, rn, rm) in zip(chunk, _maximize(stds, n, m, _SWEEP_GRID)):
-            found[b, c] = SweepRow(b, c, rn / rm, argmax, rn, rm)
+        for (b, c), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m, _SWEEP_GRID)):
+            found[b, c] = std, SweepRow(b, c, rn / rm, argmax, rn, rm)
+    rows = {cell: found[cell][1] if src == cell else _relabeled_row(*cell, *found[src])
+            for cell, src in source.items()}
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(
-        found[b, c] if b >= c else _mirror_row(found[c, b]) for b, c in cells
+        rows[b, c] if b >= c else _mirror_row(rows[c, b]) for b, c in cells
     ))
+
+
+def _source_cell(b: float, c: float, on_grid: set) -> tuple[float, float]:
+    """The cell whose row gives cell (b, c)'s, for B >= C: the same
+    triangle with its angles sorted, (y, z) of x >= y >= z, when that is a
+    grid cell whose third angle is x bit for bit; else (b, c) itself."""
+    x, y, z = sorted((180.0 - b - c, b, c), reverse=True)
+    return (y, z) if (y, z) in on_grid and 180.0 - y - z == x else (b, c)
+
+
+def _relabeled_row(b: float, c: float, std: Triangle, row: SweepRow) -> SweepRow:
+    """Row of cell (b, c) from ``row``, the computed row of the same triangle
+    with other labels, in standard form ``std``.
+
+    The computed triangle's vertices, A then B then C, are the cell's in
+    descending order of its angles (A, B, C on ties).  The cell's standard
+    form has the base opposite its own A, so its costs are the computed ones
+    divided by that side's length, and its argmax is the computed one under
+    the similarity that takes the cell's B and C to (0, 0) and (1, 0),
+    reflected when the relabeling reverses the orientation."""
+    angles = (180.0 - b - c, b, c)
+    order = sorted(range(3), key=angles.__getitem__, reverse=True)  # stable on ties
+    (ax, ay), (bx, by), (cx, cy) = (std.vertices[order.index(k)] for k in range(3))
+    dx, dy, ux, uy = cx - bx, cy - by, row.argmax.x - bx, row.argmax.y - by
+    dd, side = dx * dx + dy * dy, math.hypot(dx, dy)
+    turn = math.copysign(1.0, dx * (ay - by) - dy * (ax - bx))
+    rn, rm = row.rn / side, row.rm / side
+    return SweepRow(b, c, rn / rm, Point2((ux * dx + uy * dy) / dd, turn * (dx * uy - dy * ux) / dd), rn, rm)
 
 
 def _mirror_row(row: SweepRow) -> SweepRow:

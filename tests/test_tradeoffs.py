@@ -163,21 +163,22 @@ class TestSweep:
             sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
 
     def test_max_ratio_reproduces_sweep_row(self):
-        # (70, 50) has B >= C, so the sweep computes it rather than mirroring it.
-        row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (70.0, 50.0))
-        t = triangle_from_angles(math.radians(70.0), math.radians(50.0))
+        # (60, 50) has its apex at the largest angle and B >= C, so the sweep
+        # computes it rather than filling it from another cell.
+        row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (60.0, 50.0))
+        t = triangle_from_angles(math.radians(60.0), math.radians(50.0))
         rep = max_ratio(t, 2, 3, grid=24)
         assert (rep.ratio, rep.rn, rep.rm, rep.argmax) == (row.ratio, row.rn, row.rm, row.argmax)
 
     def test_mirror_row_is_computed_row_reflected(self):
         rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(2, 3, step_deg=10.0).rows}
-        row, mirror = rows[70.0, 50.0], rows[50.0, 70.0]
+        row, mirror = rows[60.0, 50.0], rows[50.0, 60.0]
         assert (mirror.ratio, mirror.rn, mirror.rm) == (row.ratio, row.rn, row.rm)
         assert mirror.argmax == Point2(1.0 - row.argmax.x, row.argmax.y)
 
-    @pytest.mark.parametrize("step", [5.0, 10.0])
-    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
-    def test_every_mirror_row_is_filled_from_its_computed_row(self, n, m, step, monkeypatch):
+    @staticmethod
+    def _built_cells(monkeypatch, n, m, step):
+        """(rows by cell, the (B, C) cells whose triangles the sweep built)."""
         built = []
 
         def spy(ang_b, ang_c):
@@ -186,13 +187,49 @@ class TestSweep:
 
         monkeypatch.setattr(tradeoffs, "triangle_from_angles", spy)
         rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(n, m, step_deg=step).rows}
-        # Exactly the cells with B >= C are computed, the diagonal included.
-        assert sorted(built) == sorted((math.radians(b), math.radians(c)) for b, c in rows if b >= c)
+        by_radians = {(math.radians(b), math.radians(c)): (b, c) for b, c in rows}
+        return rows, sorted(by_radians[cell] for cell in built)
+
+    @pytest.mark.parametrize("step", [5.0, 10.0])
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_every_mirror_row_is_filled_from_its_computed_row(self, n, m, step, monkeypatch):
+        rows, built = self._built_cells(monkeypatch, n, m, step)
+        # Exactly the cells with A >= B >= C are built, one per triangle on
+        # the grid; every other row is filled.
+        assert built == sorted((b, c) for b, c in rows if 180.0 - b - c >= b >= c)
         for (b, c), mirror in rows.items():
             if b < c:
                 row = rows[c, b]
                 assert (mirror.ratio, mirror.rn, mirror.rm) == (row.ratio, row.rn, row.rm), (b, c)
                 assert mirror.argmax == Point2(1.0 - row.argmax.x, row.argmax.y), (b, c)
+
+    def test_off_grid_relabelings_are_computed(self, monkeypatch):
+        # 180 is not a multiple of 7, so no cell's relabeling with another
+        # apex is on the grid, and every cell with B >= C is computed.
+        rows, built = self._built_cells(monkeypatch, 1, 3, 7.0)
+        assert built == sorted((b, c) for b, c in rows if b >= c)
+
+    @pytest.mark.parametrize("step", [10.0, 7.0, 5.0, 4.0])
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_ratio_is_rn_over_rm(self, n, m, step):
+        # Computed, relabeled and mirrored rows alike.
+        assert all(r.ratio == r.rn / r.rm for r in sweep_triangles(n, m, step_deg=step).rows)
+
+    @pytest.mark.parametrize("step", [5.0, 4.0])
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_every_row_matches_its_own_max_ratio(self, n, m, step):
+        # 1e-14 is about twice the largest move from the direct value measured
+        # over the 5 and 1 deg sweeps (4.8e-15 relative in rn and rm, 2.9e-15
+        # in the argmax).  On plateaus (isosceles cells with tied seeds) the
+        # argmax may land on another maximizer, as in test_sweep_matches_golden.
+        for row in sweep_triangles(n, m, step_deg=step).rows:
+            cell = (row.b_deg, row.c_deg)
+            t = triangle_from_angles(math.radians(row.b_deg), math.radians(row.c_deg))
+            rep = max_ratio(t, n, m, grid=24)
+            for got, want in ((row.ratio, rep.ratio), (row.rn, rep.rn), (row.rm, rep.rm)):
+                assert abs(got - want) <= 1e-14 * want, cell
+            if row.argmax.dist(rep.argmax) > 1e-14:
+                assert abs(ratio_at(t, row.argmax, n, m) - rep.ratio) <= 1e-12, cell
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_10deg.json").read_text())
