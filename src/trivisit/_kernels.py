@@ -16,8 +16,9 @@ two-edge visit, the cheaper order of an edge pair, and the optimal orders
 triangle at one point and build witnesses only for what it marks admissible
 or optimal.  Every kernel is built on standard-form triangles
 (``Triangle.standard``), whose base is the unit: costs are in base lengths,
-and the one float ``BOUNDARY_TOL`` is every triangle's slack.  Callers map
-points into standard form and scale costs back to the pose.
+so every rule reads the constant ``BOUNDARY_TOL`` as its slack, and no
+kernel carries one of its own.  Callers map points into standard form and
+scale costs back to the pose.
 
 Two tables hold every cost: the segment table, whose nine members are the
 three edges and the six ordered edge pairs, and the unfolding table of the
@@ -44,15 +45,16 @@ that case is admissible, and nothing loops over a trailing coordinate axis
 of length 2.
 
 Every constant comes from ``triangle_row``: one flat list of plain floats per
-triangle, computed with ``math`` in the operation order of the ``geom_core``
-objects, so that it equals what ``Line``, ``reflect``, ``project`` and
-``Point2.unit`` give bit for bit.  The row's layout (the ``_ROW_*`` offsets)
+triangle, its lines from ``line_through`` (the formula of ``Line``) and the
+rest with ``math`` in the operation order of ``reflect``, ``project`` and
+``Point2.unit``, so that it equals what those give bit for bit.  The row's layout (the ``_ROW_*`` offsets)
 is private to this module: a kernel cuts its tables from the rows, and every
 other module reads a row only through a kernel method.  A single-triangle
 kernel hands the witnesses of one point, and the R1 locus of ``regions``,
 their constants as plain floats read from its row: ``order_witness`` for an
-ordered three-edge visit, ``pair_witness`` for an ordered two-edge visit,
-with the clamp decided at the point.  It decides the order of a pair there
+ordered three-edge visit, with the point's indicator coordinates
+(``indicators``), and ``pair_witness`` for an ordered two-edge visit, with
+the clamp decided at the point.  It decides the order of a pair there
 on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
 maximizer its seeds (``seeds``).  The tables are not built with NumPy array
@@ -73,6 +75,7 @@ from .geom_core import (
     Triangle,
     VertexId,
     VisitOrder,
+    line_through,
     nearest_on_segment,
     opposite_edge,
     shared_vertex,
@@ -139,32 +142,19 @@ class StrategyKind(str, Enum):
     PERPENDICULAR_DROP = "perpendicular-drop"
 
 
-def _line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float, float]:
-    """(a, b, c, length) as ``Line.from_points`` computes them, for distinct
-    points."""
-    dx, dy = qx - px, qy - py
-    n = math.hypot(dx, dy)
-    a, b = -dy / n, dx / n
-    c = -(a * px + b * py)
-    m = math.hypot(a, b)
-    if abs(m - 1.0) > 1e-12:
-        a, b, c = a / m, b / m, c / m
-    return a, b, c, n
-
-
 def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> list[float]:
     """Every kernel and witness constant of the triangle with vertices A, B,
-    C, as one flat list of plain floats in the ``_ROW_*`` layout.  Each
-    value follows the operation order of ``Line.from_points``, ``reflect``,
-    ``project`` and ``Point2.unit``, so it equals the one those give bit for
-    bit.  Every length it divides by is a side's, or a side's image under
+    C, as one flat list of plain floats in the ``_ROW_*`` layout.  Its
+    lines come from ``line_through`` and every other value follows the
+    operation order of ``reflect``, ``project`` and ``Point2.unit``, so it
+    equals the one those give bit for bit.  Every length it divides by is a side's, or a side's image under
     reflections, which keep it, and the area gate keeps every side of a
     triangle above zero."""
     xs, ys = (ax, bx, cx), (ay, by, cy)
     lines, lengths, segs = [], [], []
     for i, j in _EDGE_ENDS:
         px, py, qx, qy = xs[i], ys[i], xs[j], ys[j]
-        a, b, c, n = _line_through(px, py, qx, qy)
+        a, b, c, n = line_through(px, py, qx, qy)
         dx, dy = qx - px, qy - py
         lines += (a, b, c)
         lengths.append(n)
@@ -189,7 +179,7 @@ def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: floa
         cix, ciy = x - 2 * d * a, y - 2 * d * b
         # ... and the base vertex across the once-unfolded second edge, which
         # runs from the apex to the corner image.
-        a2, b2, c2, _ = _line_through(apx, apy, cix, ciy)
+        a2, b2, c2, _ = line_through(apx, apy, cix, ciy)
         d = a2 * bvx + b2 * bvy + c2
         fix, fiy = bvx - 2 * d * a2, bvy - 2 * d * b2
         vx, vy = fix - cix, fiy - ciy
@@ -230,35 +220,39 @@ _PAIR_WITNESS = {
 }
 
 
-def _unfold_cases(x, y, table, tol) -> tuple:
-    """(rx, ry, qx, qy, cases) of the point (x, y) against the unfolding
+def _unfold_coords(x, y, table) -> tuple:
+    """(rx, ry, qx, qy, s_b, s_z) of the point (x, y) against the unfolding
     constants (corner_img, u, apex, sigma_z, ...) ``table``: r runs from the
-    corner image and q from the apex to the point, and ``cases`` maps each
-    unfolding case to whether it is admissible, within ``tol`` of its side of
-    the subopt and bounce lines.  Only operators are applied, so the one
-    expression serves arrays (``_ordered3_cases``) and the plain floats of
-    one point and one order (``TriangleKernel.order_cases``) with the same
-    bits."""
+    corner image and q from the apex to the point, and s_b and s_z are its
+    coordinates across the bounce and subopt lines.  Only operators are
+    applied, so the one expression serves arrays (``_ordered3_cases``) and
+    the plain floats of one point (``TriangleKernel.indicators``) alike."""
     cx, cy, ux, uy, ax, ay, sigma_z, _ = table
     rx, ry = x - cx, y - cy
     qx, qy = x - ax, y - ay
-    s_b = rx * ux + ry * uy
-    s_z = sigma_z * (qx * ux + qy * uy)
-    past_subopt = s_z >= -tol
-    return rx, ry, qx, qy, {
-        StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
-        StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= tol),
-        StrategyKind.BOUNCING: past_subopt & (s_b >= -tol),
+    return rx, ry, qx, qy, rx * ux + ry * uy, sigma_z * (qx * ux + qy * uy)
+
+
+def _unfold_cases(s_b, s_z) -> dict:
+    """Each unfolding case mapped to whether it is admissible at the
+    indicator coordinates s_b and s_z (``_unfold_coords``), within
+    ``BOUNDARY_TOL`` of its side of the subopt and bounce lines."""
+    past_subopt = s_z >= -BOUNDARY_TOL
+    return {
+        StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= BOUNDARY_TOL,
+        StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= BOUNDARY_TOL),
+        StrategyKind.BOUNCING: past_subopt & (s_b >= -BOUNDARY_TOL),
     }
 
 
-def _ordered3_cases(pts: np.ndarray, table, tol) -> np.ndarray:
+def _ordered3_cases(pts: np.ndarray, table) -> np.ndarray:
     """Costs of the ordered three-edge visits whose unfolding constants
     (corner_img, u, apex, sigma_z, altitude) are ``table``: the minimum over
     the unfolding cases that ``_unfold_cases`` admits.  Each field of
     ``table`` broadcasts against the point coordinates: a (1,) or (T, 1)
     array for one order, a (6, 1) or (6, T, 1) array for all six."""
-    rx, ry, qx, qy, cases = _unfold_cases(pts[..., 0], pts[..., 1], table, tol)
+    rx, ry, qx, qy, s_b, s_z = _unfold_coords(pts[..., 0], pts[..., 1], table)
+    cases = _unfold_cases(s_b, s_z)
     # Each case cost only where the case is admissible (``where=``), inf
     # elsewhere: at array scale one ``hypot`` costs as much as 25 or more
     # subtracts, and over a 5 deg sweep the subopt case is admissible at 16%
@@ -294,9 +288,6 @@ class TriangleKernel:
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
     which broadcast against (N,) and (T, N) coordinate arrays.
     """
-
-    # Standard-form triangles have a unit base, so one slack serves them all.
-    tol = BOUNDARY_TOL
 
     def __init__(self, t: Triangle | Sequence[Triangle]):
         if isinstance(t, Triangle):
@@ -352,13 +343,19 @@ class TriangleKernel:
             kind = StrategyKind.BOUNCING
         return kind, tau, row[line1:line1 + 3], [p0x, p0y], row[far:far + 2], row[far_img:far_img + 2]
 
+    def indicators(self, x: float, y: float, order: VisitOrder) -> tuple[float, float]:
+        """(s_b, s_z) of the point (x, y) for ``order`` on a single-triangle
+        kernel, its coordinates across the bounce and subopt lines, by
+        ``_unfold_coords`` on the row's plain floats."""
+        at = _ROW_UNFOLDS + 8 * _ORDERS.index(order)
+        return _unfold_coords(x, y, self.rows[0][at:at + 8])[4:]
+
     def order_cases(self, x: float, y: float, order: VisitOrder) -> dict:
         """The unfolding cases of ``order`` at the point (x, y) of a
         single-triangle kernel, each mapped to whether it is admissible there,
-        decided on the row's plain floats by ``_unfold_cases``, the rule of
-        the array code."""
-        at = _ROW_UNFOLDS + 8 * _ORDERS.index(order)
-        return _unfold_cases(x, y, self.rows[0][at:at + 8], self.tol)[4]
+        decided on its ``indicators`` by ``_unfold_cases``, the rule of the
+        array code."""
+        return _unfold_cases(*self.indicators(x, y, order))
 
     def pair_order(self, x: float, y: float, segs: list[float], e1: EdgeId, e2: EdgeId) -> tuple[bool, bool]:
         """(e1_first, tie) at the point (x, y) of a single-triangle kernel:
@@ -367,7 +364,7 @@ class TriangleKernel:
         goes first (``e1`` when equally near).  ``segs`` holds the nine
         segment costs at the point (``segs_all``) as plain floats."""
         c12, c21 = segs[_SEG_INDEX[(e1, e2)]], segs[_SEG_INDEX[(e2, e1)]]
-        if not abs(c12 - c21) <= self.tol:
+        if not abs(c12 - c21) <= BOUNDARY_TOL:
             return c12 < c21, False
         row = self.rows[0]
         d1, d2 = (
@@ -453,7 +450,7 @@ class TriangleKernel:
     def r1_all(self, pts: np.ndarray) -> np.ndarray:
         """(6, ...) ordered three-edge visit costs in VisitOrder declaration
         order."""
-        return self._each_member(pts, self._unfolds, lambda p, table: _ordered3_cases(p, table, self.tol))
+        return self._each_member(pts, self._unfolds, _ordered3_cases)
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(singles, pairs, costs), each (3, ...), indexed by the lone edge:
@@ -477,19 +474,19 @@ class TriangleKernel:
     def farthest_edges(self, dists, largest):
         """Whether each of ``dists`` (from ``r3_all``, or the singles of
         ``r2_partitions``) is within tol of ``largest``, their largest."""
-        return dists >= largest - self.tol
+        return dists >= largest - BOUNDARY_TOL
 
     def r2_sides(self, singles, pairs, costs, least):
         """Code per lone edge, from ``r2_partitions``: 0 unless its partition
         is within tol of ``least``, the cheapest of ``costs``, else which
         cost determines it: 1 the drop, 2 the pair visit, 3 both within tol."""
         gap = singles - pairs
-        return ((gap >= -self.tol) + 2 * (gap <= self.tol)) * (costs <= least + self.tol)
+        return ((gap >= -BOUNDARY_TOL) + 2 * (gap <= BOUNDARY_TOL)) * (costs <= least + BOUNDARY_TOL)
 
     def optimal_orders(self, costs, least):
         """Whether each of ``costs`` (from ``r1_all``) is within tol of
         ``least``, their cheapest."""
-        return costs <= least + self.tol
+        return costs <= least + BOUNDARY_TOL
 
     def costs(self, pts: np.ndarray, *robots: int) -> list[np.ndarray]:
         """R1, R2 or R3 at ``pts`` for each fleet size in ``robots``, in

@@ -26,6 +26,7 @@ from .geom_core import (
     altitude_midpoint,
     edge_segment,
     incenter,
+    inward_gap,
     largest_angle_vertex,
     opposite_edge,
     reflect,
@@ -45,9 +46,10 @@ CHAIN_ULPS = 64
 def _distance_outside(t: Triangle, p: Point2) -> float:
     """How far ``p`` lies outside ``t``, in the pose's units; 0 inside.
 
-    Measured on the standard form, which the kernel evaluates.  Every cost is
-    1-Lipschitz in the start point, and the chain holds at the nearest point
-    of the triangle, so a point ``d`` outside can break it by up to ``2 d``.
+    Measured by ``inward_gap`` on the standard form, which the kernel
+    evaluates.  Every cost is 1-Lipschitz in the start point, and the chain
+    holds at the nearest point of the triangle, so a point ``d`` outside can
+    break it by up to ``2 d``.
     ``Triangle.contains`` accepts points up to ``CONTAINS_TOL`` base lengths
     outside.  Of 3,226 such points on or near an edge (posed at scale 1e-6
     to 1e6), 2,141 broke the chain by more than ``CHAIN_ULPS``, the worst by
@@ -55,13 +57,7 @@ def _distance_outside(t: Triangle, p: Point2) -> float:
     to 1e-9, 952 did.  None broke it by more than ``CHAIN_ULPS`` plus ``2 d``.
     """
     std, sim = t.standard()
-    px, py = sim.apply(p)
-    (ax, ay), (bx, by), (cx, cy) = std.a, std.b, std.c
-    out = 0.0
-    for ux, uy, vx, vy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)):
-        dx, dy = vx - ux, vy - uy
-        out = max(out, (dy * (px - ux) - dx * (py - uy)) / math.hypot(dx, dy))
-    return out / sim.scale
+    return max(0.0, -inward_gap(std, sim.apply(p))) / sim.scale
 
 
 class ClosedFormDomainError(ValueError):

@@ -131,16 +131,7 @@ class Line:
 
     @classmethod
     def from_points(cls, p: Point2, q: Point2) -> "Line":
-        d = q - p
-        n = d.norm()
-        if n == 0.0:
-            raise GeometryError("line through coincident points")
-        a, b = -d.y / n, d.x / n
-        return cls(a, b, -(a * p.x + b * p.y))
-
-    @property
-    def direction(self) -> Point2:
-        return Point2(-self.b, self.a)
+        return cls(*line_through(*p, *q)[:3])
 
     def signed_dist(self, p: Point2) -> float:
         return self.a * p.x + self.b * p.y + self.c
@@ -152,6 +143,21 @@ class Line:
         x = (self.b * other.c - self.c * other.b) / det
         y = (self.c * other.a - self.a * other.c) / det
         return Point2(x, y)
+
+
+def line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float, float]:
+    """(a, b, c, length) of ``Line.from_points`` of the two points, and their
+    distance, in plain floats."""
+    dx, dy = qx - px, qy - py
+    n = math.hypot(dx, dy)
+    if n == 0.0:
+        raise GeometryError("line through coincident points")
+    a, b = -dy / n, dx / n
+    c = -(a * px + b * py)
+    m = math.hypot(a, b)
+    if abs(m - 1.0) > 1e-12:
+        a, b, c = a / m, b / m, c / m
+    return a, b, c, n
 
 
 @dataclass(frozen=True)
@@ -192,13 +198,12 @@ class Similarity:
     def __post_init__(self):
         if not self.scale > 0:
             raise GeometryError("similarity scale must be positive")
+        object.__setattr__(self, "_turn", (math.cos(self.rotation), math.sin(self.rotation)))
 
-    def apply(self, p: Point2) -> Point2:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        return Point2(
-            self.scale * (c * p.x - s * p.y) + self.translation.x,
-            self.scale * (s * p.x + c * p.y) + self.translation.y,
-        )
+    def apply(self, p) -> Point2:
+        """The image of ``p``, any (x, y) pair."""
+        (x, y), (c, s), k, (tx, ty) = p, self._turn, self.scale, self.translation
+        return Point2(k * (c * x - s * y) + tx, k * (s * x + c * y) + ty)
 
     def inverse(self) -> "Similarity":
         c, s = math.cos(-self.rotation), math.sin(-self.rotation)
@@ -445,9 +450,14 @@ def incenter(t: Triangle) -> Point2:
     return sim.inverse().apply(i_std)
 
 
+def reflect_xy(x: float, y: float, a: float, b: float, c: float) -> tuple[float, float]:
+    """``reflect`` of the point (x, y) across the line (a, b, c), in plain floats."""
+    d = a * x + b * y + c
+    return x - 2 * d * a, y - 2 * d * b
+
+
 def reflect(p: Point2, line: Line) -> Point2:
-    d = line.signed_dist(p)
-    return Point2(p.x - 2 * d * line.a, p.y - 2 * d * line.b)
+    return Point2(*reflect_xy(p.x, p.y, line.a, line.b, line.c))
 
 
 def project(p: Point2, line: Line) -> Point2:
@@ -471,6 +481,18 @@ def nearest_on_segment(px: float, py: float, ax: float, ay: float, bx: float, by
 
 def dist_point_segment(p: Point2, seg: Segment) -> float:
     return nearest_on_segment(p.x, p.y, *seg.p0, *seg.p1)[2]
+
+
+def inward_gap(t: Triangle, p) -> float:
+    """Smallest signed distance from ``p``, any (x, y) pair, to the edge
+    lines of ``t``: positive inside, negative outside."""
+    px, py = p
+    gaps = []
+    for (ux, uy), (vx, vy) in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):
+        dx, dy = vx - ux, vy - uy
+        n = math.hypot(dx, dy)
+        gaps.append(dx / n * (py - uy) - dy / n * (px - ux))
+    return min(gaps)
 
 
 def foot_of_bisector(t: Triangle, vertex: VertexId) -> Point2:

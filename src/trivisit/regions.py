@@ -6,8 +6,8 @@ keeps within the tie tolerance of its best cost.  The constructed separator
 chains (bisector segments, the two-robot mixed hexagon, the
 left/right-first equal-cost locus) are cross-checks: sampled points on them
 must tie the two strategies they separate.  They are built from ``geom_core``
-pieces and the kernel's unfolding constants (``TriangleKernel.order_witness``)
-alone.
+pieces, the kernel's unfolding constants (``TriangleKernel.order_witness``)
+and its indicator coordinates (``TriangleKernel.indicators``) alone.
 
 Maps and chains are computed on the triangle's standard form, so that no
 similarity changes them: a raster labels the standard form's lattice with
@@ -41,6 +41,7 @@ from .geom_core import (
     edge_segment,
     foot_of_bisector,
     incenter,
+    inward_gap,
     largest_angle_vertex,
     opposite_edge,
 )
@@ -303,27 +304,19 @@ def _orders_for_apex(apex: VertexId) -> tuple[VisitOrder, VisitOrder]:
     return o1, o2
 
 
-def _inward_gap(t: Triangle, p: Point2) -> float:
-    """Smallest signed inward distance to the edge lines; negative outside."""
-    gaps = []
-    for u, v in ((t.a, t.b), (t.b, t.c), (t.c, t.a)):
-        d = (v - u).unit()
-        gaps.append(d.cross(p - u))
-    return min(gaps)
-
-
-def _indicators(w) -> tuple[Callable[[Point2], float], Callable[[Point2], float], Point2, Point2]:
-    """(bounce, subopt, corner_img, far_img) of an unfolding, from its
-    ``TriangleKernel.order_witness`` fields: a point's coordinates across
-    the bounce and subopt lines, in the operations of the kernel's case
-    indicators (``_unfold_cases``), and the ends of the twice-unfolded
-    last edge."""
-    _, _, (cix, ciy), (ux, uy), (ax, ay), _, _, (fix, fiy), (sigma_z,) = w
+def _indicators(
+    kernel: TriangleKernel, order: VisitOrder
+) -> tuple[Callable[[Point2], float], Callable[[Point2], float], Point2, Point2]:
+    """(bounce, subopt, corner_img, far_img) of ``order``'s unfolding: a
+    point's coordinates across the bounce and subopt lines, as the kernel's
+    case rules read them (``TriangleKernel.indicators``), and the ends of the
+    twice-unfolded last edge (``TriangleKernel.order_witness``)."""
+    w = kernel.order_witness(order)
     return (
-        lambda p: ux * (p.x - cix) + uy * (p.y - ciy),
-        lambda p: sigma_z * (ux * (p.x - ax) + uy * (p.y - ay)),
-        Point2(cix, ciy),
-        Point2(fix, fiy),
+        lambda p: kernel.indicators(p.x, p.y, order)[0],
+        lambda p: kernel.indicators(p.x, p.y, order)[1],
+        Point2(*w[2]),
+        Point2(*w[7]),
     )
 
 
@@ -340,9 +333,8 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
     o1, o2 = _orders_for_apex(apex)
     label = f"{o1.value}={o2.value}"
     kernel = TriangleKernel(std)
-    w1 = kernel.order_witness(o1)
     v = std.vertex(apex)
-    foot = Point2(*w1[5])  # alt_foot: both orders share the apex and the last edge
+    foot = Point2(*kernel.order_witness(o1)[5])  # alt_foot: both orders share the apex and the last edge
     altitude = Segment(v, foot)
 
     def bounce_cross(bounce) -> float | None:
@@ -354,7 +346,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         s = t0 / (t0 - t1)
         return s if 1e-9 < s < 1.0 - 1e-9 else None
 
-    ind1, ind2 = _indicators(w1), _indicators(kernel.order_witness(o2))
+    ind1, ind2 = _indicators(kernel, o1), _indicators(kernel, o2)
     crossings = [(bounce_cross(ind[0]), ind, other) for ind, other in ((ind1, ind2), (ind2, ind1))]
     crossings = [c for c in crossings if c[0] is not None]
     if not crossings:
@@ -394,7 +386,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
 
     guards = (
         ("bounce", lambda u: bounce_st(at(u))),
-        ("exit", lambda u: _inward_gap(std, at(u))),
+        ("exit", lambda u: inward_gap(std, at(u))),
         ("restraight", lambda u: -bounce_deg(at(u))),
         ("subopt", lambda u: min(subopt_deg(at(u)), subopt_st(at(u)))),
     )

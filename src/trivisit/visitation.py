@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _ORDERS, _SEG_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
-from .geom_core import EdgeId, Point2, Triangle, VisitOrder, nearest_on_segment, polyline_length
+from .geom_core import EdgeId, Point2, Triangle, VisitOrder, nearest_on_segment, polyline_length, reflect_xy
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ class Trajectory:
 
 
 # Witnesses are built in standard form on plain floats: points are (x, y)
-# and lines (a, b, c), and each helper takes the operations, in their order,
-# of the ``geom_core`` method it stands for (``Line.signed_dist``,
-# ``reflect``, ``Point2.dist`` and ``Point2`` arithmetic), so the waypoints
-# are the ones those give bit for bit.
+# and lines (a, b, c).  Reflections are ``geom_core.reflect_xy``, the formula
+# of ``reflect``; ``_dedupe`` and ``_cross_line`` take the operations of
+# ``Point2.dist``, ``Line.signed_dist`` and ``Point2`` arithmetic.
 
 
 def _dedupe(points: list) -> list:
@@ -55,12 +54,6 @@ def _dedupe(points: list) -> list:
         if math.hypot(q[0] - p[0], q[1] - p[1]) > EXACT_TIE:
             out.append(p)
     return out
-
-
-def _reflect(p, line) -> tuple[float, float]:
-    (x, y), (a, b, c) = p, line
-    d = a * x + b * y + c
-    return x - 2 * d * a, y - 2 * d * b
 
 
 def _cross_line(p, q, line):
@@ -79,7 +72,7 @@ def _case_bouncing(w, ps) -> list:
     proj = (px - nx * s, py - ny * s)
     e = _cross_line(ps, proj, line1)
     f = _cross_line(ps, proj, line2u)
-    return _dedupe([ps, e, _reflect(f, line1), _reflect(_reflect(proj, line2u), line1)])
+    return _dedupe([ps, e, reflect_xy(*f, *line1), reflect_xy(*reflect_xy(*proj, *line2u), *line1)])
 
 
 def _case_degenerate(w, ps) -> list:
@@ -121,8 +114,8 @@ class StandardPoint:
         self.std, self.ps = std, sim.apply(t.require_inside(p))
         self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(std)
-        inv = sim.inverse()
-        self.scale, self._inverse = inv.scale, (math.cos(inv.rotation), math.sin(inv.rotation), *inv.translation)
+        self._pose = sim.inverse()
+        self.scale = self._pose.scale
 
     @cached_property
     def segs(self) -> list[float]:
@@ -160,7 +153,7 @@ class StandardPoint:
             wps = _dedupe([ps, _cross_line(ps, far_img, line1), far])
         else:
             target = (pivot[0] + (far_img[0] - pivot[0]) * tau, pivot[1] + (far_img[1] - pivot[1]) * tau)
-            wps = _dedupe([ps, _cross_line(ps, target, line1), _reflect(target, line1)])
+            wps = _dedupe([ps, _cross_line(ps, target, line1), reflect_xy(*target, *line1)])
         return self._map_back(wps, self.segs[_SEG_INDEX[first, second]], kind, None, (first, second), tie)
 
     def two_set(self, e1: EdgeId, e2: EdgeId) -> Trajectory:
@@ -168,12 +161,10 @@ class StandardPoint:
         return self.two_ordered(*((e1, e2) if e1_first else (e2, e1)), tie=tie)
 
     def _map_back(self, wps: list, cost: float, kind: StrategyKind, order, edges, tie: bool = False) -> Trajectory:
-        """The trajectory through the standard-form waypoints ``wps`` in the
-        triangle's pose, as ``Similarity.apply`` maps them, with ``scale``
-        times the standard-form kernel ``cost``."""
-        (c, s, tx, ty), k = self._inverse, self.scale
-        mapped = tuple(Point2(k * (c * x - s * y) + tx, k * (s * x + c * y) + ty) for x, y in wps)
-        return Trajectory(mapped, k * cost, kind, order, edges, tie)
+        """The trajectory through the standard-form waypoints ``wps``, mapped
+        to the triangle's pose, with ``scale`` times the standard-form kernel
+        ``cost``."""
+        return Trajectory(tuple(map(self._pose.apply, wps)), self.scale * cost, kind, order, edges, tie)
 
 
 def visit_two_ordered(t: Triangle, p: Point2, first: EdgeId, second: EdgeId) -> Trajectory:

@@ -328,15 +328,12 @@ class TestClosedForms:
             tpt = mid_altitude_point(t)
             assert abs(r1_mid_altitude_closed(t) - r1(t, tpt).cost) < 1e-9
 
-    def test_closed_forms_scale(self, rng):
-        for _ in range(50):
-            t = random_triangle(rng)
-            sim = Similarity(1.1, 2.7, Point2(3, -4))
-            t2 = Triangle(sim.apply(t.a), sim.apply(t.b), sim.apply(t.c))
-            assert r1_incenter_closed(t2) == pytest.approx(2.7 * r1_incenter_closed(t), rel=1e-12)
-            assert r1_mid_altitude_closed(t2) == pytest.approx(
-                2.7 * r1_mid_altitude_closed(t), rel=1e-12
-            )
+    @settings(max_examples=6)
+    @given(poses.instances(kinds=("incenter",), n=10, **poses.PLAIN))
+    def test_closed_forms_scale(self, instances):
+        for inst in instances:
+            for closed in (r1_incenter_closed, r1_mid_altitude_closed):
+                assert closed(inst.t) == pytest.approx(inst.pose.scale * closed(inst.std), rel=1e-12)
 
 
 class TestH1H2:

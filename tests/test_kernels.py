@@ -13,7 +13,8 @@ import poses
 import trivisit
 from trivisit import _kernels
 from trivisit._kernels import (
-    _EDGES, _LONE_PAIRS, _ORDERS, _PAIRS, _SEG_INDEX, StrategyKind, TriangleKernel, _unfold_cases, barycentric_grid,
+    _EDGES, _LONE_PAIRS, _ORDERS, _PAIRS, _SEG_INDEX, BOUNDARY_TOL, StrategyKind, TriangleKernel, _unfold_cases,
+    _unfold_coords, barycentric_grid,
 )
 from trivisit.fleet_costs import _SIDES, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
@@ -28,6 +29,7 @@ from trivisit.geom_core import (
     shared_vertex,
     triangle_from_angles,
 )
+from trivisit.regions import _indicators
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
 from conftest import random_triangle
@@ -170,7 +172,6 @@ class TestTriangleRow:
                 assert _array_hexes(k._segs[:, _SEG_INDEX[first, second]]) == _hexes(_segment_row(pivot, far_img))
             for e in _EDGES:
                 assert _array_hexes(k._segs[:, _SEG_INDEX[e]]) == _hexes(_segment_row(*(t.vertex(v) for v in e.endpoints)))
-            assert k.tol == _kernels.BOUNDARY_TOL
 
     @settings(max_examples=2)
     @given(poses.triangles(n=64, **_KERNEL_POSES))
@@ -184,7 +185,6 @@ class TestTriangleRow:
                 stacked = getattr(k, name)[..., i, 0]
                 assert stacked.shape == getattr(one, name).shape[:-1], name
                 assert _array_hexes(stacked) == _array_hexes(getattr(one, name)), name
-        assert k.tol == one.tol == _kernels.BOUNDARY_TOL
 
 
 def _package_imports(module: str) -> list[tuple[str, str]]:
@@ -286,7 +286,7 @@ class TestOnePointDecisions:
             far = k.farthest_edges(dists, dists.max(axis=0))[:, 0].tolist()
             sides = k.r2_sides(singles, pairs, costs, costs.min(axis=0))[:, 0].tolist()
             best = k.optimal_orders(orders, orders.min(axis=0))[:, 0].tolist()
-            cases = _unfold_cases(pts[..., 0], pts[..., 1], k._unfolds, k.tol)[4]
+            cases = _unfold_cases(*_unfold_coords(pts[..., 0], pts[..., 1], k._unfolds)[4:])
 
             d, s, q, c, o = (a[:, 0].tolist() for a in (dists, singles, pairs, costs, orders))
             assert [k.farthest_edges(x, max(d)) for x in d] == far
@@ -318,7 +318,7 @@ class TestOnePointDecisions:
         assert sum(ties) > 50, sum(ties)
 
 
-def _unmasked_ordered3(pts, table, tol):
+def _unmasked_ordered3(pts, table):
     """The ordered three-edge body with every case cost taken at every
     point and then masked with ``np.where``: the reference that the masked
     body must match bit for bit."""
@@ -328,6 +328,7 @@ def _unmasked_ordered3(pts, table, tol):
     qx, qy = x - ax, y - ay
     s_b = rx * ux + ry * uy
     s_z = sigma_z * (qx * ux + qy * uy)
+    tol = BOUNDARY_TOL
     past_subopt = s_z >= -tol
     cases = {
         StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= tol,
@@ -352,7 +353,7 @@ def _case_line_points(k, inside):
         u = np.array([ux, uy])
         for origin in ((cx, cy), (ax, ay)):
             on = inside - ((inside - origin) @ u)[:, None] * u
-            out += [on + side * k.tol * u for side in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+            out += [on + side * BOUNDARY_TOL * u for side in (-1.5, -0.5, 0.0, 0.5, 1.5)]
     return np.concatenate(out)
 
 
@@ -395,7 +396,7 @@ class TestMaskedCases:
 
     @staticmethod
     def _check(k, pts, table):
-        want, want_cases = _unmasked_ordered3(pts, table, k.tol)
+        want, want_cases = _unmasked_ordered3(pts, table)
         assert _array_hexes(k.r1_all(pts)) == _array_hexes(want)
         if pts.shape == (1, 2):
             for i, order in enumerate(VisitOrder):
@@ -409,7 +410,7 @@ class TestMaskedCases:
         sub, deg, bounce = (StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE,
                             StrategyKind.BOUNCING)
         _, k, pts = instance
-        _, cases = _unmasked_ordered3(pts, k._unfolds, k.tol)
+        _, cases = _unmasked_ordered3(pts, k._unfolds)
         for kind in cases.values():
             assert kind.any() and not kind.all()
         assert (cases[sub] & (cases[deg] | cases[bounce])).any()
@@ -447,6 +448,39 @@ class TestMaskedCases:
                 self._check(_probe(TriangleKernel(list(tris)), table), stack, table)
 
 
+class TestOneIndicatorRule:
+    """The R1 locus's case guards read a point's bounce and subopt
+    coordinates from the kernel (``regions._indicators``).  Near every
+    order's two lines, where the cases change, each reading must be the
+    array code's coordinate (``_unfold_coords``) bit for bit, and the
+    readings' signs against the slack must decide the cases that
+    ``order_cases`` gives."""
+
+    @settings(max_examples=5)
+    @given(_masked())
+    def test_locus_guards_read_the_kernel_coordinates(self, instance):
+        sub, deg, bounce = (StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE,
+                            StrategyKind.BOUNCING)
+        _, k, pts = instance
+        s_bs, s_zs = _unfold_coords(pts[..., 0], pts[..., 1], k._unfolds)[4:]
+        near = {"bounce": 0, "subopt": 0}
+        for i, order in enumerate(_ORDERS):
+            guard_b, guard_z, _, _ = _indicators(k, order)
+            for (x, y), s_b, s_z in zip(pts.tolist(), s_bs[i].tolist(), s_zs[i].tolist()):
+                b, z = guard_b(Point2(x, y)), guard_z(Point2(x, y))
+                assert _hexes((b, z)) == _hexes((s_b, s_z))
+                past_subopt = not z < -BOUNDARY_TOL
+                assert k.order_cases(x, y, order) == {
+                    sub: not z > BOUNDARY_TOL,
+                    deg: past_subopt and not b > BOUNDARY_TOL,
+                    bounce: past_subopt and not b < -BOUNDARY_TOL,
+                }
+                near["bounce"] += abs(b) <= BOUNDARY_TOL
+                near["subopt"] += abs(z) <= BOUNDARY_TOL
+        # both lines' slack bands are read, at the 0 and 0.5 tol points
+        assert min(near.values()) >= 8 * 3, near
+
+
 @pytest.fixture
 def body_calls(monkeypatch):
     """Counts of the calls of the ordered three-edge body and of the
@@ -454,9 +488,9 @@ def body_calls(monkeypatch):
     calls = {"ordered3": 0, "seg_dist": 0}
     ordered3, seg_dist = _kernels._ordered3_cases, TriangleKernel._seg_dist
 
-    def counted_ordered3(pts, table, tol):
+    def counted_ordered3(pts, table):
         calls["ordered3"] += 1
-        return ordered3(pts, table, tol)
+        return ordered3(pts, table)
 
     def counted_seg_dist(cls, pts, key):
         calls["seg_dist"] += 1

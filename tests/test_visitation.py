@@ -17,7 +17,7 @@ from trivisit.geom_core import (
     shared_vertex,
 )
 from trivisit.oracle import OracleConfig, oracle_ordered3, oracle_two_ordered
-from trivisit.regions import ParabolaArcPiece, _indicators, r2_separator
+from trivisit.regions import ParabolaArcPiece, r2_separator
 from trivisit.visitation import (
     EdgeId,
     StrategyKind,
@@ -146,9 +146,10 @@ class TestVisitTwoSet:
 
 class TestIndicatorHalfspaces:
     """The indicator lines of an ordered three-edge visit as the kernel
-    hands them out (``TriangleKernel.order_witness``) and the R1 locus reads
-    them (``regions._indicators``): the bounce line through ``corner_img``
-    and the subopt line through ``apex``, both normal to ``u``."""
+    hands them out (``TriangleKernel.order_witness``) and reads a point's
+    coordinates across them (``TriangleKernel.indicators``, which the R1
+    locus reads too): the bounce line through ``corner_img`` and the subopt
+    line through ``apex``, both normal to ``u``."""
 
     def test_lines_parallel(self, rng):
         # Both lines are level sets of u . p, so their coordinates differ by
@@ -160,8 +161,10 @@ class TestIndicatorHalfspaces:
                 w = k.order_witness(order)
                 (ux, uy), (sigma_z,) = w[3], w[8]
                 assert math.hypot(ux, uy) == pytest.approx(1.0, abs=1e-12)
-                bounce, subopt, _, _ = _indicators(w)
-                gaps = [bounce(p) - sigma_z * subopt(p) for p in (random_interior_point(rng, t) for _ in range(2))]
+                gaps = []
+                for p in (random_interior_point(rng, t) for _ in range(2)):
+                    bounce, subopt = k.indicators(*p, order)
+                    gaps.append(bounce - sigma_z * subopt)
                 assert abs(gaps[0] - gaps[1]) < 1e-9
 
     def test_unfolded_third_preserves_length(self, rng):
@@ -169,16 +172,17 @@ class TestIndicatorHalfspaces:
             t = random_triangle(rng)
             k = TriangleKernel(t)
             for order in VisitOrder:
-                _, _, corner_img, far_img = _indicators(k.order_witness(order))
+                w = k.order_witness(order)
+                corner_img, far_img = Point2(*w[2]), Point2(*w[7])
                 third = edge_segment(t, order.edges[2])
                 assert far_img.dist(corner_img) == pytest.approx(third.length, abs=1e-12)
 
     def test_reference_points_split_lines(self):
-        _, subopt, _, _ = _indicators(TriangleKernel(EQ).order_witness(VisitOrder.LRD))
+        k = TriangleKernel(EQ)
         # the subopt line passes through the apex shared by the first two
         # edges, and the base vertex lies on its positive side
-        assert abs(subopt(EQ.a)) < 1e-12
-        assert subopt(EQ.vertex(shared_vertex(EdgeId.L, EdgeId.D))) > 0
+        assert abs(k.indicators(*EQ.a, VisitOrder.LRD)[1]) < 1e-12
+        assert k.indicators(*EQ.vertex(shared_vertex(EdgeId.L, EdgeId.D)), VisitOrder.LRD)[1] > 0
 
 
 class TestVisitThreeOrdered:
