@@ -38,7 +38,7 @@ witness is built the unfolding cases (``order_cases``), so no array carries
 case masks.
 
 At one point a family's cost is the Python overhead of its ufunc calls; at
-array scale it is mostly libm ``hypot``: on a 9,632-point sweep chunk one
+array scale it is mostly libm ``hypot``: on a stack of 9,632 points one
 ``hypot`` takes about 170 us against about 6 us for a subtract or a
 multiply.  So the three-edge body takes each case's ``hypot`` only where
 that case is admissible, and nothing loops over a trailing coordinate axis
@@ -57,9 +57,10 @@ ordered three-edge visit, with the point's indicator coordinates
 the clamp decided at the point.  It decides the order of a pair there
 on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
-maximizer its seeds (``seeds``).  The tables are not built with NumPy array
-code: a vectorized builder is several times slower on one triangle, which
-is what ``eval`` builds per point.
+maximizer its seeds (``seeds``), and repeats its triangles row by row for
+the boxes of the ratio certifier (``repeat``).  The tables are not built
+with NumPy array code: a vectorized builder is several times slower on one
+triangle, which is what ``eval`` builds per point.
 """
 
 from __future__ import annotations
@@ -255,9 +256,10 @@ def _ordered3_cases(pts: np.ndarray, table) -> np.ndarray:
     cases = _unfold_cases(s_b, s_z)
     # Each case cost only where the case is admissible (``where=``), inf
     # elsewhere: at array scale one ``hypot`` costs as much as 25 or more
-    # subtracts, and over a 5 deg sweep the subopt case is admissible at 16%
-    # of order-points and the degenerate case at 52%.  inf + alt is inf, so
-    # the subopt cost takes its altitude unmasked.
+    # subtracts, and over the 24-per-side lattices of the 5 deg cells the
+    # subopt case is admissible at 16% of order-points and the degenerate
+    # case at 52%.  inf + alt is inf, so the subopt cost takes its altitude
+    # unmasked.
     ux, uy, alt = table[2], table[3], table[7]
     infs = np.full(rx.shape, np.inf)
     cost = np.hypot(qx, qy, out=infs.copy(), where=cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE])
@@ -304,6 +306,23 @@ class TriangleKernel:
 
         self._segs = table(_ROW_SEGS, len(_SEG_INDEX), 5)
         self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
+
+    def repeat(self, counts: np.ndarray) -> TriangleKernel:
+        """The stacked kernel in which this stack's triangle t comes
+        ``counts[t]`` times in a row, for one point per row: the ratio
+        certifier's boxes, grouped by triangle.  Only the two cost tables
+        are built, so the new kernel evaluates costs but has no rows (no
+        seeds or witnesses).  Each field comes out contiguous, which fancy
+        indexing would not give: it puts the row axis outermost, and with one
+        point per row that stride made every cost several times slower.
+        Repeating from a contiguous copy of the tables, not from the strided
+        view of the rows, takes about 40% less time."""
+        k = object.__new__(TriangleKernel)
+        k.rows = None
+        k._segs, k._unfolds = (
+            np.repeat(np.ascontiguousarray(table), counts, axis=2) for table in (self._segs, self._unfolds)
+        )
+        return k
 
     # -- a single-triangle kernel at one point, on plain floats ----------
 
@@ -422,7 +441,9 @@ class TriangleKernel:
         the six orders); the two are level near ``_BROADCAST_POINTS`` (0.54
         against 0.48 ms, and 0.60 against 0.72 ms, at 2,048 points on one
         triangle; on a stacked kernel the loop is faster from about 3,000
-        points, and a sweep chunk holds 9,760).  A raster map passes blocks of
+        points).  A sweep chunk holds 128 points, four seeds for each of 32
+        cells, and broadcasts; the ratio certifier passes up to 16,384 boxes,
+        one point each, and loops.  A raster map passes blocks of
         8,192 points, where the two are level on one triangle (0.7-0.9 ms
         each for the six orders; one shared 2-core host).  Writing each
         member's result in place, not stacking a list of them, holds one

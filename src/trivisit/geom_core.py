@@ -521,9 +521,10 @@ class Parabola:
         if self.directrix.signed_dist(self.focus) == 0.0:
             raise GeometryError("parabola focus lies on the directrix")
 
-    @property
+    @cached_property
     def _frame(self) -> tuple[Point2, Point2, Point2, float]:
-        """(origin on directrix, ex along directrix, ey toward focus, focal dist)."""
+        """(origin on directrix, ex along directrix, ey toward focus, focal
+        dist), computed once: a locus march reads it at every step."""
         d = self.directrix.signed_dist(self.focus)
         origin = project(self.focus, self.directrix)
         ey = (self.focus - origin).unit()

@@ -381,16 +381,13 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         else -1.0
     )
 
-    def at(u: float) -> Point2:
-        return par.point_at(u)
-
     guards = (
-        ("bounce", lambda u: bounce_st(at(u))),
-        ("exit", lambda u: inward_gap(std, at(u))),
-        ("restraight", lambda u: -bounce_deg(at(u))),
-        ("subopt", lambda u: min(subopt_deg(at(u)), subopt_st(at(u)))),
+        ("bounce", bounce_st),
+        ("exit", lambda p: inward_gap(std, p)),
+        ("restraight", lambda p: -bounce_deg(p)),
+        ("subopt", lambda p: min(subopt_deg(p), subopt_st(p))),
     )
-    u_stop, stop_kind = _first_event(u0, du * direction, guards)
+    u_stop, stop_kind = _first_event(u0, du * direction, par.point_at, guards)
     if abs(u_stop - u0) > _PIECE_EPS:
         pieces.append(ParabolaArcPiece(par, u0, u_stop, label, pose))
     w_pt = par.point_at(u_stop)
@@ -406,11 +403,11 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
                 return Point2(w_pt.x + s * (z.x - w_pt.x), w_pt.y + s * (z.y - w_pt.y))
 
             line_guards = (
-                ("deg", lambda s: -bounce_deg(seg_at(s))),
-                ("deg2", lambda s: -bounce_st(seg_at(s))),
-                ("subopt", lambda s: min(subopt_deg(seg_at(s)), subopt_st(seg_at(s)))),
+                ("deg", lambda p: -bounce_deg(p)),
+                ("deg2", lambda p: -bounce_st(p)),
+                ("subopt", lambda p: min(subopt_deg(p), subopt_st(p))),
             )
-            s_stop, _ = _first_event(0.0, 1.0 / 64.0, line_guards, stop_at=1.0)
+            s_stop, _ = _first_event(0.0, 1.0 / 64.0, seg_at, line_guards, stop_at=1.0)
             _append_segment(pieces, w_pt, seg_at(s_stop), label, pose)
     return SeparatorChain(tuple(pieces), label)
 
@@ -418,18 +415,24 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
 def _first_event(
     u0: float,
     du: float,
-    guards: tuple[tuple[str, Callable[[float], float]], ...],
+    point_at: Callable[[float], Point2],
+    guards: tuple[tuple[str, Callable[[Point2], float]], ...],
     stop_at: float | None = None,
 ) -> tuple[float, str]:
-    """First zero crossing of any guard when marching from ``u0`` by ``du``.
+    """First zero crossing of any guard when marching from ``u0`` by ``du``
+    along ``point_at``, which each step evaluates once for all the guards.
 
     Guards are positive while their case holds.  One already negative
     beyond the slack at ``u0`` short-circuits (the piece is empty there); one
     that is about zero at ``u0`` is the case boundary the march starts on,
     as the bounce line at a bounce crossing, and does not stop it.
     """
+    def values(u: float) -> list[float]:
+        p = point_at(u)
+        return [g(p) for _, g in guards]
+
     u_prev = u0
-    prev = [g(u0) for _, g in guards]
+    prev = values(u0)
     for (name, _), val in zip(guards, prev):
         if val < -abs(du) * 1e-6:
             return u0, name
@@ -437,9 +440,9 @@ def _first_event(
         u = u_prev + du
         if stop_at is not None and (du > 0) == (u > stop_at):
             return stop_at, "end"
-        vals = [g(u) for _, g in guards]
+        vals = values(u)
         hits = [
-            (_bisect(g, u_prev, u), name)
+            (_bisect(lambda x, g=g: g(point_at(x)), u_prev, u), name)
             for (name, g), v_prev, v in zip(guards, prev, vals)
             if v_prev > 0 >= v
         ]

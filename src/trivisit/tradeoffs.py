@@ -3,15 +3,21 @@
 For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points as the
 best of a barycentric grid and the seeds: the incenter and the three altitude
 midpoints, where the paper places the maximizers of the three ratio pairs.
-``sweep_triangles`` repeats that over an angle grid and tracks the running
-infimum and supremum; infima are limits over degenerating shapes, so they
-are reported as approached, never attained.  Both evaluate ``_maximize`` on
-a stacked kernel: ``max_ratio`` on a batch of one triangle,
-``sweep_triangles`` on chunks of one cell per triangle, the one with
-A >= B >= C; every other cell of the grid is the same triangle relabeled,
-and its row is filled from the computed one.  The seeds come from the kernel
-(``TriangleKernel.seeds``), with the arithmetic of ``incenter`` and
-``altitude_midpoint``.
+``sweep_triangles`` takes the best of the seeds alone over an angle grid and
+tracks the running infimum and supremum; infima are limits over
+degenerating shapes, so they are reported as approached, never attained.
+Both evaluate ``_maximize`` on a stacked kernel: ``max_ratio`` on a batch of
+one triangle, ``sweep_triangles`` on chunks of one cell per triangle, the
+one with A >= B >= C; every other cell of the grid is the same triangle
+relabeled, and its row is filled from the computed one.  The seeds come
+from the kernel (``TriangleKernel.seeds``), with the arithmetic of
+``incenter`` and ``altitude_midpoint``.
+
+``certify_max_ratio`` proves that a triangle's maximum is at most a lower
+bound (by default the seeds' value) plus a slack delta, by a Lipschitz
+branch-and-bound over sub-triangles; criterion 14 of ``verify`` runs it on
+every computed cell of the 1 deg sweep, which is what lets the sweep skip
+the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import TriangleKernel, barycentric_grid
+from ._kernels import BOUNDARY_TOL, TriangleKernel, barycentric_grid
 from .geom_core import Point2, Triangle, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -68,31 +74,195 @@ def max_ratio(t: Triangle, n: int, m: int, grid: int = 256) -> RatioReport:
     return RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
 
 
-def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int) -> list[tuple[Point2, float, float]]:
+def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int | None = None) -> list[tuple[Point2, float, float]]:
     """(argmax, R_n, R_m) for each standard-form triangle.
 
-    One stacked kernel evaluates every triangle's seeds and interior
-    ``grid``-per-side lattice; the best seed wins unless a grid point beats
-    it by more than 1e-9.  Row i of every array belongs to ``stds[i]``, so
-    each triangle's result does not depend on the others in the batch.
+    One stacked kernel evaluates every triangle's seeds, and with ``grid``
+    its interior ``grid``-per-side lattice; the best seed wins unless a grid
+    point beats it by more than 1e-9.  Without ``grid`` the best seed is
+    the answer: the sweep's case, whose seeds criterion 14 of ``verify``
+    proves to be the maximum (``certify_max_ratio``).  Row i of every array
+    belongs to ``stds[i]``, so each triangle's result does not depend on the
+    others in the batch.
     """
     k = TriangleKernel(stds)
-    seeds = k.seeds()
-    pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
+    pts = seeds = k.seeds()
+    if grid is not None:
+        pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
     rn, rm = k.costs(pts, n, m)
     vals = rn / rm
     rows = np.arange(len(stds))
     ns = seeds.shape[1]
-    si = np.argmax(vals[:, :ns], axis=1)
-    gi = ns + np.argmax(vals[:, ns:], axis=1)
-    # Prefer a seeded witness when it ties the maximum: argmax sets can be
-    # whole segments, and the canonical extremal points lie on them.  The
-    # slack also absorbs grid points that win only by rounding.
-    at = np.where(vals[rows, si] >= vals[rows, gi] - 1e-9, si, gi)
+    at = si = np.argmax(vals[:, :ns], axis=1)
+    if grid is not None:
+        gi = ns + np.argmax(vals[:, ns:], axis=1)
+        # Prefer a seeded witness when it ties the maximum: argmax sets can
+        # be whole segments, and the canonical extremal points lie on them.
+        # The slack also absorbs grid points that win only by rounding.
+        at = np.where(vals[rows, si] >= vals[rows, gi] - 1e-9, si, gi)
     return [
         (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
         for i, j in zip(rows, at)
     ]
+
+
+# Forward error of the kernel's cost at a box centroid, by fleet size, in
+# base lengths: how far R1, R2 or R3 of the exact centroid may lie from the
+# kernel's float value there.  R1 takes the least of the unfolding cases
+# admitted within ``BOUNDARY_TOL`` of their guard lines, which are parallel
+# lines, and a case admitted that far past its line costs at most
+# 2 * BOUNDARY_TOL less than the true one: both costs are 1-Lipschitz and
+# meet on the line.  R2 and R3 make no such choice in their costs.  The
+# 1e-12 covers float rounding of the costs and the drift of the centroids,
+# one rounding per level: under 1e-14, since past about 55 levels the
+# splits fall below float spacing, every kept box keeps its four children
+# and the box cap stops the triangle within a dozen more.  At 6,000 sampled
+# centroids of the 5 deg certificates the kernel was within 1.2e-16 of
+# ``oracle_costs`` for R2 and R3, and within 9.7e-12 for R1, where the
+# oracle's golden sections stop; with the case slack at 0 no R1 moved at
+# any of their 1.3M centroids.
+COST_ERROR = {1: 2 * BOUNDARY_TOL + 1e-12, 2: 1e-12, 3: 1e-12}
+_BOX_CAP = 2_000_000   # boxes evaluated per triangle before it is given up
+_BOX_CHUNK = 16384     # boxes per kernel call: bounds the repeated tables
+_CERT_GROUP = 32       # triangles certified together: bounds the boxes of a level
+
+
+@dataclass(frozen=True)
+class RatioCertificate:
+    """Branch-and-bound verdict on max R_n/R_m over one closed triangle.
+
+    ``status`` is ``certified`` when every box was dropped, so that ``upper``
+    is at most ``lower`` + delta; ``refuted`` when a box centroid's ratio
+    exceeds ``lower`` + delta, and ``witness`` is that centroid (the one
+    with the largest ratio, standard-form coordinates); ``uncertified`` when
+    the triangle reached the box cap first.  ``upper`` bounds the maximum in
+    every case: it is the largest bound over the dropped boxes and those
+    still open when the triangle stopped.
+    """
+
+    pair: tuple[int, int]
+    status: str
+    lower: float
+    upper: float
+    boxes: int
+    witness: Point2 | None
+
+
+def certify_max_ratio(
+    stds: Sequence[Triangle], n: int, m: int, delta: float, lowers: Sequence[float] | None = None,
+) -> list[RatioCertificate]:
+    """Prove max R_n/R_m <= lower + ``delta`` over each closed standard-form
+    triangle of ``stds``, by a Lipschitz branch-and-bound (Piyavskii 1972,
+    Shubert 1972).
+
+    ``lowers`` default to the seeds' values, computed as the sweep computes
+    its rows (``_maximize``).  R1, R2 and R3 are each 1-Lipschitz in P, so
+    on a box (a sub-triangle) with centroid c and centroid-to-vertex radius h
+
+        R_n/R_m <= (R_n(c) + e_n + h) / (R_m(c) - e_m - h)
+
+    wherever the denominator is positive, with e the kernel's forward error
+    (``COST_ERROR``).  From the whole triangle, a box is dropped when this
+    bound is at most lower + delta; each kept box splits into four at its
+    edge midpoints.  ``_CERT_GROUP`` triangles run together, and each level's
+    open boxes of all of them are evaluated ``_BOX_CHUNK`` at a time on the
+    kernel repeated per box (``TriangleKernel.repeat``).
+
+    A box is its centroid and an orientation s = +-1: at level k each box is
+    its root triangle scaled by 2^-k about its centroid, turned by 180 deg
+    when s = -1.  With the root's centroid-to-vertex offsets o_i, the corner
+    children of a box at c are centered at c + s 2^-(k+1) o_i, and the
+    middle child at c with s negated.
+    """
+    _check_pair(n, m)
+    if lowers is None:
+        lowers = [rn / rm for _, rn, rm in _maximize(stds, n, m)]
+    lowers = list(lowers)
+    out = []
+    for lo in range(0, len(stds), _CERT_GROUP):
+        out += _branch_and_bound(stds[lo:lo + _CERT_GROUP], n, m, delta, lowers[lo:lo + _CERT_GROUP])
+    return out
+
+
+def _branch_and_bound(
+    stds: Sequence[Triangle], n: int, m: int, delta: float, lowers: Sequence[float],
+) -> list[RatioCertificate]:
+    """``certify_max_ratio`` on one group of triangles, all at once."""
+    lower = np.array(lowers, dtype=float)
+    cut = lower + delta
+    en, em = COST_ERROR[n], COST_ERROR[m]
+    kernel = TriangleKernel(stds)
+    verts = np.array([t.vertices for t in stds], dtype=float)
+    center = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3
+    offsets = verts - center[:, None, :]
+    radius = np.hypot(offsets[..., 0], offsets[..., 1]).max(axis=1)
+    count = len(stds)
+    upper = np.full(count, -np.inf)
+    boxes = np.zeros(count, dtype=np.int64)
+    refuted, stopped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    witness = [None] * count
+    cell, c, s, parent = np.arange(count), center, np.ones(count), np.full(count, np.inf)
+    level = 0
+    while cell.size:
+        # A triangle that would pass the cap stops with its open boxes'
+        # parent bounds.
+        level_boxes = np.bincount(cell, minlength=count)
+        full = boxes + level_boxes > _BOX_CAP
+        if full.any():
+            stop = full[cell]
+            _fold_max(upper, cell[stop], parent[stop])
+            stopped |= full
+            cell, c, s, parent = cell[~stop], c[~stop], s[~stop], parent[~stop]
+            level_boxes[full] = 0
+        boxes += level_boxes
+        rn, rm = np.empty(len(cell)), np.empty(len(cell))
+        for lo in range(0, len(cell), _BOX_CHUNK):
+            at = slice(lo, lo + _BOX_CHUNK)
+            stack = kernel.repeat(np.bincount(cell[at], minlength=count))
+            rn[at], rm[at] = (v[:, 0] for v in stack.costs(c[at, None, :], n, m))
+        # The boxes are grouped by triangle, so per-triangle values repeat
+        # into per-box ones.
+        scale = math.ldexp(1.0, -level)
+        h = np.repeat(radius * scale, level_boxes)
+        limit = np.repeat(cut, level_boxes)
+        ratio = rn / rm
+        den = rm - em - h
+        bound = np.divide(rn + en + h, den, out=np.full(len(cell), np.inf), where=den > 0)
+        keep = bound > limit
+        over = ratio > limit
+        if over.any():
+            # A refuted triangle stops: all its boxes count as dropped.
+            for t in np.unique(cell[over]).tolist():
+                mine = np.flatnonzero(over & (cell == t))
+                best = mine[np.argmax(ratio[mine])]
+                witness[t] = Point2(float(c[best, 0]), float(c[best, 1]))
+            refuted[cell[over]] = True
+            keep &= ~refuted[cell]
+        _fold_max(upper, cell, np.where(keep, -np.inf, bound))
+        # Each box's four children in a row, so that the boxes stay grouped
+        # by triangle, as ``TriangleKernel.repeat`` lays out its rows.
+        kept = np.flatnonzero(keep)
+        kc, kcen, ks = cell[kept], c[kept], s[kept]
+        corners = kcen[:, None, :] + offsets[kc] * (ks * (scale / 2))[:, None, None]
+        cell = np.repeat(kc, 4)
+        c = np.concatenate([corners, kcen[:, None, :]], axis=1).reshape(-1, 2)
+        s = (ks[:, None] * [1.0, 1.0, 1.0, -1.0]).reshape(-1)
+        parent = np.repeat(bound[kept], 4)
+        level += 1
+    status = np.where(refuted, "refuted", np.where(stopped, "uncertified", "certified"))
+    return [
+        RatioCertificate((n, m), str(status[t]), float(lower[t]), float(upper[t]), int(boxes[t]), witness[t])
+        for t in range(count)
+    ]
+
+
+def _fold_max(out: np.ndarray, cell: np.ndarray, values: np.ndarray) -> None:
+    """out[t] = max(out[t], every value of triangle t), for boxes grouped by
+    triangle (``cell`` sorted)."""
+    if cell.size:
+        start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        at = cell[start]
+        out[at] = np.maximum(out[at], np.maximum.reduceat(values, start))
 
 
 _SHAPE_TOL = 0.51  # degrees
@@ -205,28 +375,30 @@ def _sweep_cells(step_deg: float, eps_apex_deg: float) -> list[tuple[float, floa
     return cells
 
 
-_SWEEP_GRID = 24  # barycentric points per side in each sweep cell
-
-
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
-    """Per-triangle max_ratio over the (angle B, angle C) grid.
+    """Per-triangle maximum of R_n/R_m over the (angle B, angle C) grid.
+
+    Each computed cell's row is the best of its seeds, the incenter and the
+    three altitude midpoints, with no sampled grid: criterion 14 of
+    ``verify`` proves, with ``certify_max_ratio`` on every computed cell of
+    the 1 deg grid, that no point of the triangle beats that value by more
+    than its delta.  The 1 deg grid holds every cell that the 5, 4 and 2
+    deg sweeps compute.  The sweep runs no certificate itself, which would
+    cost far more than the sweep.
 
     Cells are independent, and R_n/R_m is a property of the triangle, not
     of its labels, so one cell per triangle is computed: the one with the
     apex at the largest angle and B >= C (``_source_cell``).  They run on
     one thread in fixed-size chunks, in cell order, each chunk on one
-    stacked kernel (``_maximize``); every computed cell follows the same
-    arithmetic as ``max_ratio`` on its own, so results do not depend on the
-    chunk size.  The chunk size bounds the memory of a batch.  Each other
-    row with B >= C is its triangle's computed row relabeled
-    (``_relabeled_row``), and each row with B < C is its mirror's row with
-    the argmax reflected in standard form, x -> 1 - x, so mirror rows are
-    equal by construction.  A cell whose relabelings are off the grid, as
-    when 180 is not a multiple of the step, is computed itself.  The
-    per-cell grid (``_SWEEP_GRID``) is coarse on purpose: the extremal
-    values come from the seeded witnesses, which every computed cell
-    evaluates, and coarser angle grids are subsets of finer ones, so
-    running inf/sup values stay monotone in the step size.
+    stacked kernel (``_maximize``); each triangle's row does not depend on
+    the others in its chunk, so results do not depend on the chunk size.
+    The chunk size bounds the memory of a batch.  Each other row with
+    B >= C is its triangle's computed row relabeled (``_relabeled_row``),
+    and each row with B < C is its mirror's row with the argmax reflected in
+    standard form, x -> 1 - x, so mirror rows are equal by construction.  A
+    cell whose relabelings are off the grid, as when 180 is not a multiple
+    of the step, is computed itself.  Coarser angle grids are subsets of
+    finer ones, so running inf/sup values stay monotone in the step size.
     """
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -243,7 +415,7 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     for lo in range(0, len(computed), _CHUNK):
         chunk = computed[lo:lo + _CHUNK]
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
-        for (b, c), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m, _SWEEP_GRID)):
+        for (b, c), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m)):
             found[b, c] = std, SweepRow(b, c, rn / rm, argmax, rn, rm)
     rows = {cell: found[cell][1] if src == cell else _relabeled_row(*cell, *found[src])
             for cell, src in source.items()}

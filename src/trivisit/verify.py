@@ -15,12 +15,21 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import TriangleKernel
-from .fleet_costs import fleet_costs, mid_altitude_point, r1, r2, r3
+from .fleet_costs import (
+    fleet_costs,
+    mid_altitude_point,
+    r1,
+    r1_incenter_closed,
+    r1_mid_altitude_closed,
+    r2,
+    r2_incenter_closed,
+    r3,
+)
 from .fleet_costs import h1 as h1_fn
 from .geom_core import Point2, VertexId, dist_point_segment, edge_segment, incenter, opposite_edge, triangle_from_angles
 from .oracle import CERTIFY_TOL, OracleConfig, oracle_costs, oracle_ordered3
 from .regions import r1_lrd_rld_locus, r2_separator, r3_regions
-from .tradeoffs import max_ratio, sweep_triangles
+from .tradeoffs import COST_ERROR, certify_max_ratio, max_ratio, sweep_triangles
 from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_ordered, visit_two_set
 
 SQRT10 = math.sqrt(10.0)
@@ -464,6 +473,58 @@ def _crit_13(quick: bool) -> CriterionResult:
     return c.result(13, "triangle-space sweeps reproduce the trade-off table", max_notes=3)
 
 
+# Certificate slack per ratio pair, the same at every cell: the least power
+# of ten that certifies every 1 deg cell within the box cap and the time.
+# Each tenfold cut costs about ten times the boxes where the maximum is not
+# isolated: (2,3) is flat along segments that end at the incenter.  On the
+# 1 deg grid, (1,3) at 1e-7 leaves (88, 2), (89, 1) and (89, 2) at the 2M
+# box cap, (1,2) at 1e-6 leaves (88, 2) and (89, 1) there, and (2,3) at
+# 1e-4 takes 74M boxes against 8.1M at 1e-3, some 25 s (CHANGES.md).
+_CERT_DELTA = {(1, 2): 1e-5, (1, 3): 1e-6, (2, 3): 1e-3}
+# The paper's maximizer of each pair: the closed form of R_n there, and the
+# point, where R_m is evaluated.
+_PAPER_POINT = {
+    (1, 2): (r1_mid_altitude_closed, mid_altitude_point),
+    (1, 3): (r1_incenter_closed, incenter),
+    (2, 3): (r2_incenter_closed, incenter),
+}
+
+
+def _crit_14(quick: bool) -> CriterionResult:
+    c = _Check()
+    step = 5.0 if quick else 1.0
+    for pair, delta in _CERT_DELTA.items():
+        n, m = pair
+        # The computed cells, A >= B >= C: every other row of the grid is
+        # one of them relabeled or mirrored, with the same ratio.
+        rows = [
+            r for r in sweep_triangles(n, m, step_deg=step).rows if 180.0 - r.b_deg - r.c_deg >= r.b_deg >= r.c_deg
+        ]
+        stds = [triangle_from_angles(math.radians(r.b_deg), math.radians(r.c_deg)) for r in rows]
+        certs = certify_max_ratio(stds, n, m, delta, [r.ratio for r in rows])
+        closed, point = _PAPER_POINT[pair]
+        [rm] = TriangleKernel(stds).costs(np.array([[tuple(point(t))] for t in stds]), m)
+        paper = [closed(t) / float(v) for t, v in zip(stds, rm[:, 0])]
+        for row, cert, value in zip(rows, certs, paper):
+            cell = (row.b_deg, row.c_deg)
+            if cert.status != "certified":
+                c.failures.append(f"{pair} cell {cell} {cert.status}: lower {cert.lower!r} upper {cert.upper!r} "
+                                  f"after {cert.boxes} boxes, witness {cert.witness}")
+            elif not cert.upper <= value + delta:
+                c.failures.append(f"{pair} cell {cell}: upper {cert.upper!r} above {value!r} at the paper's point "
+                                  f"+ {delta:g}")
+        boxes = sorted(cert.boxes for cert in certs)
+        counts = {k: sum(cert.status == k for cert in certs) for k in ("uncertified", "refuted")}
+        c.notes.append(
+            f"{pair}: delta={delta:g} eps=({COST_ERROR[n]:g}, {COST_ERROR[m]:g}) cells={len(certs)} "
+            f"boxes median/max={boxes[len(boxes) // 2]}/{boxes[-1]} "
+            f"gap={max(cert.upper - cert.lower for cert in certs):.4g} "
+            f"uncertified={counts['uncertified']} refuted={counts['refuted']}"
+        )
+    c.notes.append("relabeled and mirrored rows are covered through their source cells")
+    return c.result(14, "certified sweep maxima: the seeds are the maximum within delta", max_notes=4)
+
+
 CRITERIA: tuple[tuple[int, str, Callable[[bool], CriterionResult]], ...] = (
     (1, "equilateral incenter: R1/R3 = 4", _crit_1),
     (2, "equilateral incenter: R2/R3 = 2", _crit_2),
@@ -478,6 +539,7 @@ CRITERIA: tuple[tuple[int, str, Callable[[bool], CriterionResult]], ...] = (
     (11, "incenter-optimality ratio h1 values", _crit_11),
     (12, "region golden probes and separator-chain ties", _crit_12),
     (13, "triangle-space sweeps reproduce the trade-off table", _crit_13),
+    (14, "certified sweep maxima: the seeds are the maximum within delta", _crit_14),
 )
 
 

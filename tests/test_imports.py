@@ -117,13 +117,9 @@ def test_scan_sees_a_dead_private_name():
     assert _dead_private_names({"a": a, "b": b, "c": c}) == {"a._dead", "a._point"}
 
 
-# Public names with no reader yet, kept for the certified ratio maxima, the
-# proved trade-off table and the region-boundary check that ROADMAP items 4,
-# 5 and 8 plan (see item 7).
+# Public names with no reader yet, kept for the proved trade-off table and
+# the region-boundary check that ROADMAP items 5 and 8 plan (see item 7).
 _RESERVED = frozenset({
-    "fleet_costs.r1_incenter_closed",
-    "fleet_costs.r2_incenter_closed",
-    "fleet_costs.r1_mid_altitude_closed",
     "fleet_costs.h2",
     "regions.SeparatorChain.max_endpoint_gap",
     "tradeoffs.ratio_at",

@@ -94,6 +94,22 @@ class TestStacked:
         with pytest.raises(ValueError, match="fleet size must be 1, 2 or 3, got 4"):
             k.costs(pts, 1, 4)
 
+    def test_repeated_rows_match_the_stack(self, rng):
+        # Each triangle ``counts[t]`` times in a row, one point per row: the
+        # ratio certifier's layout.  Its costs are the stack's, bit for bit,
+        # past ``_BROADCAST_POINTS`` rows too.
+        tris = [random_triangle(rng) for _ in range(4)]
+        k = TriangleKernel(tris)
+        pts = barycentric_grid(tris, 6)
+        counts = np.array([3, 0, 2100, 1])
+        rows = np.repeat(np.arange(4), counts)
+        pick = pts[rows, np.arange(len(rows)) % pts.shape[1]]
+        repeated = k.repeat(counts)
+        assert repeated.rows is None
+        for stacked, got in zip(k.costs(pts, 1, 2, 3), repeated.costs(pick[:, None, :], 1, 2, 3)):
+            assert got.shape == (len(rows), 1)
+            np.testing.assert_array_equal(got[:, 0], stacked[rows, np.arange(len(rows)) % pts.shape[1]])
+
     def test_grid_rows_match_single_grids(self, rng):
         tris = [random_triangle(rng) for _ in range(3)]
         pts = barycentric_grid(tris, 7, include_vertices=False)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import poses
-from trivisit import tradeoffs
+from trivisit import tradeoffs, verify
 from trivisit._kernels import TriangleKernel
 from trivisit.geom_core import (
     Point2,
@@ -16,6 +16,7 @@ from trivisit.geom_core import (
     triangle_from_angles,
 )
 from trivisit.tradeoffs import (
+    certify_max_ratio,
     describe_shape,
     max_ratio,
     ratio_at,
@@ -230,6 +231,76 @@ class TestSweep:
                 assert abs(got - want) <= 1e-14 * want, cell
             if row.argmax.dist(rep.argmax) > 1e-14:
                 assert abs(ratio_at(t, row.argmax, n, m) - rep.ratio) <= 1e-12, cell
+
+
+# Named triangles by their angles; each is certified as the 5 deg sweep
+# computes it, with its angles sorted so that A >= B >= C.
+_CERT_SHAPES = {
+    "equilateral": (60.0, 60.0, 60.0),
+    "right isosceles": (90.0, 45.0, 45.0),
+    "50/70": (70.0, 60.0, 50.0),
+    "85/85": (85.0, 85.0, 10.0),
+}
+
+
+def _computed_cells(n, m):
+    """(standard forms, sweep rows) of the computed cells of ``_CERT_SHAPES``
+    in the 5 deg sweep."""
+    rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(n, m, step_deg=5.0).rows}
+    picked = [rows[b, c] for _, b, c in _CERT_SHAPES.values()]
+    return [triangle_from_angles(math.radians(r.b_deg), math.radians(r.c_deg)) for r in picked], picked
+
+
+class TestCertifyMaxRatio:
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_seeds_are_certified_maxima(self, n, m):
+        delta = verify._CERT_DELTA[n, m]
+        stds, rows = _computed_cells(n, m)
+        for name, std, row, cert in zip(_CERT_SHAPES, stds, rows, certify_max_ratio(stds, n, m, delta)):
+            assert cert.status == "certified" and cert.witness is None, name
+            # The default lower bound is the seeds' value, computed as the
+            # sweep computes its row.
+            assert cert.lower.hex() == row.ratio.hex(), name
+            assert cert.upper >= max_ratio(std, n, m, grid=256).ratio, name
+            assert cert.upper - cert.lower <= delta, name
+            assert cert.boxes >= 1 and cert.pair == (n, m)
+
+    @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+    def test_a_lower_bound_cut_by_ten_deltas_is_refuted(self, n, m):
+        delta = verify._CERT_DELTA[n, m]
+        stds, rows = _computed_cells(n, m)
+        cuts = [r.ratio - 10 * delta for r in rows]
+        for name, std, cut, cert in zip(_CERT_SHAPES, stds, cuts, certify_max_ratio(stds, n, m, delta, cuts)):
+            assert cert.status == "refuted" and cert.lower == cut, name
+            assert std.contains(cert.witness), name
+            assert ratio_at(std, cert.witness, n, m) > cut + delta, name
+
+    def test_box_cap_leaves_a_cell_uncertified_with_a_valid_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(tradeoffs, "_BOX_CAP", 40)
+        stds, _ = _computed_cells(1, 3)
+        for std, cert in zip(stds, certify_max_ratio(stds, 1, 3, 1e-6)):
+            assert cert.status == "uncertified" and cert.boxes <= 40
+            assert cert.upper >= max_ratio(std, 1, 3, grid=64).ratio
+
+
+def test_sweep_evaluates_no_grid(monkeypatch):
+    """The sweep takes the best of the seeds alone: a grid that raises does
+    not touch it."""
+    def rows():
+        return [
+            (r.b_deg, r.c_deg, *(v.hex() for v in (r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y)))
+            for r in sweep_triangles(2, 3, step_deg=5.0).rows
+        ]
+
+    want = rows()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the sweep sampled a grid")
+
+    monkeypatch.setattr(tradeoffs, "barycentric_grid", no_grid)
+    assert rows() == want
+    with pytest.raises(AssertionError, match="sampled a grid"):
+        max_ratio(EQ, 2, 3)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_10deg.json").read_text())
