@@ -529,15 +529,12 @@ class TriangleKernel:
         return [by_size[r] for r in robots]
 
 
-def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices: bool = True) -> np.ndarray:
-    """Cartesian points of the n-per-side barycentric lattice: (N, 2) for one
-    triangle, (T, N, 2) for a sequence of T triangles."""
+def barycentric_grid(t: Triangle, n: int) -> np.ndarray:
+    """Cartesian points of the n-per-side barycentric lattice of ``t``, (N, 2),
+    vertices included."""
     if n < 2:
         raise ValueError("grid needs at least 2 points per side")
-    if isinstance(t, Triangle):
-        verts = np.asarray(t.vertices, dtype=float)
-    else:
-        verts = np.array([tri.vertices for tri in t], dtype=float)
+    verts = np.asarray(t.vertices, dtype=float)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     keep = ii + jj <= n - 1
     i = ii[keep].astype(float)
@@ -545,15 +542,11 @@ def barycentric_grid(t: Triangle | Sequence[Triangle], n: int, include_vertices:
     wa = i / (n - 1)
     wb = j / (n - 1)
     wc = 1.0 - wa - wb
-    if not include_vertices:
-        interior = (wa <= 1.0 - 1e-12) & (wb <= 1.0 - 1e-12) & (wc <= 1.0 - 1e-12)
-        wa, wb, wc = wa[interior], wb[interior], wc[interior]
     # wa*A + wb*B + wc*C one coordinate at a time, the same operations in the
     # same order: a ufunc over a trailing axis of length 2 is several times
     # slower per element.
-    out = np.empty(verts.shape[:-2] + wa.shape + (2,))
+    out = np.empty(wa.shape + (2,))
     for d in range(2):
-        a, b, c = (verts[..., k, d, None] for k in range(3))
-        np.add(wa * a + wb * b, wc * c, out=out[..., d])
+        a, b, c = (verts[k, d, None] for k in range(3))
+        np.add(wa * a + wb * b, wc * c, out=out[:, d])
     return out
-

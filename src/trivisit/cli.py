@@ -269,7 +269,7 @@ def cmd_regions(args) -> int:
 
 def cmd_ratio(args) -> int:
     t = resolve_triangle(args)
-    rep = max_ratio(t, args.n, args.m, grid=args.grid)
+    rep = max_ratio(t, args.n, args.m)
     print(json_dumps({
         "schema": SCHEMA,
         "pair": [args.n, args.m],
@@ -277,7 +277,6 @@ def cmd_ratio(args) -> int:
         "argmax": [rep.argmax.x, rep.argmax.y],
         "rn": rep.rn,
         "rm": rep.rm,
-        "grid": rep.grid,
     }))
     return 0
 
@@ -341,7 +340,6 @@ def build_parser() -> _Parser:
     add_triangle(p)
     p.add_argument("--n", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--grid", type=int, default=256)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("sweep", help="max ratio over an angle grid of triangles")

@@ -1,23 +1,21 @@
 """Worst-case fleet-size ratio maximization and triangle-space sweeps.
 
 For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points as the
-best of a barycentric grid and the seeds: the incenter and the three altitude
-midpoints, where the paper places the maximizers of the three ratio pairs.
-``sweep_triangles`` takes the best of the seeds alone over an angle grid and
-tracks the running infimum and supremum; infima are limits over
-degenerating shapes, so they are reported as approached, never attained.
-Both evaluate ``_maximize`` on a stacked kernel: ``max_ratio`` on a batch of
-one triangle, ``sweep_triangles`` on chunks of one cell per triangle, the
-one with A >= B >= C; every other cell of the grid is the same triangle
-relabeled, and its row is filled from the computed one.  The seeds come
-from the kernel (``TriangleKernel.seeds``), with the arithmetic of
-``incenter`` and ``altitude_midpoint``.
+best of the seeds: the incenter and the three altitude midpoints, where the
+paper places the maximizers of the three ratio pairs.  ``sweep_triangles``
+does the same over an angle grid and tracks the running infimum and
+supremum; infima are limits over degenerating shapes, so they are reported
+as approached, never attained.  Both evaluate ``_maximize`` on a stacked
+kernel: ``max_ratio`` on a batch of one triangle, ``sweep_triangles`` on
+chunks of one cell per triangle, the one with A >= B >= C; every other cell
+of the grid is the same triangle relabeled, and its row is filled from the
+computed one.  The seeds come from the kernel (``TriangleKernel.seeds``),
+with the arithmetic of ``incenter`` and ``altitude_midpoint``.
 
 ``certify_max_ratio`` proves that a triangle's maximum is at most a lower
 bound (by default the seeds' value) plus a slack delta, by a Lipschitz
 branch-and-bound over sub-triangles; criterion 14 of ``verify`` runs it on
-every computed cell of the 1 deg sweep, which is what lets the sweep skip
-the grid.
+every computed cell of the 1 deg sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import BOUNDARY_TOL, TriangleKernel, barycentric_grid
+from ._kernels import BOUNDARY_TOL, TriangleKernel
 from .geom_core import Point2, Triangle, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -55,54 +53,38 @@ class RatioReport:
     argmax: Point2              # standard-form coordinates
     rn: float
     rm: float
-    grid: int
 
 
-def max_ratio(t: Triangle, n: int, m: int, grid: int = 256) -> RatioReport:
-    """Maximize R_n/R_m over the closed triangle (vertices excluded).
+def max_ratio(t: Triangle, n: int, m: int) -> RatioReport:
+    """Maximize R_n/R_m over the closed triangle: the best of the seeds,
+    computed as the sweep computes its rows (``_maximize``).
 
-    The returned ratio is the largest over the seeds and the grid-point
-    samples; the argmax is a seed whenever one is within 1e-9 of the best
-    grid point, so non-unique maxima land on the canonical extremal points.
+    The ratio is the seeds' value, so a lower bound on the maximum, and the
+    maximum to within the slack of ``verify._CERT_DELTA`` wherever
+    ``certify_max_ratio`` proves it: on every computed cell of the 1 deg
+    sweep (criterion 14 of ``verify``), and, in the tests, on the thin
+    isosceles triangles of criterion 7.
     """
     _check_pair(n, m)
-    # Vertices are excluded, so a 2-per-side lattice has no point to sample.
-    if grid < 3:
-        raise ValueError("grid needs at least 3 points per side")
     std, _ = t.standard()
-    [(argmax, rn, rm)] = _maximize([std], n, m, grid)
-    return RatioReport((n, m), rn / rm, argmax, rn, rm, grid)
+    [(argmax, rn, rm)] = _maximize([std], n, m)
+    return RatioReport((n, m), rn / rm, argmax, rn, rm)
 
 
-def _maximize(stds: Sequence[Triangle], n: int, m: int, grid: int | None = None) -> list[tuple[Point2, float, float]]:
-    """(argmax, R_n, R_m) for each standard-form triangle.
+def _maximize(stds: Sequence[Triangle], n: int, m: int) -> list[tuple[Point2, float, float]]:
+    """(argmax, R_n, R_m) of the best seed of each standard-form triangle.
 
-    One stacked kernel evaluates every triangle's seeds, and with ``grid``
-    its interior ``grid``-per-side lattice; the best seed wins unless a grid
-    point beats it by more than 1e-9.  Without ``grid`` the best seed is
-    the answer: the sweep's case, whose seeds criterion 14 of ``verify``
-    proves to be the maximum (``certify_max_ratio``).  Row i of every array
-    belongs to ``stds[i]``, so each triangle's result does not depend on the
-    others in the batch.
+    One stacked kernel evaluates every triangle's seeds.  Row i of every
+    array belongs to ``stds[i]``, so each triangle's result does not depend
+    on the others in the batch.
     """
     k = TriangleKernel(stds)
-    pts = seeds = k.seeds()
-    if grid is not None:
-        pts = np.concatenate([seeds, barycentric_grid(stds, grid, include_vertices=False)], axis=1)
+    pts = k.seeds()
     rn, rm = k.costs(pts, n, m)
-    vals = rn / rm
-    rows = np.arange(len(stds))
-    ns = seeds.shape[1]
-    at = si = np.argmax(vals[:, :ns], axis=1)
-    if grid is not None:
-        gi = ns + np.argmax(vals[:, ns:], axis=1)
-        # Prefer a seeded witness when it ties the maximum: argmax sets can
-        # be whole segments, and the canonical extremal points lie on them.
-        # The slack also absorbs grid points that win only by rounding.
-        at = np.where(vals[rows, si] >= vals[rows, gi] - 1e-9, si, gi)
+    at = np.argmax(rn / rm, axis=1)
     return [
         (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
-        for i, j in zip(rows, at)
+        for i, j in enumerate(at.tolist())
     ]
 
 

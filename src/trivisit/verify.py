@@ -127,12 +127,16 @@ def _crit_6(quick: bool) -> CriterionResult:
     return c.result(6, "right isosceles incenter: R1/R3 = 2 + sqrt(2)")
 
 
+# Apexes of criterion 7's thin isosceles triangles, in degrees.
+_THIN_APEX_DEG = (8.0, 4.0, 2.0, 1.0, 0.5)
+
+
 def _crit_7(quick: bool) -> CriterionResult:
     c = _Check()
     values = []
-    for apex_deg in (8.0, 4.0, 2.0, 1.0, 0.5):
+    for apex_deg in _THIN_APEX_DEG:
         half = math.radians((180.0 - apex_deg) / 2.0)
-        rep = max_ratio(triangle_from_angles(half, half), 1, 3, grid=128)
+        rep = max_ratio(triangle_from_angles(half, half), 1, 3)
         values.append(rep.ratio)
     c.ok(
         "strictly decreasing",

@@ -203,17 +203,20 @@ class TestRatioCmd:
         assert doc["ratio"] == pytest.approx(4.0, abs=1e-6)
         assert doc["argmax"][0] == pytest.approx(0.5, abs=1e-4)
         assert doc["argmax"][1] == pytest.approx(0.28867513, abs=1e-4)
-        assert set(doc) == {"schema", "pair", "ratio", "argmax", "rn", "rm", "grid"}
+        assert set(doc) == {"schema", "pair", "ratio", "argmax", "rn", "rm"}
 
     def test_bad_pair_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "ratio", "--angles", "60,60", "--n", "3", "--m", "1")
         assert code == EXIT_USAGE
 
-    def test_grid_without_interior_points_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "ratio", "--angles", "60,60", "--n", "1", "--m", "3", "--grid", "2")
-        assert code == EXIT_USAGE
+    def test_grid_flag_exits_1(self, capsys):
+        # The maximum is the best of the seeds; there is no grid to size.
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "--angles", "60,60", "--n", "1", "--m", "3", "--grid", "256"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "trivisit: error: grid needs at least 3 points per side\n"
+        assert "unrecognized arguments: --grid 256" in err
 
 
 class TestSweepCmd:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import poses
 from trivisit import tradeoffs, verify
-from trivisit._kernels import TriangleKernel
+from trivisit._kernels import TriangleKernel, barycentric_grid
 from trivisit.geom_core import (
     Point2,
     VertexId,
@@ -64,36 +64,25 @@ class TestMaxRatio:
         assert rep.argmax.dist(incenter(EQ)) < 1e-4
 
     def test_ratio_consistent_with_costs(self):
-        rep = max_ratio(EQ, 1, 3, grid=64)
+        rep = max_ratio(EQ, 1, 3)
         assert rep.ratio == pytest.approx(rep.rn / rep.rm, abs=1e-12)
 
     @settings(max_examples=10)
     @given(poses.instances({"least": 1.0}, mirror=None))
     def test_similarity_invariance(self, inst):
-        r1v = max_ratio(inst.std, 1, 3, grid=48).ratio
-        r2v = max_ratio(inst.t, 1, 3, grid=48).ratio
+        r1v = max_ratio(inst.std, 1, 3).ratio
+        r2v = max_ratio(inst.t, 1, 3).ratio
         assert r1v == pytest.approx(r2v, abs=1e-9)
 
     def test_value_not_below_samples(self, rng):
-        # seeds and grid points never beat the reported maximum materially
-        from trivisit._kernels import TriangleKernel, barycentric_grid
-
+        # no lattice point, vertices included, beats the reported maximum
+        # materially
         for _ in range(10):
             t = random_triangle(rng)
-            rep = max_ratio(t, 1, 2, grid=48)
+            rep = max_ratio(t, 1, 2)
             std, _ = t.standard()
-            k = TriangleKernel(std)
-            pts = barycentric_grid(std, 48, include_vertices=False)
-            v1, v2 = k.costs(pts, 1, 2)
-            vals = v1 / v2
-            assert rep.ratio >= float(vals.max()) - 1e-9
-
-
-    def test_grid_without_interior_points_rejected(self):
-        with pytest.raises(ValueError, match="grid needs at least 3 points per side"):
-            max_ratio(EQ, 1, 3, grid=2)
-        rep = max_ratio(EQ, 1, 3, grid=3)
-        assert rep.ratio == pytest.approx(4.0, abs=1e-9)
+            v1, v2 = TriangleKernel(std).costs(barycentric_grid(std, 48), 1, 2)
+            assert rep.ratio >= float((v1 / v2).max()) - 1e-9
 
 
 @pytest.mark.parametrize("step", [5.0, 1.0])
@@ -168,7 +157,7 @@ class TestSweep:
         # computes it rather than filling it from another cell.
         row = next(r for r in sweep_triangles(2, 3, step_deg=10.0).rows if (r.b_deg, r.c_deg) == (60.0, 50.0))
         t = triangle_from_angles(math.radians(60.0), math.radians(50.0))
-        rep = max_ratio(t, 2, 3, grid=24)
+        rep = max_ratio(t, 2, 3)
         assert (rep.ratio, rep.rn, rep.rm, rep.argmax) == (row.ratio, row.rn, row.rm, row.argmax)
 
     def test_mirror_row_is_computed_row_reflected(self):
@@ -219,14 +208,20 @@ class TestSweep:
     @pytest.mark.parametrize("step", [5.0, 4.0])
     @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
     def test_every_row_matches_its_own_max_ratio(self, n, m, step):
-        # 1e-14 is about twice the largest move from the direct value measured
-        # over the 5 and 1 deg sweeps (4.8e-15 relative in rn and rm, 2.9e-15
-        # in the argmax).  On plateaus (isosceles cells with tied seeds) the
-        # argmax may land on another maximizer, as in test_sweep_matches_golden.
+        # A computed cell (A >= B >= C) is max_ratio's triangle, so its row is
+        # max_ratio's result bit for bit, argmax included.  A filled row is
+        # its computed row relabeled: 1e-14 is about twice the largest move
+        # from the direct value measured over the 5 and 1 deg sweeps (4.8e-15
+        # relative in rn and rm, 2.9e-15 in the argmax).  On plateaus
+        # (isosceles cells with tied seeds) the argmax may land on another
+        # maximizer, as in test_sweep_matches_golden.
         for row in sweep_triangles(n, m, step_deg=step).rows:
             cell = (row.b_deg, row.c_deg)
             t = triangle_from_angles(math.radians(row.b_deg), math.radians(row.c_deg))
-            rep = max_ratio(t, n, m, grid=24)
+            rep = max_ratio(t, n, m)
+            if 180.0 - row.b_deg - row.c_deg >= row.b_deg >= row.c_deg:
+                assert _bits(rep) == _bits(row), cell
+                continue
             for got, want in ((row.ratio, rep.ratio), (row.rn, rep.rn), (row.rm, rep.rm)):
                 assert abs(got - want) <= 1e-14 * want, cell
             if row.argmax.dist(rep.argmax) > 1e-14:
@@ -251,6 +246,17 @@ def _computed_cells(n, m):
     return [triangle_from_angles(math.radians(r.b_deg), math.radians(r.c_deg)) for r in picked], picked
 
 
+def _bits(r):
+    """A max_ratio result or sweep row as ``float.hex``, argmax included."""
+    return [v.hex() for v in (r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y)]
+
+
+def _lattice_max(std, n, m):
+    """The largest R_n/R_m over the 256-per-side lattice of ``std``."""
+    rn, rm = TriangleKernel(std).costs(barycentric_grid(std, 256), n, m)
+    return float((rn / rm).max())
+
+
 class TestCertifyMaxRatio:
     @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
     def test_seeds_are_certified_maxima(self, n, m):
@@ -261,7 +267,7 @@ class TestCertifyMaxRatio:
             # The default lower bound is the seeds' value, computed as the
             # sweep computes its row.
             assert cert.lower.hex() == row.ratio.hex(), name
-            assert cert.upper >= max_ratio(std, n, m, grid=256).ratio, name
+            assert cert.upper >= _lattice_max(std, n, m), name
             assert cert.upper - cert.lower <= delta, name
             assert cert.boxes >= 1 and cert.pair == (n, m)
 
@@ -275,32 +281,25 @@ class TestCertifyMaxRatio:
             assert std.contains(cert.witness), name
             assert ratio_at(std, cert.witness, n, m) > cut + delta, name
 
+    def test_thin_isosceles_maxima_are_certified(self):
+        # Criterion 7's triangles, whose 1 and 0.5 deg apexes are no cell
+        # of the 1 deg sweep that criterion 14 certifies: max_ratio's value
+        # is the default lower bound, and it is the maximum within delta.
+        delta = verify._CERT_DELTA[1, 3]
+        halves = [math.radians((180.0 - apex) / 2.0) for apex in verify._THIN_APEX_DEG]
+        tris = [triangle_from_angles(half, half) for half in halves]
+        stds = [t.standard()[0] for t in tris]
+        for apex, t, cert in zip(verify._THIN_APEX_DEG, tris, certify_max_ratio(stds, 1, 3, delta)):
+            assert cert.status == "certified", (apex, cert)
+            assert cert.lower.hex() == max_ratio(t, 1, 3).ratio.hex(), apex
+            assert cert.lower <= cert.upper <= cert.lower + delta, apex
+
     def test_box_cap_leaves_a_cell_uncertified_with_a_valid_upper_bound(self, monkeypatch):
         monkeypatch.setattr(tradeoffs, "_BOX_CAP", 40)
         stds, _ = _computed_cells(1, 3)
         for std, cert in zip(stds, certify_max_ratio(stds, 1, 3, 1e-6)):
             assert cert.status == "uncertified" and cert.boxes <= 40
-            assert cert.upper >= max_ratio(std, 1, 3, grid=64).ratio
-
-
-def test_sweep_evaluates_no_grid(monkeypatch):
-    """The sweep takes the best of the seeds alone: a grid that raises does
-    not touch it."""
-    def rows():
-        return [
-            (r.b_deg, r.c_deg, *(v.hex() for v in (r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y)))
-            for r in sweep_triangles(2, 3, step_deg=5.0).rows
-        ]
-
-    want = rows()
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the sweep sampled a grid")
-
-    monkeypatch.setattr(tradeoffs, "barycentric_grid", no_grid)
-    assert rows() == want
-    with pytest.raises(AssertionError, match="sampled a grid"):
-        max_ratio(EQ, 2, 3)
+            assert cert.upper >= _lattice_max(std, 1, 3)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "sweep_10deg.json").read_text())
@@ -332,11 +331,19 @@ RATIO_GOLDEN = json.loads((Path(__file__).parent / "data" / "ratio_golden.json")
 
 def test_max_ratio_matches_golden():
     """Every recorded max_ratio result, bit for bit: named shapes down to a
-    0.5 degree apex and seeded random ones, all pairs, grids 256, 128, 48."""
+    0.5 degree apex and seeded random ones, all pairs.  The rows were
+    recorded at grids 256, 128 and 48, and a shape's three rows agree: the
+    best seed won at every grid."""
+    by_shape = {}
     for name, b, c, n, m, grid, *expected in RATIO_GOLDEN["cases"]:
-        rep = max_ratio(triangle_from_angles(float.fromhex(b), float.fromhex(c)), n, m, grid=grid)
-        got = [v.hex() for v in (rep.ratio, rep.rn, rep.rm, rep.argmax.x, rep.argmax.y)]
-        assert got == expected, (name, n, m, grid)
+        by_shape.setdefault((name, b, c, n, m), {})[grid] = expected
+    assert len(by_shape) == 102
+    for (name, b, c, n, m), rows in by_shape.items():
+        assert sorted(rows) == [48, 128, 256], (name, n, m)
+        expected = rows[256]
+        assert rows[128] == rows[48] == expected, (name, n, m)
+        rep = max_ratio(triangle_from_angles(float.fromhex(b), float.fromhex(c)), n, m)
+        assert _bits(rep) == expected, (name, n, m)
 
 
 @pytest.mark.parametrize("pair", sorted(RATIO_GOLDEN["sweeps"]))
