@@ -22,11 +22,10 @@ scale costs back to the pose.
 
 Two tables hold every cost: the segment table, whose nine members are the
 three edges and the six ordered edge pairs, and the unfolding table of the
-six ordered three-edge visits.  ``r3_all`` reads the edges' members and
-``r2_partitions`` the pairs'; ``segs_all`` gives all nine and ``r1_all`` the
-six orders.  Each chooses from the number of points between one broadcast
-over its members (up to ``_BROADCAST_POINTS``) and a loop over them, which
-give the same bits.  So one point costs two NumPy passes, ``segs_all`` and
+six ordered three-edge visits.  ``segs_all`` gives all nine, ``r3_all`` the
+edges' three and ``r1_all`` the six orders, each in one NumPy broadcast over
+its members; ``r2_partitions`` reads its singles and pairs from one
+``segs_all`` pass.  So one point costs two NumPy passes, ``segs_all`` and
 ``r1_all`` (``visitation.StandardPoint``).
 
 Each decision rule (the unfolding cases, the farthest edges, R2's kept
@@ -86,9 +85,6 @@ from .geom_core import (
 BOUNDARY_TOL = 1e-9
 # Cost ties tighter than this are treated as exact when choosing a kind.
 EXACT_TIE = 1e-12
-# ``r1_all`` and ``r3_all`` broadcast over their members up to this many
-# points and loop over them above it (see ``TriangleKernel._each_member``).
-_BROADCAST_POINTS = 2048
 
 _ORDERS = tuple(VisitOrder)
 _EDGES = tuple(EdgeId)
@@ -271,11 +267,13 @@ def _ordered3_cases(pts: np.ndarray, table) -> np.ndarray:
 
 # The orders (first, second) and (second, first) of the pair of edges left by
 # each lone edge, as indices into the segment table, in EdgeId order of the
-# lone edge.
+# lone edge; ``r2_partitions`` indexes with the first orders and the second
+# orders as two lists.
 _LONE_PAIRS = tuple(
     (_SEG_INDEX[(first, second)], _SEG_INDEX[(second, first)])
     for first, second in ([e for e in _EDGES if e is not lone] for lone in _EDGES)
 )
+_LONE_FIRST, _LONE_SECOND = (list(orders) for orders in zip(*_LONE_PAIRS))
 
 
 class TriangleKernel:
@@ -348,8 +346,9 @@ class TriangleKernel:
         end of ``second`` and far_img its reflection across line1, each
         [x, y].  tau is the point's unclamped foot on ``second`` reflected
         across ``first`` (0 at pivot, 1 at far_img), with the operations of
-        ``_seg_param``; the kind is a run to the vertex or a bounce ending on
-        the far vertex within ``EXACT_TIE`` of either end, a bounce between."""
+        ``_seg_dist`` before its clamp; the kind is a run to the vertex or a
+        bounce ending on the far vertex within ``EXACT_TIE`` of either end, a
+        bounce between."""
         row = self.rows[0]
         seg, line1, far, far_img = _PAIR_WITNESS[first, second]
         p0x, p0y, dx, dy, dd = row[seg:seg + 5]
@@ -419,71 +418,40 @@ class TriangleKernel:
     # -- primitives ----------------------------------------------------
 
     @staticmethod
-    def _seg_param(pts: np.ndarray, key) -> np.ndarray:
+    def _seg_dist(pts: np.ndarray, key) -> np.ndarray:
         p0x, p0y, dx, dy, dd = key
-        return ((pts[..., 0] - p0x) * dx + (pts[..., 1] - p0y) * dy) / dd
-
-    @classmethod
-    def _seg_dist(cls, pts: np.ndarray, key) -> np.ndarray:
-        p0x, p0y, dx, dy, _ = key
-        t = cls._seg_param(pts, key)
+        t = ((pts[..., 0] - p0x) * dx + (pts[..., 1] - p0y) * dy) / dd
         np.clip(t, 0.0, 1.0, out=t)
         return np.hypot(pts[..., 0] - (p0x + t * dx), pts[..., 1] - (p0y + t * dy))
-
-    @staticmethod
-    def _each_member(pts: np.ndarray, table: np.ndarray, body) -> np.ndarray:
-        """(count, ...) results of ``body(pts, member table)`` for each of
-        the ``count`` members of ``table``: one broadcast over the member
-        axis up to ``_BROADCAST_POINTS`` points, above it a loop over the
-        members that writes each result in place (same bits either way).
-        Each ufunc call costs about 1 us whatever its size, so at one point
-        the broadcast is several times faster (32-36 against 130-220 us for
-        the six orders); the two are level near ``_BROADCAST_POINTS`` (0.54
-        against 0.48 ms, and 0.60 against 0.72 ms, at 2,048 points on one
-        triangle; on a stacked kernel the loop is faster from about 3,000
-        points).  A sweep chunk holds 128 points, four seeds for each of 32
-        cells, and broadcasts; the ratio certifier passes up to 16,384 boxes,
-        one point each, and loops.  A raster map passes blocks of
-        8,192 points, where the two are level on one triangle (0.7-0.9 ms
-        each for the six orders; one shared 2-core host).  Writing each
-        member's result in place, not stacking a list of them, holds one
-        copy of the (count, ...) result."""
-        if pts.size <= 2 * _BROADCAST_POINTS:
-            return body(pts, table)
-        out = np.empty((table.shape[1],) + pts.shape[:-1])
-        for k in range(len(out)):
-            out[k] = body(pts, table[:, k])
-        return out
 
     # -- the evaluators ----------------------------------------------------
 
     def segs_all(self, pts: np.ndarray) -> np.ndarray:
         """(9, ...) costs of the nine members of the segment table: the three
         point-to-edge distances in EdgeId order, then the six ordered two-edge
-        visits in ``_PAIRS`` order.  At one point this is one broadcast
-        (``visitation.StandardPoint``)."""
-        return self._each_member(pts, self._segs, self._seg_dist)
+        visits in ``_PAIRS`` order."""
+        return self._seg_dist(pts, self._segs)
 
     def r3_all(self, pts: np.ndarray) -> np.ndarray:
-        """(3, ...) point-to-edge distances in EdgeId declaration order."""
-        return self._each_member(pts, self._segs[:, :len(_EDGES)], self._seg_dist)
+        """(3, ...) point-to-edge distances in EdgeId declaration order: the
+        edges' members of the segment table only, so that R3 alone does not
+        pay for the pairs."""
+        return self._seg_dist(pts, self._segs[:, :len(_EDGES)])
 
     def r1_all(self, pts: np.ndarray) -> np.ndarray:
         """(6, ...) ordered three-edge visit costs in VisitOrder declaration
         order."""
-        return self._each_member(pts, self._unfolds, _ordered3_cases)
+        return _ordered3_cases(pts, self._unfolds)
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(singles, pairs, costs), each (3, ...), indexed by the lone edge:
         a pair costs the cheaper of its two orders, a partition the larger of
-        its two robots' costs.  Each pair's two orders are reduced as soon as
-        they are evaluated, with no (6, ...) array of pair costs: on a 2 deg
-        (2,3) sweep that is about 10% faster than one six-member pass."""
-        singles = self.r3_all(pts)
-        pairs = np.array([
-            np.minimum(self._seg_dist(pts, self._segs[:, i]), self._seg_dist(pts, self._segs[:, j]))
-            for i, j in _LONE_PAIRS
-        ])
+        its two robots' costs.  Singles and pairs are read from one
+        ``segs_all`` pass, which is faster than a call per member at one
+        point, on a sweep chunk and on a raster block alike."""
+        segs = self.segs_all(pts)
+        singles = segs[:len(_EDGES)]
+        pairs = np.minimum(segs[_LONE_FIRST], segs[_LONE_SECOND])
         return singles, pairs, np.maximum(singles, pairs)
 
     # -- one decision rule each, for arrays and for plain floats ---------
@@ -512,7 +480,8 @@ class TriangleKernel:
     def costs(self, pts: np.ndarray, *robots: int) -> list[np.ndarray]:
         """R1, R2 or R3 at ``pts`` for each fleet size in ``robots``, in
         order, with each family evaluated once: when R2 is asked for, R3 is
-        read from the singles of ``r2_partitions``, which are ``r3_all``."""
+        read from the singles of ``r2_partitions``, the first three members
+        of its ``segs_all`` pass."""
         for r in robots:
             if r not in (1, 2, 3):
                 raise ValueError(f"fleet size must be 1, 2 or 3, got {r!r}")

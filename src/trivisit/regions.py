@@ -653,10 +653,12 @@ _LABEL_TABLES = {
 }
 
 
-# Lattice points labelled per kernel pass, so that each pass's (6, block)
-# costs and their temporaries stay in cache.  On the 512 map of the 50/70
-# triangle, raster_region_map took 24.2 ms in r1 and 30.7 ms in r2, against
-# 30.4 and 40.9 ms in one pass over the lattice (BENCH_24.json).
+# Lattice points labelled per kernel pass, so that each pass's (6, block) or
+# (9, block) costs and their temporaries stay in cache.  On the 512 map of
+# the 50/70 triangle, raster_region_map took 25, 27 and 13 ms in r1, r2 and
+# r3, against 47, 45 and 17 ms in one pass over the lattice, and 27-36 ms
+# (r1, r2) with blocks of 2,048 or 32,768 points (medians of 14 interleaved
+# rounds on a shared 2-core host).
 _LABEL_BLOCK = 8192
 
 
@@ -677,7 +679,9 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
 
     Modes: ``r1`` by optimal visit order(s), ``r2`` by determining partition
     (lone edge plus which robot's cost dominates), ``r3`` by farthest edge.
+    ``n``, the lattice points per side, must be an integer of at least 16.
     """
+    n = operator.index(n)
     if n < 16:
         raise ValueError("raster needs n >= 16")
     if mode not in _MODES:

@@ -340,21 +340,8 @@ class SweepResult:
 
 
 def _sweep_cells(step_deg: float, eps_apex_deg: float) -> list[tuple[float, float]]:
-    cells = []
-    nb = int(math.floor(90.0 / step_deg))
-    for i in range(1, nb + 1):
-        b = i * step_deg
-        if b <= eps_apex_deg or b > 90.0:
-            continue
-        for j in range(1, nb + 1):
-            c = j * step_deg
-            if c <= eps_apex_deg or c > 90.0:
-                continue
-            a = 180.0 - b - c
-            if a <= eps_apex_deg or a > 90.0:
-                continue
-            cells.append((b, c))
-    return cells
+    angles = [a for a in (i * step_deg for i in range(1, math.floor(90.0 / step_deg) + 1)) if eps_apex_deg < a <= 90.0]
+    return [(b, c) for b in angles for c in angles if eps_apex_deg < 180.0 - b - c <= 90.0]
 
 
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:

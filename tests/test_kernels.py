@@ -29,7 +29,7 @@ from trivisit.geom_core import (
     shared_vertex,
     triangle_from_angles,
 )
-from trivisit.regions import _indicators
+from trivisit.regions import _LABEL_BLOCK, _indicators
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
 from conftest import random_triangle
@@ -90,7 +90,7 @@ class TestStacked:
     def test_repeated_rows_match_the_stack(self, rng):
         # Each triangle ``counts[t]`` times in a row, one point per row: the
         # ratio certifier's layout.  Its costs are the stack's, bit for bit,
-        # past ``_BROADCAST_POINTS`` rows too.
+        # on 2,104 rows.
         tris = [random_triangle(rng) for _ in range(4)]
         k = TriangleKernel(tris)
         pts = np.stack([barycentric_grid(t, 6) for t in tris])
@@ -234,32 +234,39 @@ def _array_hexes(a):
     return tuple(float(x).hex() for x in np.ravel(a))
 
 
-def _family_hexes(k, pts, repeats=1):
+# Points per batch of the batch checks: just above a raster block.
+_BATCH = _LABEL_BLOCK + 1
+
+
+def _family_hexes(k, pts, at=slice(None)):
     """``float.hex`` of every evaluator's results at ``pts``, with the R2
-    partitions, at the first of every ``repeats`` points along the last
-    point axis."""
-    def first(a):
-        return tuple(float(x).hex() for x in np.ravel(a)[::repeats])
+    partitions, at the points ``at`` of the last point axis."""
+    def pick(a):
+        return tuple(float(x).hex() for x in np.ravel(a[..., at]))
     return (
-        first(k.r1_all(pts)), first(k.segs_all(pts)), first(k.r3_all(pts)),
-        tuple(first(a) for a in k.r2_partitions(pts)),
+        pick(k.r1_all(pts)), pick(k.segs_all(pts)), pick(k.r3_all(pts)),
+        tuple(pick(a) for a in k.r2_partitions(pts)),
     )
 
 
+def _in_batch(std, p, size, at):
+    """``size`` points of ``std``'s 128 lattice with the point ``p`` at
+    index ``at``."""
+    return np.insert(np.resize(barycentric_grid(std, 128), (size - 1, 2)), at, p, axis=0)
+
+
 class TestFamilies:
-    @settings(max_examples=21)
+    @settings(max_examples=5)
     @given(poses.instances(n=25))
-    def test_broadcast_matches_loop(self, instances):
-        """Each evaluator gives the same bits at one point, where it
-        broadcasts over its members, as at that point repeated past
-        ``_BROADCAST_POINTS``, where it loops over them, on single and
-        stacked kernels.  At one point the nine-member segment pass gives
-        the bits of ``r3_all`` and, reduced on plain floats as ``fleet_costs``
-        reduces them, of ``r2_partitions``; the point's two passes are those
-        of ``segs_all`` and ``r1_all``."""
-        repeats = _kernels._BROADCAST_POINTS + 1
+    def test_point_in_a_batch_matches_the_point_alone(self, instances):
+        """Each evaluator gives a point the bits it gives that point alone
+        inside a batch of ``_BATCH`` points, on single and stacked kernels.
+        At one point the nine-member segment pass gives the bits of
+        ``r3_all`` and, reduced on plain floats as ``fleet_costs`` reduces
+        them, of ``r2_partitions``; the point's two passes are those of
+        ``segs_all`` and ``r1_all``."""
         sps = [StandardPoint(inst.t, inst.q) for inst in instances]
-        for sp in sps:
+        for n, sp in enumerate(sps):
             k, pts = sp.kernel, sp.pts
             one = _family_hexes(k, pts)
             segs = sp.segs
@@ -267,10 +274,13 @@ class TestFamilies:
             pairs = [min(segs[i], segs[j]) for i, j in _LONE_PAIRS]
             partitions = (segs[:3], pairs, [max(d, q) for d, q in zip(segs, pairs)])
             assert (_hexes(segs[:3]), _hexes(partitions)) == one[2:]
-            assert _family_hexes(k, np.repeat(pts, repeats, axis=0), repeats) == one
+            at = n * _BATCH // len(sps)
+            assert _family_hexes(k, _in_batch(sp.std, pts[0], _BATCH, at), at) == one
         k = TriangleKernel([sp.std for sp in sps])
         pts = np.array([sp.pts for sp in sps])
-        assert _family_hexes(k, np.repeat(pts, repeats, axis=1), repeats) == _family_hexes(k, pts)
+        size = _BATCH // len(sps) + 1
+        batch = np.array([_in_batch(sp.std, sp.pts[0], size, size // 2) for sp in sps])
+        assert _family_hexes(k, batch, size // 2) == _family_hexes(k, pts)
 
 
 class TestOnePointDecisions:
@@ -380,11 +390,11 @@ def _probe(k, table):
 class TestMaskedCases:
     """``r1_all`` takes each case's cost only where the case is admissible.
     It must give the bits of ``_unmasked_ordered3`` on a single kernel at one
-    point and past ``_BROADCAST_POINTS``, and on a stacked kernel, and at one
-    point the plain-float cases of ``order_cases`` must be its masks.  A
-    subopt tour (apex, then the altitude) is always
-    feasible, so with the real altitudes a subopt cost leaking past its mask
-    can never undercut the true minimum; the same checks also run with every
+    point and in a batch of ``_BATCH`` points, and on a stacked kernel, and at
+    one point the plain-float cases of ``order_cases`` must be its masks.  A
+    subopt tour (apex, then the altitude) is always feasible, so with the
+    real altitudes a subopt cost leaking past its mask can never undercut
+    the true minimum; the same checks also run with every
     altitude replaced by -1e3 and by 1e3 base lengths, which makes a leak of
     any case or a skipped admissible case change the minimum."""
 
@@ -433,9 +443,9 @@ class TestMaskedCases:
 
     @settings(max_examples=5)
     @given(_masked())
-    def test_single_kernel_past_broadcast_points(self, instance):
+    def test_single_kernel_in_a_batch(self, instance):
         t, k, pts = instance
-        many = np.resize(pts, (_kernels._BROADCAST_POINTS + len(pts), 2))
+        many = np.resize(pts, (_BATCH, 2))
         for table in self._tables(k):
             self._check(_probe(TriangleKernel(t), table), many, table)
 
@@ -446,8 +456,7 @@ class TestMaskedCases:
         pts = np.array(pts)
         k = TriangleKernel(list(tris))
         for table in self._tables(k):
-            for stack in (pts, np.tile(pts, (1, _kernels._BROADCAST_POINTS // pts[..., 0].size + 1, 1))):
-                assert (stack.size > 2 * _kernels._BROADCAST_POINTS) == (stack is not pts)
+            for stack in (pts, pts[:, np.arange(_BATCH // len(pts) + 1) % pts.shape[1]]):
                 self._check(_probe(TriangleKernel(list(tris)), table), stack, table)
 
 
@@ -495,28 +504,12 @@ def body_calls(monkeypatch):
         calls["ordered3"] += 1
         return ordered3(pts, table)
 
-    def counted_seg_dist(cls, pts, key):
+    def counted_seg_dist(pts, key):
         calls["seg_dist"] += 1
         return seg_dist(pts, key)
 
     monkeypatch.setattr(_kernels, "_ordered3_cases", counted_ordered3)
-    monkeypatch.setattr(TriangleKernel, "_seg_dist", classmethod(counted_seg_dist))
-    return calls
-
-
-@pytest.fixture
-def seg_param_calls(monkeypatch):
-    """Count of the calls of the NumPy segment parameter, which the edge and
-    ordered-pair families reach through the segment distance; witnesses
-    are built on plain floats and make none of their own."""
-    calls = {"seg_param": 0}
-    seg_param = TriangleKernel._seg_param
-
-    def counted(pts, key):
-        calls["seg_param"] += 1
-        return seg_param(pts, key)
-
-    monkeypatch.setattr(TriangleKernel, "_seg_param", staticmethod(counted))
+    monkeypatch.setattr(TriangleKernel, "_seg_dist", staticmethod(counted_seg_dist))
     return calls
 
 
@@ -534,17 +527,15 @@ _TIED_IDS = ("equilateral-incenter", "right-isosceles-mid-altitude", "scalene")
 
 class TestOneEvaluationPerFamily:
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
-    def test_fleet_costs(self, body_calls, seg_param_calls, t, p, optimal):
+    def test_fleet_costs(self, body_calls, t, p, optimal):
         assert len(fleet_costs(t, p).r1.orders) == optimal
         assert body_calls == {"ordered3": 1, "seg_dist": 1}
-        assert seg_param_calls == {"seg_param": 1}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
-    def test_visit_two_set(self, body_calls, seg_param_calls, t, p, optimal):
+    def test_visit_two_set(self, body_calls, t, p, optimal):
         for edges in ((EdgeId.L, EdgeId.D), (EdgeId.R, EdgeId.L)):
             visit_two_set(t, p, edges)
         assert body_calls == {"ordered3": 0, "seg_dist": 2}
-        assert seg_param_calls == {"seg_param": 2}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_visit_three_ordered(self, body_calls, t, p, optimal):

@@ -214,6 +214,11 @@ class TestRasterMap:
         with pytest.raises(ValueError):
             raster_region_map(EQ, 8, "r1")
 
+    def test_rejects_non_integer_grid(self):
+        # a 20.5 lattice would put no lattice point on vertex A
+        with pytest.raises(TypeError):
+            raster_region_map(EQ, 20.5, "r1")
+
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             raster_region_map(EQ, 32, "r9")
@@ -329,8 +334,18 @@ RASTER_GOLDEN = json.loads((Path(__file__).parent / "data" / "raster_golden.json
     "golden", RASTER_GOLDEN, ids=[f"{g['shape']}-{g['mode']}-{g['n']}" for g in RASTER_GOLDEN]
 )
 def test_raster_matches_golden(golden, tmp_path):
+    _assert_golden(golden, golden["n"], tmp_path)
+
+
+def test_numpy_integer_grid_matches_golden(tmp_path):
+    golden = next(g for g in RASTER_GOLDEN if g["n"] == 64)
+    _assert_golden(golden, np.int64(64), tmp_path)
+
+
+def _assert_golden(golden, n, tmp_path):
     b, c = golden["angles_deg"]
-    rm = raster_region_map(triangle_from_angles(math.radians(b), math.radians(c)), golden["n"], golden["mode"])
+    rm = raster_region_map(triangle_from_angles(math.radians(b), math.radians(c)), n, golden["mode"])
+    assert type(rm.n) is int
     rm.to_csv(tmp_path / "m.csv")
     rm.to_svg(tmp_path / "m.svg")
     assert len(rm.cells) == golden["cells"]
@@ -505,8 +520,8 @@ def test_to_csv_chunks_fall_mid_map(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
 def test_label_blocks_fall_mid_map(monkeypatch, mode):
-    # 2,080 cells: one block loops over the kernel's members, and 7-point
-    # blocks broadcast over them (``_kernels._BROADCAST_POINTS``)
+    # 2,080 cells: the whole map in one block, then in 7-point blocks, the
+    # last one partial
     t = triangle_from_angles(math.radians(45), math.radians(45))
     monkeypatch.setattr(regions, "_LABEL_BLOCK", 2080)
     whole = raster_region_map(t, 64, mode).cells.codes
