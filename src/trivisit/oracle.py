@@ -8,13 +8,20 @@ the unfolding constructions.  ``oracle_costs`` is the one place an
 instance's oracle costs are put together: each of the six ordered
 three-edge minimizations runs once and ``r1`` is their minimum.
 
-The cost is Python overhead per objective call, not floating-point work, so
-the objectives read one flat tuple of plain floats per ordered visit
-(``_ordered3_row``) and the three-leg sum is written once, in
-``_fix_first``, which pays the first leg once per inner golden section.
-There is one golden-section routine.  The scalar path is not a NumPy batch
-of one: on a single instance that measured about six times slower, since
-every array operation costs more than the few floats it replaces.
+The cost is Python overhead per objective evaluation, not floating-point
+work, so the objectives read one flat tuple of plain floats per ordered
+visit (``_ordered3_row``).  The six ordered three-edge visits take nearly
+all of ``oracle_costs``' time, and a visit spends it in the inner golden
+sections over t2 of its nested search: about 53 of them, some 2,700
+evaluations of the three-leg objective.  So the inner section,
+``_min_second``, is ``_golden_min`` over ``_fix_first`` written out with the
+objective inline, and it reads the second bounce point and the third leg,
+which depend on t2 alone, from a memo that lives for one visit
+(``_SecondBounces``): about 600 distinct t2 on average, so three probes in
+four reuse an entry.  ``_golden_min`` is the routine for every other
+section.  The scalar path is not a NumPy batch of one: on a single instance
+that measured about six times slower, since every array operation costs
+more than the few floats it replaces.
 """
 
 from __future__ import annotations
@@ -86,42 +93,101 @@ def _ordered3_row(t: Triangle, p: Point2, order: VisitOrder) -> tuple[float, ...
     return (*row, row[-2] * row[-2] + row[-1] * row[-1])
 
 
-def _fix_first(row: tuple[float, ...], t1: float):
-    """h(t2) = f(t1, t2) for a fixed first bounce: the first leg is paid
-    once, and the nearest point of the third edge is clamped inline, giving
-    the same values as ``nearest_on_segment`` bit for bit."""
-    px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row
-    x1x = a1x + t1 * d1x
-    x1y = a1y + t1 * d1y
-    leg1 = math.hypot(px - x1x, py - x1y)
+class _SecondBounces(dict):
+    """t2 -> (x, y, third leg) for one ordered visit: the second bounce
+    point and its distance to the third edge, none of which depends on the
+    first bounce.  Each entry is computed on its first read, the third
+    edge's nearest point clamped inline, giving the same values as
+    ``nearest_on_segment`` bit for bit.  A visit's memo ends with about 50
+    entries when its inner minima sit at an end of the second edge, where
+    every inner section probes the same t2, and 1,300 to 1,500 otherwise."""
 
-    def h(t2: float) -> float:
+    def __init__(self, row: tuple[float, ...]):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, t2: float) -> tuple[float, float, float]:
+        _, _, _, _, _, _, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = self.row
         x2x = a2x + t2 * d2x
         x2y = a2y + t2 * d2y
         s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
         s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-        return (
-            leg1
-            + math.hypot(x1x - x2x, x1y - x2y)
-            + math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y))
-        )
+        self[t2] = bounce = (x2x, x2y, math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y)))
+        return bounce
+
+
+def _fix_first(row: tuple[float, ...], t1: float):
+    """h(t2) = f(t1, t2) for a fixed first bounce, the first leg paid once:
+    (leg1 + leg2) + leg3.  The objective that ``_min_second`` inlines."""
+    px, py, a1x, a1y, d1x, d1y = row[:6]
+    x1x = a1x + t1 * d1x
+    x1y = a1y + t1 * d1y
+    leg1 = math.hypot(px - x1x, py - x1y)
+    bounces = _SecondBounces(row)
+
+    def h(t2: float) -> float:
+        x2x, x2y, leg3 = bounces[t2]
+        return leg1 + math.hypot(x1x - x2x, x1y - x2y) + leg3
 
     return h
 
 
-def _grid_seed3(t: Triangle, p: Point2, order: VisitOrder, res: int) -> tuple[float, float]:
-    e1, e2, e3 = (edge_segment(t, e) for e in order.edges)
+def _fix_second(row: tuple[float, ...], bounce: tuple[float, float, float]):
+    """f(t1, t2) as a function of t1 for a fixed second bounce, given as its
+    ``_SecondBounces`` entry: ``_fix_first(row, t1)(t2)`` bit for bit."""
+    px, py, a1x, a1y, d1x, d1y = row[:6]
+    x2x, x2y, leg3 = bounce
+
+    def h(t1: float) -> float:
+        x1x = a1x + t1 * d1x
+        x1y = a1y + t1 * d1y
+        return math.hypot(px - x1x, py - x1y) + math.hypot(x1x - x2x, x1y - x2y) + leg3
+
+    return h
+
+
+def _min_second(row: tuple[float, ...], bounces: _SecondBounces, t1: float, tol: float) -> tuple[float, float]:
+    """``_golden_min(_fix_first(row, t1), 0.0, 1.0, tol)`` bit for bit: the
+    same probes and updates and the same sum, (leg1 + leg2) + leg3, with no
+    call per probe and the t2-only part read from ``bounces``."""
+    px, py, a1x, a1y, d1x, d1y = row[:6]
+    x1x = a1x + t1 * d1x
+    x1y = a1y + t1 * d1y
+    leg1 = math.hypot(px - x1x, py - x1y)
+    a, b = 0.0, 1.0
+    u1 = b - _INV_PHI * (b - a)
+    u2 = a + _INV_PHI * (b - a)
+    x, y, leg3 = bounces[u1]
+    f1 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
+    x, y, leg3 = bounces[u2]
+    f2 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
+    while b - a > tol:
+        if f1 <= f2:
+            b, u2, f2 = u2, u1, f1
+            u1 = b - _INV_PHI * (b - a)
+            x, y, leg3 = bounces[u1]
+            f1 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
+        else:
+            a, u1, f1 = u1, u2, f2
+            u2 = a + _INV_PHI * (b - a)
+            x, y, leg3 = bounces[u2]
+            f2 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
+    um = (a + b) / 2
+    x, y, leg3 = bounces[um]
+    return um, leg1 + math.hypot(x1x - x, x1y - y) + leg3
+
+
+def _grid_seed3(row: tuple[float, ...], res: int) -> tuple[float, float]:
+    px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, _ = row
     ts = np.linspace(0.0, 1.0, res)
-    x1 = np.asarray(e1.p0)[None, :] + ts[:, None] * (np.asarray(e1.p1) - np.asarray(e1.p0))[None, :]
-    x2 = np.asarray(e2.p0)[None, :] + ts[:, None] * (np.asarray(e2.p1) - np.asarray(e2.p0))[None, :]
-    leg1 = np.hypot(x1[:, 0] - p.x, x1[:, 1] - p.y)
+    x1 = np.array([a1x, a1y])[None, :] + ts[:, None] * np.array([d1x, d1y])[None, :]
+    x2 = np.array([a2x, a2y])[None, :] + ts[:, None] * np.array([d2x, d2y])[None, :]
+    leg1 = np.hypot(x1[:, 0] - px, x1[:, 1] - py)
     leg2 = np.hypot(x1[:, None, 0] - x2[None, :, 0], x1[:, None, 1] - x2[None, :, 1])
-    d30 = np.asarray(e3.p1) - np.asarray(e3.p0)
-    tt = ((x2[:, 0] - e3.p0.x) * d30[0] + (x2[:, 1] - e3.p0.y) * d30[1]) / (d30 @ d30)
+    d30 = np.array([d3x, d3y])
+    tt = ((x2[:, 0] - a3x) * d30[0] + (x2[:, 1] - a3y) * d30[1]) / (d30 @ d30)
     tt = np.clip(tt, 0.0, 1.0)
-    leg3 = np.hypot(
-        x2[:, 0] - (e3.p0.x + tt * d30[0]), x2[:, 1] - (e3.p0.y + tt * d30[1])
-    )
+    leg3 = np.hypot(x2[:, 0] - (a3x + tt * d30[0]), x2[:, 1] - (a3y + tt * d30[1]))
     total = leg1[:, None] + leg2 + leg3[None, :]
     i, j = np.unravel_index(int(np.argmin(total)), total.shape)
     return float(ts[i]), float(ts[j])
@@ -140,23 +206,21 @@ def oracle_ordered3(
     std, sim = t.standard()
     ps = sim.apply(t.require_inside(p))
     row = _ordered3_row(std, ps, order)
-    s1, s2 = _grid_seed3(std, ps, order, cfg.coarse_resolution)
+    bounces = _SecondBounces(row)
+    s1, s2 = _grid_seed3(row, cfg.coarse_resolution)
     best = _fix_first(row, s1)(s2)
 
     # A couple of cheap alternating sweeps sharpen the seed.
     t1, t2 = s1, s2
     for _ in range(_SEED_SWEEPS):
-        t1, _ = _golden_min(lambda u: _fix_first(row, u)(t2), 0.0, 1.0, cfg.tol)
-        t2, val = _golden_min(_fix_first(row, t1), 0.0, 1.0, cfg.tol)
+        t1, _ = _golden_min(_fix_second(row, bounces[t2]), 0.0, 1.0, cfg.tol)
+        t2, val = _min_second(row, bounces, t1, cfg.tol)
         if best - val <= cfg.tol:
             best = min(best, val)
             break
         best = val
 
-    def g(u1: float) -> float:
-        return _golden_min(_fix_first(row, u1), 0.0, 1.0, cfg.tol)[1]
-
-    _, nested = _golden_min(g, 0.0, 1.0, cfg.tol)
+    _, nested = _golden_min(lambda u1: _min_second(row, bounces, u1, cfg.tol)[1], 0.0, 1.0, cfg.tol)
     return min(best, nested) / sim.scale
 
 

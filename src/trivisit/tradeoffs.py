@@ -31,6 +31,13 @@ from .geom_core import Point2, Triangle, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
+# Most angles per axis of a sweep grid, floor(90 / step), which admits every
+# step of 0.09 deg or more.  A grid has about half the square of its angle
+# count in rows, and a row holds some 300 bytes, 600 at peak: 1,000 angles
+# make some 500,000 rows, 150 MB kept and 300 MB at peak (the 0.1 deg grid
+# has 900 angles and 406,263 rows).  The check comes before the angle list,
+# whose length a tiny step would make unbounded.
+_MAX_SWEEP_ANGLES = 1000
 
 
 def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
@@ -372,6 +379,10 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"sweep step must be a finite positive number of degrees, got {step_deg!r}")
+    if 90.0 / step_deg >= _MAX_SWEEP_ANGLES + 1:  # floor(90 / step) above the bound, or overflowing
+        raise ValueError(
+            f"sweep step {step_deg!r} gives more than {_MAX_SWEEP_ANGLES} angles per axis; use 0.09 degrees or more"
+        )
     if not (math.isfinite(eps_apex_deg) and eps_apex_deg >= 0):
         raise ValueError(f"sweep smallest angle must be a finite non-negative number of degrees, got {eps_apex_deg!r}")
     cells = _sweep_cells(step_deg, eps_apex_deg)

@@ -235,7 +235,7 @@ class TestSweepCmd:
 
     @pytest.mark.parametrize("flags", [
         ("--step", "0"), ("--step", "-1"), ("--step", "100"), ("--eps-apex", "95"),
-        ("--eps-apex", "-5"), ("--eps-apex", "nan"),
+        ("--eps-apex", "-5"), ("--eps-apex", "nan"), ("--step", "1e-300"),
     ])
     def test_bad_grid_exits_1_without_csv(self, capsys, tmp_path, flags):
         out = tmp_path / "sw.csv"

@@ -4,7 +4,9 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import poses
 from trivisit import oracle, verify
 from trivisit.cli import eval_report
 from trivisit.fleet_costs import fleet_costs, r1, r2, r3
@@ -83,6 +85,28 @@ class TestOrdered3:
             b = (rng.uniform(0, 1), rng.uniform(0, 1))
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
             assert f(*mid) <= (f(*a) + f(*b)) / 2 + 1e-12
+
+    @settings(max_examples=8)
+    @given(poses.instances(n=3))
+    def test_inline_inner_section_is_the_golden_one(self, batch):
+        # One memo per ordered visit, shared by every t1 and both configs as
+        # in oracle_ordered3: the inline section and the t1 objective give the
+        # closure's bits, slivers, edge and vertex points included.
+        t1s = [k / 12 for k in range(13)] + [1.0 - oracle._INV_PHI, oracle._INV_PHI]
+        for inst in batch:
+            std, sim = inst.t.standard()
+            ps = sim.apply(inst.t.require_inside(inst.q))
+            for order in VisitOrder:
+                row = oracle._ordered3_row(std, ps, order)
+                bounces = oracle._SecondBounces(row)
+                for cfg in (DEFAULT_CONFIG, FAST):
+                    for t1 in t1s:
+                        got = oracle._min_second(row, bounces, t1, cfg.tol)
+                        want = oracle._golden_min(oracle._fix_first(row, t1), 0.0, 1.0, cfg.tol)
+                        assert [v.hex() for v in got] == [v.hex() for v in want], (order, cfg, t1)
+                for t1, t2 in zip(t1s, reversed(t1s)):
+                    got = oracle._fix_second(row, bounces[t2])(t1)
+                    assert got.hex() == oracle._fix_first(row, t1)(t2).hex(), (order, t1, t2)
 
     def test_never_below_closed_form(self, rng):
         # The search is an upper bound that converges down onto the optimum.
@@ -200,6 +224,18 @@ class TestOracleCosts:
             assert costs["r1"] == min(oracle_ordered3(t, p, o, FAST) for o in VisitOrder)
             assert costs["r2"] == oracle_r2(t, p, FAST)
             assert costs["r3"] == oracle_r3(t, p)
+
+    def test_no_state_carries_between_calls(self):
+        # A, B, A gives A's bits twice, and the six orders run in reverse
+        # give the same bits: each ordered visit's memo is its own.
+        a = (triangle_from_angles(math.radians(50), math.radians(70)), Point2(0.4, 0.3))
+        b = (poses.shape(1e-3, 0.3), Point2(0.5, 1e-4))
+        first = oracle_costs(*a)
+        oracle_costs(*b)
+        again = oracle_costs(*a)
+        assert {k: v.hex() for k, v in again.items()} == {k: v.hex() for k, v in first.items()}
+        backwards = {o.value: oracle_ordered3(*a, o) for o in reversed(VisitOrder)}
+        assert {k: v.hex() for k, v in backwards.items()} == {o.value: first[o.value].hex() for o in VisitOrder}
 
     def test_certify_runs_each_order_once(self, ordered3_calls):
         p = Point2(0.4, 0.3)

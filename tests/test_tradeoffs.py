@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -151,6 +152,32 @@ class TestSweep:
     def test_empty_or_bad_grid_rejected(self, step, eps_apex):
         with pytest.raises(ValueError):
             sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 0.0899])
+    def test_tiny_step_rejected_before_its_grid(self, monkeypatch, step):
+        # Building the angle list first took floor(90 / step) loop steps:
+        # 1e-300 never returned.
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(tradeoffs, "_sweep_cells", no_grid)
+        with pytest.raises(ValueError, match="more than 1000 angles per axis"):
+            sweep_triangles(1, 3, step_deg=step)
+
+    @pytest.mark.parametrize("step, count, digest", [
+        (0.1, 406263, "88306e3f2f4e1ddc45621877b1d54a7b39292f59dbe17d3487810088a63fbbf0"),
+        (1.0, 4183, "3fdac4e6b803863872a143225dea82feb6d5de6baea4df55a6c03eef30080a64"),
+        (5.0, 187, "109392c9aeae5c38e297e3bd40b4e0dd9885d324731c2e0f296ea234395f9c4d"),
+        (7.0, 78, "2300188fc77c791e33a543552a49e628c23613ca451d8785896ea3647f299149"),
+    ])
+    def test_grid_kept_within_the_angle_bound(self, monkeypatch, step, count, digest):
+        # The cells, by the sha256 of their repr, are those from before the
+        # bound, and the sweep gets past the bound to its grid.
+        cells = tradeoffs._sweep_cells(step, 0.5)
+        assert (len(cells), hashlib.sha256(repr(cells).encode()).hexdigest()) == (count, digest)
+        monkeypatch.setattr(tradeoffs, "_sweep_cells", lambda *args: [])
+        with pytest.raises(ValueError, match="has no cell"):
+            sweep_triangles(1, 3, step_deg=step)
 
     def test_max_ratio_reproduces_sweep_row(self):
         # (60, 50) has its apex at the largest angle and B >= C, so the sweep
