@@ -43,10 +43,10 @@ multiply.  So the three-edge body takes each case's ``hypot`` only where
 that case is admissible, and nothing loops over a trailing coordinate axis
 of length 2.
 
-Every constant comes from ``triangle_row``: one flat list of plain floats per
-triangle, its lines from ``line_through`` (the formula of ``Line``) and the
-rest with ``math`` in the operation order of ``reflect``, ``project`` and
-``Point2.unit``, so that it equals what those give bit for bit.  The row's layout (the ``_ROW_*`` offsets)
+Every constant comes from ``triangle_row``: one flat row per triangle, its
+lines from ``line_through`` (the formula of ``Line``) and the rest in the
+operation order of ``reflect``, ``project`` and ``Point2.unit``, so that it
+equals what those give bit for bit.  The row's layout (the ``_ROW_*`` offsets)
 is private to this module: a kernel cuts its tables from the rows, and every
 other module reads a row only through a kernel method.  A single-triangle
 kernel hands the witnesses of one point, and the R1 locus of ``regions``,
@@ -57,9 +57,12 @@ the clamp decided at the point.  It decides the order of a pair there
 on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
 maximizer its seeds (``seeds``), and repeats its triangles row by row for
-the boxes of the ratio certifier (``repeat``).  The tables are not built
-with NumPy array code: a vectorized builder is several times slower on one
-triangle, which is what ``eval`` builds per point.
+the boxes of the ratio certifier (``repeat``).  A kernel of one triangle, or
+of a sequence of one, builds its row on plain floats: that is what ``eval``
+builds per point, and an array pass costs as much as a dozen float rows.  A
+stack of two or more builds all its rows in one array pass of the same
+formula over (T,) vertex columns (``_ColumnOps``), each entry the float
+row's bit for bit.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ import numpy as np
 
 from .geom_core import (
     EdgeId,
+    FloatOps,
     Triangle,
     VertexId,
     VisitOrder,
@@ -139,19 +143,39 @@ class StrategyKind(str, Enum):
     PERPENDICULAR_DROP = "perpendicular-drop"
 
 
-def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> list[float]:
+def _hypot_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each entry of two (T,) columns: ``np.hypot`` rounds
+    some inputs differently (12,309 of 2M random pairs)."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, count=len(x))
+
+
+class _ColumnOps:
+    """``FloatOps`` on (T,) float64 columns, for ``line_through`` and
+    ``triangle_row``: NumPy's + - * / round as Python's do, and ``copysign``
+    and ``where`` only pick signs and values, so every entry equals the
+    float formula's on that triangle bit for bit."""
+
+    hypot = _hypot_columns
+    copysign = np.copysign
+    any = np.ndarray.any
+    where = np.where
+
+
+def triangle_row(ax, ay, bx, by, cx, cy, ops=FloatOps) -> list:
     """Every kernel and witness constant of the triangle with vertices A, B,
-    C, as one flat list of plain floats in the ``_ROW_*`` layout.  Its
-    lines come from ``line_through`` and every other value follows the
-    operation order of ``reflect``, ``project`` and ``Point2.unit``, so it
-    equals the one those give bit for bit.  Every length it divides by is a side's, or a side's image under
+    C, as one flat list in the ``_ROW_*`` layout: plain floats, or with
+    ``_ColumnOps`` one (T,) column per entry from (T,) vertex columns, a
+    stack's rows in one pass.  Its lines come from ``line_through`` and
+    every other value follows the operation order of ``reflect``,
+    ``project`` and ``Point2.unit``, so it equals the one those give bit for
+    bit.  Every length it divides by is a side's, or a side's image under
     reflections, which keep it, and the area gate keeps every side of a
     triangle above zero."""
     xs, ys = (ax, bx, cx), (ay, by, cy)
     lines, lengths, segs = [], [], []
     for i, j in _EDGE_ENDS:
         px, py, qx, qy = xs[i], ys[i], xs[j], ys[j]
-        a, b, c, n = line_through(px, py, qx, qy)
+        a, b, c, n = line_through(px, py, qx, qy, ops)
         dx, dy = qx - px, qy - py
         lines += (a, b, c)
         lengths.append(n)
@@ -176,18 +200,18 @@ def triangle_row(ax: float, ay: float, bx: float, by: float, cx: float, cy: floa
         cix, ciy = x - 2 * d * a, y - 2 * d * b
         # ... and the base vertex across the once-unfolded second edge, which
         # runs from the apex to the corner image.
-        a2, b2, c2, _ = line_through(apx, apy, cix, ciy)
+        a2, b2, c2, _ = line_through(apx, apy, cix, ciy, ops)
         d = a2 * bvx + b2 * bvy + c2
         fix, fiy = bvx - 2 * d * a2, bvy - 2 * d * b2
         vx, vy = fix - cix, fiy - ciy
-        n = math.hypot(vx, vy)
+        n = ops.hypot(vx, vy)
         ux, uy = vx / n, vy / n
-        sigma_z = math.copysign(1.0, ux * (bvx - apx) + uy * (bvy - apy))
+        sigma_z = ops.copysign(1.0, ux * (bvx - apx) + uy * (bvy - apy))
         # Foot of the apex on the third edge's line.
         a, b, c = lines[3 * k3:3 * k3 + 3]
         d = a * apx + b * apy + c
         ftx, fty = apx - d * a, apy - d * b
-        unfolds += (cix, ciy, ux, uy, apx, apy, sigma_z, math.hypot(apx - ftx, apy - fty))
+        unfolds += (cix, ciy, ux, uy, apx, apy, sigma_z, ops.hypot(apx - ftx, apy - fty))
         witness += (a2, b2, c2, fix, fiy, ftx, fty)
     return lines + lengths + segs + pairs + fars + unfolds + witness
 
@@ -282,7 +306,8 @@ class TriangleKernel:
 
     ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
     plain floats for a single-triangle kernel, for the witness views, and a
-    (T, row width) array for a stack.  Each table is one (width,
+    (T, row width) array for a stack, from one array pass over its vertex
+    columns when it holds two or more triangles.  Each table is one (width,
     count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
     fields of member k and ``table`` into those of every member: (1,) or
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
@@ -293,8 +318,13 @@ class TriangleKernel:
         if isinstance(t, Triangle):
             self.rows = [_row_of(t)]
             flat = np.array(self.rows[0])
-        else:
+        elif len(t) < 2:
             self.rows = flat = np.array([_row_of(s) for s in t], dtype=float)
+        else:
+            # One array pass of the row formula over the stack's vertex
+            # columns; its fixed cost is that of about a dozen float rows.
+            cols = np.array([(*s.a, *s.b, *s.c) for s in t], dtype=float).T
+            self.rows = flat = np.array(triangle_row(*cols, ops=_ColumnOps)).T
 
         # .T rather than np.moveaxis, which costs about 6 us more per table,
         # and ``eval`` builds a kernel per point.

@@ -145,18 +145,36 @@ class Line:
         return Point2(x, y)
 
 
-def line_through(px: float, py: float, qx: float, qy: float) -> tuple[float, float, float, float]:
+class FloatOps:
+    """What ``line_through`` and ``_kernels.triangle_row`` apply beyond
+    + - * /, on plain floats: ``hypot`` and ``copysign`` from ``math``,
+    ``any``, whether a comparison holds, and ``where``, the value that it
+    picks.  ``_kernels`` gives the same four on (T,) float64 columns, so one
+    formula serves both.  The class itself is the namespace: its attributes
+    are read as fast as ``math``'s."""
+
+    hypot = math.hypot
+    copysign = math.copysign
+    any = bool
+
+    def where(cond, x, y):
+        return x if cond else y
+
+
+def line_through(px, py, qx, qy, ops=FloatOps) -> tuple:
     """(a, b, c, length) of ``Line.from_points`` of the two points, and their
-    distance, in plain floats."""
+    distance: plain floats with ``FloatOps``, or (T,) columns from coordinate
+    columns with the kernel's column operations."""
     dx, dy = qx - px, qy - py
-    n = math.hypot(dx, dy)
-    if n == 0.0:
+    n = ops.hypot(dx, dy)
+    if ops.any(n == 0.0):
         raise GeometryError("line through coincident points")
     a, b = -dy / n, dx / n
     c = -(a * px + b * py)
-    m = math.hypot(a, b)
-    if abs(m - 1.0) > 1e-12:
-        a, b, c = a / m, b / m, c / m
+    m = ops.hypot(a, b)
+    off = abs(m - 1.0) > 1e-12
+    if ops.any(off):
+        a, b, c = ops.where(off, a / m, a), ops.where(off, b / m, b), ops.where(off, c / m, c)
     return a, b, c, n
 
 

@@ -30,7 +30,12 @@ from ._kernels import BOUNDARY_TOL, TriangleKernel
 from .geom_core import Point2, Triangle, triangle_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
-_CHUNK = 32  # sweep cells per stacked kernel; bounds peak memory
+# Sweep cells per stacked kernel.  A kernel of two or more triangles builds
+# its rows in one array pass whose fixed cost is about a dozen one-triangle
+# rows, so every computed cell of a 5 or 1 deg sweep shares one kernel; 1,024
+# rows of 159 floats are 1.3 MB, which bounds the memory of a finer sweep's
+# batch.
+_CHUNK = 1024
 # Most angles per axis of a sweep grid, floor(90 / step), which admits every
 # step of 0.09 deg or more.  A grid has about half the square of its angle
 # count in rows, and a row holds some 300 bytes, 600 at peak: 1,000 angles
@@ -364,17 +369,21 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
 
     Cells are independent, and R_n/R_m is a property of the triangle, not
     of its labels, so one cell per triangle is computed: the one with the
-    apex at the largest angle and B >= C (``_source_cell``).  They run on
-    one thread in fixed-size chunks, in cell order, each chunk on one
-    stacked kernel (``_maximize``); each triangle's row does not depend on
-    the others in its chunk, so results do not depend on the chunk size.
-    The chunk size bounds the memory of a batch.  Each other row with
-    B >= C is its triangle's computed row relabeled (``_relabeled_row``),
-    and each row with B < C is its mirror's row with the argmax reflected in
-    standard form, x -> 1 - x, so mirror rows are equal by construction.  A
-    cell whose relabelings are off the grid, as when 180 is not a multiple
-    of the step, is computed itself.  Coarser angle grids are subsets of
-    finer ones, so running inf/sup values stay monotone in the step size.
+    apex at the largest angle and B >= C (``_cell_sources``).  They run on
+    one thread in chunks of up to ``_CHUNK`` cells, in cell order, each
+    chunk on one stacked kernel (``_maximize``), whose rows are built in one
+    array pass: every computed cell of a 5 or 1 deg sweep is one chunk.
+    Each triangle's row does not depend on the others in its chunk, so
+    results do not depend on the chunk size, which bounds the memory of a
+    batch.  Each other row with B >= C is its triangle's computed row
+    relabeled (``_relabeled_row``), and each row with B < C is its mirror's
+    row with the argmax reflected in standard form, x -> 1 - x, so mirror
+    rows are equal by construction.  A cell whose relabelings are off the
+    grid, as when 180 is not a multiple of the step, is computed itself, and
+    so is a cell with B < C whose mirror is off the grid, as at 0.3 and 0.6
+    deg, where float rounding keeps one of the two.  Coarser angle grids are
+    subsets of finer ones, so running inf/sup values stay monotone in the
+    step size.
     """
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -388,8 +397,7 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     cells = _sweep_cells(step_deg, eps_apex_deg)
     if not cells:
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
-    on_grid = set(cells)
-    source = {(b, c): _source_cell(b, c, on_grid) for b, c in cells if b >= c}
+    source = _cell_sources(cells)
     computed = [cell for cell, src in source.items() if src == cell]
     found = {}
     for lo in range(0, len(computed), _CHUNK):
@@ -400,8 +408,19 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     rows = {cell: found[cell][1] if src == cell else _relabeled_row(*cell, *found[src])
             for cell, src in source.items()}
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(
-        rows[b, c] if b >= c else _mirror_row(rows[c, b]) for b, c in cells
+        rows[b, c] if (b, c) in rows else _mirror_row(rows[c, b]) for b, c in cells
     ))
+
+
+def _cell_sources(cells: list[tuple[float, float]]) -> dict:
+    """The grid cells whose rows are computed or relabeled, each mapped to
+    the cell whose row gives its row: itself when it is computed, or for
+    B >= C the same triangle with its angles sorted (``_source_cell``).  A
+    cell with B < C is left out when its mirror (c, b) is on the grid, whose
+    row gives its own; otherwise it is computed itself."""
+    on_grid = set(cells)
+    return {(b, c): _source_cell(b, c, on_grid) if b >= c else (b, c)
+            for b, c in cells if b >= c or (c, b) not in on_grid}
 
 
 def _source_cell(b: float, c: float, on_grid: set) -> tuple[float, float]:

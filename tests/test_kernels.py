@@ -11,19 +11,22 @@ from hypothesis import strategies as st
 
 import poses
 import trivisit
-from trivisit import _kernels
+from trivisit import _kernels, tradeoffs
 from trivisit._kernels import (
     _EDGES, _LONE_PAIRS, _ORDERS, _PAIRS, _SEG_INDEX, BOUNDARY_TOL, StrategyKind, TriangleKernel, _unfold_cases,
-    _unfold_coords, barycentric_grid,
+    _unfold_coords, barycentric_grid, triangle_row,
 )
 from trivisit.fleet_costs import _SIDES, fleet_costs, r1, r2, r3
 from trivisit.geom_core import (
     EdgeId,
+    FloatOps,
+    GeometryError,
     Line,
     Point2,
     VertexId,
     altitude_midpoint,
     incenter,
+    line_through,
     project,
     reflect,
     shared_vertex,
@@ -188,6 +191,95 @@ class TestTriangleRow:
                 stacked = getattr(k, name)[..., i, 0]
                 assert stacked.shape == getattr(one, name).shape[:-1], name
                 assert _array_hexes(stacked) == _array_hexes(getattr(one, name)), name
+
+
+def _float_rows(tris):
+    return [triangle_row(*t.a, *t.b, *t.c) for t in tris]
+
+
+def _column_row(tris):
+    """The row formula's one array pass over the vertex columns of ``tris``,
+    as (T, width) ``float.hex`` strings.  A posed triangle far from unit
+    scale squares its sides past the float range: Python floats overflow to
+    inf silently, and NumPy does the same with a warning, which is silenced
+    here."""
+    cols = np.array([(*t.a, *t.b, *t.c) for t in tris]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = np.array(triangle_row(*cols, ops=_kernels._ColumnOps))
+    return [list(map(float.hex, r)) for r in row.T.tolist()]
+
+
+class TestArrayRows:
+    """A stack of two or more triangles builds its rows in one array pass of
+    ``triangle_row`` over (T,) vertex columns; every entry must be the float
+    row's, bit for bit."""
+
+    @settings(max_examples=6)
+    @given(poses.triangles(n=33, **_KERNEL_POSES))
+    @pytest.mark.parametrize("count", [2, 3, 33])
+    def test_stack_rows_equal_float_rows(self, count, posed):
+        # Posed triangles directly, at every scale the pose strategy draws,
+        # and their standard forms through the kernel.
+        posed = posed[:count]
+        stds = [t.standard()[0] for t in posed]
+        assert _column_row(posed) == [list(map(float.hex, r)) for r in _float_rows(posed)]
+        rows = TriangleKernel(stds).rows
+        assert rows.shape == (count, len(_float_rows(stds)[0]))
+        assert [list(map(float.hex, r)) for r in rows.tolist()] == [list(map(float.hex, r)) for r in _float_rows(stds)]
+
+    def test_one_degree_grid_rows_equal_float_rows(self):
+        # The standard forms of every computed cell of the 1 deg sweep.
+        sources = tradeoffs._cell_sources(tradeoffs._sweep_cells(1.0, 0.5))
+        stds = [triangle_from_angles(math.radians(b), math.radians(c)) for (b, c), s in sources.items() if s == (b, c)]
+        assert len(stds) == 720
+        got = TriangleKernel(stds).rows
+        assert [list(map(float.hex, r)) for r in got.tolist()] == [list(map(float.hex, r)) for r in _float_rows(stds)]
+
+    @settings(max_examples=5)
+    @given(poses.triangles(n=3, **_KERNEL_POSES))
+    def test_float_rows_hold_plain_floats(self, posed):
+        # One point's decisions are made on plain floats read from the row,
+        # and the JSON writer formats only ``float`` exactly.
+        for t in (*posed, *(s.standard()[0] for s in posed)):
+            assert {type(v) for v in triangle_row(*t.a, *t.b, *t.c)} == {float}
+            assert {type(v) for v in TriangleKernel(t).rows[0]} == {float}
+            assert {type(v) for v in line_through(*t.a, *t.b)} == {float}
+
+    def test_one_triangle_keeps_the_float_path(self, monkeypatch):
+        calls = []
+
+        def spy(*args, ops=FloatOps):
+            calls.append(ops)
+            return triangle_row(*args, ops=ops)
+
+        monkeypatch.setattr(_kernels, "triangle_row", spy)
+        t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
+        TriangleKernel(t), TriangleKernel([t])
+        assert calls == [FloatOps, FloatOps]
+        TriangleKernel([t, t])
+        assert calls[2:] == [_kernels._ColumnOps]
+
+    def test_column_line_through_equals_float_line_through(self):
+        # Subnormal offsets round the length so coarsely that the normal
+        # (a, b) is off unit length by more than 1e-12 (by sqrt(2) and by
+        # about 1.4%), and those entries take the renormalisation branch;
+        # the others do not.
+        tiny = 5e-324
+        pts = [(0.0, 0.0, tiny, tiny), (0.0, 0.0, 6 * tiny, tiny), (1.0, -2.0, 1.5, -2.0),
+               (0.1, 0.2, 0.7, 0.9), (-3.0, 1e-300, 2.0, 5.0), (1e300, -1e300, -1e300, 1e300)]
+        renormed = [abs(math.hypot(-(qy - py) / n, (qx - px) / n) - 1.0) > 1e-12
+                    for px, py, qx, qy in pts for n in [math.hypot(qx - px, qy - py)]]
+        assert renormed == [True, True, False, False, False, False]
+        want = [list(map(float.hex, line_through(*p))) for p in pts]
+        got = line_through(*np.array(pts).T, ops=_kernels._ColumnOps)
+        assert [list(map(float.hex, r)) for r in np.array(got).T.tolist()] == want
+
+    def test_column_line_through_rejects_any_zero_length(self):
+        cols = np.array([(0.0, 0.0, 1.0, 1.0), (2.0, 3.0, 2.0, 3.0), (0.0, 0.0, 0.0, 1.0)]).T
+        with pytest.raises(GeometryError, match="coincident"):
+            line_through(*cols, ops=_kernels._ColumnOps)
+        with pytest.raises(GeometryError, match="coincident"):
+            line_through(2.0, 3.0, 2.0, 3.0)
 
 
 def _package_imports(module: str) -> list[tuple[str, str]]:

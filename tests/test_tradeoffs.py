@@ -135,16 +135,33 @@ class TestSweep:
         assert any(r.b_deg == 60.0 and r.c_deg == 60.0 for r in sw.rows)
 
     def test_independent_of_chunk_size(self, monkeypatch):
-        def rows():
+        # A chunk of one cell builds its row on plain floats, a chunk of two
+        # or more in one array pass; the 5 deg grid computes 36 cells, so a
+        # chunk of 33 leaves a tail of 3.
+        def rows(step):
             return [
-                (r.b_deg, r.c_deg, r.ratio, r.rn, r.rm, tuple(r.argmax))
-                for r in sweep_triangles(1, 2, step_deg=10.0).rows
+                (r.b_deg, r.c_deg, *(float.hex(v) for v in (r.ratio, r.rn, r.rm, *r.argmax)))
+                for r in sweep_triangles(1, 2, step_deg=step).rows
             ]
 
-        default = rows()
-        for chunk in (1, 7):
-            monkeypatch.setattr(tradeoffs, "_CHUNK", chunk)
-            assert rows() == default
+        default = {step: rows(step) for step in (10.0, 5.0)}
+        for step, chunks in ((10.0, (1, 7)), (5.0, (1, 2, 33))):
+            for chunk in chunks:
+                monkeypatch.setattr(tradeoffs, "_CHUNK", chunk)
+                assert rows(step) == default[step], (step, chunk)
+
+    def test_one_kernel_per_sweep(self, monkeypatch):
+        # Every computed cell of a 5 or 1 deg sweep is in one chunk.
+        built = []
+
+        def spy(stds):
+            built.append(len(stds))
+            return TriangleKernel(stds)
+
+        monkeypatch.setattr(tradeoffs, "TriangleKernel", spy)
+        for step in (5.0, 1.0):
+            sweep_triangles(1, 3, step_deg=step)
+        assert built == [36, 720]
 
     @pytest.mark.parametrize("step, eps_apex", [
         (0.0, 0.5), (-1.0, 0.5), (100.0, 0.5), (1.0, 95.0), (math.inf, 0.5), (math.nan, 0.5),
@@ -225,6 +242,52 @@ class TestSweep:
         # apex is on the grid, and every cell with B >= C is computed.
         rows, built = self._built_cells(monkeypatch, 1, 3, 7.0)
         assert built == sorted((b, c) for b, c in rows if b >= c)
+
+    @pytest.mark.parametrize("step", [0.3, 1 / 3, 0.6, 0.9])
+    def test_fine_sweep_rows_equal_their_mirrors(self, step):
+        # At 0.3, 1/3 and 0.6 deg float rounding keeps cells with B < C
+        # whose mirror is off the grid (12, 31 and 6 of them), and each is
+        # computed itself; at 0.9 deg 6 cells with B > C lack their mirror.
+        cells = tradeoffs._sweep_cells(step, 0.5)
+        rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(1, 3, step_deg=step).rows}
+        assert list(rows) == cells
+        for (b, c), row in rows.items():
+            assert row.ratio == row.rn / row.rm, (b, c)
+            mirror = rows.get((c, b))
+            if b < c and mirror is not None:
+                assert (row.ratio, row.rn, row.rm) == (mirror.ratio, mirror.rn, mirror.rm), (b, c)
+                assert row.argmax == Point2(1.0 - mirror.argmax.x, mirror.argmax.y), (b, c)
+
+    @pytest.mark.parametrize("step, lone", [(0.09, 45), (0.12, 33), (0.15, 25), (0.6, 6)])
+    def test_every_cell_maps_to_a_computed_cell(self, step, lone):
+        # The mapping alone, with no cost evaluated.  A cell with B >= C
+        # reads a cell computed itself: its triangle with the angles sorted
+        # when that is a grid cell with the same third angle.  A cell with
+        # B < C is left to its mirror when that is on the grid; the other
+        # ``lone`` ones are computed themselves.
+        cells = tradeoffs._sweep_cells(step, 0.5)
+        on_grid = set(cells)
+        source = tradeoffs._cell_sources(cells)
+        for b, c in cells:
+            if b < c:
+                assert source.get((b, c)) == (None if (c, b) in on_grid else (b, c)), (b, c)
+                continue
+            src = source[b, c]
+            assert source[src] == src, (b, c)
+            if src != (b, c):
+                x, y, z = sorted((180.0 - b - c, b, c), reverse=True)
+                assert src == (y, z) and 180.0 - y - z == x, (b, c)
+        assert source.keys() <= on_grid
+        assert sum(b < c for b, c in source) == lone
+
+    def test_mirrorless_cells_are_computed(self, monkeypatch):
+        # The sweep builds exactly the triangles of the cells mapped to
+        # themselves, the 6 cells with B < C and no mirror at 0.6 deg among
+        # them.
+        rows, built = self._built_cells(monkeypatch, 1, 3, 0.6)
+        source = tradeoffs._cell_sources(list(rows))
+        assert built == sorted(cell for cell, src in source.items() if src == cell)
+        assert sum(b < c for b, c in built) == 6
 
     @pytest.mark.parametrize("step", [10.0, 7.0, 5.0, 4.0])
     @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
