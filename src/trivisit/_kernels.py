@@ -323,8 +323,10 @@ class TriangleKernel:
         else:
             # One array pass of the row formula over the stack's vertex
             # columns; its fixed cost is that of about a dozen float rows.
+            # Overflow to inf, and nan from inf, are silent here as on floats.
             cols = np.array([(*s.a, *s.b, *s.c) for s in t], dtype=float).T
-            self.rows = flat = np.array(triangle_row(*cols, ops=_ColumnOps)).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.rows = flat = np.array(triangle_row(*cols, ops=_ColumnOps)).T
 
         # .T rather than np.moveaxis, which costs about 6 us more per table,
         # and ``eval`` builds a kernel per point.

@@ -351,9 +351,24 @@ class SweepResult:
         }
 
 
-def _sweep_cells(step_deg: float, eps_apex_deg: float) -> list[tuple[float, float]]:
-    angles = [a for a in (i * step_deg for i in range(1, math.floor(90.0 / step_deg) + 1)) if eps_apex_deg < a <= 90.0]
-    return [(b, c) for b in angles for c in angles if eps_apex_deg < 180.0 - b - c <= 90.0]
+def _sweep_cells(step_deg: float, eps_apex_deg: float) -> dict[tuple[int, int], tuple[int, int]]:
+    """The sweep's grid in row order: each cell (i, j), whose angles B and C
+    are i * step and j * step, mapped to the cell whose row gives its row.
+
+    Each of B and C is above the smallest angle and at most 90.  When 180 is
+    a whole number K of steps, A is k = K - i - j steps, and a cell is kept
+    when k * step is above the smallest angle and 2k <= K.  A cell with
+    B >= C then reads the cell of the two smaller of (k, i, j), in
+    descending order: itself when k >= i >= j.  On other grids, as at 7 deg,
+    a cell is kept when eps < 180 - (B + C) <= 90, and each cell with B >= C
+    is its own.  A cell with B < C reads its mirror (j, i)."""
+    steps = [i for i in range(1, math.floor(90.0 / step_deg) + 1) if eps_apex_deg < i * step_deg <= 90.0]
+    whole = round(180.0 / step_deg)
+    if whole * step_deg != 180.0:
+        return {(i, j): (j, i) if i < j else (i, j)
+                for i in steps for j in steps if eps_apex_deg < 180.0 - (i * step_deg + j * step_deg) <= 90.0}
+    return {(i, j): (j, i) if i < j else tuple(sorted((whole - i - j, i, j), reverse=True)[1:])
+            for i in steps for j in steps if 2 * (whole - i - j) <= whole and eps_apex_deg < (whole - i - j) * step_deg}
 
 
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
@@ -369,21 +384,21 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
 
     Cells are independent, and R_n/R_m is a property of the triangle, not
     of its labels, so one cell per triangle is computed: the one with the
-    apex at the largest angle and B >= C (``_cell_sources``).  They run on
-    one thread in chunks of up to ``_CHUNK`` cells, in cell order, each
-    chunk on one stacked kernel (``_maximize``), whose rows are built in one
-    array pass: every computed cell of a 5 or 1 deg sweep is one chunk.
-    Each triangle's row does not depend on the others in its chunk, so
-    results do not depend on the chunk size, which bounds the memory of a
-    batch.  Each other row with B >= C is its triangle's computed row
-    relabeled (``_relabeled_row``), and each row with B < C is its mirror's
-    row with the argmax reflected in standard form, x -> 1 - x, so mirror
-    rows are equal by construction.  A cell whose relabelings are off the
-    grid, as when 180 is not a multiple of the step, is computed itself, and
-    so is a cell with B < C whose mirror is off the grid, as at 0.3 and 0.6
-    deg, where float rounding keeps one of the two.  Coarser angle grids are
-    subsets of finer ones, so running inf/sup values stay monotone in the
-    step size.
+    apex at the largest angle and B >= C.  One rule on integer indices
+    (``_sweep_cells``) decides the grid and the cell that gives each row.
+    The computed cells run on one thread in chunks of up to ``_CHUNK``
+    cells, in cell order, each chunk on one stacked kernel (``_maximize``),
+    whose rows are built in one array pass: every computed cell of a 5 or 1
+    deg sweep is one chunk.  Each triangle's row does not depend on the
+    others in its chunk, so results do not depend on the chunk size, which
+    bounds the memory of a batch.
+    Each other row with B >= C is its triangle's computed row relabeled
+    (``_relabeled_row``), by the same indices that picked the computed
+    cell, and each row with B < C is its mirror's row with the argmax
+    reflected in standard form, x -> 1 - x, so mirror rows are equal by
+    construction and every row has its mirror.  A grid whose step is a
+    multiple of a finer one's is its subset by index, (i, j) at 5 deg being
+    (5i, 5j) at 1 deg, with angles equal bit for bit at whole-degree steps.
     """
     _check_pair(n, m)
     if not (math.isfinite(step_deg) and step_deg > 0):
@@ -397,52 +412,35 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     cells = _sweep_cells(step_deg, eps_apex_deg)
     if not cells:
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
-    source = _cell_sources(cells)
-    computed = [cell for cell, src in source.items() if src == cell]
+    computed = [cell for cell, src in cells.items() if src == cell]
     found = {}
     for lo in range(0, len(computed), _CHUNK):
         chunk = computed[lo:lo + _CHUNK]
-        stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in chunk]
-        for (b, c), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m)):
-            found[b, c] = std, SweepRow(b, c, rn / rm, argmax, rn, rm)
-    rows = {cell: found[cell][1] if src == cell else _relabeled_row(*cell, *found[src])
-            for cell, src in source.items()}
+        stds = [triangle_from_angles(math.radians(i * step_deg), math.radians(j * step_deg)) for i, j in chunk]
+        for (i, j), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m)):
+            found[i, j] = std, SweepRow(i * step_deg, j * step_deg, rn / rm, argmax, rn, rm)
+    whole = round(180.0 / step_deg)  # relabelings are only on grids of a whole number of steps
+    rows = {(i, j): found[src][1] if src == (i, j) else
+            _relabeled_row(i * step_deg, j * step_deg, (whole - i - j, i, j), *found[src])
+            for (i, j), src in cells.items() if i >= j}
     return SweepResult((n, m), step_deg, eps_apex_deg, tuple(
-        rows[b, c] if (b, c) in rows else _mirror_row(rows[c, b]) for b, c in cells
+        rows[cell] if cell in rows else _mirror_row(rows[src]) for cell, src in cells.items()
     ))
 
 
-def _cell_sources(cells: list[tuple[float, float]]) -> dict:
-    """The grid cells whose rows are computed or relabeled, each mapped to
-    the cell whose row gives its row: itself when it is computed, or for
-    B >= C the same triangle with its angles sorted (``_source_cell``).  A
-    cell with B < C is left out when its mirror (c, b) is on the grid, whose
-    row gives its own; otherwise it is computed itself."""
-    on_grid = set(cells)
-    return {(b, c): _source_cell(b, c, on_grid) if b >= c else (b, c)
-            for b, c in cells if b >= c or (c, b) not in on_grid}
-
-
-def _source_cell(b: float, c: float, on_grid: set) -> tuple[float, float]:
-    """The cell whose row gives cell (b, c)'s, for B >= C: the same
-    triangle with its angles sorted, (y, z) of x >= y >= z, when that is a
-    grid cell whose third angle is x bit for bit; else (b, c) itself."""
-    x, y, z = sorted((180.0 - b - c, b, c), reverse=True)
-    return (y, z) if (y, z) in on_grid and 180.0 - y - z == x else (b, c)
-
-
-def _relabeled_row(b: float, c: float, std: Triangle, row: SweepRow) -> SweepRow:
-    """Row of cell (b, c) from ``row``, the computed row of the same triangle
-    with other labels, in standard form ``std``.
+def _relabeled_row(b: float, c: float, steps: tuple[int, int, int], std: Triangle, row: SweepRow) -> SweepRow:
+    """Row of cell (b, c), whose angles A, B and C are ``steps`` grid steps,
+    from ``row``, the computed row of the same triangle with other labels,
+    in standard form ``std``.
 
     The computed triangle's vertices, A then B then C, are the cell's in
-    descending order of its angles (A, B, C on ties).  The cell's standard
-    form has the base opposite its own A, so its costs are the computed ones
-    divided by that side's length, and its argmax is the computed one under
-    the similarity that takes the cell's B and C to (0, 0) and (1, 0),
-    reflected when the relabeling reverses the orientation."""
-    angles = (180.0 - b - c, b, c)
-    order = sorted(range(3), key=angles.__getitem__, reverse=True)  # stable on ties
+    descending order of ``steps`` (A, B, C on ties), the order that picked
+    the computed cell.  The cell's standard form has the base opposite its
+    own A, so its costs are the computed ones divided by that side's length,
+    and its argmax is the computed one under the similarity that takes the
+    cell's B and C to (0, 0) and (1, 0), reflected when the relabeling
+    reverses the orientation."""
+    order = sorted(range(3), key=steps.__getitem__, reverse=True)  # stable on ties
     (ax, ay), (bx, by), (cx, cy) = (std.vertices[order.index(k)] for k in range(3))
     dx, dy, ux, uy = cx - bx, cy - by, row.argmax.x - bx, row.argmax.y - by
     dd, side = dx * dx + dy * dy, math.hypot(dx, dy)

@@ -29,7 +29,7 @@ from .fleet_costs import h1 as h1_fn
 from .geom_core import Point2, VertexId, dist_point_segment, edge_segment, incenter, opposite_edge, triangle_from_angles
 from .oracle import CERTIFY_TOL, OracleConfig, oracle_costs, oracle_ordered3
 from .regions import r1_lrd_rld_locus, r2_separator, r3_regions
-from .tradeoffs import COST_ERROR, certify_max_ratio, max_ratio, sweep_triangles
+from .tradeoffs import COST_ERROR, _sweep_cells, certify_max_ratio, max_ratio, sweep_triangles
 from .visitation import EdgeId, VisitOrder, visit_three_ordered, visit_two_ordered, visit_two_set
 
 SQRT10 = math.sqrt(10.0)
@@ -499,11 +499,10 @@ def _crit_14(quick: bool) -> CriterionResult:
     step = 5.0 if quick else 1.0
     for pair, delta in _CERT_DELTA.items():
         n, m = pair
-        # The computed cells, A >= B >= C: every other row of the grid is
-        # one of them relabeled or mirrored, with the same ratio.
-        rows = [
-            r for r in sweep_triangles(n, m, step_deg=step).rows if 180.0 - r.b_deg - r.c_deg >= r.b_deg >= r.c_deg
-        ]
+        # The computed cells, which read their own rows: every other row of
+        # the grid is one of them relabeled or mirrored, with the same ratio.
+        cells = _sweep_cells(step, 0.5)
+        rows = [r for cell, r in zip(cells, sweep_triangles(n, m, step_deg=step).rows) if cells[cell] == cell]
         stds = [triangle_from_angles(math.radians(r.b_deg), math.radians(r.c_deg)) for r in rows]
         certs = certify_max_ratio(stds, n, m, delta, [r.ratio for r in rows])
         closed, point = _PAPER_POINT[pair]

@@ -233,13 +233,16 @@ class TestSweepCmd:
         assert rows[0] == "B_deg,C_deg,ratio,argmax_x,argmax_y,Rn,Rm"
         assert len(rows) == doc["cells"] + 1
 
-    def test_cells_without_a_mirror_exit_0(self, capsys, tmp_path):
-        # At 0.6 deg six cells with B < C have no mirror on the grid; the
-        # sweep used to end in a KeyError there.
+    def test_every_cell_has_its_mirror_exit_0(self, capsys, tmp_path):
+        # At 0.6 deg the sweep once ended in a KeyError, where float rounding
+        # kept cells with B < C whose mirror was off the grid.
         out = tmp_path / "sw.csv"
         code, stdout, _ = run_cli(capsys, "sweep", "--n", "1", "--m", "3", "--step", "0.6", "--out", str(out))
         assert code == 0
-        assert len(out.read_text().splitlines()) == json.loads(stdout)["cells"] + 1 == 11435
+        lines = out.read_text().splitlines()
+        assert len(lines) == json.loads(stdout)["cells"] + 1 == 11474
+        cells = {tuple(line.split(",")[:2]) for line in lines[1:]}
+        assert all((c, b) in cells for b, c in cells)
 
     @pytest.mark.parametrize("flags", [
         ("--step", "0"), ("--step", "-1"), ("--step", "100"), ("--eps-apex", "95"),

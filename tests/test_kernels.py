@@ -23,6 +23,7 @@ from trivisit.geom_core import (
     GeometryError,
     Line,
     Point2,
+    Triangle,
     VertexId,
     altitude_midpoint,
     incenter,
@@ -197,16 +198,8 @@ def _float_rows(tris):
     return [triangle_row(*t.a, *t.b, *t.c) for t in tris]
 
 
-def _column_row(tris):
-    """The row formula's one array pass over the vertex columns of ``tris``,
-    as (T, width) ``float.hex`` strings.  A posed triangle far from unit
-    scale squares its sides past the float range: Python floats overflow to
-    inf silently, and NumPy does the same with a warning, which is silenced
-    here."""
-    cols = np.array([(*t.a, *t.b, *t.c) for t in tris]).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = np.array(triangle_row(*cols, ops=_kernels._ColumnOps))
-    return [list(map(float.hex, r)) for r in row.T.tolist()]
+def _hex_rows(rows):
+    return [list(map(float.hex, r)) for r in np.asarray(rows).tolist()]
 
 
 class TestArrayRows:
@@ -222,18 +215,28 @@ class TestArrayRows:
         # and their standard forms through the kernel.
         posed = posed[:count]
         stds = [t.standard()[0] for t in posed]
-        assert _column_row(posed) == [list(map(float.hex, r)) for r in _float_rows(posed)]
+        assert _hex_rows(TriangleKernel(posed).rows) == _hex_rows(_float_rows(posed))
         rows = TriangleKernel(stds).rows
         assert rows.shape == (count, len(_float_rows(stds)[0]))
-        assert [list(map(float.hex, r)) for r in rows.tolist()] == [list(map(float.hex, r)) for r in _float_rows(stds)]
+        assert _hex_rows(rows) == _hex_rows(_float_rows(stds))
+
+    def test_rows_far_from_unit_scale_equal_float_rows(self):
+        # Coordinates near 1e155 square past the float range: the float row
+        # holds inf there without a warning, and so must the stack, under
+        # pyproject's error::RuntimeWarning.
+        s = 1e155
+        posed = [Triangle(Point2(0.5 * s, 0.8 * s), Point2(0.0, 0.0), Point2(s, 0.0)),
+                 Triangle(Point2(0.9 * s, 1.7 * s), Point2(0.3 * s, -0.2 * s), Point2(2.0 * s, 0.5 * s))]
+        want = _hex_rows(_float_rows(posed))
+        assert "inf" in want[0] and "inf" in want[1]
+        assert _hex_rows(TriangleKernel(posed).rows) == want
 
     def test_one_degree_grid_rows_equal_float_rows(self):
         # The standard forms of every computed cell of the 1 deg sweep.
-        sources = tradeoffs._cell_sources(tradeoffs._sweep_cells(1.0, 0.5))
-        stds = [triangle_from_angles(math.radians(b), math.radians(c)) for (b, c), s in sources.items() if s == (b, c)]
+        cells = tradeoffs._sweep_cells(1.0, 0.5)
+        stds = [triangle_from_angles(math.radians(i), math.radians(j)) for (i, j), s in cells.items() if s == (i, j)]
         assert len(stds) == 720
-        got = TriangleKernel(stds).rows
-        assert [list(map(float.hex, r)) for r in got.tolist()] == [list(map(float.hex, r)) for r in _float_rows(stds)]
+        assert _hex_rows(TriangleKernel(stds).rows) == _hex_rows(_float_rows(stds))
 
     @settings(max_examples=5)
     @given(poses.triangles(n=3, **_KERNEL_POSES))

@@ -29,6 +29,15 @@ from poses import EQ, RI
 
 SQRT2 = math.sqrt(2.0)
 
+# Fine steps that divide 180, each with the cells that the index rule adds
+# to the grid of the float rule eps < 180 - B - C <= 90.
+_FINE_STEPS = {0.09: 235, 0.1: 25, 0.12: 178, 0.15: 152, 0.2: 12, 0.3: 76, 1 / 3: 109, 0.6: 39, 0.9: 6}
+
+
+def _grid_angles(step):
+    """The sweep's cells at ``step``, as their (B, C) angles in degrees."""
+    return [(i * step, j * step) for i, j in tradeoffs._sweep_cells(step, 0.5)]
+
 
 class TestRatioAt:
     def test_known_values(self):
@@ -90,7 +99,7 @@ class TestMaxRatio:
 def test_seeds_equal_incenter_and_altitude_midpoints(step):
     """The kernel's seeds are the geom_core points, bit for bit, on every
     cell of the grid."""
-    cells = tradeoffs._sweep_cells(step, 0.5)
+    cells = _grid_angles(step)
     for lo in range(0, len(cells), 256):
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells[lo:lo + 256]]
         seeds = TriangleKernel(stds).seeds()
@@ -182,15 +191,17 @@ class TestSweep:
             sweep_triangles(1, 3, step_deg=step)
 
     @pytest.mark.parametrize("step, count, digest", [
-        (0.1, 406263, "88306e3f2f4e1ddc45621877b1d54a7b39292f59dbe17d3487810088a63fbbf0"),
+        (0.1, 406288, "58b8f1cdea6fead4e76d91273043ae929f6daff56187b588ac4318ff1c9dc35a"),
         (1.0, 4183, "3fdac4e6b803863872a143225dea82feb6d5de6baea4df55a6c03eef30080a64"),
         (5.0, 187, "109392c9aeae5c38e297e3bd40b4e0dd9885d324731c2e0f296ea234395f9c4d"),
         (7.0, 78, "2300188fc77c791e33a543552a49e628c23613ca451d8785896ea3647f299149"),
     ])
     def test_grid_kept_within_the_angle_bound(self, monkeypatch, step, count, digest):
-        # The cells, by the sha256 of their repr, are those from before the
-        # bound, and the sweep gets past the bound to its grid.
-        cells = tradeoffs._sweep_cells(step, 0.5)
+        # The cells, by the sha256 of the repr of their angles, are those
+        # from before the bound (at 0.1 deg with the 25 cells that
+        # test_lattice_adds_only_right_angles_at_a pins), and the sweep gets
+        # past the bound to its grid.
+        cells = _grid_angles(step)
         assert (len(cells), hashlib.sha256(repr(cells).encode()).hexdigest()) == (count, digest)
         monkeypatch.setattr(tradeoffs, "_sweep_cells", lambda *args: [])
         with pytest.raises(ValueError, match="has no cell"):
@@ -245,49 +256,62 @@ class TestSweep:
 
     @pytest.mark.parametrize("step", [0.3, 1 / 3, 0.6, 0.9])
     def test_fine_sweep_rows_equal_their_mirrors(self, step):
-        # At 0.3, 1/3 and 0.6 deg float rounding keeps cells with B < C
-        # whose mirror is off the grid (12, 31 and 6 of them), and each is
-        # computed itself; at 0.9 deg 6 cells with B > C lack their mirror.
-        cells = tradeoffs._sweep_cells(step, 0.5)
+        # Float rounding of 180 - B - C once kept one of a mirror pair alone
+        # at these steps: cells with B < C at 0.3, 1/3 and 0.6 deg, and with
+        # B > C at 0.9 deg.  Every row now has its mirror's row.
+        cells = _grid_angles(step)
         rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(1, 3, step_deg=step).rows}
         assert list(rows) == cells
         for (b, c), row in rows.items():
             assert row.ratio == row.rn / row.rm, (b, c)
-            mirror = rows.get((c, b))
-            if b < c and mirror is not None:
+            assert (c, b) in rows, (b, c)
+            if b < c:
+                mirror = rows[c, b]
                 assert (row.ratio, row.rn, row.rm) == (mirror.ratio, mirror.rn, mirror.rm), (b, c)
                 assert row.argmax == Point2(1.0 - mirror.argmax.x, mirror.argmax.y), (b, c)
 
-    @pytest.mark.parametrize("step, lone", [(0.09, 45), (0.12, 33), (0.15, 25), (0.6, 6)])
-    def test_every_cell_maps_to_a_computed_cell(self, step, lone):
-        # The mapping alone, with no cost evaluated.  A cell with B >= C
-        # reads a cell computed itself: its triangle with the angles sorted
-        # when that is a grid cell with the same third angle.  A cell with
-        # B < C is left to its mirror when that is on the grid; the other
-        # ``lone`` ones are computed themselves.
+    @pytest.mark.parametrize("step", [*_FINE_STEPS, 7.0])
+    def test_every_cell_maps_to_a_computed_cell(self, step):
+        # The mapping alone, with no cost evaluated.  Every cell's mirror is
+        # on the grid, and a cell with B < C reads it.  When 180 is a whole
+        # number of steps, a cell with B >= C reads its triangle with the
+        # angle indices sorted, which reads itself; 180 is not a multiple of
+        # 7, and every cell with B >= C reads itself.
         cells = tradeoffs._sweep_cells(step, 0.5)
-        on_grid = set(cells)
-        source = tradeoffs._cell_sources(cells)
-        for b, c in cells:
-            if b < c:
-                assert source.get((b, c)) == (None if (c, b) in on_grid else (b, c)), (b, c)
-                continue
-            src = source[b, c]
-            assert source[src] == src, (b, c)
-            if src != (b, c):
-                x, y, z = sorted((180.0 - b - c, b, c), reverse=True)
-                assert src == (y, z) and 180.0 - y - z == x, (b, c)
-        assert source.keys() <= on_grid
-        assert sum(b < c for b, c in source) == lone
+        whole = round(180 / step)
+        assert (whole * step == 180.0) == (step != 7.0)
+        for (i, j), src in cells.items():
+            assert (j, i) in cells, (i, j)
+            if i < j:
+                assert src == (j, i), (i, j)
+            elif step == 7.0:
+                assert src == (i, j), (i, j)
+            else:
+                assert src == tuple(sorted((whole - i - j, i, j), reverse=True)[1:]) and cells[src] == src, (i, j)
 
-    def test_mirrorless_cells_are_computed(self, monkeypatch):
-        # The sweep builds exactly the triangles of the cells mapped to
-        # themselves, the 6 cells with B < C and no mirror at 0.6 deg among
-        # them.
+    @pytest.mark.parametrize("step, added", _FINE_STEPS.items())
+    def test_lattice_adds_only_right_angles_at_a(self, step, added):
+        # The grid holds every cell of the float rule, in the same order, and
+        # ``added`` more, each with A = 90 deg, which rounding of 180 - B - C
+        # put above 90.
+        old = [(b, c) for b in (i * step for i in range(1, math.floor(90 / step) + 1)) if 0.5 < b <= 90.0
+               for c in (j * step for j in range(1, math.floor(90 / step) + 1)) if 0.5 < c <= 90.0
+               and 0.5 < 180.0 - b - c <= 90.0]
+        cells, kept = tradeoffs._sweep_cells(step, 0.5), set(old)
+        new = {(i * step, j * step): (i, j) for i, j in cells}
+        assert [cell for cell in new if cell in kept] == old
+        assert len(new) - len(old) == added
+        whole = round(180 / step)
+        assert all(2 * (whole - i - j) == whole for cell, (i, j) in new.items() if cell not in kept)
+
+    def test_mirrors_are_never_computed(self, monkeypatch):
+        # The sweep builds exactly the triangles of the cells that read
+        # themselves, none of them with B < C.  At 0.6 deg float rounding
+        # once kept 6 cells with B < C whose mirror was off the grid.
         rows, built = self._built_cells(monkeypatch, 1, 3, 0.6)
-        source = tradeoffs._cell_sources(list(rows))
-        assert built == sorted(cell for cell, src in source.items() if src == cell)
-        assert sum(b < c for b, c in built) == 6
+        cells = tradeoffs._sweep_cells(0.6, 0.5)
+        assert built == sorted((i * 0.6, j * 0.6) for (i, j), src in cells.items() if src == (i, j))
+        assert all(b >= c for b, c in built)
 
     @pytest.mark.parametrize("step", [10.0, 7.0, 5.0, 4.0])
     @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
