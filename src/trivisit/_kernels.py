@@ -1,10 +1,12 @@
 """Vectorized costs, and every case and optimum decision, over arrays of
 points, for one triangle or a stack of triangles.
 
-A kernel built from one ``Triangle`` takes points of shape (N, 2) and returns
-costs of shape (N,).  A kernel built from a sequence of T triangles stacks
-every constant along a leading triangle axis; it takes points of shape
-(T, N, 2), row t belonging to triangle t, and returns costs of shape (T, N).
+A kernel is given the apex A = (p, q) of a standard-form triangle, whose B
+and C are (0, 0) and (1, 0), and nothing else.  Two floats give the kernel
+of one triangle, which takes points of shape (N, 2) and returns costs of
+shape (N,).  Two (T,) columns give a stack of T triangles, every constant
+along a leading triangle axis; it takes points of shape (T, N, 2), row t
+belonging to triangle t, and returns costs of shape (T, N).
 
 The kernel is the only code that compares costs or indicator coordinates
 with the classification slack ``BOUNDARY_TOL``: it picks the admissible
@@ -14,11 +16,11 @@ two-edge visit, the cheaper order of an edge pair, and the optimal orders
 (R3).  Raster maps and ratio maximization read its costs and masks directly;
 ``visitation`` and ``fleet_costs`` evaluate a kernel of the standard-form
 triangle at one point and build witnesses only for what it marks admissible
-or optimal.  Every kernel is built on standard-form triangles
-(``Triangle.standard``), whose base is the unit: costs are in base lengths,
-so every rule reads the constant ``BOUNDARY_TOL`` as its slack, and no
-kernel carries one of its own.  Callers map points into standard form and
-scale costs back to the pose.
+or optimal.  Since a kernel is given a standard form's apex, its base is
+the unit: costs are in base lengths, so every rule reads the constant
+``BOUNDARY_TOL`` as its slack, and no kernel carries one of its own.
+Callers map points into standard form (``Triangle.standard``) and scale
+costs back to the pose.
 
 Two tables hold every cost: the segment table, whose nine members are the
 three edges and the six ordered edge pairs, and the unfolding table of the
@@ -57,19 +59,18 @@ the clamp decided at the point.  It decides the order of a pair there
 on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
 maximizer its seeds (``seeds``), and repeats its triangles row by row for
-the boxes of the ratio certifier (``repeat``).  A kernel of one triangle, or
-of a sequence of one, builds its row on plain floats: that is what ``eval``
+the boxes of the ratio certifier (``repeat``).  A kernel of two floats, or
+of columns of one, builds its row on plain floats: that is what ``eval``
 builds per point, and an array pass costs as much as a dozen float rows.  A
 stack of two or more builds all its rows in one array pass of the same
-formula over (T,) vertex columns (``_ColumnOps``), each entry the float
-row's bit for bit.
+formula over its apex columns and the base's constant ones (``_ColumnOps``),
+each entry the float row's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -216,10 +217,6 @@ def triangle_row(ax, ay, bx, by, cx, cy, ops=FloatOps) -> list:
     return lines + lengths + segs + pairs + fars + unfolds + witness
 
 
-def _row_of(t: Triangle) -> list[float]:
-    return triangle_row(*t.a, *t.b, *t.c)
-
-
 # Row offset and width of each field of ``TriangleKernel.order_witness``, and
 # the row offsets that ``TriangleKernel.pair_witness`` reads: the pair's
 # segment row (which starts at the pivot), its first edge's line, its far
@@ -301,32 +298,37 @@ _LONE_FIRST, _LONE_SECOND = (list(orders) for orders in zip(*_LONE_PAIRS))
 
 
 class TriangleKernel:
-    """Triangle rows of standard-form triangles plus the array evaluators
-    of their two cost tables, and the decision rules that read the costs.
+    """Triangle rows of the standard-form triangles of apexes (p, q), plus
+    the array evaluators of their two cost tables, and the decision rules
+    that read the costs.
 
-    ``rows`` holds one ``triangle_row`` per triangle: a list of one row of
-    plain floats for a single-triangle kernel, for the witness views, and a
-    (T, row width) array for a stack, from one array pass over its vertex
-    columns when it holds two or more triangles.  Each table is one (width,
+    Like ``line_through``, it takes floats or columns.  ``rows`` holds one
+    ``triangle_row`` per triangle: a list of one row of plain floats for the
+    single-triangle kernel of floats p and q, for the witness views, and a
+    (T, row width) array for a stack of (T,) columns, from one array pass
+    over them when it holds two or more triangles.  Each table is one (width,
     count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
     fields of member k and ``table`` into those of every member: (1,) or
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
     which broadcast against (N,) and (T, N) coordinate arrays.
     """
 
-    def __init__(self, t: Triangle | Sequence[Triangle]):
-        if isinstance(t, Triangle):
-            self.rows = [_row_of(t)]
+    def __init__(self, p, q):
+        if isinstance(p, float):
+            self.rows = [triangle_row(p, q, 0.0, 0.0, 1.0, 0.0)]
             flat = np.array(self.rows[0])
-        elif len(t) < 2:
-            self.rows = flat = np.array([_row_of(s) for s in t], dtype=float)
         else:
-            # One array pass of the row formula over the stack's vertex
-            # columns; its fixed cost is that of about a dozen float rows.
-            # Overflow to inf, and nan from inf, are silent here as on floats.
-            cols = np.array([(*s.a, *s.b, *s.c) for s in t], dtype=float).T
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.rows = flat = np.array(triangle_row(*cols, ops=_ColumnOps)).T
+            p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+            if len(p) < 2:
+                rows = [triangle_row(x, y, 0.0, 0.0, 1.0, 0.0) for x, y in zip(p.tolist(), q.tolist())]
+                self.rows = flat = np.array(rows)
+            else:
+                # One array pass of the row formula over the stack's apex
+                # columns; its fixed cost is that of about a dozen float
+                # rows.  The area gate keeps an apex below 5e11 base
+                # lengths, so no entry comes near overflow.
+                zeros = np.zeros_like(p)
+                self.rows = flat = np.array(triangle_row(p, q, zeros, zeros, zeros + 1.0, zeros, ops=_ColumnOps)).T
 
         # .T rather than np.moveaxis, which costs about 6 us more per table,
         # and ``eval`` builds a kernel per point.

@@ -332,7 +332,7 @@ def r1_lrd_rld_locus(t: Triangle, apex: VertexId | None = None) -> SeparatorChai
         apex = largest_angle_vertex(std)
     o1, o2 = _orders_for_apex(apex)
     label = f"{o1.value}={o2.value}"
-    kernel = TriangleKernel(std)
+    kernel = TriangleKernel(*std.a)
     v = std.vertex(apex)
     foot = Point2(*kernel.order_witness(o1)[5])  # alt_foot: both orders share the apex and the last edge
     altitude = Segment(v, foot)
@@ -592,7 +592,6 @@ class RegionMap:
         def sy(y):
             return 1000.0 - (y - y0) * scale
 
-        palette = dict(_LABEL_COLORS)
         stroke_w = max(1.0, self.pitch * scale * 1.05)
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -610,7 +609,7 @@ class RegionMap:
                    sx(tail[:, 0]).tolist(), sy(tail[:, 1]).tolist())
         for code, x1, y1, x2, y2 in runs:
             labels = cells.table[code]
-            color = _TIE_COLOR if len(labels) > 1 else _color_for(labels[0], palette)
+            color = _TIE_COLOR if len(labels) > 1 else _LABEL_COLORS[labels[0]]
             parts.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
                 f'stroke="{color}" stroke-width="{stroke_w:.2f}" stroke-linecap="round"/>'
@@ -687,7 +686,7 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     std, sim = t.standard()
-    kernel = TriangleKernel(std)
+    kernel = TriangleKernel(*std.a)
     pts = barycentric_grid(std, n)
     # the grid's lattice indices, in its i-major, j-ascending order
     i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) <= n - 1)
@@ -702,6 +701,9 @@ def raster_region_map(t: Triangle, n: int = 256, mode: str = "r1") -> RegionMap:
 # ---------------------------------------------------------------------------
 # SVG emission
 
+# A colour for every label of ``_LABEL_TABLES``.  An r2 label is its lone
+# edge's r3 colour: lighter for ``/one``, darker for ``/two`` and as it is
+# for ``/both``.
 _LABEL_COLORS = {
     "LRD": "#4c72b0",
     "LDR": "#dd8452",
@@ -714,21 +716,15 @@ _LABEL_COLORS = {
     "R": "#dd8452",
     "L/one": "#6f94c9",
     "L/two": "#31508c",
+    "L/both": "#4c72b0",
     "D/one": "#7cc290",
     "D/two": "#37784b",
+    "D/both": "#55a868",
     "R/one": "#e5a478",
     "R/two": "#a85f22",
+    "R/both": "#dd8452",
 }
-_FALLBACK = ("#64b5cd", "#8c8c8c", "#ccb974", "#da8bc3", "#4878d0", "#d65f5f")
 _TIE_COLOR = "#bbbbbb"
-
-
-def _color_for(label: str, palette: dict[str, str]) -> str:
-    if label in palette:
-        return palette[label]
-    color = _FALLBACK[len(palette) % len(_FALLBACK)]
-    palette[label] = color
-    return color
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ of the grid is the same triangle relabeled, and its row is filled from the
 computed one.  The seeds come from the kernel (``TriangleKernel.seeds``),
 with the arithmetic of ``incenter`` and ``altitude_midpoint``.
 
-``certify_max_ratio`` proves that a triangle's maximum is at most a lower
-bound (by default the seeds' value) plus a slack delta, by a Lipschitz
+``certify_max_ratio`` proves that a triangle's maximum is at most the
+seeds' value plus a slack delta, by a Lipschitz
 branch-and-bound over sub-triangles; criterion 14 of ``verify`` runs it on
 every computed cell of the 1 deg sweep.
 """
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import BOUNDARY_TOL, TriangleKernel
-from .geom_core import Point2, Triangle, triangle_from_angles
+from .geom_core import Point2, Triangle, vertex_from_angles
 
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 # Sweep cells per stacked kernel.  A kernel of two or more triangles builds
@@ -49,7 +49,7 @@ def ratio_at(t: Triangle, p: Point2, n: int, m: int) -> float:
     """R_n / R_m at one starting point, evaluated in standard form."""
     _check_pair(n, m)
     std, sim = t.standard()
-    rn, rm = TriangleKernel(std).costs(np.array([sim.apply(t.require_inside(p))]), n, m)
+    rn, rm = TriangleKernel(*std.a).costs(np.array([sim.apply(t.require_inside(p))]), n, m)
     return float(rn[0] / rm[0])
 
 
@@ -78,19 +78,19 @@ def max_ratio(t: Triangle, n: int, m: int) -> RatioReport:
     isosceles triangles of criterion 7.
     """
     _check_pair(n, m)
-    std, _ = t.standard()
-    [(argmax, rn, rm)] = _maximize([std], n, m)
+    p, q = t.standard()[0].a
+    [(argmax, rn, rm)] = _maximize([p], [q], n, m)
     return RatioReport((n, m), rn / rm, argmax, rn, rm)
 
 
-def _maximize(stds: Sequence[Triangle], n: int, m: int) -> list[tuple[Point2, float, float]]:
-    """(argmax, R_n, R_m) of the best seed of each standard-form triangle.
+def _maximize(p: Sequence[float], q: Sequence[float], n: int, m: int) -> list[tuple[Point2, float, float]]:
+    """(argmax, R_n, R_m) of the best seed of the standard-form triangle of each apex (p[i], q[i]).
 
     One stacked kernel evaluates every triangle's seeds.  Row i of every
-    array belongs to ``stds[i]``, so each triangle's result does not depend
+    array belongs to triangle i, so each triangle's result does not depend
     on the others in the batch.
     """
-    k = TriangleKernel(stds)
+    k = TriangleKernel(p, q)
     pts = k.seeds()
     rn, rm = k.costs(pts, n, m)
     at = np.argmax(rn / rm, axis=1)
@@ -143,13 +143,13 @@ class RatioCertificate:
 
 
 def certify_max_ratio(
-    stds: Sequence[Triangle], n: int, m: int, delta: float, lowers: Sequence[float] | None = None,
+    p: Sequence[float], q: Sequence[float], n: int, m: int, delta: float,
 ) -> list[RatioCertificate]:
     """Prove max R_n/R_m <= lower + ``delta`` over each closed standard-form
-    triangle of ``stds``, by a Lipschitz branch-and-bound (Piyavskii 1972,
-    Shubert 1972).
+    triangle, whose apexes are (p[i], q[i]), by a Lipschitz branch-and-bound
+    (Piyavskii 1972, Shubert 1972).
 
-    ``lowers`` default to the seeds' values, computed as the sweep computes
+    The lower bounds are the seeds' values, computed as the sweep computes
     its rows (``_maximize``).  R1, R2 and R3 are each 1-Lipschitz in P, so
     on a box (a sub-triangle) with centroid c and centroid-to-vertex radius h
 
@@ -169,28 +169,29 @@ def certify_max_ratio(
     middle child at c with s negated.
     """
     _check_pair(n, m)
-    if lowers is None:
-        lowers = [rn / rm for _, rn, rm in _maximize(stds, n, m)]
-    lowers = list(lowers)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    lowers = [rn / rm for _, rn, rm in _maximize(p, q, n, m)]
     out = []
-    for lo in range(0, len(stds), _CERT_GROUP):
-        out += _branch_and_bound(stds[lo:lo + _CERT_GROUP], n, m, delta, lowers[lo:lo + _CERT_GROUP])
+    for lo in range(0, len(p), _CERT_GROUP):
+        at = slice(lo, lo + _CERT_GROUP)
+        out += _branch_and_bound(p[at], q[at], n, m, delta, lowers[at])
     return out
 
 
 def _branch_and_bound(
-    stds: Sequence[Triangle], n: int, m: int, delta: float, lowers: Sequence[float],
+    p: np.ndarray, q: np.ndarray, n: int, m: int, delta: float, lowers: Sequence[float],
 ) -> list[RatioCertificate]:
     """``certify_max_ratio`` on one group of triangles, all at once."""
     lower = np.array(lowers, dtype=float)
     cut = lower + delta
     en, em = COST_ERROR[n], COST_ERROR[m]
-    kernel = TriangleKernel(stds)
-    verts = np.array([t.vertices for t in stds], dtype=float)
+    kernel = TriangleKernel(p, q)
+    verts = np.zeros((len(p), 3, 2))
+    verts[:, 0, 0], verts[:, 0, 1], verts[:, 2, 0] = p, q, 1.0  # A = (p, q), B = (0, 0), C = (1, 0)
     center = (verts[:, 0] + verts[:, 1] + verts[:, 2]) / 3
     offsets = verts - center[:, None, :]
     radius = np.hypot(offsets[..., 0], offsets[..., 1]).max(axis=1)
-    count = len(stds)
+    count = len(p)
     upper = np.full(count, -np.inf)
     boxes = np.zeros(count, dtype=np.int64)
     refuted, stopped = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
@@ -416,9 +417,9 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     found = {}
     for lo in range(0, len(computed), _CHUNK):
         chunk = computed[lo:lo + _CHUNK]
-        stds = [triangle_from_angles(math.radians(i * step_deg), math.radians(j * step_deg)) for i, j in chunk]
-        for (i, j), std, (argmax, rn, rm) in zip(chunk, stds, _maximize(stds, n, m)):
-            found[i, j] = std, SweepRow(i * step_deg, j * step_deg, rn / rm, argmax, rn, rm)
+        apexes = [vertex_from_angles(math.radians(i * step_deg), math.radians(j * step_deg)) for i, j in chunk]
+        for (i, j), apex, (argmax, rn, rm) in zip(chunk, apexes, _maximize(*zip(*apexes), n, m)):
+            found[i, j] = apex, SweepRow(i * step_deg, j * step_deg, rn / rm, argmax, rn, rm)
     whole = round(180.0 / step_deg)  # relabelings are only on grids of a whole number of steps
     rows = {(i, j): found[src][1] if src == (i, j) else
             _relabeled_row(i * step_deg, j * step_deg, (whole - i - j, i, j), *found[src])
@@ -428,10 +429,10 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     ))
 
 
-def _relabeled_row(b: float, c: float, steps: tuple[int, int, int], std: Triangle, row: SweepRow) -> SweepRow:
+def _relabeled_row(b: float, c: float, steps: tuple[int, int, int], apex: Point2, row: SweepRow) -> SweepRow:
     """Row of cell (b, c), whose angles A, B and C are ``steps`` grid steps,
     from ``row``, the computed row of the same triangle with other labels,
-    in standard form ``std``.
+    whose standard form has its apex at ``apex``.
 
     The computed triangle's vertices, A then B then C, are the cell's in
     descending order of ``steps`` (A, B, C on ties), the order that picked
@@ -441,7 +442,7 @@ def _relabeled_row(b: float, c: float, steps: tuple[int, int, int], std: Triangl
     cell's B and C to (0, 0) and (1, 0), reflected when the relabeling
     reverses the orientation."""
     order = sorted(range(3), key=steps.__getitem__, reverse=True)  # stable on ties
-    (ax, ay), (bx, by), (cx, cy) = (std.vertices[order.index(k)] for k in range(3))
+    (ax, ay), (bx, by), (cx, cy) = ((apex, (0.0, 0.0), (1.0, 0.0))[order.index(k)] for k in range(3))
     dx, dy, ux, uy = cx - bx, cy - by, row.argmax.x - bx, row.argmax.y - by
     dd, side = dx * dx + dy * dy, math.hypot(dx, dy)
     turn = math.copysign(1.0, dx * (ay - by) - dy * (ax - bx))

@@ -178,7 +178,7 @@ def _universal_samples(count: int) -> tuple:
 @lru_cache(maxsize=None)
 def _universal_kernel(count: int) -> TriangleKernel:
     """One stacked kernel over the triangles of ``_universal_samples``."""
-    return TriangleKernel([t for t, _ in _universal_samples(count)])
+    return TriangleKernel(*np.array([t.a for t, _ in _universal_samples(count)]).T)
 
 
 def _crit_8(quick: bool) -> CriterionResult:
@@ -497,19 +497,19 @@ _PAPER_POINT = {
 def _crit_14(quick: bool) -> CriterionResult:
     c = _Check()
     step = 5.0 if quick else 1.0
+    # The computed cells: every other row of the grid is one of them
+    # relabeled or mirrored, with the same ratio.  Triangles only for the
+    # paper's closed forms; the certifier takes the apexes.
+    cells = [(i * step, j * step) for (i, j), src in _sweep_cells(step, 0.5).items() if src == (i, j)]
+    stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells]
+    p, q = np.array([t.a for t in stds]).T
     for pair, delta in _CERT_DELTA.items():
         n, m = pair
-        # The computed cells, which read their own rows: every other row of
-        # the grid is one of them relabeled or mirrored, with the same ratio.
-        cells = _sweep_cells(step, 0.5)
-        rows = [r for cell, r in zip(cells, sweep_triangles(n, m, step_deg=step).rows) if cells[cell] == cell]
-        stds = [triangle_from_angles(math.radians(r.b_deg), math.radians(r.c_deg)) for r in rows]
-        certs = certify_max_ratio(stds, n, m, delta, [r.ratio for r in rows])
+        certs = certify_max_ratio(p, q, n, m, delta)
         closed, point = _PAPER_POINT[pair]
-        [rm] = TriangleKernel(stds).costs(np.array([[tuple(point(t))] for t in stds]), m)
+        [rm] = TriangleKernel(p, q).costs(np.array([[tuple(point(t))] for t in stds]), m)
         paper = [closed(t) / float(v) for t, v in zip(stds, rm[:, 0])]
-        for row, cert, value in zip(rows, certs, paper):
-            cell = (row.b_deg, row.c_deg)
+        for cell, cert, value in zip(cells, certs, paper):
             if cert.status != "certified":
                 c.failures.append(f"{pair} cell {cell} {cert.status}: lower {cert.lower!r} upper {cert.upper!r} "
                                   f"after {cert.boxes} boxes, witness {cert.witness}")

@@ -113,7 +113,7 @@ class StandardPoint:
         std, sim = t.standard()
         self.std, self.ps = std, sim.apply(t.require_inside(p))
         self.pts = np.array([self.ps])
-        self.kernel = TriangleKernel(std)
+        self.kernel = TriangleKernel(*std.a)
         self._pose = sim.inverse()
         self.scale = self._pose.scale
 

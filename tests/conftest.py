@@ -32,6 +32,12 @@ def random_triangle(rng, min_angle=MIN_ANGLE) -> Triangle:
     return triangle_from_angles(b, c)
 
 
+def apexes(stds) -> np.ndarray:
+    """The (p, q) apex columns of standard-form triangles, for a stacked
+    ``TriangleKernel`` or the ratio certifier."""
+    return np.array([t.a for t in stds]).T
+
+
 def random_interior_point(rng, t: Triangle) -> Point2:
     w = rng.dirichlet((1.0, 1.0, 1.0))
     xy = w[0] * np.asarray(t.a) + w[1] * np.asarray(t.b) + w[2] * np.asarray(t.c)

@@ -163,7 +163,7 @@ class TestPosedSlivers:
                 assert gap <= bound, (n, gap)
             for tr in _trajectories(got):
                 gap = abs(polyline_length(tr.waypoints) - tr.cost) / pose.scale
-                assert gap <= bound, (tr.kind, tr.edges, gap)
+                assert gap <= bound, (tr.kind, tr.edge_sequence, gap)
 
     def test_thin_instance_certifies(self):
         # A 1e-6 deg apex at unit base, rotated, at a point 0.3 of the way

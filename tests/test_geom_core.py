@@ -296,7 +296,7 @@ class TestInwardGap:
         # at most 1.42 ulps of M, the largest coordinate magnitude.
         for std, p, *_ in instances:
             m = max(abs(x) for q in (*std.vertices, p) for x in q)
-            nearest = TriangleKernel(std).r3_all(np.array([p]))[:, 0].min()
+            nearest = TriangleKernel(*std.a).r3_all(np.array([p]))[:, 0].min()
             assert abs(inward_gap(std, p) - nearest) <= 4 * math.ulp(m)
 
     @settings(max_examples=10)

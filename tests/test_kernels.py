@@ -36,14 +36,14 @@ from trivisit.geom_core import (
 from trivisit.regions import _LABEL_BLOCK, _indicators
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
-from conftest import random_triangle
+from conftest import apexes, random_triangle
 
 
 class TestAgainstScalar:
     def test_fleet_costs_agree(self, rng):
         for _ in range(25):
             t = random_triangle(rng)
-            k = TriangleKernel(t)
+            k = TriangleKernel(*t.a)
             pts = barycentric_grid(t, 10)
             v1, v2, v3 = k.costs(pts, 1, 2, 3)
             for i, xy in enumerate(pts):
@@ -55,7 +55,7 @@ class TestAgainstScalar:
     def test_ordered3_agrees(self, rng):
         for _ in range(10):
             t = random_triangle(rng)
-            k = TriangleKernel(t)
+            k = TriangleKernel(*t.a)
             pts = barycentric_grid(t, 8)
             for order, vals in zip(VisitOrder, k.r1_all(pts)):
                 for i, xy in enumerate(pts):
@@ -78,7 +78,7 @@ class TestGrid:
 class TestStacked:
     def test_matches_single_kernels(self, rng):
         tris = [random_triangle(rng) for _ in range(5)]
-        k = TriangleKernel(tris)
+        k = TriangleKernel(*apexes(tris))
         pts = np.stack([barycentric_grid(t, 9) for t in tris])
         assert pts.shape == (5, 45, 2)
         together = k.costs(pts, 1, 2, 3)
@@ -86,7 +86,7 @@ class TestStacked:
             assert stacked.shape == (5, 45)
             np.testing.assert_array_equal(k.costs(pts, robots)[0], stacked)
             for i, t in enumerate(tris):
-                np.testing.assert_array_equal(stacked[i], TriangleKernel(t).costs(pts[i], robots)[0])
+                np.testing.assert_array_equal(stacked[i], TriangleKernel(*t.a).costs(pts[i], robots)[0])
         assert _array_hexes(k.costs(pts, 3, 2)) == _array_hexes(together[:0:-1])
         with pytest.raises(ValueError, match="fleet size must be 1, 2 or 3, got 4"):
             k.costs(pts, 1, 4)
@@ -96,7 +96,7 @@ class TestStacked:
         # ratio certifier's layout.  Its costs are the stack's, bit for bit,
         # on 2,104 rows.
         tris = [random_triangle(rng) for _ in range(4)]
-        k = TriangleKernel(tris)
+        k = TriangleKernel(*apexes(tris))
         pts = np.stack([barycentric_grid(t, 6) for t in tris])
         counts = np.array([3, 0, 2100, 1])
         rows = np.repeat(np.arange(4), counts)
@@ -164,7 +164,7 @@ class TestTriangleRow:
     @given(poses.triangles(n=10, **_KERNEL_POSES))
     def test_unfoldings_and_tables_match_geom_core(self, posed):
         for t in (s.standard()[0] for s in posed):
-            k = TriangleKernel(t)
+            k = TriangleKernel(*t.a)
             for i, order in enumerate(VisitOrder):
                 ref = _reference_unfold3(t, order)
                 assert _hexes(k.order_witness(order)) == _hexes(ref)
@@ -184,10 +184,10 @@ class TestTriangleRow:
     @given(poses.triangles(n=64, **_KERNEL_POSES))
     def test_stacked_tables_equal_single_tables(self, posed):
         tris = [t.standard()[0] for t in posed]
-        k = TriangleKernel(tris)
+        k = TriangleKernel(*apexes(tris))
         assert k.rows.shape == (64, len(k.rows[0]))
         for i, t in enumerate(tris):
-            one = TriangleKernel(t)
+            one = TriangleKernel(*t.a)
             for name in ("_segs", "_unfolds"):
                 stacked = getattr(k, name)[..., i, 0]
                 assert stacked.shape == getattr(one, name).shape[:-1], name
@@ -198,6 +198,15 @@ def _float_rows(tris):
     return [triangle_row(*t.a, *t.b, *t.c) for t in tris]
 
 
+def _column_rows(tris):
+    """The rows of ``tris`` from one array pass of ``triangle_row`` over
+    their (T,) vertex columns.  Posed coordinates near the float range
+    square to inf, and inf to nan, silently on plain floats, so here too."""
+    cols = np.array([(*t.a, *t.b, *t.c) for t in tris], dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array(triangle_row(*cols, ops=_kernels._ColumnOps)).T
+
+
 def _hex_rows(rows):
     return [list(map(float.hex, r)) for r in np.asarray(rows).tolist()]
 
@@ -205,7 +214,8 @@ def _hex_rows(rows):
 class TestArrayRows:
     """A stack of two or more triangles builds its rows in one array pass of
     ``triangle_row`` over (T,) vertex columns; every entry must be the float
-    row's, bit for bit."""
+    row's, bit for bit.  A kernel passes the apex columns of standard forms;
+    the formula itself serves any vertex columns."""
 
     @settings(max_examples=6)
     @given(poses.triangles(n=33, **_KERNEL_POSES))
@@ -215,38 +225,39 @@ class TestArrayRows:
         # and their standard forms through the kernel.
         posed = posed[:count]
         stds = [t.standard()[0] for t in posed]
-        assert _hex_rows(TriangleKernel(posed).rows) == _hex_rows(_float_rows(posed))
-        rows = TriangleKernel(stds).rows
+        assert _hex_rows(_column_rows(posed)) == _hex_rows(_float_rows(posed))
+        rows = TriangleKernel(*apexes(stds)).rows
         assert rows.shape == (count, len(_float_rows(stds)[0]))
         assert _hex_rows(rows) == _hex_rows(_float_rows(stds))
 
     def test_rows_far_from_unit_scale_equal_float_rows(self):
         # Coordinates near 1e155 square past the float range: the float row
-        # holds inf there without a warning, and so must the stack, under
-        # pyproject's error::RuntimeWarning.
+        # holds inf there without a warning, and so must the array pass.
         s = 1e155
         posed = [Triangle(Point2(0.5 * s, 0.8 * s), Point2(0.0, 0.0), Point2(s, 0.0)),
                  Triangle(Point2(0.9 * s, 1.7 * s), Point2(0.3 * s, -0.2 * s), Point2(2.0 * s, 0.5 * s))]
         want = _hex_rows(_float_rows(posed))
         assert "inf" in want[0] and "inf" in want[1]
-        assert _hex_rows(TriangleKernel(posed).rows) == want
+        assert _hex_rows(_column_rows(posed)) == want
 
     def test_one_degree_grid_rows_equal_float_rows(self):
         # The standard forms of every computed cell of the 1 deg sweep.
         cells = tradeoffs._sweep_cells(1.0, 0.5)
         stds = [triangle_from_angles(math.radians(i), math.radians(j)) for (i, j), s in cells.items() if s == (i, j)]
         assert len(stds) == 720
-        assert _hex_rows(TriangleKernel(stds).rows) == _hex_rows(_float_rows(stds))
+        assert _hex_rows(TriangleKernel(*apexes(stds)).rows) == _hex_rows(_float_rows(stds))
 
     @settings(max_examples=5)
     @given(poses.triangles(n=3, **_KERNEL_POSES))
     def test_float_rows_hold_plain_floats(self, posed):
         # One point's decisions are made on plain floats read from the row,
         # and the JSON writer formats only ``float`` exactly.
-        for t in (*posed, *(s.standard()[0] for s in posed)):
+        stds = [s.standard()[0] for s in posed]
+        for t in (*posed, *stds):
             assert {type(v) for v in triangle_row(*t.a, *t.b, *t.c)} == {float}
-            assert {type(v) for v in TriangleKernel(t).rows[0]} == {float}
             assert {type(v) for v in line_through(*t.a, *t.b)} == {float}
+        for t in stds:
+            assert {type(v) for v in TriangleKernel(*t.a).rows[0]} == {float}
 
     def test_one_triangle_keeps_the_float_path(self, monkeypatch):
         calls = []
@@ -256,11 +267,17 @@ class TestArrayRows:
             return triangle_row(*args, ops=ops)
 
         monkeypatch.setattr(_kernels, "triangle_row", spy)
-        t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
-        TriangleKernel(t), TriangleKernel([t])
-        assert calls == [FloatOps, FloatOps]
-        TriangleKernel([t, t])
-        assert calls[2:] == [_kernels._ColumnOps]
+        p, q = triangle_from_angles(math.radians(50.0), math.radians(70.0)).a
+        TriangleKernel(p, q), TriangleKernel([p], [q]), TriangleKernel(np.array([p]), np.array([q]))
+        assert calls == [FloatOps, FloatOps, FloatOps]
+        TriangleKernel([p, p], [q, q])
+        assert calls[3:] == [_kernels._ColumnOps]
+
+    def test_a_triangle_is_no_kernel_input(self):
+        # The kernel takes the apex of a standard form and nothing else: its
+        # rules read ``BOUNDARY_TOL`` in base lengths.
+        with pytest.raises(TypeError):
+            TriangleKernel(triangle_from_angles(math.radians(50.0), math.radians(70.0)))
 
     def test_column_line_through_equals_float_line_through(self):
         # Subnormal offsets round the length so coarsely that the normal
@@ -371,7 +388,7 @@ class TestFamilies:
             assert (_hexes(segs[:3]), _hexes(partitions)) == one[2:]
             at = n * _BATCH // len(sps)
             assert _family_hexes(k, _in_batch(sp.std, pts[0], _BATCH, at), at) == one
-        k = TriangleKernel([sp.std for sp in sps])
+        k = TriangleKernel(*apexes([sp.std for sp in sps]))
         pts = np.array([sp.pts for sp in sps])
         size = _BATCH // len(sps) + 1
         batch = np.array([_in_batch(sp.std, sp.pts[0], size, size // 2) for sp in sps])
@@ -472,7 +489,7 @@ def _masked(draw):
     inst = draw(poses.instances(kinds=("interior",), **_KERNEL_POSES))
     more = draw(poses.instances(inst.std, ("interior",), n=7))
     std, sim = inst.t.standard()
-    k = TriangleKernel(std)
+    k = TriangleKernel(*std.a)
     return std, k, _case_line_points(k, [sim.apply(q) for q in (inst.q, *(inst.pose(m.p) for m in more))])
 
 
@@ -532,7 +549,7 @@ class TestMaskedCases:
     def test_single_kernel_at_one_point(self, instance):
         t, k, pts = instance
         for table in self._tables(k):
-            probe = _probe(TriangleKernel(t), table)
+            probe = _probe(TriangleKernel(*t.a), table)
             for p in pts:
                 self._check(probe, p[None], table)
 
@@ -542,17 +559,17 @@ class TestMaskedCases:
         t, k, pts = instance
         many = np.resize(pts, (_BATCH, 2))
         for table in self._tables(k):
-            self._check(_probe(TriangleKernel(t), table), many, table)
+            self._check(_probe(TriangleKernel(*t.a), table), many, table)
 
     @settings(max_examples=2)
     @given(st.lists(_masked(), min_size=4, max_size=4, unique_by=lambda masked: repr(masked[0])))
     def test_stacked_kernel(self, instances):
         tris, _, pts = zip(*instances)
         pts = np.array(pts)
-        k = TriangleKernel(list(tris))
+        k = TriangleKernel(*apexes(tris))
         for table in self._tables(k):
             for stack in (pts, pts[:, np.arange(_BATCH // len(pts) + 1) % pts.shape[1]]):
-                self._check(_probe(TriangleKernel(list(tris)), table), stack, table)
+                self._check(_probe(TriangleKernel(*apexes(tris)), table), stack, table)
 
 
 class TestOneIndicatorRule:

@@ -309,6 +309,17 @@ class TestRasterMap:
         assert "<svg" in svg and "</svg>" in svg
         assert "<polygon" in svg  # triangle outline
 
+    def test_every_label_has_a_colour(self, tmp_path):
+        # Every label of every mode has a fixed colour, so a cell's colour
+        # does not depend on the other labels of its map.  The r2 map of the
+        # 30/60 triangle at n = 64 holds five single R/both cells.
+        labels = {label for table in regions._LABEL_TABLES.values() for code in table for label in code}
+        assert labels == set(regions._LABEL_COLORS)
+        rm = raster_region_map(triangle_from_angles(math.radians(30), math.radians(60)), 64, "r2")
+        assert sum(cell.labels == ("R/both",) for cell in rm.cells) == 5
+        rm.to_svg(tmp_path / "m.svg")
+        assert f'stroke="{regions._LABEL_COLORS["R/both"]}"' in (tmp_path / "m.svg").read_text()
+
     @pytest.mark.parametrize("mode", ["r1", "r2", "r3"])
     def test_lazy_cells_agree(self, mode):
         rm = raster_region_map(THIN, 40, mode)

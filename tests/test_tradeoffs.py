@@ -15,6 +15,7 @@ from trivisit.geom_core import (
     altitude_midpoint,
     incenter,
     triangle_from_angles,
+    vertex_from_angles,
 )
 from trivisit.tradeoffs import (
     certify_max_ratio,
@@ -24,7 +25,7 @@ from trivisit.tradeoffs import (
     sweep_triangles,
 )
 
-from conftest import random_triangle
+from conftest import apexes, random_triangle
 from poses import EQ, RI
 
 SQRT2 = math.sqrt(2.0)
@@ -91,7 +92,7 @@ class TestMaxRatio:
             t = random_triangle(rng)
             rep = max_ratio(t, 1, 2)
             std, _ = t.standard()
-            v1, v2 = TriangleKernel(std).costs(barycentric_grid(std, 48), 1, 2)
+            v1, v2 = TriangleKernel(*std.a).costs(barycentric_grid(std, 48), 1, 2)
             assert rep.ratio >= float((v1 / v2).max()) - 1e-9
 
 
@@ -102,7 +103,7 @@ def test_seeds_equal_incenter_and_altitude_midpoints(step):
     cells = _grid_angles(step)
     for lo in range(0, len(cells), 256):
         stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells[lo:lo + 256]]
-        seeds = TriangleKernel(stds).seeds()
+        seeds = TriangleKernel(*apexes(stds)).seeds()
         for s, got in zip(stds, seeds.tolist()):
             want = [incenter(s), *(altitude_midpoint(s, v) for v in VertexId)]
             assert [[v.hex() for v in xy] for xy in got] == [[v.hex() for v in xy] for xy in want]
@@ -163,9 +164,9 @@ class TestSweep:
         # Every computed cell of a 5 or 1 deg sweep is in one chunk.
         built = []
 
-        def spy(stds):
-            built.append(len(stds))
-            return TriangleKernel(stds)
+        def spy(p, q):
+            built.append(len(p))
+            return TriangleKernel(p, q)
 
         monkeypatch.setattr(tradeoffs, "TriangleKernel", spy)
         for step in (5.0, 1.0):
@@ -223,14 +224,14 @@ class TestSweep:
 
     @staticmethod
     def _built_cells(monkeypatch, n, m, step):
-        """(rows by cell, the (B, C) cells whose triangles the sweep built)."""
+        """(rows by cell, the (B, C) cells whose apexes the sweep built)."""
         built = []
 
         def spy(ang_b, ang_c):
             built.append((ang_b, ang_c))
-            return triangle_from_angles(ang_b, ang_c)
+            return vertex_from_angles(ang_b, ang_c)
 
-        monkeypatch.setattr(tradeoffs, "triangle_from_angles", spy)
+        monkeypatch.setattr(tradeoffs, "vertex_from_angles", spy)
         rows = {(r.b_deg, r.c_deg): r for r in sweep_triangles(n, m, step_deg=step).rows}
         by_radians = {(math.radians(b), math.radians(c)): (b, c) for b, c in rows}
         return rows, sorted(by_radians[cell] for cell in built)
@@ -367,7 +368,7 @@ def _bits(r):
 
 def _lattice_max(std, n, m):
     """The largest R_n/R_m over the 256-per-side lattice of ``std``."""
-    rn, rm = TriangleKernel(std).costs(barycentric_grid(std, 256), n, m)
+    rn, rm = TriangleKernel(*std.a).costs(barycentric_grid(std, 256), n, m)
     return float((rn / rm).max())
 
 
@@ -376,9 +377,9 @@ class TestCertifyMaxRatio:
     def test_seeds_are_certified_maxima(self, n, m):
         delta = verify._CERT_DELTA[n, m]
         stds, rows = _computed_cells(n, m)
-        for name, std, row, cert in zip(_CERT_SHAPES, stds, rows, certify_max_ratio(stds, n, m, delta)):
+        for name, std, row, cert in zip(_CERT_SHAPES, stds, rows, certify_max_ratio(*apexes(stds), n, m, delta)):
             assert cert.status == "certified" and cert.witness is None, name
-            # The default lower bound is the seeds' value, computed as the
+            # The lower bound is the seeds' value, computed as the
             # sweep computes its row.
             assert cert.lower.hex() == row.ratio.hex(), name
             assert cert.upper >= _lattice_max(std, n, m), name
@@ -386,11 +387,13 @@ class TestCertifyMaxRatio:
             assert cert.boxes >= 1 and cert.pair == (n, m)
 
     @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
-    def test_a_lower_bound_cut_by_ten_deltas_is_refuted(self, n, m):
+    def test_a_lower_bound_cut_by_ten_deltas_is_refuted(self, n, m, monkeypatch):
+        # The seeds' values cut by ten deltas, as R_n = cut over R_m = 1.
         delta = verify._CERT_DELTA[n, m]
         stds, rows = _computed_cells(n, m)
         cuts = [r.ratio - 10 * delta for r in rows]
-        for name, std, cut, cert in zip(_CERT_SHAPES, stds, cuts, certify_max_ratio(stds, n, m, delta, cuts)):
+        monkeypatch.setattr(tradeoffs, "_maximize", lambda *args: [(None, cut, 1.0) for cut in cuts])
+        for name, std, cut, cert in zip(_CERT_SHAPES, stds, cuts, certify_max_ratio(*apexes(stds), n, m, delta)):
             assert cert.status == "refuted" and cert.lower == cut, name
             assert std.contains(cert.witness), name
             assert ratio_at(std, cert.witness, n, m) > cut + delta, name
@@ -398,12 +401,12 @@ class TestCertifyMaxRatio:
     def test_thin_isosceles_maxima_are_certified(self):
         # Criterion 7's triangles, whose 1 and 0.5 deg apexes are no cell
         # of the 1 deg sweep that criterion 14 certifies: max_ratio's value
-        # is the default lower bound, and it is the maximum within delta.
+        # is the lower bound, and it is the maximum within delta.
         delta = verify._CERT_DELTA[1, 3]
         halves = [math.radians((180.0 - apex) / 2.0) for apex in verify._THIN_APEX_DEG]
         tris = [triangle_from_angles(half, half) for half in halves]
         stds = [t.standard()[0] for t in tris]
-        for apex, t, cert in zip(verify._THIN_APEX_DEG, tris, certify_max_ratio(stds, 1, 3, delta)):
+        for apex, t, cert in zip(verify._THIN_APEX_DEG, tris, certify_max_ratio(*apexes(stds), 1, 3, delta)):
             assert cert.status == "certified", (apex, cert)
             assert cert.lower.hex() == max_ratio(t, 1, 3).ratio.hex(), apex
             assert cert.lower <= cert.upper <= cert.lower + delta, apex
@@ -411,7 +414,7 @@ class TestCertifyMaxRatio:
     def test_box_cap_leaves_a_cell_uncertified_with_a_valid_upper_bound(self, monkeypatch):
         monkeypatch.setattr(tradeoffs, "_BOX_CAP", 40)
         stds, _ = _computed_cells(1, 3)
-        for std, cert in zip(stds, certify_max_ratio(stds, 1, 3, 1e-6)):
+        for std, cert in zip(stds, certify_max_ratio(*apexes(stds), 1, 3, 1e-6)):
             assert cert.status == "uncertified" and cert.boxes <= 40
             assert cert.upper >= _lattice_max(std, 1, 3)
 

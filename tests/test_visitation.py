@@ -156,7 +156,7 @@ class TestIndicatorHalfspaces:
         # the same amount at every point.
         for _ in range(50):
             t = random_triangle(rng)
-            k = TriangleKernel(t)
+            k = TriangleKernel(*t.a)
             for order in VisitOrder:
                 w = k.order_witness(order)
                 (ux, uy), (sigma_z,) = w[3], w[8]
@@ -170,7 +170,7 @@ class TestIndicatorHalfspaces:
     def test_unfolded_third_preserves_length(self, rng):
         for _ in range(50):
             t = random_triangle(rng)
-            k = TriangleKernel(t)
+            k = TriangleKernel(*t.a)
             for order in VisitOrder:
                 w = k.order_witness(order)
                 corner_img, far_img = Point2(*w[2]), Point2(*w[7])
@@ -178,7 +178,7 @@ class TestIndicatorHalfspaces:
                 assert far_img.dist(corner_img) == pytest.approx(third.length, abs=1e-12)
 
     def test_reference_points_split_lines(self):
-        k = TriangleKernel(EQ)
+        k = TriangleKernel(*EQ.a)
         # the subopt line passes through the apex shared by the first two
         # edges, and the base vertex lies on its positive side
         assert abs(k.indicators(*EQ.a, VisitOrder.LRD)[1]) < 1e-12
@@ -226,7 +226,7 @@ class TestVisitThreeOrdered:
                 traj = visit_three_ordered(t, p, order)
                 if traj.kind is not StrategyKind.BOUNCING or len(traj.waypoints) != 4:
                     continue
-                _, _, (cix, ciy), (ux, uy), *_ = TriangleKernel(t).order_witness(order)
+                _, _, (cix, ciy), (ux, uy), *_ = TriangleKernel(*t.a).order_witness(order)
                 assert abs(traj.cost - abs(Point2(-uy, ux).dot(p - Point2(cix, ciy)))) < 1e-12
                 found += 1
         assert found > 50
