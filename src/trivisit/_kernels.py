@@ -58,8 +58,9 @@ ordered three-edge visit, with the point's indicator coordinates
 the clamp decided at the point.  It decides the order of a pair there
 on plain floats too (``pair_order``), with the operations of the array
 code.  A stacked kernel of standard-form triangles gives the ratio
-maximizer its seeds (``seeds``), and repeats its triangles row by row for
-the boxes of the ratio certifier (``repeat``).  A kernel of two floats, or
+maximizer its seeds (``seeds``) and the sweep its side lengths
+(``side_lengths``), and repeats its triangles row by row for the boxes of
+the ratio certifier (``repeat``).  A kernel of two floats, or
 of columns of one, builds its row on plain floats: that is what ``eval``
 builds per point, and an array pass costs as much as a dozen float rows.  A
 stack of two or more builds all its rows in one array pass of the same
@@ -448,6 +449,13 @@ class TriangleKernel:
             d = a * x + b * y + c
             seeds.append(((x + (x - d * a)) / 2, (y + (y - d * b)) / 2))
         return np.stack([np.stack(xy, axis=-1) for xy in seeds], axis=1)
+
+    def side_lengths(self) -> np.ndarray:
+        """(T, 3) lengths of the sides opposite A, B and C of a stacked
+        kernel's triangles, as its rows hold them: ``math.hypot`` of a side's
+        coordinate differences, which is the same bits taken from either
+        end."""
+        return self.rows[:, [_ROW_LENGTH[opposite_edge(v)] for v in _VERTICES]]
 
     # -- primitives ----------------------------------------------------
 

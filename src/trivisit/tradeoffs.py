@@ -1,16 +1,21 @@
 """Worst-case fleet-size ratio maximization and triangle-space sweeps.
 
-For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points as the
-best of the seeds: the incenter and the three altitude midpoints, where the
-paper places the maximizers of the three ratio pairs.  ``sweep_triangles``
-does the same over an angle grid and tracks the running infimum and
-supremum; infima are limits over degenerating shapes, so they are reported
-as approached, never attained.  Both evaluate ``_maximize`` on a stacked
-kernel: ``max_ratio`` on a batch of one triangle, ``sweep_triangles`` on
-chunks of one cell per triangle, the one with A >= B >= C; every other cell
-of the grid is the same triangle relabeled, and its row is filled from the
-computed one.  The seeds come from the kernel (``TriangleKernel.seeds``),
-with the arithmetic of ``incenter`` and ``altitude_midpoint``.
+For one triangle, ``max_ratio`` maximizes R_n/R_m over starting points as
+the best of the seeds: the incenter and the three altitude midpoints, where
+the paper places the maximizers of the three ratio pairs.
+``sweep_triangles`` does the same over an angle grid and tracks the running
+infimum and supremum; infima are limits over degenerating shapes, so they
+are reported as approached, never attained.  Both evaluate ``_maximize`` on
+a stacked kernel, which gives (argmax x, argmax y, R_n, R_m) as columns:
+``max_ratio`` on a batch of one triangle, ``sweep_triangles`` on chunks of
+one cell per triangle, the one with A >= B >= C.  The seeds come from the
+kernel (``TriangleKernel.seeds``), with the arithmetic of ``incenter`` and
+``altitude_midpoint``.
+
+A sweep is a few array passes from its grid to its rows: one over the
+integer (i, j) lattice (``_sweep_cells``), the kernels of its computed
+cells, and one that fills every row from its computed row
+(``_sweep_columns``), whose columns become the rows.
 
 ``certify_max_ratio`` proves that a triangle's maximum is at most the
 seeds' value plus a slack delta, by a Lipschitz
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,14 +39,16 @@ _PAIRS = ((1, 2), (1, 3), (2, 3))
 # its rows in one array pass whose fixed cost is about a dozen one-triangle
 # rows, so every computed cell of a 5 or 1 deg sweep shares one kernel; 1,024
 # rows of 159 floats are 1.3 MB, which bounds the memory of a finer sweep's
-# batch.
+# batch.  The columns that fill the rows span the whole grid, and they are
+# freed before the rows are built (``_sweep_columns``).
 _CHUNK = 1024
 # Most angles per axis of a sweep grid, floor(90 / step), which admits every
 # step of 0.09 deg or more.  A grid has about half the square of its angle
-# count in rows, and a row holds some 300 bytes, 600 at peak: 1,000 angles
-# make some 500,000 rows, 150 MB kept and 300 MB at peak (the 0.1 deg grid
-# has 900 angles and 406,263 rows).  The check comes before the angle list,
-# whose length a tiny step would make unbounded.
+# count in rows, and a row holds some 490 bytes, 600 at peak: 1,000 angles
+# make some 500,000 rows, 245 MB kept and 300 MB at peak.  The 0.1 deg grid
+# has 900 angles and 406,288 rows, for which a fresh process kept 191 MB of
+# RSS and peaked 234 MB above its start.  The check comes before the angle
+# list, whose length a tiny step would make unbounded.
 _MAX_SWEEP_ANGLES = 1000
 
 
@@ -79,25 +86,22 @@ def max_ratio(t: Triangle, n: int, m: int) -> RatioReport:
     """
     _check_pair(n, m)
     p, q = t.standard()[0].a
-    [(argmax, rn, rm)] = _maximize([p], [q], n, m)
-    return RatioReport((n, m), rn / rm, argmax, rn, rm)
+    [x], [y], [rn], [rm] = (c.tolist() for c in _maximize(TriangleKernel([p], [q]), n, m))
+    return RatioReport((n, m), rn / rm, Point2(x, y), rn, rm)
 
 
-def _maximize(p: Sequence[float], q: Sequence[float], n: int, m: int) -> list[tuple[Point2, float, float]]:
-    """(argmax, R_n, R_m) of the best seed of the standard-form triangle of each apex (p[i], q[i]).
+def _maximize(k: TriangleKernel, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """(argmax x, argmax y, R_n, R_m) columns of the best seed of each
+    triangle of the stacked kernel ``k`` of standard forms.
 
     One stacked kernel evaluates every triangle's seeds.  Row i of every
     array belongs to triangle i, so each triangle's result does not depend
     on the others in the batch.
     """
-    k = TriangleKernel(p, q)
     pts = k.seeds()
     rn, rm = k.costs(pts, n, m)
-    at = np.argmax(rn / rm, axis=1)
-    return [
-        (Point2(float(pts[i, j, 0]), float(pts[i, j, 1])), float(rn[i, j]), float(rm[i, j]))
-        for i, j in enumerate(at.tolist())
-    ]
+    t, at = np.arange(len(rn)), np.argmax(rn / rm, axis=1)
+    return pts[t, at, 0], pts[t, at, 1], rn[t, at], rm[t, at]
 
 
 # Forward error of the kernel's cost at a box centroid, by fleet size, in
@@ -170,7 +174,8 @@ def certify_max_ratio(
     """
     _check_pair(n, m)
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    lowers = [rn / rm for _, rn, rm in _maximize(p, q, n, m)]
+    _, _, rn, rm = _maximize(TriangleKernel(p, q), n, m)
+    lowers = rn / rm
     out = []
     for lo in range(0, len(p), _CERT_GROUP):
         at = slice(lo, lo + _CERT_GROUP)
@@ -352,24 +357,64 @@ class SweepResult:
         }
 
 
-def _sweep_cells(step_deg: float, eps_apex_deg: float) -> dict[tuple[int, int], tuple[int, int]]:
+class _SweepGrid(NamedTuple):
+    """A sweep's grid in row order, as integer columns (``_sweep_cells``)."""
+
+    i: np.ndarray         # (R,) angle B of each row's cell, in steps
+    j: np.ndarray         # (R,) angle C of each row's cell, in steps
+    computed: np.ndarray  # (T,) the rows that are computed, one per triangle, in row order
+    source: np.ndarray    # (R,) each row's triangle, as an index into ``computed``
+    vertex: np.ndarray    # (R, 3) which vertex of that triangle's computed row is the row's A, B and C
+
+    def computed_cells(self) -> list[tuple[int, int]]:
+        """The (i, j) of each computed cell, in row order."""
+        return list(zip(self.i[self.computed].tolist(), self.j[self.computed].tolist()))
+
+
+# The ``vertex`` of a row with B >= C by how many of its B and C its A is
+# below: the inverse of the order that sorts its angles descending, A, B, C
+# on ties, (A, B, C), (B, A, C) and (B, C, A).
+_RELABELS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+
+def _sweep_cells(step_deg: float, eps_apex_deg: float) -> _SweepGrid:
     """The sweep's grid in row order: each cell (i, j), whose angles B and C
-    are i * step and j * step, mapped to the cell whose row gives its row.
+    are i * step and j * step, with the computed cell whose row gives its
+    row, in one NumPy pass over the (i, j) lattice.
 
     Each of B and C is above the smallest angle and at most 90.  When 180 is
     a whole number K of steps, A is k = K - i - j steps, and a cell is kept
     when k * step is above the smallest angle and 2k <= K.  A cell with
     B >= C then reads the cell of the two smaller of (k, i, j), in
-    descending order: itself when k >= i >= j.  On other grids, as at 7 deg,
-    a cell is kept when eps < 180 - (B + C) <= 90, and each cell with B >= C
-    is its own.  A cell with B < C reads its mirror (j, i)."""
-    steps = [i for i in range(1, math.floor(90.0 / step_deg) + 1) if eps_apex_deg < i * step_deg <= 90.0]
+    descending order: itself when k >= i >= j.  Its ``vertex`` says which
+    vertex of that cell's triangle each of its own A, B and C is.  On other
+    grids, as at 7 deg, a cell is kept when eps < 180 - (B + C) <= 90, and
+    each cell with B >= C is its own.  A cell with B < C reads its mirror
+    (j, i), with the mirror's vertices."""
+    ks = np.arange(1, math.floor(90.0 / step_deg) + 1)
+    steps = ks[(eps_apex_deg < ks * step_deg) & (ks * step_deg <= 90.0)]
+    i, j = steps[:, None], steps[None, :]
     whole = round(180.0 / step_deg)
-    if whole * step_deg != 180.0:
-        return {(i, j): (j, i) if i < j else (i, j)
-                for i in steps for j in steps if eps_apex_deg < 180.0 - (i * step_deg + j * step_deg) <= 90.0}
-    return {(i, j): (j, i) if i < j else tuple(sorted((whole - i - j, i, j), reverse=True)[1:])
-            for i in steps for j in steps if 2 * (whole - i - j) <= whole and eps_apex_deg < (whole - i - j) * step_deg}
+    exact = whole * step_deg == 180.0
+    if exact:
+        keep = (2 * (whole - i - j) <= whole) & (eps_apex_deg < (whole - i - j) * step_deg)
+    else:
+        a_deg = 180.0 - (i * step_deg + j * step_deg)
+        keep = (eps_apex_deg < a_deg) & (a_deg <= 90.0)
+    at_i, at_j = np.nonzero(keep)
+    i, j = steps[at_i], steps[at_j]
+    big, small = np.maximum(i, j), np.minimum(i, j)  # the row's cell with B >= C
+    if exact:
+        k = whole - i - j
+        below = (k < big).astype(np.intp) + (k < small)
+        src_i, src_j = np.clip(k, small, big), np.minimum(k, small)
+    else:
+        below = np.zeros(len(i), dtype=np.intp)
+        src_i, src_j = big, small
+    computed = np.flatnonzero((i >= j) & (below == 0))
+    index = np.zeros((len(ks) + 1, len(ks) + 1), dtype=np.intp)
+    index[i[computed], j[computed]] = np.arange(len(computed))
+    return _SweepGrid(i, j, computed, index[src_i, src_j], _RELABELS[below])
 
 
 def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float = 0.5) -> SweepResult:
@@ -386,71 +431,72 @@ def sweep_triangles(n: int, m: int, step_deg: float = 1.0, eps_apex_deg: float =
     Cells are independent, and R_n/R_m is a property of the triangle, not
     of its labels, so one cell per triangle is computed: the one with the
     apex at the largest angle and B >= C.  One rule on integer indices
-    (``_sweep_cells``) decides the grid and the cell that gives each row.
-    The computed cells run on one thread in chunks of up to ``_CHUNK``
-    cells, in cell order, each chunk on one stacked kernel (``_maximize``),
-    whose rows are built in one array pass: every computed cell of a 5 or 1
-    deg sweep is one chunk.  Each triangle's row does not depend on the
-    others in its chunk, so results do not depend on the chunk size, which
-    bounds the memory of a batch.
-    Each other row with B >= C is its triangle's computed row relabeled
-    (``_relabeled_row``), by the same indices that picked the computed
-    cell, and each row with B < C is its mirror's row with the argmax
-    reflected in standard form, x -> 1 - x, so mirror rows are equal by
+    (``_sweep_cells``) decides the grid, the cell that gives each row and
+    how its vertices map onto that cell's.  The computed cells run on one
+    thread in chunks of up to ``_CHUNK`` cells, in cell order, each chunk on
+    one stacked kernel (``_maximize``), whose rows are built in one array
+    pass: every computed cell of a 5 or 1 deg sweep is one chunk.  Each
+    triangle's row does not depend on the others in its chunk, so results
+    do not depend on the chunk size, which bounds the memory of a batch.
+
+    Every row is then filled from its triangle's computed row in one array
+    pass over the grid.  A row with B >= C is the computed row relabeled:
+    its standard form has the base opposite its own A, so its costs are the
+    computed ones divided by that side's length, which the kernel holds
+    (``TriangleKernel.side_lengths``), and its argmax is the computed one
+    under the similarity that takes its B and C to (0, 0) and (1, 0),
+    reflected when the relabeling reverses the orientation.  A computed row
+    relabels itself by the identity, bit for bit.  A row with B < C is its
+    mirror's row with the argmax reflected in standard form, x -> 1 - x,
+    which leaves every cost unchanged, so mirror rows are equal by
     construction and every row has its mirror.  A grid whose step is a
     multiple of a finer one's is its subset by index, (i, j) at 5 deg being
     (5i, 5j) at 1 deg, with angles equal bit for bit at whole-degree steps.
+    Angles are floats whatever the type of ``step_deg``.
     """
     _check_pair(n, m)
-    if not (math.isfinite(step_deg) and step_deg > 0):
+    if isinstance(step_deg, bool) or not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"sweep step must be a finite positive number of degrees, got {step_deg!r}")
     if 90.0 / step_deg >= _MAX_SWEEP_ANGLES + 1:  # floor(90 / step) above the bound, or overflowing
         raise ValueError(
             f"sweep step {step_deg!r} gives more than {_MAX_SWEEP_ANGLES} angles per axis; use 0.09 degrees or more"
         )
-    if not (math.isfinite(eps_apex_deg) and eps_apex_deg >= 0):
+    if isinstance(eps_apex_deg, bool) or not (math.isfinite(eps_apex_deg) and eps_apex_deg >= 0):
         raise ValueError(f"sweep smallest angle must be a finite non-negative number of degrees, got {eps_apex_deg!r}")
-    cells = _sweep_cells(step_deg, eps_apex_deg)
-    if not cells:
+    step_deg, eps_apex_deg = float(step_deg), float(eps_apex_deg)
+    b, c, ratio, x, y, rn, rm = (col.tolist() for col in _sweep_columns(n, m, step_deg, eps_apex_deg))
+    return SweepResult((n, m), step_deg, eps_apex_deg, tuple(map(SweepRow, b, c, ratio, map(Point2, x, y), rn, rm)))
+
+
+def _sweep_columns(n: int, m: int, step_deg: float, eps_apex_deg: float) -> tuple[np.ndarray, ...]:
+    """(B, C, ratio, argmax x, argmax y, R_n, R_m) of every row of the sweep,
+    one (R,) column each, in row order: the computed rows' kernels, then one
+    array pass that fills every row from its triangle's computed row.  Its
+    temporaries are gone once it returns, before the rows are built."""
+    grid = _sweep_cells(step_deg, eps_apex_deg)
+    if not len(grid.i):
         raise ValueError(f"sweep grid has no cell at step {step_deg!r} with smallest angle above {eps_apex_deg!r}")
-    computed = [cell for cell, src in cells.items() if src == cell]
-    found = {}
-    for lo in range(0, len(computed), _CHUNK):
-        chunk = computed[lo:lo + _CHUNK]
-        apexes = [vertex_from_angles(math.radians(i * step_deg), math.radians(j * step_deg)) for i, j in chunk]
-        for (i, j), apex, (argmax, rn, rm) in zip(chunk, apexes, _maximize(*zip(*apexes), n, m)):
-            found[i, j] = apex, SweepRow(i * step_deg, j * step_deg, rn / rm, argmax, rn, rm)
-    whole = round(180.0 / step_deg)  # relabelings are only on grids of a whole number of steps
-    rows = {(i, j): found[src][1] if src == (i, j) else
-            _relabeled_row(i * step_deg, j * step_deg, (whole - i - j, i, j), *found[src])
-            for (i, j), src in cells.items() if i >= j}
-    return SweepResult((n, m), step_deg, eps_apex_deg, tuple(
-        rows[cell] if cell in rows else _mirror_row(rows[src]) for cell, src in cells.items()
-    ))
-
-
-def _relabeled_row(b: float, c: float, steps: tuple[int, int, int], apex: Point2, row: SweepRow) -> SweepRow:
-    """Row of cell (b, c), whose angles A, B and C are ``steps`` grid steps,
-    from ``row``, the computed row of the same triangle with other labels,
-    whose standard form has its apex at ``apex``.
-
-    The computed triangle's vertices, A then B then C, are the cell's in
-    descending order of ``steps`` (A, B, C on ties), the order that picked
-    the computed cell.  The cell's standard form has the base opposite its
-    own A, so its costs are the computed ones divided by that side's length,
-    and its argmax is the computed one under the similarity that takes the
-    cell's B and C to (0, 0) and (1, 0), reflected when the relabeling
-    reverses the orientation."""
-    order = sorted(range(3), key=steps.__getitem__, reverse=True)  # stable on ties
-    (ax, ay), (bx, by), (cx, cy) = ((apex, (0.0, 0.0), (1.0, 0.0))[order.index(k)] for k in range(3))
-    dx, dy, ux, uy = cx - bx, cy - by, row.argmax.x - bx, row.argmax.y - by
-    dd, side = dx * dx + dy * dy, math.hypot(dx, dy)
-    turn = math.copysign(1.0, dx * (ay - by) - dy * (ax - bx))
-    rn, rm = row.rn / side, row.rm / side
-    return SweepRow(b, c, rn / rm, Point2((ux * dx + uy * dy) / dd, turn * (dx * uy - dy * ux) / dd), rn, rm)
-
-
-def _mirror_row(row: SweepRow) -> SweepRow:
-    """Row of the mirror-image cell: swapping B and C reflects the standard
-    form in x = 1/2, which leaves every cost unchanged."""
-    return SweepRow(row.c_deg, row.b_deg, row.ratio, Point2(1.0 - row.argmax.x, row.argmax.y), row.rn, row.rm)
+    apexes = np.array([
+        vertex_from_angles(math.radians(i * step_deg), math.radians(j * step_deg)) for i, j in grid.computed_cells()
+    ])
+    found = []
+    for lo in range(0, len(apexes), _CHUNK):
+        k = TriangleKernel(*apexes[lo:lo + _CHUNK].T)
+        found.append((*_maximize(k, n, m), k.side_lengths()))
+    x, y, rn, rm, sides = (np.concatenate(col) for col in zip(*found))
+    # Each row's A, B and C among its computed triangle's vertices, A = (p, q),
+    # B = (0, 0) and C = (1, 0).
+    s, v = grid.source, grid.vertex
+    verts = np.zeros((len(apexes), 3, 2))
+    verts[:, 0], verts[:, 2, 0] = apexes, 1.0
+    (ax, ay), (bx, by), (cx, cy) = verts[s[:, None], v].transpose(1, 2, 0)
+    side = sides[s, v[:, 0]]
+    dx, dy, ux, uy = cx - bx, cy - by, x[s] - bx, y[s] - by
+    dd = dx * dx + dy * dy
+    turn = np.copysign(1.0, dx * (ay - by) - dy * (ax - bx))
+    rn, rm = rn[s] / side, rm[s] / side
+    x = (ux * dx + uy * dy) / dd
+    mirror = grid.i < grid.j
+    x[mirror] = 1.0 - x[mirror]
+    y = turn * (dx * uy - dy * ux) / dd
+    return grid.i * step_deg, grid.j * step_deg, rn / rm, x, y, rn, rm

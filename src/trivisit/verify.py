@@ -500,7 +500,8 @@ def _crit_14(quick: bool) -> CriterionResult:
     # The computed cells: every other row of the grid is one of them
     # relabeled or mirrored, with the same ratio.  Triangles only for the
     # paper's closed forms; the certifier takes the apexes.
-    cells = [(i * step, j * step) for (i, j), src in _sweep_cells(step, 0.5).items() if src == (i, j)]
+    grid = _sweep_cells(step, 0.5)
+    cells = [(i * step, j * step) for i, j in grid.computed_cells()]
     stds = [triangle_from_angles(math.radians(b), math.radians(c)) for b, c in cells]
     p, q = np.array([t.a for t in stds]).T
     for pair, delta in _CERT_DELTA.items():

@@ -28,6 +28,7 @@ from trivisit.geom_core import (
     altitude_midpoint,
     incenter,
     line_through,
+    opposite_edge,
     project,
     reflect,
     shared_vertex,
@@ -207,6 +208,12 @@ def _column_rows(tris):
         return np.array(triangle_row(*cols, ops=_kernels._ColumnOps)).T
 
 
+def _one_degree_computed_cells():
+    """The standard forms of every computed cell of the 1 deg sweep."""
+    cells = tradeoffs._sweep_cells(1.0, 0.5).computed_cells()
+    return [triangle_from_angles(math.radians(i), math.radians(j)) for i, j in cells]
+
+
 def _hex_rows(rows):
     return [list(map(float.hex, r)) for r in np.asarray(rows).tolist()]
 
@@ -242,10 +249,23 @@ class TestArrayRows:
 
     def test_one_degree_grid_rows_equal_float_rows(self):
         # The standard forms of every computed cell of the 1 deg sweep.
-        cells = tradeoffs._sweep_cells(1.0, 0.5)
-        stds = [triangle_from_angles(math.radians(i), math.radians(j)) for (i, j), s in cells.items() if s == (i, j)]
+        stds = _one_degree_computed_cells()
         assert len(stds) == 720
         assert _hex_rows(TriangleKernel(*apexes(stds)).rows) == _hex_rows(_float_rows(stds))
+
+    @settings(max_examples=4)
+    @given(poses.triangles(n=33, **_KERNEL_POSES))
+    def test_side_lengths_are_hypot_from_either_end(self, posed):
+        # The sweep divides a relabeled row's costs by a side of its
+        # computed triangle, taken between the row's B and C in either
+        # direction: the kernel's length is math.hypot of the side's
+        # coordinate differences from both ends, bit for bit.
+        for stds in (_one_degree_computed_cells(), [t.standard()[0] for t in posed]):
+            for t, lengths in zip(stds, TriangleKernel(*apexes(stds)).side_lengths().tolist()):
+                for v, length in zip(VertexId, lengths):
+                    p, q = (t.vertex(w) for w in opposite_edge(v).endpoints)
+                    assert length.hex() == math.hypot(q.x - p.x, q.y - p.y).hex(), (t, v)
+                    assert length.hex() == math.hypot(p.x - q.x, p.y - q.y).hex(), (t, v)
 
     @settings(max_examples=5)
     @given(poses.triangles(n=3, **_KERNEL_POSES))

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +20,7 @@ from trivisit.geom_core import (
     vertex_from_angles,
 )
 from trivisit.tradeoffs import (
+    SweepRow,
     certify_max_ratio,
     describe_shape,
     max_ratio,
@@ -35,9 +38,15 @@ SQRT2 = math.sqrt(2.0)
 _FINE_STEPS = {0.09: 235, 0.1: 25, 0.12: 178, 0.15: 152, 0.2: 12, 0.3: 76, 1 / 3: 109, 0.6: 39, 0.9: 6}
 
 
+def _grid_cells(step):
+    """The sweep's cells at ``step``, as (i, j) angle indices in row order."""
+    grid = tradeoffs._sweep_cells(step, 0.5)
+    return list(zip(grid.i.tolist(), grid.j.tolist()))
+
+
 def _grid_angles(step):
     """The sweep's cells at ``step``, as their (B, C) angles in degrees."""
-    return [(i * step, j * step) for i, j in tradeoffs._sweep_cells(step, 0.5)]
+    return [(i * step, j * step) for i, j in _grid_cells(step)]
 
 
 class TestRatioAt:
@@ -204,7 +213,9 @@ class TestSweep:
         # past the bound to its grid.
         cells = _grid_angles(step)
         assert (len(cells), hashlib.sha256(repr(cells).encode()).hexdigest()) == (count, digest)
-        monkeypatch.setattr(tradeoffs, "_sweep_cells", lambda *args: [])
+        empty = tradeoffs._sweep_cells(step, 90.0)
+        assert len(empty.i) == 0
+        monkeypatch.setattr(tradeoffs, "_sweep_cells", lambda *args: empty)
         with pytest.raises(ValueError, match="has no cell"):
             sweep_triangles(1, 3, step_deg=step)
 
@@ -273,22 +284,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("step", [*_FINE_STEPS, 7.0])
     def test_every_cell_maps_to_a_computed_cell(self, step):
-        # The mapping alone, with no cost evaluated.  Every cell's mirror is
-        # on the grid, and a cell with B < C reads it.  When 180 is a whole
-        # number of steps, a cell with B >= C reads its triangle with the
-        # angle indices sorted, which reads itself; 180 is not a multiple of
-        # 7, and every cell with B >= C reads itself.
-        cells = tradeoffs._sweep_cells(step, 0.5)
+        # The index columns alone, with no cost evaluated.  Every cell's
+        # mirror is on the grid, and a cell with B < C reads its mirror's
+        # triangle with its mirror's vertices.  When 180 is a whole number
+        # of steps, a cell with B >= C reads its triangle with the angle
+        # indices sorted, which reads itself, its vertices in that order (A,
+        # B, C on ties); 180 is not a multiple of 7, and every cell with
+        # B >= C reads itself.  The cells, in order, are the scalar rule's.
+        grid = tradeoffs._sweep_cells(step, 0.5)
+        cells = _grid_cells(step)
+        assert cells == list(_reference_cells(step, 0.5))
+        at = {cell: r for r, cell in enumerate(cells)}
+        computed, source, vertex = grid.computed.tolist(), grid.source.tolist(), grid.vertex.tolist()
         whole = round(180 / step)
         assert (whole * step == 180.0) == (step != 7.0)
-        for (i, j), src in cells.items():
-            assert (j, i) in cells, (i, j)
+        assert [source[r] for r in computed] == list(range(len(computed)))
+        for r, (i, j) in enumerate(cells):
+            assert (j, i) in at, (i, j)
             if i < j:
-                assert src == (j, i), (i, j)
-            elif step == 7.0:
-                assert src == (i, j), (i, j)
-            else:
-                assert src == tuple(sorted((whole - i - j, i, j), reverse=True)[1:]) and cells[src] == src, (i, j)
+                assert (source[r], vertex[r]) == (source[at[j, i]], vertex[at[j, i]]), (i, j)
+                continue
+            steps = (whole - i - j, i, j)
+            order = [0, 1, 2] if step == 7.0 else sorted(range(3), key=steps.__getitem__, reverse=True)
+            want = (i, j) if step == 7.0 else tuple(steps[k] for k in order[1:])
+            assert cells[computed[source[r]]] == want, (i, j)
+            assert vertex[r] == [order.index(k) for k in range(3)], (i, j)
 
     @pytest.mark.parametrize("step, added", _FINE_STEPS.items())
     def test_lattice_adds_only_right_angles_at_a(self, step, added):
@@ -298,8 +318,8 @@ class TestSweep:
         old = [(b, c) for b in (i * step for i in range(1, math.floor(90 / step) + 1)) if 0.5 < b <= 90.0
                for c in (j * step for j in range(1, math.floor(90 / step) + 1)) if 0.5 < c <= 90.0
                and 0.5 < 180.0 - b - c <= 90.0]
-        cells, kept = tradeoffs._sweep_cells(step, 0.5), set(old)
-        new = {(i * step, j * step): (i, j) for i, j in cells}
+        kept = set(old)
+        new = {(i * step, j * step): (i, j) for i, j in _grid_cells(step)}
         assert [cell for cell in new if cell in kept] == old
         assert len(new) - len(old) == added
         whole = round(180 / step)
@@ -310,8 +330,8 @@ class TestSweep:
         # themselves, none of them with B < C.  At 0.6 deg float rounding
         # once kept 6 cells with B < C whose mirror was off the grid.
         rows, built = self._built_cells(monkeypatch, 1, 3, 0.6)
-        cells = tradeoffs._sweep_cells(0.6, 0.5)
-        assert built == sorted((i * 0.6, j * 0.6) for (i, j), src in cells.items() if src == (i, j))
+        computed = tradeoffs._sweep_cells(0.6, 0.5).computed.tolist()
+        assert built == sorted(_grid_angles(0.6)[r] for r in computed)
         assert all(b >= c for b, c in built)
 
     @pytest.mark.parametrize("step", [10.0, 7.0, 5.0, 4.0])
@@ -341,6 +361,94 @@ class TestSweep:
                 assert abs(got - want) <= 1e-14 * want, cell
             if row.argmax.dist(rep.argmax) > 1e-14:
                 assert abs(ratio_at(t, row.argmax, n, m) - rep.ratio) <= 1e-12, cell
+
+
+def _reference_cells(step, eps_apex):
+    """The sweep's grid by the scalar rule that the index columns replaced:
+    each cell (i, j) in row order, mapped to the cell whose row gives its
+    row, its mirror when B < C."""
+    steps = [i for i in range(1, math.floor(90.0 / step) + 1) if eps_apex < i * step <= 90.0]
+    whole = round(180.0 / step)
+    if whole * step != 180.0:
+        return {(i, j): (j, i) if i < j else (i, j)
+                for i in steps for j in steps if eps_apex < 180.0 - (i * step + j * step) <= 90.0}
+    return {(i, j): (j, i) if i < j else tuple(sorted((whole - i - j, i, j), reverse=True)[1:])
+            for i in steps for j in steps if 2 * (whole - i - j) <= whole and eps_apex < (whole - i - j) * step}
+
+
+def _relabeled_row(b, c, steps, apex, row):
+    """Row of cell (b, c), whose angles A, B and C are ``steps`` grid steps,
+    from ``row``, the computed row of the same triangle with other labels,
+    whose standard form has its apex at ``apex``: the scalar fill, one row
+    at a time, that the sweep's array pass replaced."""
+    order = sorted(range(3), key=steps.__getitem__, reverse=True)  # stable on ties
+    (ax, ay), (bx, by), (cx, cy) = ((apex, (0.0, 0.0), (1.0, 0.0))[order.index(k)] for k in range(3))
+    dx, dy, ux, uy = cx - bx, cy - by, row.argmax.x - bx, row.argmax.y - by
+    dd, side = dx * dx + dy * dy, math.hypot(dx, dy)
+    turn = math.copysign(1.0, dx * (ay - by) - dy * (ax - bx))
+    rn, rm = row.rn / side, row.rm / side
+    return SweepRow(b, c, rn / rm, Point2((ux * dx + uy * dy) / dd, turn * (dx * uy - dy * ux) / dd), rn, rm)
+
+
+def _mirror_row(row):
+    """Row of the mirror-image cell: swapping B and C reflects the standard
+    form in x = 1/2, which leaves every cost unchanged."""
+    return SweepRow(row.c_deg, row.b_deg, row.ratio, Point2(1.0 - row.argmax.x, row.argmax.y), row.rn, row.rm)
+
+
+def _row_hexes(r):
+    return [v.hex() for v in (r.b_deg, r.c_deg, r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y)]
+
+
+@pytest.mark.parametrize("step", [0.3, 0.6, 0.9, 1.0, 5.0, 7.0])
+@pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
+def test_rows_equal_the_scalar_fill(n, m, step):
+    # Every row that the sweep fills in its array pass, relabeled or
+    # mirrored, is by float.hex the row that the scalar fill gives from its
+    # triangle's computed row, on the grid of the scalar rule.  Relabelings
+    # happen at 0.3, 0.6, 0.9, 1 and 5 deg; at 7 deg every row with B < C is
+    # a mirror of a computed row.
+    rows = sweep_triangles(n, m, step_deg=step).rows
+    cells = _reference_cells(step, 0.5)
+    assert [(r.b_deg, r.c_deg) for r in rows] == [(i * step, j * step) for i, j in cells]
+    got = dict(zip(cells, rows))
+    whole = round(180.0 / step)
+    want = {}
+    for (i, j), src in cells.items():
+        if i >= j:
+            apex = vertex_from_angles(math.radians(src[0] * step), math.radians(src[1] * step))
+            want[i, j] = got[i, j] if src == (i, j) else _relabeled_row(
+                i * step, j * step, (whole - i - j, i, j), apex, got[src])
+    for (i, j), src in cells.items():
+        if i < j:
+            want[i, j] = _mirror_row(want[src])
+    relabeled = sum(i >= j and src != (i, j) for (i, j), src in cells.items())
+    assert (relabeled > 0) == (step != 7.0)
+    assert [_row_hexes(r) for r in rows] == [_row_hexes(want[cell]) for cell in cells]
+
+
+def test_sweep_angles_are_floats_whatever_the_step_type():
+    # An int step sweeps the grid of its float, and bools are no steps.
+    sw, want = sweep_triangles(1, 3, step_deg=5, eps_apex_deg=1), sweep_triangles(1, 3, step_deg=5.0, eps_apex_deg=1.0)
+    assert [_row_hexes(r) for r in sw.rows] == [_row_hexes(r) for r in want.rows]
+    assert {type(v) for r in sw.rows for v in (r.b_deg, r.c_deg)} == {float}
+    summary = sw.summary()
+    assert (type(summary["step_deg"]), type(summary["eps_apex_deg"])) == (float, float)
+    assert json.dumps(summary) == json.dumps(want.summary())
+    for step, eps_apex in ((True, 0.5), (1.0, False), (1.0, True)):
+        with pytest.raises(ValueError):
+            sweep_triangles(1, 3, step_deg=step, eps_apex_deg=eps_apex)
+
+
+def test_sweep_rows_are_frozen_dataclasses():
+    # Callers copy and perturb rows through ``dataclasses``, and a row is
+    # not a tuple of its fields.
+    row = sweep_triangles(1, 3, step_deg=30.0).rows[0]
+    moved = dataclasses.replace(row, ratio=2.0)
+    assert (moved.ratio, moved.argmax, dataclasses.asdict(moved)["rn"]) == (2.0, row.argmax, row.rn)
+    assert row != (row.b_deg, row.c_deg, row.ratio, row.argmax, row.rn, row.rm)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.ratio = 2.0
 
 
 # Named triangles by their angles; each is certified as the 5 deg sweep
@@ -392,7 +500,7 @@ class TestCertifyMaxRatio:
         delta = verify._CERT_DELTA[n, m]
         stds, rows = _computed_cells(n, m)
         cuts = [r.ratio - 10 * delta for r in rows]
-        monkeypatch.setattr(tradeoffs, "_maximize", lambda *args: [(None, cut, 1.0) for cut in cuts])
+        monkeypatch.setattr(tradeoffs, "_maximize", lambda *args: (None, None, np.array(cuts), np.ones(len(cuts))))
         for name, std, cut, cert in zip(_CERT_SHAPES, stds, cuts, certify_max_ratio(*apexes(stds), n, m, delta)):
             assert cert.status == "refuted" and cert.lower == cut, name
             assert std.contains(cert.witness), name
