@@ -27,23 +27,31 @@ three edges and the six ordered edge pairs, and the unfolding table of the
 six ordered three-edge visits.  ``segs_all`` gives all nine, ``r3_all`` the
 edges' three and ``r1_all`` the six orders, each in one NumPy broadcast over
 its members; ``r2_partitions`` reads its singles and pairs from one
-``segs_all`` pass.  So one point costs two NumPy passes, ``segs_all`` and
-``r1_all`` (``visitation.StandardPoint``).
+``segs_all`` pass.  Each family is one formula of operators only over one
+member's constants, ``_seg_dist`` (the clamp and the norm) or
+``_ordered3_cases`` (the three case costs), which reads what it applies
+beyond operators from a namespace: ``_ArrayOps`` runs it once over a whole
+table, and ``_PointOps`` once per member on the plain floats of one row.
+So one point (x, y) costs ``segs_all`` and ``r1_all`` on the row of a
+single-triangle kernel of floats, with no NumPy array
+(``visitation.StandardPoint``), and such a kernel cuts its tables from the
+row only when an array evaluator first reads them.
 
 Each decision rule (the unfolding cases, the farthest edges, R2's kept
 partitions with their sides, the optimal orders) is one expression of
 operators only, which serves arrays and plain floats alike; the caller
 passes in the largest or least cost.  At one point the decisions are made on
-plain floats: the costs of the two passes, and for the one order whose
+plain floats: the costs of its two evaluations, and for the one order whose
 witness is built the unfolding cases (``order_cases``), so no array carries
 case masks.
 
-At one point a family's cost is the Python overhead of its ufunc calls; at
-array scale it is mostly libm ``hypot``: on a stack of 9,632 points one
-``hypot`` takes about 170 us against about 6 us for a subtract or a
-multiply.  So the three-edge body takes each case's ``hypot`` only where
-that case is admissible, and nothing loops over a trailing coordinate axis
-of length 2.
+At one point a family's cost is its ``hypot`` calls, each a NumPy call on
+two floats (about 1 us, against some 50 ns for a float operator), and the
+Python overhead of the formula per member; at array scale it is mostly libm
+``hypot``: on a stack of 9,632 points one ``hypot`` takes about 170 us
+against about 6 us for a subtract or a multiply.  So the three-edge body
+takes each case's ``hypot`` only where, or when, that case is admissible,
+and nothing loops over a trailing coordinate axis of length 2.
 
 Every constant comes from ``triangle_row``: one flat row per triangle, its
 lines from ``line_through`` (the formula of ``Line``) and the rest in the
@@ -72,6 +80,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -252,39 +261,98 @@ def _unfold_coords(x, y, table) -> tuple:
     return rx, ry, qx, qy, rx * ux + ry * uy, sigma_z * (qx * ux + qy * uy)
 
 
-def _unfold_cases(s_b, s_z) -> dict:
-    """Each unfolding case mapped to whether it is admissible at the
+# The unfolding cases in the order of ``_unfold_masks``.
+_CASE_KINDS = (
+    StrategyKind.SUBOPT_VERTEX_ALTITUDE, StrategyKind.DEGENERATE_VERTEX_BOUNCE, StrategyKind.BOUNCING,
+)
+
+
+def _unfold_masks(s_b, s_z) -> tuple:
+    """Whether each unfolding case of ``_CASE_KINDS`` is admissible at the
     indicator coordinates s_b and s_z (``_unfold_coords``), within
     ``BOUNDARY_TOL`` of its side of the subopt and bounce lines."""
     past_subopt = s_z >= -BOUNDARY_TOL
-    return {
-        StrategyKind.SUBOPT_VERTEX_ALTITUDE: s_z <= BOUNDARY_TOL,
-        StrategyKind.DEGENERATE_VERTEX_BOUNCE: past_subopt & (s_b <= BOUNDARY_TOL),
-        StrategyKind.BOUNCING: past_subopt & (s_b >= -BOUNDARY_TOL),
-    }
+    return s_z <= BOUNDARY_TOL, past_subopt & (s_b <= BOUNDARY_TOL), past_subopt & (s_b >= -BOUNDARY_TOL)
 
 
-def _ordered3_cases(pts: np.ndarray, table) -> np.ndarray:
-    """Costs of the ordered three-edge visits whose unfolding constants
-    (corner_img, u, apex, sigma_z, altitude) are ``table``: the minimum over
-    the unfolding cases that ``_unfold_cases`` admits.  Each field of
-    ``table`` broadcasts against the point coordinates: a (1,) or (T, 1)
-    array for one order, a (6, 1) or (6, T, 1) array for all six."""
-    rx, ry, qx, qy, s_b, s_z = _unfold_coords(pts[..., 0], pts[..., 1], table)
-    cases = _unfold_cases(s_b, s_z)
-    # Each case cost only where the case is admissible (``where=``), inf
-    # elsewhere: at array scale one ``hypot`` costs as much as 25 or more
-    # subtracts, and over the 24-per-side lattices of the 5 deg cells the
-    # subopt case is admissible at 16% of order-points and the degenerate
-    # case at 52%.  inf + alt is inf, so the subopt cost takes its altitude
-    # unmasked.
+def _unfold_cases(s_b, s_z) -> dict:
+    """Each unfolding case mapped to whether ``_unfold_masks`` admits it."""
+    return dict(zip(_CASE_KINDS, _unfold_masks(s_b, s_z)))
+
+
+class _ArrayOps:
+    """What ``_seg_dist`` and ``_ordered3_cases`` apply beyond operators, on
+    the arrays of a table and of point coordinates: ``clamp`` to [0, 1] and
+    ``minimum``, each in place on a fresh array, ``hypot`` and ``abs``, and
+    ``masked``, ``f`` of the arguments where ``mask`` holds and inf
+    elsewhere, which calls ``f`` only there (``where=``)."""
+
+    hypot = np.hypot
+    abs = np.abs
+
+    def clamp(t):
+        return np.clip(t, 0.0, 1.0, out=t)
+
+    def minimum(a, b):
+        return np.minimum(a, b, out=a)
+
+    def masked(f, mask, *args):
+        return f(*args, out=np.full(mask.shape, np.inf), where=mask)
+
+
+class _PointOps:
+    """The operations of ``_ArrayOps`` on the plain floats of one member at
+    one point.  ``hypot`` is NumPy's, on two floats: it rounds as the array
+    code does, and ``math.hypot`` does not (``_hypot_columns``).  ``clamp``
+    keeps the sign of a zero, which ``np.clip`` may not; the distance does
+    not depend on it, since a zero t only moves the sign of a zero argument
+    of ``hypot``.  ``masked`` calls ``f`` only when the case is
+    admissible."""
+
+    abs = abs
+    minimum = min
+
+    def hypot(x, y):
+        return float(np.hypot(x, y))
+
+    def clamp(t):
+        return 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+
+    def masked(f, mask, *args):
+        return f(*args) if mask else math.inf
+
+
+def _seg_dist(x, y, seg, ops):
+    """Distance from the point (x, y) to the segment whose row (p0x, p0y,
+    dx, dy, dx*dx + dy*dy) is ``seg``: its foot's parameter clamped to [0,
+    1], then the norm.  With ``_ArrayOps`` each field of ``seg`` is a
+    (count, 1) or (count, T, 1) array, which broadcasts against (N,) or (T,
+    N) coordinates; with ``_PointOps`` all are plain floats."""
+    p0x, p0y, dx, dy, dd = seg
+    t = ops.clamp(((x - p0x) * dx + (y - p0y) * dy) / dd)
+    return ops.hypot(x - (p0x + t * dx), y - (p0y + t * dy))
+
+
+def _ordered3_cases(x, y, table, ops):
+    """Costs at the point (x, y) of the ordered three-edge visits whose
+    unfolding constants (corner_img, u, apex, sigma_z, altitude) are
+    ``table``: the minimum over the unfolding cases that ``_unfold_masks``
+    admits.  With ``_ArrayOps`` each field of ``table`` is a (6, 1) or (6,
+    T, 1) array, which broadcasts against (N,) or (T, N) coordinates; with
+    ``_PointOps`` all are plain floats of one order."""
+    rx, ry, qx, qy, s_b, s_z = _unfold_coords(x, y, table)
+    subopt, degenerate, bouncing = _unfold_masks(s_b, s_z)
+    # Each case cost only where the case is admissible, inf elsewhere: at
+    # array scale one ``hypot`` costs as much as 25 or more subtracts, and
+    # over the 24-per-side lattices of the 5 deg cells the subopt case is
+    # admissible at 16% of order-points and the degenerate case at 52%; at
+    # one point a ``hypot`` is a NumPy call.  inf + alt is inf, so the
+    # subopt cost takes its altitude unmasked.
     ux, uy, alt = table[2], table[3], table[7]
-    infs = np.full(rx.shape, np.inf)
-    cost = np.hypot(qx, qy, out=infs.copy(), where=cases[StrategyKind.SUBOPT_VERTEX_ALTITUDE])
+    cost = ops.masked(ops.hypot, subopt, qx, qy)
     cost += alt
-    np.minimum(cost, np.hypot(rx, ry, out=infs.copy(), where=cases[StrategyKind.DEGENERATE_VERTEX_BOUNCE]), out=cost)
-    np.minimum(cost, np.abs(ry * ux - rx * uy, out=infs, where=cases[StrategyKind.BOUNCING]), out=cost)
-    return cost
+    cost = ops.minimum(cost, ops.masked(ops.hypot, degenerate, rx, ry))
+    return ops.minimum(cost, ops.masked(ops.abs, bouncing, ry * ux - rx * uy))
 
 
 # The orders (first, second) and (second, first) of the pair of edges left by
@@ -296,6 +364,10 @@ _LONE_PAIRS = tuple(
     for first, second in ([e for e in _EDGES if e is not lone] for lone in _EDGES)
 )
 _LONE_FIRST, _LONE_SECOND = (list(orders) for orders in zip(*_LONE_PAIRS))
+# Where each member's constants sit in a triangle row: the nine segment rows,
+# and the six orders' unfolding constants.
+_SEG_MEMBERS = tuple((at, at + 5) for at in range(_ROW_SEGS, _ROW_FARS, 5))
+_UNFOLD_MEMBERS = tuple((at, at + 8) for at in range(_ROW_UNFOLDS, _ROW_WITNESS, 8))
 
 
 class TriangleKernel:
@@ -311,34 +383,42 @@ class TriangleKernel:
     count, ...) array cut from the rows, so ``table[:, k]`` unpacks into the
     fields of member k and ``table`` into those of every member: (1,) or
     (count, 1) arrays for one triangle, (T, 1) or (count, T, 1) for a stack,
-    which broadcast against (N,) and (T, N) coordinate arrays.
+    which broadcast against (N,) and (T, N) coordinate arrays.  A table is
+    built when an array evaluator first reads it, so a single-triangle
+    kernel evaluated only at a point (x, y), on the plain floats of its row,
+    builds no NumPy array.
     """
 
     def __init__(self, p, q):
         if isinstance(p, float):
             self.rows = [triangle_row(p, q, 0.0, 0.0, 1.0, 0.0)]
-            flat = np.array(self.rows[0])
         else:
             p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
             if len(p) < 2:
-                rows = [triangle_row(x, y, 0.0, 0.0, 1.0, 0.0) for x, y in zip(p.tolist(), q.tolist())]
-                self.rows = flat = np.array(rows)
+                self.rows = np.array([triangle_row(x, y, 0.0, 0.0, 1.0, 0.0) for x, y in zip(p.tolist(), q.tolist())])
             else:
                 # One array pass of the row formula over the stack's apex
                 # columns; its fixed cost is that of about a dozen float
                 # rows.  The area gate keeps an apex below 5e11 base
                 # lengths, so no entry comes near overflow.
                 zeros = np.zeros_like(p)
-                self.rows = flat = np.array(triangle_row(p, q, zeros, zeros, zeros + 1.0, zeros, ops=_ColumnOps)).T
+                self.rows = np.array(triangle_row(p, q, zeros, zeros, zeros + 1.0, zeros, ops=_ColumnOps)).T
 
-        # .T rather than np.moveaxis, which costs about 6 us more per table,
-        # and ``eval`` builds a kernel per point.
-        def table(at: int, count: int, width: int) -> np.ndarray:
-            r = flat[..., at:at + count * width]
-            return r.reshape(r.shape[:-1] + (count, width)).T[..., None]
+    @cached_property
+    def _segs(self) -> np.ndarray:
+        return self._table(_ROW_SEGS, len(_SEG_INDEX), 5)
 
-        self._segs = table(_ROW_SEGS, len(_SEG_INDEX), 5)
-        self._unfolds = table(_ROW_UNFOLDS, len(_ORDERS), 8)
+    @cached_property
+    def _unfolds(self) -> np.ndarray:
+        return self._table(_ROW_UNFOLDS, len(_ORDERS), 8)
+
+    def _table(self, at: int, count: int, width: int) -> np.ndarray:
+        """The (width, count, ...) table of ``count`` members of ``width``
+        fields each, from row offset ``at``.  .T rather than np.moveaxis,
+        which costs about 6 us more per table."""
+        flat = np.array(self.rows[0]) if isinstance(self.rows, list) else self.rows
+        r = flat[..., at:at + count * width]
+        return r.reshape(r.shape[:-1] + (count, width)).T[..., None]
 
     def repeat(self, counts: np.ndarray) -> TriangleKernel:
         """The stacked kernel in which this stack's triangle t comes
@@ -457,33 +537,40 @@ class TriangleKernel:
         end."""
         return self.rows[:, [_ROW_LENGTH[opposite_edge(v)] for v in _VERTICES]]
 
-    # -- primitives ----------------------------------------------------
-
-    @staticmethod
-    def _seg_dist(pts: np.ndarray, key) -> np.ndarray:
-        p0x, p0y, dx, dy, dd = key
-        t = ((pts[..., 0] - p0x) * dx + (pts[..., 1] - p0y) * dy) / dd
-        np.clip(t, 0.0, 1.0, out=t)
-        return np.hypot(pts[..., 0] - (p0x + t * dx), pts[..., 1] - (p0y + t * dy))
-
     # -- the evaluators ----------------------------------------------------
+    #
+    # ``segs_all`` and ``r1_all`` take an array of points, or one point (x,
+    # y) of plain floats on a single-triangle kernel of floats, as the
+    # constructor takes columns or floats.  An array goes through each
+    # family's formula once, over its table (``_ArrayOps``); a point goes
+    # through it once per member, on that member's constants in the row
+    # (``_PointOps``), and gets a list of plain floats.
 
-    def segs_all(self, pts: np.ndarray) -> np.ndarray:
+    def _at_point(self, formula, point, members) -> list[float]:
+        x, y = point
+        row = self.rows[0]
+        return [formula(x, y, row[at:to], _PointOps) for at, to in members]
+
+    def segs_all(self, pts):
         """(9, ...) costs of the nine members of the segment table: the three
         point-to-edge distances in EdgeId order, then the six ordered two-edge
         visits in ``_PAIRS`` order."""
-        return self._seg_dist(pts, self._segs)
+        if isinstance(pts, tuple):
+            return self._at_point(_seg_dist, pts, _SEG_MEMBERS)
+        return _seg_dist(pts[..., 0], pts[..., 1], self._segs, _ArrayOps)
 
     def r3_all(self, pts: np.ndarray) -> np.ndarray:
         """(3, ...) point-to-edge distances in EdgeId declaration order: the
         edges' members of the segment table only, so that R3 alone does not
         pay for the pairs."""
-        return self._seg_dist(pts, self._segs[:, :len(_EDGES)])
+        return _seg_dist(pts[..., 0], pts[..., 1], self._segs[:, :len(_EDGES)], _ArrayOps)
 
-    def r1_all(self, pts: np.ndarray) -> np.ndarray:
+    def r1_all(self, pts):
         """(6, ...) ordered three-edge visit costs in VisitOrder declaration
         order."""
-        return _ordered3_cases(pts, self._unfolds)
+        if isinstance(pts, tuple):
+            return self._at_point(_ordered3_cases, pts, _UNFOLD_MEMBERS)
+        return _ordered3_cases(pts[..., 0], pts[..., 1], self._unfolds, _ArrayOps)
 
     def r2_partitions(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(singles, pairs, costs), each (3, ...), indexed by the lone edge:

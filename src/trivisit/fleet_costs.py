@@ -2,9 +2,9 @@
 
 R3 is the largest point-to-edge distance, R2 the best split of one edge vs.
 the other two, R1 the best of the six ordered three-edge visits.  The costs
-are the plain floats of the two kernel passes of ``StandardPoint``; the
-kernel's rules pick the farthest edges, kept partitions and optimal orders
-from them at the point, and only their witnesses are built, each by
+are the plain floats of the two kernel evaluations of ``StandardPoint``;
+the kernel's rules pick the farthest edges, kept partitions and optimal
+orders from them at the point, and only their witnesses are built, each by
 ``StandardPoint`` in standard form, drops included.  Every cost, of a fleet
 or of a witness, is the kernel's times the scale back to the pose.
 Closed forms for the incenter and the mid-altitude starting points are

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from ._kernels import _ORDERS, _SEG_INDEX, EXACT_TIE, StrategyKind, TriangleKernel
 from .geom_core import EdgeId, Point2, Triangle, VisitOrder, nearest_on_segment, polyline_length, reflect_xy
 
@@ -98,32 +96,32 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_CASES)}
 
 
 class StandardPoint:
-    """A start point, checked to lie inside its triangle in the pose and
-    mapped to the standard form, with the kernel of that standard form.  The
-    point's costs come from two NumPy passes, each made at most once, when
-    first read, and converted to plain floats once: ``segs``, the nine costs
-    of the segment table (``segs_all``: the three edge distances, then the
-    six ordered pairs, indexed by ``_SEG_INDEX``), and ``orders``, the six
-    ordered three-edge visit costs (``r1_all``).  Every decision at the point
-    is made on those floats by the kernel's rules.  Each visit method builds
-    the witnesses of what the kernel marks in standard form and returns the
-    chosen one in the pose, its cost ``scale`` times the kernel's."""
+    """A start point ``ps``, checked to lie inside its triangle in the pose
+    and mapped to the standard form, with the kernel of that standard form.
+    The point's costs are two evaluations of the kernel at (x, y), each made
+    at most once, when first read, on the plain floats of the kernel's row,
+    with no NumPy array: ``segs``, the nine costs of the segment table
+    (``segs_all``: the three edge distances, then the six ordered pairs,
+    indexed by ``_SEG_INDEX``), and ``orders``, the six ordered three-edge
+    visit costs (``r1_all``).  Every decision at the point is made on those
+    floats by the kernel's rules.  Each visit method builds the witnesses of
+    what the kernel marks in standard form and returns the chosen one in the
+    pose, its cost ``scale`` times the kernel's."""
 
     def __init__(self, t: Triangle, p):
         std, sim = t.standard()
         self.std, self.ps = std, sim.apply(t.require_inside(p))
-        self.pts = np.array([self.ps])
         self.kernel = TriangleKernel(*std.a)
         self._pose = sim.inverse()
         self.scale = self._pose.scale
 
     @cached_property
     def segs(self) -> list[float]:
-        return self.kernel.segs_all(self.pts)[:, 0].tolist()
+        return self.kernel.segs_all(self.ps)
 
     @cached_property
     def orders(self) -> list[float]:
-        return self.kernel.r1_all(self.pts)[:, 0].tolist()
+        return self.kernel.r1_all(self.ps)
 
     def three_ordered(self, order: VisitOrder) -> Trajectory:
         """Every admissible case is built; the shortest in standard form

@@ -34,7 +34,7 @@ from trivisit.geom_core import (
     shared_vertex,
     triangle_from_angles,
 )
-from trivisit.regions import _LABEL_BLOCK, _indicators
+from trivisit.regions import _LABEL_BLOCK, _indicators, r1_lrd_rld_locus, raster_region_map
 from trivisit.visitation import StandardPoint, VisitOrder, visit_three_ordered, visit_two_set
 
 from conftest import apexes, random_triangle
@@ -399,7 +399,7 @@ class TestFamilies:
         ``segs_all`` and ``r1_all``."""
         sps = [StandardPoint(inst.t, inst.q) for inst in instances]
         for n, sp in enumerate(sps):
-            k, pts = sp.kernel, sp.pts
+            k, pts = sp.kernel, np.array([sp.ps])
             one = _family_hexes(k, pts)
             segs = sp.segs
             assert (_hexes(sp.orders), _hexes(segs)) == one[:2]
@@ -407,11 +407,11 @@ class TestFamilies:
             partitions = (segs[:3], pairs, [max(d, q) for d, q in zip(segs, pairs)])
             assert (_hexes(segs[:3]), _hexes(partitions)) == one[2:]
             at = n * _BATCH // len(sps)
-            assert _family_hexes(k, _in_batch(sp.std, pts[0], _BATCH, at), at) == one
+            assert _family_hexes(k, _in_batch(sp.std, sp.ps, _BATCH, at), at) == one
         k = TriangleKernel(*apexes([sp.std for sp in sps]))
-        pts = np.array([sp.pts for sp in sps])
+        pts = np.array([[sp.ps] for sp in sps])
         size = _BATCH // len(sps) + 1
-        batch = np.array([_in_batch(sp.std, sp.pts[0], size, size // 2) for sp in sps])
+        batch = np.array([_in_batch(sp.std, sp.ps, size, size // 2) for sp in sps])
         assert _family_hexes(k, batch, size // 2) == _family_hexes(k, pts)
 
 
@@ -426,7 +426,7 @@ class TestOnePointDecisions:
 
         def check(t, p):
             sp = StandardPoint(t, p)
-            k, pts = sp.kernel, sp.pts
+            k, pts = sp.kernel, np.array([sp.ps])
             dists, (singles, pairs, costs), orders = k.r3_all(pts), k.r2_partitions(pts), k.r1_all(pts)
             far = k.farthest_edges(dists, dists.max(axis=0))[:, 0].tolist()
             sides = k.r2_sides(singles, pairs, costs, costs.min(axis=0))[:, 0].tolist()
@@ -625,23 +625,78 @@ class TestOneIndicatorRule:
         assert min(near.values()) >= 8 * 3, near
 
 
+def _clamp_params(k, x, y):
+    """Each segment member's foot parameter at the point (x, y), before
+    the clamp, with the operations of ``_seg_dist``."""
+    out = []
+    for at, to in _kernels._SEG_MEMBERS:
+        p0x, p0y, dx, dy, dd = k.rows[0][at:to]
+        out.append(((x - p0x) * dx + (y - p0y) * dy) / dd)
+    return out
+
+
+class TestPointPath:
+    """At one point (x, y), ``segs_all`` and ``r1_all`` run each member's
+    formula on the plain floats of the row.  Every cost must be the one the
+    array path gives that point, bit for bit, and a plain float."""
+
+    @staticmethod
+    def _check(k, points):
+        for x, y in points:
+            arr = np.array([[x, y]])
+            for family in (k.segs_all, k.r1_all):
+                got = family((x, y))
+                assert {type(c) for c in got} == {float}
+                assert _hexes(got) == _array_hexes(family(arr)[:, 0]), (family.__name__, x, y)
+
+    @settings(max_examples=8)
+    @given(poses.instances(kinds=("vertex", "edge", "interior", "near-vertex"), n=6, **_KERNEL_POSES))
+    def test_point_equals_array(self, instances):
+        # Posed instances down to a 1e-6 deg apex, mapped to their standard
+        # forms, with the standard forms' vertices and edge points and each
+        # order's bounce and subopt lines through the drawn points.
+        params = []
+        for inst in instances:
+            std, sim = inst.t.standard()
+            k = TriangleKernel(*std.a)
+            drawn = sim.apply(inst.q)
+            edges = [u + f * (v - u) for u, v in ((std.a, std.b), (std.b, std.c), (std.c, std.a))
+                     for f in (0.25, 0.5, 0.75)]
+            points = [drawn, *std.vertices, *edges, *_case_line_points(k, [drawn]).tolist()]
+            self._check(k, points)
+            params += [t for x, y in points for t in _clamp_params(k, x, y)]
+        # the clamp meets a parameter of exactly 0, -0.0 and 1: a vertex is
+        # the start or the end of some member, and A starts L at t = -0.0
+        hexes = {t.hex() for t in params}
+        assert {(0.0).hex(), (-0.0).hex(), (1.0).hex()} <= hexes
+
+    def test_thinnest_apex_and_negative_zero(self):
+        # A 1e-6 deg apex at each vertex, and B given as (-0.0, -0.0), which
+        # puts -0.0 into the clamp of every member that starts at B.
+        for at in VertexId:
+            std = poses.shape(poses.THIN, 0.5, at)
+            k = TriangleKernel(*std.a)
+            assert any(math.copysign(1.0, t) < 0 for t in _clamp_params(k, -0.0, -0.0) if t == 0.0)
+            self._check(k, [(-0.0, -0.0), *std.vertices, incenter(std)])
+
+
 @pytest.fixture
 def body_calls(monkeypatch):
-    """Counts of the calls of the ordered three-edge body and of the
-    segment distance, which every edge and ordered-pair cost goes through."""
-    calls = {"ordered3": 0, "seg_dist": 0}
-    ordered3, seg_dist = _kernels._ordered3_cases, TriangleKernel._seg_dist
+    """Counts of the calls of the two family evaluators that one point
+    reads, and of the formulas they apply once per member at a point: the
+    ordered three-edge body and the segment distance, which every edge and
+    ordered-pair cost goes through."""
+    calls = {"r1_all": 0, "segs_all": 0, "ordered3": 0, "seg_dist": 0}
 
-    def counted_ordered3(pts, table):
-        calls["ordered3"] += 1
-        return ordered3(pts, table)
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
 
-    def counted_seg_dist(pts, key):
-        calls["seg_dist"] += 1
-        return seg_dist(pts, key)
-
-    monkeypatch.setattr(_kernels, "_ordered3_cases", counted_ordered3)
-    monkeypatch.setattr(TriangleKernel, "_seg_dist", staticmethod(counted_seg_dist))
+    for owner, attr, name in ((TriangleKernel, "r1_all", "r1_all"), (TriangleKernel, "segs_all", "segs_all"),
+                              (_kernels, "_ordered3_cases", "ordered3"), (_kernels, "_seg_dist", "seg_dist")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     return calls
 
 
@@ -658,18 +713,54 @@ _TIED_IDS = ("equilateral-incenter", "right-isosceles-mid-altitude", "scalene")
 
 
 class TestOneEvaluationPerFamily:
+    """Each family a point reads is evaluated once, and its formula runs
+    once per member: six orders, nine segment members."""
+
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_fleet_costs(self, body_calls, t, p, optimal):
         assert len(fleet_costs(t, p).r1.orders) == optimal
-        assert body_calls == {"ordered3": 1, "seg_dist": 1}
+        assert body_calls == {"r1_all": 1, "segs_all": 1, "ordered3": 6, "seg_dist": 9}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_visit_two_set(self, body_calls, t, p, optimal):
         for edges in ((EdgeId.L, EdgeId.D), (EdgeId.R, EdgeId.L)):
             visit_two_set(t, p, edges)
-        assert body_calls == {"ordered3": 0, "seg_dist": 2}
+        assert body_calls == {"r1_all": 0, "segs_all": 2, "ordered3": 0, "seg_dist": 18}
 
     @pytest.mark.parametrize("t, p, optimal", _TIED, ids=_TIED_IDS)
     def test_visit_three_ordered(self, body_calls, t, p, optimal):
         visit_three_ordered(t, p, VisitOrder.DLR)
-        assert body_calls == {"ordered3": 1, "seg_dist": 0}
+        assert body_calls == {"r1_all": 1, "segs_all": 0, "ordered3": 6, "seg_dist": 0}
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The tables that kernels build, by name, in the order built."""
+    built, table = [], TriangleKernel._table
+    names = {_kernels._ROW_SEGS: "segs", _kernels._ROW_UNFOLDS: "unfolds"}
+
+    def counted(k, at, count, width):
+        built.append(names[at])
+        return table(k, at, count, width)
+
+    monkeypatch.setattr(TriangleKernel, "_table", counted)
+    return built
+
+
+class TestLazyTables:
+    """A kernel builds a NumPy table when an array evaluator first reads it,
+    so the one-point paths build none."""
+
+    def test_one_point_builds_no_table(self, tables_built):
+        for t, p, _ in _TIED:
+            fleet_costs(t, p)
+            visit_three_ordered(t, p, VisitOrder.LRD)
+            visit_two_set(t, p, (EdgeId.L, EdgeId.D))
+            r1_lrd_rld_locus(t)
+        assert tables_built == []
+
+    @pytest.mark.parametrize("mode, tables", [("r1", ["unfolds"]), ("r2", ["segs"]), ("r3", ["segs"])])
+    def test_raster_builds_each_table_once(self, tables_built, mode, tables):
+        t = triangle_from_angles(math.radians(50.0), math.radians(70.0))
+        raster_region_map(t, 512, mode)
+        assert tables_built == tables
