@@ -12,16 +12,19 @@ The cost is Python overhead per objective evaluation, not floating-point
 work, so the objectives read one flat tuple of plain floats per ordered
 visit (``_ordered3_row``).  The six ordered three-edge visits take nearly
 all of ``oracle_costs``' time, and a visit spends it in the inner golden
-sections over t2 of its nested search: about 53 of them, some 2,700
-evaluations of the three-leg objective.  So the inner section,
-``_min_second``, is ``_golden_min`` over ``_fix_first`` written out with the
-objective inline, and it reads the second bounce point and the third leg,
-which depend on t2 alone, from a memo that lives for one visit
-(``_SecondBounces``): about 600 distinct t2 on average, so three probes in
-four reuse an entry.  ``_golden_min`` is the routine for every other
-section.  The scalar path is not a NumPy batch of one: on a single instance
-that measured about six times slower, since every array operation costs
-more than the few floats it replaces.
+sections over t2 of its nested search: about 51 of them, some 2,500 probes
+of the three-leg objective.  Every inner section starts on [0, 1] with the
+same ``tol``, so its probes are fixed by its comparison outcomes, and the
+visit keeps them as one tree of section states (``_SecondTree``), grown on
+first use: a node (``_Section``) holds the second bounce point and third
+leg of its probe, which depend on t2 alone.  An inner section at t1 is a
+walk down the tree, one comparison and one leg per step, with the first leg
+paid once.  A visit grows about 650 nodes on average, from 49 to about
+1,500 on criterion 10's instances.  ``_golden_min`` is the routine for
+every other section, and ``_fix_first`` is the objective that the walk
+must match bit for bit.  The scalar path is not a NumPy batch of one: on a
+single instance that measured about six times slower, since every array
+operation costs more than the few floats it replaces.
 """
 
 from __future__ import annotations
@@ -93,40 +96,29 @@ def _ordered3_row(t: Triangle, p: Point2, order: VisitOrder) -> tuple[float, ...
     return (*row, row[-2] * row[-2] + row[-1] * row[-1])
 
 
-class _SecondBounces(dict):
-    """t2 -> (x, y, third leg) for one ordered visit: the second bounce
-    point and its distance to the third edge, none of which depends on the
-    first bounce.  Each entry is computed on its first read, the third
-    edge's nearest point clamped inline, giving the same values as
-    ``nearest_on_segment`` bit for bit.  A visit's memo ends with about 50
-    entries when its inner minima sit at an end of the second edge, where
-    every inner section probes the same t2, and 1,300 to 1,500 otherwise."""
-
-    def __init__(self, row: tuple[float, ...]):
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, t2: float) -> tuple[float, float, float]:
-        _, _, _, _, _, _, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = self.row
-        x2x = a2x + t2 * d2x
-        x2y = a2y + t2 * d2y
-        s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
-        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-        self[t2] = bounce = (x2x, x2y, math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y)))
-        return bounce
+def _bounce(row: tuple[float, ...], t2: float) -> tuple[float, float, float]:
+    """(x, y, third leg) of the second bounce at t2, none of which depends on
+    the first bounce.  The third edge's nearest point is clamped inline,
+    giving the same values as ``nearest_on_segment`` bit for bit."""
+    _, _, _, _, _, _, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row
+    x2x = a2x + t2 * d2x
+    x2y = a2y + t2 * d2y
+    s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
+    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+    return x2x, x2y, math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y))
 
 
 def _fix_first(row: tuple[float, ...], t1: float):
     """h(t2) = f(t1, t2) for a fixed first bounce, the first leg paid once:
-    (leg1 + leg2) + leg3.  The objective that ``_min_second`` inlines."""
+    (leg1 + leg2) + leg3.  The objective that ``_SecondTree.section``
+    minimizes."""
     px, py, a1x, a1y, d1x, d1y = row[:6]
     x1x = a1x + t1 * d1x
     x1y = a1y + t1 * d1y
     leg1 = math.hypot(px - x1x, py - x1y)
-    bounces = _SecondBounces(row)
 
     def h(t2: float) -> float:
-        x2x, x2y, leg3 = bounces[t2]
+        x2x, x2y, leg3 = _bounce(row, t2)
         return leg1 + math.hypot(x1x - x2x, x1y - x2y) + leg3
 
     return h
@@ -134,7 +126,7 @@ def _fix_first(row: tuple[float, ...], t1: float):
 
 def _fix_second(row: tuple[float, ...], bounce: tuple[float, float, float]):
     """f(t1, t2) as a function of t1 for a fixed second bounce, given as its
-    ``_SecondBounces`` entry: ``_fix_first(row, t1)(t2)`` bit for bit."""
+    ``_bounce(row, t2)``: ``_fix_first(row, t1)(t2)`` bit for bit."""
     px, py, a1x, a1y, d1x, d1y = row[:6]
     x2x, x2y, leg3 = bounce
 
@@ -146,35 +138,83 @@ def _fix_second(row: tuple[float, ...], bounce: tuple[float, float, float]):
     return h
 
 
-def _min_second(row: tuple[float, ...], bounces: _SecondBounces, t1: float, tol: float) -> tuple[float, float]:
-    """``_golden_min(_fix_first(row, t1), 0.0, 1.0, tol)`` bit for bit: the
-    same probes and updates and the same sum, (leg1 + leg2) + leg3, with no
-    call per probe and the t2-only part read from ``bounces``."""
-    px, py, a1x, a1y, d1x, d1y = row[:6]
-    x1x = a1x + t1 * d1x
-    x1y = a1y + t1 * d1y
-    leg1 = math.hypot(px - x1x, py - x1y)
-    a, b = 0.0, 1.0
-    u1 = b - _INV_PHI * (b - a)
-    u2 = a + _INV_PHI * (b - a)
-    x, y, leg3 = bounces[u1]
-    f1 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
-    x, y, leg3 = bounces[u2]
-    f2 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
-    while b - a > tol:
-        if f1 <= f2:
-            b, u2, f2 = u2, u1, f1
-            u1 = b - _INV_PHI * (b - a)
-            x, y, leg3 = bounces[u1]
-            f1 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
+class _Section:
+    """One state of an inner golden section over t2, a node of a
+    ``_SecondTree``: x, y and leg3 are the ``_bounce`` of the probe made on
+    entering it, and low and high its children, None until a walk first
+    takes them (low keeps [a, u2] and probes a new u1, high keeps [u1, b]
+    and probes a new u2).  Where b - a <= tol the section ends: um is the
+    midpoint it returns, and x, y and leg3 are um's, since the value at the
+    entering probe is never compared.  Elsewhere um is None and a, b, u1
+    and u2 are the state that grows the children."""
+
+    __slots__ = ("x", "y", "leg3", "um", "low", "high", "a", "b", "u1", "u2")
+
+
+class _SecondTree:
+    """Every inner golden section over t2 of one ordered visit, as one tree.
+
+    Each section starts on [0, 1] with the same ``tol``, so a section state
+    (a, b, u1, u2) is fixed by the comparison outcomes before it, and is a
+    ``_Section`` here, grown on first use.  The root's geometry is its first
+    probe's, u1 = 1 - _INV_PHI, and ``first`` is that of its second, u2 =
+    _INV_PHI."""
+
+    def __init__(self, row: tuple[float, ...], tol: float):
+        self.row, self.tol = row, tol
+        self.first_edge = row[:6]
+        self.first = _bounce(row, _INV_PHI)
+        # The low child of the section on [0, 1 / _INV_PHI], whose probes
+        # are _INV_PHI and 1, is the section on [0, 1] with _golden_min's
+        # first probes, computed as it computes them.
+        pre = _Section()
+        pre.a, pre.u1, pre.u2 = 0.0, _INV_PHI, 1.0
+        self.root = self._grow(pre, True)
+
+    def _grow(self, node: _Section, low: bool) -> _Section:
+        """Make and link ``node``'s low or high child, with the golden
+        section's update from ``_golden_min``."""
+        if low:
+            a, b, u2 = node.a, node.u2, node.u1
+            u1 = probe = b - _INV_PHI * (b - a)
+            node.low = kid = _Section()
         else:
-            a, u1, f1 = u1, u2, f2
-            u2 = a + _INV_PHI * (b - a)
-            x, y, leg3 = bounces[u2]
-            f2 = leg1 + math.hypot(x1x - x, x1y - y) + leg3
-    um = (a + b) / 2
-    x, y, leg3 = bounces[um]
-    return um, leg1 + math.hypot(x1x - x, x1y - y) + leg3
+            a, b, u1 = node.u1, node.b, node.u2
+            u2 = probe = a + _INV_PHI * (b - a)
+            node.high = kid = _Section()
+        kid.low = kid.high = None
+        if b - a > self.tol:
+            kid.um = None
+            kid.a, kid.b, kid.u1, kid.u2 = a, b, u1, u2
+        else:
+            kid.um = probe = (a + b) / 2
+        kid.x, kid.y, kid.leg3 = _bounce(self.row, probe)
+        return kid
+
+    def section(self, t1: float) -> tuple[_Section, float]:
+        """``_golden_min(_fix_first(row, t1), 0.0, 1.0, tol)`` bit for bit,
+        as (the end node, whose um is the t2 returned, its value): the same
+        probes, comparisons and sum, (leg1 + leg2) + leg3, read off the
+        tree."""
+        px, py, a1x, a1y, d1x, d1y = self.first_edge
+        x1x = a1x + t1 * d1x
+        x1y = a1y + t1 * d1y
+        hypot = math.hypot
+        leg1 = hypot(px - x1x, py - x1y)
+        x, y, leg3 = self.first
+        f2 = leg1 + hypot(x1x - x, x1y - y) + leg3
+        node = self.root
+        f1 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
+        while node.um is None:
+            if f1 <= f2:
+                node = node.low or self._grow(node, True)
+                f2 = f1
+                f1 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
+            else:
+                node = node.high or self._grow(node, False)
+                f1 = f2
+                f2 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
+        return node, f
 
 
 def _grid_seed3(row: tuple[float, ...], res: int) -> tuple[float, float]:
@@ -206,21 +246,22 @@ def oracle_ordered3(
     std, sim = t.standard()
     ps = sim.apply(t.require_inside(p))
     row = _ordered3_row(std, ps, order)
-    bounces = _SecondBounces(row)
+    tree = _SecondTree(row, cfg.tol)
     s1, s2 = _grid_seed3(row, cfg.coarse_resolution)
     best = _fix_first(row, s1)(s2)
 
     # A couple of cheap alternating sweeps sharpen the seed.
-    t1, t2 = s1, s2
+    bounce = _bounce(row, s2)
     for _ in range(_SEED_SWEEPS):
-        t1, _ = _golden_min(_fix_second(row, bounces[t2]), 0.0, 1.0, cfg.tol)
-        t2, val = _min_second(row, bounces, t1, cfg.tol)
+        t1, _ = _golden_min(_fix_second(row, bounce), 0.0, 1.0, cfg.tol)
+        end, val = tree.section(t1)
+        bounce = end.x, end.y, end.leg3
         if best - val <= cfg.tol:
             best = min(best, val)
             break
         best = val
 
-    _, nested = _golden_min(lambda u1: _min_second(row, bounces, u1, cfg.tol)[1], 0.0, 1.0, cfg.tol)
+    _, nested = _golden_min(lambda u1: tree.section(u1)[1], 0.0, 1.0, cfg.tol)
     return min(best, nested) / sim.scale
 
 
@@ -244,7 +285,7 @@ def oracle_two_ordered(
 
     # Convex in t1, so one golden-section pass over the full interval is
     # global; the grid values only guard the endpoints.
-    grid_best = min(g(float(u)) for u in np.linspace(0.0, 1.0, cfg.coarse_resolution))
+    grid_best = min(map(g, np.linspace(0.0, 1.0, cfg.coarse_resolution).tolist()))
     _, val = _golden_min(g, 0.0, 1.0, cfg.tol)
     return min(val, grid_best) / sim.scale
 

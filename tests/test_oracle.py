@@ -89,23 +89,32 @@ class TestOrdered3:
     @settings(max_examples=8)
     @given(poses.instances(n=3))
     def test_inline_inner_section_is_the_golden_one(self, batch):
-        # One memo per ordered visit, shared by every t1 and both configs as
-        # in oracle_ordered3: the inline section and the t1 objective give the
-        # closure's bits, slivers, edge and vertex points included.
+        # One tree per ordered visit and tol, shared by every t1 as in
+        # oracle_ordered3: each walk and the t1 objective on its end node give
+        # the closure's bits, slivers, edge and vertex points included.  The
+        # same t1s walked in reverse on a fresh tree give the same bits, so
+        # growth order does not matter.  At tol 0.3 a section is a few steps,
+        # and at tol >= 1 the root itself ends it.
         t1s = [k / 12 for k in range(13)] + [1.0 - oracle._INV_PHI, oracle._INV_PHI]
         for inst in batch:
             std, sim = inst.t.standard()
             ps = sim.apply(inst.t.require_inside(inst.q))
             for order in VisitOrder:
                 row = oracle._ordered3_row(std, ps, order)
-                bounces = oracle._SecondBounces(row)
-                for cfg in (DEFAULT_CONFIG, FAST):
-                    for t1 in t1s:
-                        got = oracle._min_second(row, bounces, t1, cfg.tol)
-                        want = oracle._golden_min(oracle._fix_first(row, t1), 0.0, 1.0, cfg.tol)
-                        assert [v.hex() for v in got] == [v.hex() for v in want], (order, cfg, t1)
+                for tol in (DEFAULT_CONFIG.tol, FAST.tol, 0.3, 1.0, 2.5):
+                    want = [oracle._golden_min(oracle._fix_first(row, t1), 0.0, 1.0, tol) for t1 in t1s]
+                    forward = oracle._SecondTree(row, tol)
+                    ends = [forward.section(t1) for t1 in t1s]
+                    backward = oracle._SecondTree(row, tol)
+                    ends_back = [backward.section(t1) for t1 in reversed(t1s)][::-1]
+                    for t1, w, (end, val), (end_back, val_back) in zip(t1s, want, ends, ends_back):
+                        assert [v.hex() for v in w] == [end.um.hex(), val.hex()], (order, tol, t1)
+                        assert [end_back.um.hex(), val_back.hex()] == [end.um.hex(), val.hex()], (order, tol, t1)
+                    for t1, (end, _) in zip(t1s, reversed(ends)):
+                        got = oracle._fix_second(row, (end.x, end.y, end.leg3))(t1)
+                        assert got.hex() == oracle._fix_first(row, t1)(end.um).hex(), (order, tol, t1)
                 for t1, t2 in zip(t1s, reversed(t1s)):
-                    got = oracle._fix_second(row, bounces[t2])(t1)
+                    got = oracle._fix_second(row, oracle._bounce(row, t2))(t1)
                     assert got.hex() == oracle._fix_first(row, t1)(t2).hex(), (order, t1, t2)
 
     def test_never_below_closed_form(self, rng):
@@ -227,7 +236,7 @@ class TestOracleCosts:
 
     def test_no_state_carries_between_calls(self):
         # A, B, A gives A's bits twice, and the six orders run in reverse
-        # give the same bits: each ordered visit's memo is its own.
+        # give the same bits: each ordered visit's tree is its own.
         a = (triangle_from_angles(math.radians(50), math.radians(70)), Point2(0.4, 0.3))
         b = (poses.shape(1e-3, 0.3), Point2(0.5, 1e-4))
         first = oracle_costs(*a)

@@ -331,7 +331,8 @@ class TestSweep:
         # once kept 6 cells with B < C whose mirror was off the grid.
         rows, built = self._built_cells(monkeypatch, 1, 3, 0.6)
         computed = tradeoffs._sweep_cells(0.6, 0.5).computed.tolist()
-        assert built == sorted(_grid_angles(0.6)[r] for r in computed)
+        angles = _grid_angles(0.6)
+        assert built == sorted(angles[r] for r in computed)
         assert all(b >= c for b, c in built)
 
     @pytest.mark.parametrize("step", [10.0, 7.0, 5.0, 4.0])
