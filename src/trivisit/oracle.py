@@ -16,20 +16,29 @@ sections over t2 of its nested search: about 51 of them, some 2,500 probes
 of the three-leg objective.  Every inner section starts on [0, 1] with the
 same ``tol``, so its probes are fixed by its comparison outcomes, and the
 visit keeps them as one tree of section states (``_SecondTree``), grown on
-first use: a node (``_Section``) holds the second bounce point and third
-leg of its probe, which depend on t2 alone.  An inner section at t1 is a
-walk down the tree, one comparison and one leg per step, with the first leg
-paid once.  A visit grows about 650 nodes on average, from 49 to about
-1,500 on criterion 10's instances.  ``_golden_min`` is the routine for
-every other section, and ``_fix_first`` is the objective that the walk
-must match bit for bit.  The scalar path is not a NumPy batch of one: on a
-single instance that measured about six times slower, since every array
-operation costs more than the few floats it replaces.
+first use.  A node is a flat list made by one closure per visit
+(``_section_node``, which binds the second and third edges' constants) and
+holds the second bounce point and third leg of its probe, which depend on
+t2 alone.  An inner section at t1 is a walk down the tree, one comparison
+and one leg per step, with the first leg paid once; the walk grows a
+missing child where it first takes it.  A visit grows about 650 nodes on
+average, from 49 to about 1,500 on criterion 10's instances.  On the
+benchmark's ``certify`` instances a visit's walks took about 0.7 ms on a
+2-core host: 0.38 ms of steps and 0.32 ms of growing nodes.  The six
+orders' grid seeds are one NumPy pass per instance (``_grid_seeds``, about
+0.25 ms against 0.5 ms for six passes), in which the order that reverses
+another's first two edges reads that order's second-leg matrix transposed.
+``_golden_min`` is the routine for every other section, and ``_fix_first``
+is the objective that the walk must match bit for bit.  The scalar path is
+not a NumPy batch of one: on a single instance that measured about six
+times slower, since every array operation costs more than the few floats it
+replaces.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,27 +94,43 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
+def _edge_floats(t: Triangle, e: EdgeId) -> tuple[float, float, float, float]:
+    """Start x, y and direction x, y of edge ``e`` of ``t``."""
+    seg = edge_segment(t, e)
+    return seg.p0.x, seg.p0.y, seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y
+
+
 def _ordered3_row(t: Triangle, p: Point2, order: VisitOrder) -> tuple[float, ...]:
     """(px, py, then start x, y and direction x, y of each edge in visit
     order, then the third edge's squared length): every float the
     three-leg objective reads."""
     row = [p.x, p.y]
     for e in order.edges:
-        seg = edge_segment(t, e)
-        row += (seg.p0.x, seg.p0.y, seg.p1.x - seg.p0.x, seg.p1.y - seg.p0.y)
+        row += _edge_floats(t, e)
     return (*row, row[-2] * row[-2] + row[-1] * row[-1])
 
 
-def _bounce(row: tuple[float, ...], t2: float) -> tuple[float, float, float]:
-    """(x, y, third leg) of the second bounce at t2, none of which depends on
-    the first bounce.  The third edge's nearest point is clamped inline,
-    giving the same values as ``nearest_on_segment`` bit for bit."""
-    _, _, _, _, _, _, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row
-    x2x = a2x + t2 * d2x
-    x2y = a2y + t2 * d2y
-    s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
-    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-    return x2x, x2y, math.hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y))
+def _section_node(row: tuple[float, ...]):
+    """The maker of one visit's section-tree nodes, the row's second- and
+    third-edge constants bound once.
+
+    ``node(t2, um, a, b, u1, u2)`` is the list [x, y, leg3, um, low, high,
+    a, b, u1, u2]: x and y are the second bounce point at t2 and leg3 the
+    third leg from it, none of which depends on the first bounce, and the
+    children low and high are None.  This is the one formula for that
+    geometry.  The third edge's nearest point is clamped inline, giving the
+    same values as ``nearest_on_segment`` bit for bit."""
+    a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, n3 = row[6:]
+    hypot = math.hypot
+
+    def node(t2: float, um=None, a=None, b=None, u1=None, u2=None) -> list:
+        x2x = a2x + t2 * d2x
+        x2y = a2y + t2 * d2y
+        s = ((x2x - a3x) * d3x + (x2y - a3y) * d3y) / n3
+        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+        return [x2x, x2y, hypot(x2x - (a3x + s * d3x), x2y - (a3y + s * d3y)), um, None, None, a, b, u1, u2]
+
+    return node
 
 
 def _fix_first(row: tuple[float, ...], t1: float):
@@ -116,19 +141,20 @@ def _fix_first(row: tuple[float, ...], t1: float):
     x1x = a1x + t1 * d1x
     x1y = a1y + t1 * d1y
     leg1 = math.hypot(px - x1x, py - x1y)
+    node = _section_node(row)
 
     def h(t2: float) -> float:
-        x2x, x2y, leg3 = _bounce(row, t2)
+        x2x, x2y, leg3 = node(t2)[:3]
         return leg1 + math.hypot(x1x - x2x, x1y - x2y) + leg3
 
     return h
 
 
-def _fix_second(row: tuple[float, ...], bounce: tuple[float, float, float]):
-    """f(t1, t2) as a function of t1 for a fixed second bounce, given as its
-    ``_bounce(row, t2)``: ``_fix_first(row, t1)(t2)`` bit for bit."""
+def _fix_second(row: tuple[float, ...], bounce: list):
+    """f(t1, t2) as a function of t1 for a fixed second bounce, given as the
+    section-tree node at t2: ``_fix_first(row, t1)(t2)`` bit for bit."""
     px, py, a1x, a1y, d1x, d1y = row[:6]
-    x2x, x2y, leg3 = bounce
+    x2x, x2y, leg3 = bounce[:3]
 
     def h(t1: float) -> float:
         x1x = a1x + t1 * d1x
@@ -138,65 +164,42 @@ def _fix_second(row: tuple[float, ...], bounce: tuple[float, float, float]):
     return h
 
 
-class _Section:
-    """One state of an inner golden section over t2, a node of a
-    ``_SecondTree``: x, y and leg3 are the ``_bounce`` of the probe made on
-    entering it, and low and high its children, None until a walk first
-    takes them (low keeps [a, u2] and probes a new u1, high keeps [u1, b]
-    and probes a new u2).  Where b - a <= tol the section ends: um is the
-    midpoint it returns, and x, y and leg3 are um's, since the value at the
-    entering probe is never compared.  Elsewhere um is None and a, b, u1
-    and u2 are the state that grows the children."""
-
-    __slots__ = ("x", "y", "leg3", "um", "low", "high", "a", "b", "u1", "u2")
-
-
 class _SecondTree:
     """Every inner golden section over t2 of one ordered visit, as one tree.
 
     Each section starts on [0, 1] with the same ``tol``, so a section state
     (a, b, u1, u2) is fixed by the comparison outcomes before it, and is a
-    ``_Section`` here, grown on first use.  The root's geometry is its first
-    probe's, u1 = 1 - _INV_PHI, and ``first`` is that of its second, u2 =
-    _INV_PHI."""
+    node here, a flat list made by ``_section_node``: x, y and leg3 are the
+    geometry of the probe made on entering it, and low and high its
+    children, None until a walk first takes them (low keeps [a, u2] and
+    probes a new u1, high keeps [u1, b] and probes a new u2).  Where
+    b - a <= tol the section ends: um is the midpoint it returns, and x, y
+    and leg3 are um's, since the value at the entering probe is never
+    compared.  Elsewhere um is None and a, b, u1 and u2 are the state that
+    grows the children.  The root is the section on [0, 1] after
+    ``_golden_min``'s first probes, computed as it computes them, with u1's
+    geometry; ``first`` is the geometry at u2."""
 
     def __init__(self, row: tuple[float, ...], tol: float):
-        self.row, self.tol = row, tol
+        self.tol = tol
         self.first_edge = row[:6]
-        self.first = _bounce(row, _INV_PHI)
-        # The low child of the section on [0, 1 / _INV_PHI], whose probes
-        # are _INV_PHI and 1, is the section on [0, 1] with _golden_min's
-        # first probes, computed as it computes them.
-        pre = _Section()
-        pre.a, pre.u1, pre.u2 = 0.0, _INV_PHI, 1.0
-        self.root = self._grow(pre, True)
-
-    def _grow(self, node: _Section, low: bool) -> _Section:
-        """Make and link ``node``'s low or high child, with the golden
-        section's update from ``_golden_min``."""
-        if low:
-            a, b, u2 = node.a, node.u2, node.u1
-            u1 = probe = b - _INV_PHI * (b - a)
-            node.low = kid = _Section()
+        self.node = node = _section_node(row)
+        a, b = 0.0, 1.0
+        u1, u2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        self.first = node(u2)[:3]
+        if b - a > tol:
+            self.root = node(u1, None, a, b, u1, u2)
         else:
-            a, b, u1 = node.u1, node.b, node.u2
-            u2 = probe = a + _INV_PHI * (b - a)
-            node.high = kid = _Section()
-        kid.low = kid.high = None
-        if b - a > self.tol:
-            kid.um = None
-            kid.a, kid.b, kid.u1, kid.u2 = a, b, u1, u2
-        else:
-            kid.um = probe = (a + b) / 2
-        kid.x, kid.y, kid.leg3 = _bounce(self.row, probe)
-        return kid
+            um = (a + b) / 2
+            self.root = node(um, um)
 
-    def section(self, t1: float) -> tuple[_Section, float]:
+    def section(self, t1: float) -> tuple[list, float]:
         """``_golden_min(_fix_first(row, t1), 0.0, 1.0, tol)`` bit for bit,
         as (the end node, whose um is the t2 returned, its value): the same
         probes, comparisons and sum, (leg1 + leg2) + leg3, read off the
-        tree."""
+        tree, which grows a missing child as the walk first takes it."""
         px, py, a1x, a1y, d1x, d1y = self.first_edge
+        make, tol, inv_phi = self.node, self.tol, _INV_PHI
         x1x = a1x + t1 * d1x
         x1y = a1y + t1 * d1y
         hypot = math.hypot
@@ -204,37 +207,81 @@ class _SecondTree:
         x, y, leg3 = self.first
         f2 = leg1 + hypot(x1x - x, x1y - y) + leg3
         node = self.root
-        f1 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
-        while node.um is None:
+        x, y, leg3, um, low, high, a, b, u1, u2 = node
+        f1 = f = leg1 + hypot(x1x - x, x1y - y) + leg3
+        while um is None:
             if f1 <= f2:
-                node = node.low or self._grow(node, True)
+                if low is None:
+                    b, u2 = u2, u1
+                    u1 = b - inv_phi * (b - a)
+                    if b - a > tol:
+                        low = make(u1, None, a, b, u1, u2)
+                    else:
+                        um = (a + b) / 2
+                        low = make(um, um)
+                    node[4] = low
+                node = low
+                x, y, leg3, um, low, high, a, b, u1, u2 = node
                 f2 = f1
-                f1 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
+                f1 = f = leg1 + hypot(x1x - x, x1y - y) + leg3
             else:
-                node = node.high or self._grow(node, False)
+                if high is None:
+                    a, u1 = u1, u2
+                    u2 = a + inv_phi * (b - a)
+                    if b - a > tol:
+                        high = make(u2, None, a, b, u1, u2)
+                    else:
+                        um = (a + b) / 2
+                        high = make(um, um)
+                    node[5] = high
+                node = high
+                x, y, leg3, um, low, high, a, b, u1, u2 = node
                 f1 = f2
-                f2 = f = leg1 + hypot(x1x - node.x, x1y - node.y) + node.leg3
+                f2 = f = leg1 + hypot(x1x - x, x1y - y) + leg3
         return node, f
 
 
-def _grid_seed3(row: tuple[float, ...], res: int) -> tuple[float, float]:
-    px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, _ = row
+_EDGE_INDEX = {e: i for i, e in enumerate(EdgeId)}
+
+
+def _grid_seeds(t: Triangle, p: Point2, orders: Iterable[VisitOrder], res: int) -> list[tuple[float, float]]:
+    """For each ordered visit of ``orders`` on ``t`` from ``p``, the (t1, t2)
+    of the smallest three-leg total on a res x res grid, in one NumPy pass.
+
+    Each edge's grid points and first legs are computed once, and so is the
+    second-leg matrix of each unordered pair of first and second edges: the
+    order that reverses the pair reads it transposed, the same bits, since a
+    difference and its negation have the same hypot.  Each ordered pair of
+    second and third edges has its third-leg vector.  An order's total is
+    (leg1 + leg2) + leg3, and its seed is the first grid index of the
+    total's minimum."""
     ts = np.linspace(0.0, 1.0, res)
-    x1 = np.array([a1x, a1y])[None, :] + ts[:, None] * np.array([d1x, d1y])[None, :]
-    x2 = np.array([a2x, a2y])[None, :] + ts[:, None] * np.array([d2x, d2y])[None, :]
-    leg1 = np.hypot(x1[:, 0] - px, x1[:, 1] - py)
-    leg2 = np.hypot(x1[:, None, 0] - x2[None, :, 0], x1[:, None, 1] - x2[None, :, 1])
-    d30 = np.array([d3x, d3y])
-    tt = ((x2[:, 0] - a3x) * d30[0] + (x2[:, 1] - a3y) * d30[1]) / (d30 @ d30)
-    tt = np.clip(tt, 0.0, 1.0)
-    leg3 = np.hypot(x2[:, 0] - (a3x + tt * d30[0]), x2[:, 1] - (a3y + tt * d30[1]))
-    total = leg1[:, None] + leg2 + leg3[None, :]
-    i, j = np.unravel_index(int(np.argmin(total)), total.shape)
-    return float(ts[i]), float(ts[j])
+    edges = np.array([_edge_floats(t, e) for e in EdgeId])
+    x = edges[:, 0, None] + ts * edges[:, 2, None]
+    y = edges[:, 1, None] + ts * edges[:, 3, None]
+    norm2 = np.array([d @ d for d in edges[:, 2:]])
+    leg1 = np.hypot(x - p.x, y - p.y)
+
+    first, second, third = map(list, zip(*([_EDGE_INDEX[e] for e in order.edges] for order in orders)))
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in zip(first, second)})
+    lo, hi = [i for i, _ in pairs], [j for _, j in pairs]
+    leg2 = np.hypot(x[lo, :, None] - x[hi, None, :], y[lo, :, None] - y[hi, None, :])
+
+    a3x, a3y, d3x, d3y = (edges[third, k, None] for k in range(4))
+    x2, y2 = x[second], y[second]
+    s = np.clip(((x2 - a3x) * d3x + (y2 - a3y) * d3y) / norm2[third, None], 0.0, 1.0)
+    leg3 = np.hypot(x2 - (a3x + s * d3x), y2 - (a3y + s * d3y))
+
+    total = np.empty((len(first), res, res))
+    for out, i, j in zip(total, first, second):
+        np.add(leg1[i, :, None], leg2[pairs.index((i, j))] if i < j else leg2[pairs.index((j, i))].T, out=out)
+    total += leg3[:, None, :]
+    grid = ts.tolist()
+    return [(grid[k // res], grid[k % res]) for k in total.reshape(len(first), -1).argmin(axis=1).tolist()]
 
 
 def oracle_ordered3(
-    t: Triangle, p: Point2, order: VisitOrder, cfg: OracleConfig = DEFAULT_CONFIG
+    t: Triangle, p: Point2, order: VisitOrder, cfg: OracleConfig = DEFAULT_CONFIG, *, _seed=None
 ) -> float:
     """Minimum of the two-bounce objective over both edge parameters.
 
@@ -242,20 +289,21 @@ def oracle_ordered3(
     triangles, so the refinement nests the golden sections instead: the outer
     one minimizes g(t1) = min over t2 of f(t1, t2), which inherits convexity
     from f, with an inner golden section supplying the partial minimum.
+    ``_seed`` is this order's ``_grid_seeds`` entry, which ``oracle_costs``
+    computes for all six orders in one pass.
     """
     std, sim = t.standard()
     ps = sim.apply(t.require_inside(p))
     row = _ordered3_row(std, ps, order)
     tree = _SecondTree(row, cfg.tol)
-    s1, s2 = _grid_seed3(row, cfg.coarse_resolution)
+    s1, s2 = _seed if _seed is not None else _grid_seeds(std, ps, (order,), cfg.coarse_resolution)[0]
     best = _fix_first(row, s1)(s2)
 
     # A couple of cheap alternating sweeps sharpen the seed.
-    bounce = _bounce(row, s2)
+    bounce = tree.node(s2)
     for _ in range(_SEED_SWEEPS):
         t1, _ = _golden_min(_fix_second(row, bounce), 0.0, 1.0, cfg.tol)
-        end, val = tree.section(t1)
-        bounce = end.x, end.y, end.leg3
+        bounce, val = tree.section(t1)
         if best - val <= cfg.tol:
             best = min(best, val)
             break
@@ -313,7 +361,9 @@ def oracle_r2(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> flo
 def oracle_costs(t: Triangle, p: Point2, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[str, float]:
     """Oracle cost of every certified key: the six order names in
     ``VisitOrder`` order, then 'r1' (their minimum), 'r2' and 'r3'."""
-    out = {order.value: oracle_ordered3(t, p, order, cfg) for order in VisitOrder}
+    std, sim = t.standard()
+    seeds = _grid_seeds(std, sim.apply(t.require_inside(p)), VisitOrder, cfg.coarse_resolution)
+    out = {order.value: oracle_ordered3(t, p, order, cfg, _seed=seed) for order, seed in zip(VisitOrder, seeds)}
     out["r1"] = min(out.values())
     out["r2"] = oracle_r2(t, p, cfg)
     out["r3"] = oracle_r3(t, p)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -29,6 +31,24 @@ from conftest import random_interior_point, random_triangle
 from poses import EQ, RI
 
 FAST = OracleConfig(coarse_resolution=24, tol=1e-11)
+
+
+def _grid_seed3(row, res):
+    """One order's grid seed as the oracle computed it before the six
+    orders shared one pass: the reference for ``oracle._grid_seeds``."""
+    px, py, a1x, a1y, d1x, d1y, a2x, a2y, d2x, d2y, a3x, a3y, d3x, d3y, _ = row
+    ts = np.linspace(0.0, 1.0, res)
+    x1 = np.array([a1x, a1y])[None, :] + ts[:, None] * np.array([d1x, d1y])[None, :]
+    x2 = np.array([a2x, a2y])[None, :] + ts[:, None] * np.array([d2x, d2y])[None, :]
+    leg1 = np.hypot(x1[:, 0] - px, x1[:, 1] - py)
+    leg2 = np.hypot(x1[:, None, 0] - x2[None, :, 0], x1[:, None, 1] - x2[None, :, 1])
+    d30 = np.array([d3x, d3y])
+    tt = ((x2[:, 0] - a3x) * d30[0] + (x2[:, 1] - a3y) * d30[1]) / (d30 @ d30)
+    tt = np.clip(tt, 0.0, 1.0)
+    leg3 = np.hypot(x2[:, 0] - (a3x + tt * d30[0]), x2[:, 1] - (a3y + tt * d30[1]))
+    total = leg1[:, None] + leg2 + leg3[None, :]
+    i, j = np.unravel_index(int(np.argmin(total)), total.shape)
+    return float(ts[i]), float(ts[j])
 
 
 class TestConfig:
@@ -94,7 +114,8 @@ class TestOrdered3:
         # the closure's bits, slivers, edge and vertex points included.  The
         # same t1s walked in reverse on a fresh tree give the same bits, so
         # growth order does not matter.  At tol 0.3 a section is a few steps,
-        # and at tol >= 1 the root itself ends it.
+        # and at tol >= 1 the root itself ends it.  A node is the flat list
+        # [x, y, leg3, um, low, high, a, b, u1, u2].
         t1s = [k / 12 for k in range(13)] + [1.0 - oracle._INV_PHI, oracle._INV_PHI]
         for inst in batch:
             std, sim = inst.t.standard()
@@ -108,14 +129,34 @@ class TestOrdered3:
                     backward = oracle._SecondTree(row, tol)
                     ends_back = [backward.section(t1) for t1 in reversed(t1s)][::-1]
                     for t1, w, (end, val), (end_back, val_back) in zip(t1s, want, ends, ends_back):
-                        assert [v.hex() for v in w] == [end.um.hex(), val.hex()], (order, tol, t1)
-                        assert [end_back.um.hex(), val_back.hex()] == [end.um.hex(), val.hex()], (order, tol, t1)
+                        assert [v.hex() for v in w] == [end[3].hex(), val.hex()], (order, tol, t1)
+                        assert [end_back[3].hex(), val_back.hex()] == [end[3].hex(), val.hex()], (order, tol, t1)
                     for t1, (end, _) in zip(t1s, reversed(ends)):
-                        got = oracle._fix_second(row, (end.x, end.y, end.leg3))(t1)
-                        assert got.hex() == oracle._fix_first(row, t1)(end.um).hex(), (order, tol, t1)
+                        got = oracle._fix_second(row, end)(t1)
+                        assert got.hex() == oracle._fix_first(row, t1)(end[3]).hex(), (order, tol, t1)
+                node = oracle._section_node(row)
                 for t1, t2 in zip(t1s, reversed(t1s)):
-                    got = oracle._fix_second(row, oracle._bounce(row, t2))(t1)
+                    got = oracle._fix_second(row, node(t2))(t1)
                     assert got.hex() == oracle._fix_first(row, t1)(t2).hex(), (order, t1, t2)
+
+    @settings(max_examples=12)
+    @given(poses.instances(kinds=("vertex", "edge", "near-vertex"), n=4))
+    def test_grid_seeds_are_the_per_order_seeds(self, batch):
+        # One seed pass over the six orders, in which the order that swaps a
+        # pair of first and second edges reads its leg2 matrix transposed,
+        # gives every order the (t1, t2) of its own grid, bit for bit: at
+        # DEFAULT_CONFIG's resolution, the region probes' and FAST's, on
+        # shapes down to a 1e-6 deg apex.  Run alone, an order gets the same
+        # seed.
+        for inst in batch:
+            std, sim = inst.t.standard()
+            ps = sim.apply(inst.t.require_inside(inst.q))
+            for res in (DEFAULT_CONFIG.coarse_resolution, 32, FAST.coarse_resolution):
+                want = [[v.hex() for v in _grid_seed3(oracle._ordered3_row(std, ps, o), res)] for o in VisitOrder]
+                got = [[v.hex() for v in seed] for seed in oracle._grid_seeds(std, ps, VisitOrder, res)]
+                assert got == want, res
+                alone = [[v.hex() for v in oracle._grid_seeds(std, ps, (o,), res)[0]] for o in VisitOrder]
+                assert alone == want, res
 
     def test_never_below_closed_form(self, rng):
         # The search is an upper bound that converges down onto the optimum.
@@ -245,6 +286,15 @@ class TestOracleCosts:
         assert {k: v.hex() for k, v in again.items()} == {k: v.hex() for k, v in first.items()}
         backwards = {o.value: oracle_ordered3(*a, o) for o in reversed(VisitOrder)}
         assert {k: v.hex() for k, v in backwards.items()} == {o.value: first[o.value].hex() for o in VisitOrder}
+
+    def test_criterion_10_instances_keep_their_bits(self):
+        # Every bit of the nine costs on the first 100 of criterion 10's
+        # instances, as one SHA-256 of their hex: a pin beyond the poses of
+        # oracle_golden.json, recorded before the seed pass was shared.
+        instances = verify._random_instances(424242, 100)
+        lines = (" ".join(v.hex() for v in oracle_costs(t, p).values()) for t, p in instances)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "ed4060ffd9a5af0e6ded6d65b29ac5ea68b5afd32d2c2afc5cf389246798b2cd"
 
     def test_certify_runs_each_order_once(self, ordered3_calls):
         p = Point2(0.4, 0.3)

@@ -291,39 +291,52 @@ class TestSweep:
         # indices sorted, which reads itself, its vertices in that order (A,
         # B, C on ties); 180 is not a multiple of 7, and every cell with
         # B >= C reads itself.  The cells, in order, are the scalar rule's.
-        grid = tradeoffs._sweep_cells(step, 0.5)
-        cells = _grid_cells(step)
-        assert cells == list(_reference_cells(step, 0.5))
-        at = {cell: r for r, cell in enumerate(cells)}
-        computed, source, vertex = grid.computed.tolist(), grid.source.tolist(), grid.vertex.tolist()
+        # Each rule is checked on every cell at once, as arrays: the sort is
+        # stable and descending, as sorted(..., reverse=True) is.
+        i, j, computed, source, vertex = tradeoffs._sweep_cells(step, 0.5)
+        assert list(zip(i.tolist(), j.tolist())) == list(_reference_cells(step, 0.5))
+        top = int(max(i.max(), j.max()))
+        at = np.full((top + 1, top + 1), -1)
+        at[i, j] = np.arange(len(i))
+        mirror = at[j, i]
         whole = round(180 / step)
         assert (whole * step == 180.0) == (step != 7.0)
-        assert [source[r] for r in computed] == list(range(len(computed)))
-        for r, (i, j) in enumerate(cells):
-            assert (j, i) in at, (i, j)
-            if i < j:
-                assert (source[r], vertex[r]) == (source[at[j, i]], vertex[at[j, i]]), (i, j)
-                continue
-            steps = (whole - i - j, i, j)
-            order = [0, 1, 2] if step == 7.0 else sorted(range(3), key=steps.__getitem__, reverse=True)
-            want = (i, j) if step == 7.0 else tuple(steps[k] for k in order[1:])
-            assert cells[computed[source[r]]] == want, (i, j)
-            assert vertex[r] == [order.index(k) for k in range(3)], (i, j)
+        assert source[computed].tolist() == list(range(len(computed)))
+        assert _failing_cell(mirror >= 0, i, j) is None
+        lt = i < j
+        same = (source == source[mirror]) & (vertex == vertex[mirror]).all(axis=1)
+        assert _failing_cell(same | ~lt, i, j) is None
+        steps = np.stack((whole - i - j, i, j), axis=1)
+        if step == 7.0:
+            order, want = np.broadcast_to([0, 1, 2], steps.shape), steps[:, 1:]
+        else:
+            order = np.argsort(-steps, axis=1, kind="stable")
+            want = np.take_along_axis(steps, order[:, 1:], axis=1)
+        reads = computed[source]
+        ok = (i[reads] == want[:, 0]) & (j[reads] == want[:, 1]) & (vertex == np.argsort(order, axis=1)).all(axis=1)
+        assert _failing_cell(ok | lt, i, j) is None
 
     @pytest.mark.parametrize("step, added", _FINE_STEPS.items())
     def test_lattice_adds_only_right_angles_at_a(self, step, added):
         # The grid holds every cell of the float rule, in the same order, and
         # ``added`` more, each with A = 90 deg, which rounding of 180 - B - C
         # put above 90.
-        old = [(b, c) for b in (i * step for i in range(1, math.floor(90 / step) + 1)) if 0.5 < b <= 90.0
-               for c in (j * step for j in range(1, math.floor(90 / step) + 1)) if 0.5 < c <= 90.0
-               and 0.5 < 180.0 - b - c <= 90.0]
-        kept = set(old)
-        new = {(i * step, j * step): (i, j) for i, j in _grid_cells(step)}
-        assert [cell for cell in new if cell in kept] == old
-        assert len(new) - len(old) == added
+        # The float rule runs on the same float products and differences as
+        # a scalar loop over (B, C), in row order, as one array pass.
+        ks = np.arange(1, math.floor(90 / step) + 1)
+        angles = ks * step
+        inside = (0.5 < angles) & (angles <= 90.0)
+        a = 180.0 - angles[:, None] - angles[None, :]
+        old_i, old_j = np.nonzero(inside[:, None] & inside[None, :] & (0.5 < a) & (a <= 90.0))
+        grid = tradeoffs._sweep_cells(step, 0.5)
+        assert grid.i.min() >= 1 and grid.j.min() >= 1 and max(grid.i.max(), grid.j.max()) <= len(ks)
+        kept = np.zeros((len(ks) + 1, len(ks) + 1), dtype=bool)
+        kept[ks[old_i], ks[old_j]] = True
+        kept = kept[grid.i, grid.j]
+        assert grid.i[kept].tolist() == ks[old_i].tolist() and grid.j[kept].tolist() == ks[old_j].tolist()
+        assert len(grid.i) - len(old_i) == added
         whole = round(180 / step)
-        assert all(2 * (whole - i - j) == whole for cell, (i, j) in new.items() if cell not in kept)
+        assert _failing_cell(kept | (2 * (whole - grid.i - grid.j) == whole), grid.i, grid.j) is None
 
     def test_mirrors_are_never_computed(self, monkeypatch):
         # The sweep builds exactly the triangles of the cells that read
@@ -401,6 +414,18 @@ def _row_hexes(r):
     return [v.hex() for v in (r.b_deg, r.c_deg, r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y)]
 
 
+def _row_bits(rows):
+    """Each row's seven floats as 64-bit patterns, one array row per row:
+    rows are equal by ``_row_hexes`` where their array rows are equal."""
+    return np.array([(r.b_deg, r.c_deg, r.ratio, r.rn, r.rm, r.argmax.x, r.argmax.y) for r in rows]).view(np.int64)
+
+
+def _failing_cell(ok, i, j):
+    """The first cell (i, j) where the array ``ok`` is false, or None."""
+    bad = np.flatnonzero(~ok)
+    return (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
+
+
 @pytest.mark.parametrize("step", [0.3, 0.6, 0.9, 1.0, 5.0, 7.0])
 @pytest.mark.parametrize("n, m", tradeoffs._PAIRS)
 def test_rows_equal_the_scalar_fill(n, m, step):
@@ -425,7 +450,9 @@ def test_rows_equal_the_scalar_fill(n, m, step):
             want[i, j] = _mirror_row(want[src])
     relabeled = sum(i >= j and src != (i, j) for (i, j), src in cells.items())
     assert (relabeled > 0) == (step != 7.0)
-    assert [_row_hexes(r) for r in rows] == [_row_hexes(want[cell]) for cell in cells]
+    got, expect = _row_bits(rows), _row_bits([want[cell] for cell in cells])
+    bad = np.flatnonzero((got != expect).any(axis=1))
+    assert not bad.size, (_row_hexes(rows[bad[0]]), _row_hexes(want[list(cells)[bad[0]]]))
 
 
 def test_sweep_angles_are_floats_whatever_the_step_type():
